@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, FrozenSet, Generic, List, TypeVar
 
-from repro.mir.cfg import Cfg
+from repro.analysis.scan import cfg_of
 from repro.mir.nodes import Body, Statement, Terminator
 
 T = TypeVar("T")
@@ -28,7 +28,7 @@ class DataflowAnalysis(Generic[T]):
 
     def __init__(self, body: Body) -> None:
         self.body = body
-        self.cfg = Cfg(body)
+        self.cfg = cfg_of(body)
 
     # -- overridables --------------------------------------------------------
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.points_to import PointsTo
-from repro.analysis.scan import scan_of
+from repro.analysis.scan import cfg_of, scan_of
 from repro.hir.builtins import BuiltinOp, FuncKind
 from repro.lang.source import Span
 from repro.mir.cfg import Cfg
@@ -69,7 +69,7 @@ class StorageRanges:
 
 def compute_storage_ranges(body: Body) -> StorageRanges:
     """Forward reachability of storage-liveness per local."""
-    cfg = scan_of(body).memo("cfg", lambda: Cfg(body))
+    cfg = cfg_of(body)
     n = len(body.blocks)
     # Block-entry live sets (arguments are live from entry).
     args = frozenset(l.index for l in body.locals if l.is_arg or l.index == 0)
@@ -290,7 +290,7 @@ def compute_guard_regions(body: Body, pt: Optional[PointsTo] = None,
     if pt is None:
         pt = compute_points_to(body)
     scan = scan_of(body)
-    cfg = scan.memo("cfg", lambda: Cfg(body))
+    cfg = cfg_of(body)
     regions: List[GuardRegion] = []
 
     for bb, term in scan.calls:

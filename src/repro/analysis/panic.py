@@ -191,10 +191,15 @@ def ensure_unwind_edges(body: Body) -> None:
     # blocks are skipped, terminator objects are shared), so the scan
     # itself stays valid across lowering — re-walking every lowered body
     # was the single biggest cost of the engine solve.  Only other
-    # modules' derived facts may bake in the pre-pad CFG: drop those and
-    # re-seed the two facts this pass just computed.
+    # modules' derived facts may bake in the pre-pad CFG: drop those,
+    # re-seed the two facts this pass just computed, and extend the
+    # body's one Cfg with the pads rather than building a second.
     scan = scan_of(body)
+    cfg = scan.cache.get("cfg")
     scan.cache.clear()
+    if cfg is not None:
+        cfg.add_landing_pads(sites)
+        scan.cache["cfg"] = cfg
     scan.cache["unwind_drop_order"] = order
     scan.cache["panic_facts"] = (
         frozenset(sources), frozenset(moved), frozenset(drops))

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.mir.cfg import Cfg
 from repro.mir.nodes import Body, RvalueKind, StatementKind, TerminatorKind
 
 #: ``body.__dict__`` attribute holding the scan.  Leading underscore:
@@ -159,3 +160,10 @@ def scan_of(body: Body) -> BodyScan:
         scan = BodyScan(body)
         body.__dict__[_ATTR] = scan
     return scan
+
+
+def cfg_of(body: Body) -> Cfg:
+    """The body's :class:`Cfg`, built once and shared by every analysis and
+    detector.  Unwind lowering extends it in place with the landing pads
+    it adds (``Cfg.add_landing_pads``); no other caller mutates it."""
+    return scan_of(body).memo("cfg", lambda: Cfg(body))

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.lifetime import resolve_ref_chain
+from repro.analysis.scan import cfg_of
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.report import Finding, Severity
 from repro.hir.builtins import BuiltinOp
@@ -40,7 +41,7 @@ class BufferOverflowDetector(Detector):
 
     def check_body(self, ctx: AnalysisContext, body: Body) -> List[Finding]:
         findings: List[Finding] = []
-        cfg = Cfg(body)
+        cfg = cfg_of(body)
         lengths = self._known_lengths(body)
         consts = self._const_locals(ctx, body)
         guarded = self._guarded_blocks(body, cfg)

@@ -19,11 +19,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.lifetime import resolve_ref_chain
+from repro.analysis.scan import cfg_of
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.report import Finding, Severity
 from repro.hir.builtins import BuiltinOp
 from repro.lang.types import TyKind
-from repro.mir.cfg import Cfg
 from repro.mir.nodes import (
     Body, RvalueKind, StatementKind, TerminatorKind,
 )
@@ -109,7 +109,7 @@ class AtomicityViolationDetector(Detector):
 
     def check_body(self, ctx: AnalysisContext, body: Body) -> List[Finding]:
         findings: List[Finding] = []
-        cfg = Cfg(body)
+        cfg = cfg_of(body)
         pt = ctx.points_to(body)
 
         loads: List[Tuple[int, int, frozenset]] = []   # (block, dest, field-id)

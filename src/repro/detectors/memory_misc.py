@@ -19,11 +19,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.lifetime import resolve_ref_chain
+from repro.analysis.scan import cfg_of
 from repro.analysis.summaries import value_chain
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.report import Finding, Severity
 from repro.hir.builtins import BuiltinOp, FuncKind
-from repro.mir.cfg import Cfg
 from repro.mir.nodes import (
     Body, RvalueKind, StatementKind, TerminatorKind,
 )
@@ -166,7 +166,7 @@ class InvalidFreeDetector(Detector):
         written (a ptr::write dominates).  Approximation: once a
         ``ptr::write``/copy targets the site, every point in blocks
         dominated by the write block counts as written."""
-        cfg = Cfg(body)
+        cfg = cfg_of(body)
         written: Dict[str, Set[Tuple[int, int]]] = {s: set() for s in sites}
         write_blocks: Dict[str, List[int]] = {s: [] for s in sites}
         for bb, term in body.iter_terminators():

@@ -30,7 +30,6 @@ from repro.analysis.summaries import value_chain
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.report import Finding, Severity
 from repro.hir.builtins import BuiltinOp, FuncKind
-from repro.mir.cfg import Cfg
 from repro.mir.nodes import (
     Body, Operand, Place, RvalueKind, StatementKind, TerminatorKind,
 )
@@ -136,7 +135,6 @@ class UseAfterFreeDetector(Detector):
             for local in chain:
                 chain_of.setdefault(local, []).append(site)
 
-        cfg = Cfg(body)
         entry: Dict[int, Set] = {0: set()}
         point_states: Dict[Tuple[int, int], FrozenSet] = {}
         worklist = deque([0])

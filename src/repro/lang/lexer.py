@@ -1,4 +1,5 @@
-"""Hand-written lexer for MiniRust.
+"""Lexer for MiniRust: one compiled pattern for the common tokens, and
+per-kind methods for the rest.
 
 Supports the full token vocabulary the parser needs: identifiers and
 keywords, lifetimes (``'a``), integer literals with type suffixes and
@@ -8,6 +9,7 @@ and char literals with escapes, line comments, and nested block comments.
 
 from __future__ import annotations
 
+import re
 from typing import List
 
 from repro.lang.diagnostics import CompileError
@@ -77,6 +79,27 @@ _ESCAPES = {
     "'": "'", '"': '"', "0": "\0",
 }
 
+_BASE_NAMES = {16: "hexadecimal", 8: "octal", 2: "binary"}
+
+# The fast path: one compiled pattern tried at each position, dispatched
+# on the name of the group that matched.  It covers whitespace, line
+# comments, ASCII-initial identifiers and keywords (``\w`` is exactly
+# ``str.isalnum() or "_"``, so continuation agrees with the slow path),
+# and every operator, longest first.  A lone ``/`` must not eat the start
+# of a comment.  Everything else -- numbers, strings, chars, lifetimes,
+# block comments, non-ASCII starts -- falls through to the per-kind
+# methods below.  Identifier starts stay ASCII because ``[^\W\d]``
+# admits characters such as ``²`` that ``str.isalpha`` rejects.
+_MASTER = re.compile(
+    r"(?P<ws>[ \t\r\n]+)"
+    r"|(?P<comment>//[^\n]*\n?)"
+    r"|(?P<word>[A-Za-z_]\w*)"
+    r"|(?P<op>" + "|".join(re.escape(text) for text, _ in _OPERATORS
+                           if text != "/") + r"|/(?![/*]))"
+)
+_OPERATOR_KINDS = dict(_OPERATORS)
+_WORD_KINDS = {**KEYWORDS, "_": TokenKind.UNDERSCORE}
+
 
 def _is_ident_start(ch: str) -> bool:
     return ch.isalpha() or ch == "_"
@@ -95,13 +118,38 @@ class Lexer:
         self.pos = 0
 
     def tokenize(self) -> List[Token]:
+        text = self.text
+        name = self.source.name
+        end_of_text = len(text)
+        match = _MASTER.match
+        word_kinds = _WORD_KINDS
+        op_kinds = _OPERATOR_KINDS
+        ident = TokenKind.IDENT
         tokens: List[Token] = []
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.text):
-                break
-            tokens.append(self._next_token())
-        tokens.append(Token(TokenKind.EOF, "", self._span(self.pos)))
+        append = tokens.append
+        pos = self.pos
+        while pos < end_of_text:
+            m = match(text, pos)
+            if m is None:
+                self.pos = pos
+                if text.startswith("/*", pos):
+                    self._skip_block_comment()
+                else:
+                    append(self._next_token())
+                pos = self.pos
+                continue
+            end = m.end()
+            group = m.lastgroup
+            if group == "word":
+                word = m.group()
+                append(Token(word_kinds.get(word, ident), word,
+                             Span(pos, end, name)))
+            elif group == "op":
+                op = m.group()
+                append(Token(op_kinds[op], op, Span(pos, end, name)))
+            pos = end
+        self.pos = pos
+        tokens.append(Token(TokenKind.EOF, "", self._span(pos)))
         return tokens
 
     # -- internals ---------------------------------------------------------
@@ -115,19 +163,6 @@ class Lexer:
     def _peek(self, offset: int = 0) -> str:
         i = self.pos + offset
         return self.text[i] if i < len(self.text) else ""
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif ch == "/" and self._peek(1) == "/":
-                end = self.text.find("\n", self.pos)
-                self.pos = len(self.text) if end == -1 else end + 1
-            elif ch == "/" and self._peek(1) == "*":
-                self._skip_block_comment()
-            else:
-                return
 
     def _skip_block_comment(self) -> None:
         lo = self.pos
@@ -147,6 +182,7 @@ class Lexer:
                 self.pos += 1
 
     def _next_token(self) -> Token:
+        """The slow path, for whatever the master pattern does not match."""
         ch = self.text[self.pos]
         if _is_ident_start(ch):
             return self._lex_ident()
@@ -156,11 +192,6 @@ class Lexer:
             return self._lex_string()
         if ch == "'":
             return self._lex_lifetime_or_char()
-        for text, kind in _OPERATORS:
-            if self.text.startswith(text, self.pos):
-                lo = self.pos
-                self.pos += len(text)
-                return Token(kind, text, self._span(lo))
         raise self._error(f"unexpected character {ch!r}", self.pos)
 
     def _lex_ident(self) -> Token:
@@ -168,10 +199,8 @@ class Lexer:
         while self.pos < len(self.text) and _is_ident_continue(self.text[self.pos]):
             self.pos += 1
         text = self.text[lo : self.pos]
-        if text == "_":
-            return Token(TokenKind.UNDERSCORE, text, self._span(lo))
-        kind = KEYWORDS.get(text, TokenKind.IDENT)
-        return Token(kind, text, self._span(lo))
+        return Token(_WORD_KINDS.get(text, TokenKind.IDENT), text,
+                     self._span(lo))
 
     def _lex_number(self) -> Token:
         lo = self.pos
@@ -204,15 +233,21 @@ class Lexer:
                     break
         text = self.text[lo : self.pos]
         if is_float or suffix in _FLOAT_SUFFIXES:
-            value = float(self.text[lo : self.pos - len(suffix)] if suffix else text)
-            return Token(TokenKind.FLOAT, text, self._span(lo), value)
+            if base != 10:
+                raise self._error(
+                    f"{_BASE_NAMES[base]} float literal is not supported", lo)
+            try:
+                value = float(text[: len(text) - len(suffix)].replace("_", ""))
+            except ValueError:   # a non-ASCII digit float() rejects, e.g. `²`
+                raise self._error(f"invalid float literal {text!r}", lo) from None
+            return Token(TokenKind.FLOAT, text, self._span(lo), value, suffix)
         if not digits:
             raise self._error("integer literal with no digits", lo)
         try:
             value = int(digits, base)
         except ValueError:
             raise self._error(f"invalid integer literal {text!r}", lo) from None
-        return Token(TokenKind.INT, text, self._span(lo), value)
+        return Token(TokenKind.INT, text, self._span(lo), value, suffix)
 
     def _lex_string(self) -> Token:
         lo = self.pos

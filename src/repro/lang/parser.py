@@ -88,12 +88,14 @@ class Parser:
         i = min(self.pos + offset, len(self.tokens) - 1)
         return self.tokens[i]
 
+    # `at` and `eat` are the parser's hottest calls, so they index the
+    # token list directly rather than going through `tok`.
     def at(self, kind: T) -> bool:
-        return self.tok.kind is kind
+        return self.tokens[self.pos].kind is kind
 
     def eat(self, kind: T) -> Optional[Token]:
-        if self.at(kind):
-            tok = self.tok
+        tok = self.tokens[self.pos]
+        if tok.kind is kind:
             self.pos += 1
             return tok
         return None
@@ -977,10 +979,8 @@ class Parser:
         if kind is T.INT or kind is T.FLOAT:
             tok = self.tok
             self.pos += 1
-            suffix = "".join(ch for ch in tok.text if ch.isalpha()) or None
-            if suffix in ("x", "o", "b"):   # base marker, not a suffix
-                suffix = None
-            return ast.Literal(span=lo, value=tok.value, suffix=suffix)
+            return ast.Literal(span=lo, value=tok.value,
+                               suffix=tok.suffix or None)
         if kind is T.STRING or kind is T.CHAR:
             tok = self.tok
             self.pos += 1

@@ -51,10 +51,13 @@ class SourceFile:
     _line_starts: list = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
-        self._line_starts = [0]
-        for i, ch in enumerate(self.text):
-            if ch == "\n":
-                self._line_starts.append(i + 1)
+        starts = [0]
+        find = self.text.find
+        i = find("\n")
+        while i != -1:
+            starts.append(i + 1)
+            i = find("\n", i + 1)
+        self._line_starts = starts
 
     def line_col(self, offset: int) -> tuple:
         """1-based ``(line, column)`` for a byte offset."""

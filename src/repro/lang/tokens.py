@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.lang.source import Span
@@ -150,14 +149,23 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
 class Token:
-    """One lexed token with its source span and (for literals) its value."""
+    """One lexed token with its source span and, for literals, its value.
 
-    kind: TokenKind
-    text: str
-    span: Span
-    value: Optional[object] = None
+    A numeric literal also carries its type ``suffix`` (``"u8"``,
+    ``"f32"``, or ``""`` when it has none).  A plain slotted class: the
+    lexer builds one per token, and tokens are never hashed or compared.
+    """
+
+    __slots__ = ("kind", "text", "span", "value", "suffix")
+
+    def __init__(self, kind: TokenKind, text: str, span: Span,
+                 value: Optional[object] = None, suffix: str = "") -> None:
+        self.kind = kind
+        self.text = text
+        self.span = span
+        self.value = value
+        self.suffix = suffix
 
     def is_keyword(self) -> bool:
         return self.kind.name.startswith("KW_")

@@ -31,6 +31,22 @@ class Cfg:
         self._rpo: Optional[List[int]] = None
         self._idom: Optional[List[Optional[int]]] = None
 
+    def add_landing_pads(self, lowered) -> None:
+        """Catch up in place with unwind lowering: the landing pads the
+        body grew, and the unwind edge of each ``(block, terminator)`` in
+        ``lowered`` (in block order).  The result equals a fresh build."""
+        grown = len(self.body.blocks) - self.num_blocks
+        self.successors.extend([] for _ in range(grown))
+        self.predecessors.extend([] for _ in range(grown))
+        self.num_blocks += grown
+        for bb, term in lowered:
+            pad = term.unwind
+            if pad is not None and pad in term.successors():
+                self.successors[bb].append(pad)
+                self.predecessors[pad].append(bb)
+        self._rpo = None
+        self._idom = None
+
     # -- orders -------------------------------------------------------------
 
     def reverse_post_order(self) -> List[int]:

@@ -1,6 +1,8 @@
 """Tests for the dataflow analyses: CFG, liveness, init, points-to,
 storage ranges, guard regions, call graph."""
 
+from collections import Counter
+
 from conftest import compile_, mir_of
 
 from repro.analysis.callgraph import build_call_graph, direct_locks
@@ -11,6 +13,10 @@ from repro.analysis.lifetime import (
 )
 from repro.analysis.liveness import compute_liveness, live_at_statement
 from repro.analysis.points_to import compute_points_to
+from repro.analysis.scan import cfg_of
+from repro.corpus.benign import BENIGN_TEMPLATES
+from repro.corpus.inject import BUG_TEMPLATES
+from repro.driver import run_all_detectors
 from repro.mir.cfg import Cfg
 from repro.mir.nodes import StatementKind, TerminatorKind
 
@@ -60,6 +66,53 @@ class TestCfg:
         cfg = Cfg(self._body())
         rpo = cfg.reverse_post_order()
         assert cfg.can_reach(0, rpo[-1])
+
+
+class TestOneCfgPerBody:
+    """Every analysis and detector shares one memoised Cfg per body."""
+
+    def _checked_program(self, monkeypatch):
+        built = []
+        original = Cfg.__init__
+
+        def counting_init(self, body):
+            built.append(id(body))
+            original(self, body)
+
+        monkeypatch.setattr(Cfg, "__init__", counting_init)
+        source = "\n".join([
+            BUG_TEMPLATES["uaf_drop_deref"].render("c1"),
+            BUG_TEMPLATES["overflow_unchecked"].render("c2"),
+            BUG_TEMPLATES["uninit_pub_exposure"].render("c3"),
+            BUG_TEMPLATES["race_arc_interior_mut"].render("c4"),
+            BUG_TEMPLATES["panic_between_read_and_write"].render("c5"),
+            BENIGN_TEMPLATES["panic_guard_restores"]("c6"),
+        ])
+        compiled = compile_(source)
+        report = run_all_detectors(compiled)
+        monkeypatch.setattr(Cfg, "__init__", original)
+        return compiled.program.functions.values(), built, report
+
+    def test_at_most_one_cfg_per_body(self, monkeypatch):
+        bodies, built, report = self._checked_program(monkeypatch)
+        assert len({f.detector for f in report.findings}) >= 4
+        per_body = Counter(built)
+        assert max(per_body.values()) == 1
+        assert set(per_body) <= {id(body) for body in bodies}
+
+    def test_shared_cfg_matches_a_fresh_build_after_unwind_lowering(
+            self, monkeypatch):
+        bodies, _built, _report = self._checked_program(monkeypatch)
+        lowered = [b for b in bodies if any(bb.cleanup for bb in b.blocks)]
+        assert lowered
+        for body in bodies:
+            shared, fresh = cfg_of(body), Cfg(body)
+            assert shared.num_blocks == fresh.num_blocks
+            assert shared.successors == fresh.successors
+            assert shared.predecessors == fresh.predecessors
+            assert shared.reverse_post_order() == fresh.reverse_post_order()
+            assert shared.immediate_dominators() == \
+                fresh.immediate_dominators()
 
 
 class TestLiveness:

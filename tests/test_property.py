@@ -2,11 +2,13 @@
 
 import string
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import interp
 
-from repro.lang.lexer import tokenize
+from repro.lang.lexer import _OPERATORS, tokenize
+from repro.lang.tokens import TokenKind
 from repro.lang.parser import parse_source
 from repro.lang.source import SourceFile, Span
 from repro.lang.diagnostics import CompileError
@@ -58,10 +60,11 @@ def test_identifier_roundtrip(name):
                                  "(", ")", "{", "}", "let", "x", "1"]),
                 max_size=30))
 def test_lexer_never_crashes_on_token_soup(parts):
+    text = " ".join(parts)
     try:
-        tokenize(" ".join(parts))
-    except CompileError:
-        pass   # rejection is fine; crashing is not
+        tokenize(text)
+    except Exception as exc:   # rejection is fine; crashing is not
+        _assert_located_compile_error(exc, text)
 
 
 @given(st.text(max_size=60))
@@ -69,14 +72,139 @@ def test_lexer_never_crashes_on_token_soup(parts):
 def test_lexer_terminates_on_arbitrary_input(text):
     try:
         tokens = tokenize(text)
-        # Spans are within bounds and non-decreasing.
-        last = 0
-        for token in tokens[:-1]:
-            assert 0 <= token.span.lo <= token.span.hi <= len(text)
-            assert token.span.lo >= last
-            last = token.span.lo
-    except CompileError:
-        pass
+    except Exception as exc:
+        _assert_located_compile_error(exc, text)
+        return
+    # Spans are within bounds and non-decreasing.
+    last = 0
+    for token in tokens[:-1]:
+        assert 0 <= token.span.lo <= token.span.hi <= len(text)
+        assert token.span.lo >= last
+        last = token.span.lo
+
+
+@given(st.text(alphabet="0123456789_.xobefiu2346 ", max_size=24))
+@settings(max_examples=300)
+def test_lexer_numeric_soup_yields_only_compile_errors(text):
+    try:
+        tokenize(text)
+    except Exception as exc:
+        _assert_located_compile_error(exc, text)
+
+
+def _assert_located_compile_error(exc, text):
+    assert isinstance(exc, CompileError), repr(exc)
+    assert not exc.span.is_dummy
+    assert 0 <= exc.span.lo <= len(text)
+
+
+# The lexer's fast path is one compiled pattern (whitespace, line
+# comments, ASCII-initial identifiers, operators); everything else takes
+# the per-kind slow path.  These cases sit on the boundary between them.
+
+_OPERATOR_TEXTS = [text for text, _kind in _OPERATORS]
+_OPERATOR_KINDS = dict(_OPERATORS)
+
+
+@given(st.text(alphabet="aZ_\u00e9", min_size=1, max_size=6),
+       st.text(alphabet="aZ_\u00e9\u00b29", max_size=6))
+def test_identifier_starts_and_continuations(start, rest):
+    # `é` starts an identifier (slow path when first); `²` continues one.
+    word = start + rest
+    expected = TokenKind.UNDERSCORE if word == "_" else TokenKind.IDENT
+    assert [(t.kind, t.text) for t in tokenize(word)[:-1]] == [
+        (expected, word)]
+
+
+@given(st.text(alphabet="a\u00b29_", max_size=5))
+def test_superscript_digit_never_starts_an_identifier(rest):
+    # `²` is a digit to str.isdigit but not alphabetic: it is never an
+    # identifier start, and never a number either.
+    with pytest.raises(CompileError):
+        tokenize("\u00b2" + rest)
+
+
+@given(st.text(alphabet="_x1", max_size=4))
+def test_underscore_alone_vs_prefix(rest):
+    word = "_" + rest
+    expected = TokenKind.UNDERSCORE if word == "_" else TokenKind.IDENT
+    assert [t.kind for t in tokenize(word)[:-1]] == [expected]
+
+
+def _greedy_operators(text):
+    """Reference maximal munch: at each position, the longest operator."""
+    out, i = [], 0
+    while i < len(text):
+        op = max((o for o in _OPERATOR_TEXTS if text.startswith(o, i)),
+                 key=len)
+        out.append(op)
+        i += len(op)
+    return out
+
+
+@given(st.lists(st.sampled_from(_OPERATOR_TEXTS), max_size=8))
+def test_operator_maximal_munch(ops):
+    text = "".join(ops)
+    assume("//" not in text and "/*" not in text)
+    expected = _greedy_operators(text)
+    assert [(t.kind, t.text) for t in tokenize(text)[:-1]] == [
+        (_OPERATOR_KINDS[op], op) for op in expected]
+
+
+def _reference_slash_lexer(text):
+    """Reference lexer for the alphabet of ``test_slash_and_comments``:
+    token texts, or None where the lexer must reject the input."""
+    out, i, n = [], 0, len(text)
+    while i < n:
+        if text[i] in " \n":
+            i += 1
+        elif text.startswith("//", i):
+            end = text.find("\n", i)
+            i = n if end == -1 else end + 1
+        elif text.startswith("/*", i):
+            depth, i = 1, i + 2
+            while depth:
+                if i >= n:
+                    return None
+                if text.startswith("/*", i):
+                    depth, i = depth + 1, i + 2
+                elif text.startswith("*/", i):
+                    depth, i = depth - 1, i + 2
+                else:
+                    i += 1
+        elif text[i] == "a":
+            j = i
+            while j < n and text[j] == "a":
+                j += 1
+            out.append(text[i:j])
+            i = j
+        else:
+            op = next(o for o in ("/=", "*=", "==", "/", "*", "=")
+                      if text.startswith(o, i))
+            out.append(op)
+            i += len(op)
+    return out
+
+
+@given(st.lists(st.sampled_from(["/", "//", "/*", "*/", "*", "=", "a",
+                                 " ", "\n"]), max_size=16))
+@settings(max_examples=300)
+def test_slash_and_comments(parts):
+    # A lone `/` must not eat the start of `//` or `/*`, and nested block
+    # comments may follow any operator directly.
+    text = "".join(parts)
+    expected = _reference_slash_lexer(text)
+    if expected is None:
+        with pytest.raises(CompileError, match="unterminated block comment"):
+            tokenize(text)
+    else:
+        assert [t.text for t in tokenize(text)[:-1]] == expected
+
+
+@given(st.text(alphabet="ab\n", max_size=40))
+def test_line_starts_match_every_newline(text):
+    starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+    assert SourceFile("<t>", text)._line_starts == starts
 
 
 # ---------------------------------------------------------------------------
