@@ -64,14 +64,15 @@ class _ReturnView:
     reflects the partially converged state of the current SCC iteration)
     and after it (where it is the fixpoint).  Always truthy so the
     user-call branch of the constraint builder stays enabled even while
-    the map is still empty.
+    the map is still empty.  Holds the engine's summary dict (never
+    reassigned), not the engine, so the two form no reference cycle.
     """
 
-    def __init__(self, engine: "SummaryEngine") -> None:
-        self._engine = engine
+    def __init__(self, summaries: Dict[str, FunctionSummary]) -> None:
+        self._summaries = summaries
 
     def get(self, key: str, default=None):
-        summary = self._engine._summaries.get(key)
+        summary = self._summaries.get(key)
         if summary is None:
             return default
         return summary.returns or default
@@ -119,7 +120,7 @@ class SummaryEngine:
         self._call_graph: Optional[CallGraph] = None
         self._thread_escape: Optional[ThreadEscape] = None
         self._lock_graph = None
-        self._view = _ReturnView(self)
+        self._view = _ReturnView(self._summaries)
         #: Per-analysis intern table for summary atoms (lock ids, access
         #: locations/keys, locksets) — one canonical object per distinct
         #: atom, so summary equality checks hit identity fast paths.

@@ -235,12 +235,12 @@ def _guard_chain(body: Body, seed: int) -> Set[int]:
     key = ("guard_chain", seed)
     cached = scan.cache.get(key)
     if cached is None:
-        cached = scan.cache[key] = frozenset(_compute_guard_chain(scan, seed))
+        cached = scan.cache[key] = frozenset(
+            _compute_guard_chain(body, scan, seed))
     return set(cached)
 
 
-def _compute_guard_chain(scan, seed: int) -> Set[int]:
-    body = scan.body
+def _compute_guard_chain(body: Body, scan, seed: int) -> Set[int]:
     ref_map = scan.ref_map
     chain = {seed}
     changed = True

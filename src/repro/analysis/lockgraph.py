@@ -129,23 +129,7 @@ class LockGraph:
             adjacency.setdefault(edge.src, set()).add(edge.dst)
         found: List[Tuple[LockNode, ...]] = []
         for start in sorted(adjacency):
-            path = [start]
-            on_path = {start}
-
-            def dfs(current: LockNode) -> None:
-                for nxt in sorted(adjacency.get(current, ())):
-                    if nxt == start:
-                        if len(path) >= 2:
-                            found.append(tuple(path))
-                    elif nxt > start and nxt not in on_path \
-                            and len(path) < max_len:
-                        path.append(nxt)
-                        on_path.add(nxt)
-                        dfs(nxt)
-                        path.pop()
-                        on_path.discard(nxt)
-
-            dfs(start)
+            _circuits_from(adjacency, [start], {start}, max_len, found)
         return found
 
     def deadlock_cycles(self, max_len: int = DEFAULT_CYCLE_BOUND) \
@@ -169,23 +153,48 @@ def _assign_distinct_roots(
     """Pick one edge per slot such that all roots differ (backtracking;
     slot count is bounded by the cycle bound)."""
     chosen: List[OrderEdge] = []
-    used: Set[ThreadRoot] = set()
+    return chosen if _backtrack_roots(slots, chosen, set()) else None
 
-    def backtrack(i: int) -> bool:
-        if i == len(slots):
+
+# The two searches below recurse through module-level functions rather
+# than nested closures: a self-recursive closure references itself
+# through its cell, and that cycle would leave every call to the cyclic
+# collector.
+
+def _circuits_from(adjacency: Dict[LockNode, Set[LockNode]],
+                   path: List[LockNode], on_path: Set[LockNode],
+                   max_len: int, found: List[Tuple[LockNode, ...]]) -> None:
+    """Extend ``path`` (which starts at its smallest node) along edges to
+    larger nodes, recording every way back to the start as a circuit."""
+    start = path[0]
+    for nxt in sorted(adjacency.get(path[-1], ())):
+        if nxt == start:
+            if len(path) >= 2:
+                found.append(tuple(path))
+        elif nxt > start and nxt not in on_path and len(path) < max_len:
+            path.append(nxt)
+            on_path.add(nxt)
+            _circuits_from(adjacency, path, on_path, max_len, found)
+            path.pop()
+            on_path.discard(nxt)
+
+
+def _backtrack_roots(slots: Sequence[Sequence[OrderEdge]],
+                     chosen: List[OrderEdge],
+                     used: Set[ThreadRoot]) -> bool:
+    i = len(chosen)
+    if i == len(slots):
+        return True
+    for edge in slots[i]:
+        if edge.root in used:
+            continue
+        used.add(edge.root)
+        chosen.append(edge)
+        if _backtrack_roots(slots, chosen, used):
             return True
-        for edge in slots[i]:
-            if edge.root in used:
-                continue
-            used.add(edge.root)
-            chosen.append(edge)
-            if backtrack(i + 1):
-                return True
-            chosen.pop()
-            used.discard(edge.root)
-        return False
-
-    return list(chosen) if backtrack(0) else None
+        chosen.pop()
+        used.discard(edge.root)
+    return False
 
 
 def build_lock_graph(engine) -> LockGraph:

@@ -198,7 +198,7 @@ def ensure_unwind_edges(body: Body) -> None:
     cfg = scan.cache.get("cfg")
     scan.cache.clear()
     if cfg is not None:
-        cfg.add_landing_pads(sites)
+        cfg.add_landing_pads(body, sites)
         scan.cache["cfg"] = cfg
     scan.cache["unwind_drop_order"] = order
     scan.cache["panic_facts"] = (

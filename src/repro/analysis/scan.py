@@ -18,7 +18,11 @@ The scan lives in ``body.__dict__`` under a non-field attribute, so
   v2 summary-cache keys valid;
 * dataclass equality ignores it;
 * ``Body.__getstate__`` strips it, so worker-task payloads and cache
-  entries never ship derived state (workers rebuild their own scans).
+  entries never ship derived state (workers rebuild their own scans);
+* nothing in it points back at the body (the scan, its ``Cfg`` and every
+  cached fact), so a body and everything derived from it are freed by
+  reference counting alone, never left to the cyclic collector.
+  Functions that need the body take it as an argument.
 
 Derived facts that belong to *other* modules (deref sites, taint,
 points-to skeletons) are stored in the scan's generic ``cache`` dict
@@ -43,7 +47,6 @@ class BodyScan:
     """Flattened MIR views plus memoised per-local queries for one body."""
 
     __slots__ = (
-        "body",
         "statements",        # tuple of (block, index, stmt)
         "terminators",       # tuple of (block, terminator)
         "calls",             # tuple of (block, term) for CALL with a func
@@ -56,7 +59,6 @@ class BodyScan:
     )
 
     def __init__(self, body: Body) -> None:
-        self.body = body
         statements: List[Tuple[int, int, object]] = []
         terminators: List[Tuple[int, object]] = []
         calls: List[Tuple[int, object]] = []

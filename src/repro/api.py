@@ -27,8 +27,10 @@ do goes through this module; the CLI is a thin argument-parsing client.
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -125,6 +127,65 @@ def _resolve_detector_arg(detectors) -> Optional[List[Detector]]:
     return instances + resolve_detectors(names)
 
 
+class _CollectorPause:
+    """Keeps CPython's cyclic garbage collector off while an operation
+    runs, and gives the caller back the state it had.
+
+    Nothing an analysis builds forms a reference cycle (DESIGN.md,
+    "Memory: an acyclic heap"), so reference counting frees all of it
+    and a collection during an operation would only re-walk a large,
+    live heap.  The collector's switch is process-wide, so there is one
+    pause per process: entries nest (a session call inside a paused
+    call, worker threads inside a paused batch) and only the outermost
+    exit restores the state seen by the outermost entry.  A caller that
+    had the collector off keeps it off.  A child forked while a pause is
+    open starts with no pause open and the collector state of the
+    parent's caller, so pool workers are never left with it off for good.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._was_enabled = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._was_enabled:
+                gc.enable()
+
+    def _after_fork_in_child(self) -> None:
+        self._lock = threading.Lock()
+        if self._depth and self._was_enabled:
+            gc.enable()
+        self._depth = 0
+
+
+_collector_paused = _CollectorPause()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        after_in_child=_collector_paused._after_fork_in_child)
+
+
+def _compile_and_detect(name: str, text: str,
+                        config: AnalysisConfig) -> Report:
+    """Compile and analyze one program in a frame of its own: when it
+    returns, the compiled program is already freed, so nothing of it is
+    left for the collector to walk once a pause ends."""
+    from repro.detectors.registry import run_detectors
+    compiled = compile_source(
+        text, name=name, emit_bounds_checks=config.emit_bounds_checks)
+    return run_detectors(compiled.program, source=compiled.source,
+                         config=config)
+
+
 def _analyze_task(payload: bytes) -> bytes:
     """Worker-side whole-file analysis (compile + detect, jobs=1).
 
@@ -132,13 +193,9 @@ def _analyze_task(payload: bytes) -> bytes:
     (compile/detector/solve timelines, pid/tid-tagged) — rides back with
     the report so the session can fold it into the installed collector.
     """
-    from repro.detectors.registry import run_detectors
     name, text, config = pickle.loads(payload)
-    with obs.collecting("api-worker") as collector:
-        compiled = compile_source(
-            text, name=name, emit_bounds_checks=config.emit_bounds_checks)
-        report = run_detectors(compiled.program, source=compiled.source,
-                               config=config)
+    with obs.collecting("api-worker") as collector, _collector_paused:
+        report = _compile_and_detect(name, text, config)
     return pickle.dumps(
         (report, dict(collector.counters), dict(collector.histograms),
          list(collector.roots)),
@@ -150,11 +207,8 @@ def _analyze_source_inproc(name: str, text: str, config: AnalysisConfig):
     but in the session's address space — nothing pickled, and metrics
     land directly in the installed (thread-safe) collector instead of
     riding back in a payload."""
-    from repro.detectors.registry import run_detectors
-    compiled = compile_source(
-        text, name=name, emit_bounds_checks=config.emit_bounds_checks)
-    return run_detectors(compiled.program, source=compiled.source,
-                         config=config)
+    with _collector_paused:
+        return _compile_and_detect(name, text, config)
 
 
 class AnalysisSession:
@@ -223,11 +277,16 @@ class AnalysisSession:
         """Compile and analyze one program (path or source text).
 
         The engine-level executor fans SCC waves out across the
-        session's pool when ``config.jobs > 1``.
+        session's pool when ``config.jobs > 1``.  The cyclic collector
+        is paused for the call (see :class:`_CollectorPause`).
         """
         resolved_name, text = _load(source_or_path, name)
-        compiled = self.compile(text, name=resolved_name)
-        return self.analyze_compiled(compiled, detectors=detectors)
+        with _collector_paused:
+            # The compiled program is a temporary, never a local of this
+            # frame: it is freed as soon as the analysis returns, before
+            # the pause ends.
+            return self.analyze_compiled(
+                self.compile(text, name=resolved_name), detectors=detectors)
 
     def compile(self, text: str, name: str = "<input>") -> CompiledProgram:
         return compile_source(
@@ -256,8 +315,14 @@ class AnalysisSession:
         analyzes one program with an in-process engine (no nested
         pools) but shares the summary cache directory.  Results arrive
         in input order; worker obs counters fold into the installed
-        collector.
+        collector.  The cyclic collector is paused for the call (see
+        :class:`_CollectorPause`).
         """
+        with _collector_paused:
+            return self._analyze_sources(named_sources, detectors)
+
+    def _analyze_sources(self, named_sources: Sequence[Tuple[str, str]],
+                         detectors) -> List[AnalysisReport]:
         explicit = _resolve_detector_arg(detectors)
         named_sources = list(named_sources)
         results: List[Optional[AnalysisReport]] = \

@@ -36,6 +36,12 @@ def _global_ids(ids: FrozenSet) -> Set[Tuple]:
     return {i for i in ids if i[0] in ("static", "heap")}
 
 
+def _rotate_to_least(cycle: List[Tuple]) -> List[Tuple]:
+    """The same circuit, started at its least lock (by ``repr``)."""
+    start = min(range(len(cycle)), key=lambda i: repr(cycle[i]))
+    return cycle[start:] + cycle[:start]
+
+
 class LockOrderDetector(Detector):
     name = "lock-order"
     description = ("Cycles in the lock-acquisition-order graph "
@@ -73,8 +79,11 @@ class LockOrderDetector(Detector):
                         for lock in summary.locks:
                             second_ids |= _global_ids(
                                 caller_lock_ids(body, pt, term, lock))
-                    for first in firsts:
-                        for second in second_ids:
+                    # Sorted, so the graph's node order (and with it the
+                    # lock each cycle is found from) does not follow the
+                    # set iteration order, which varies with the hash seed.
+                    for first in sorted(firsts, key=repr):
+                        for second in sorted(second_ids, key=repr):
                             if first == second:
                                 continue
                             graph.add_edge(first, second)
@@ -100,6 +109,7 @@ class LockOrderDetector(Detector):
             if key in seen_cycles or len(cycle) < 2:
                 continue
             seen_cycles.add(key)
+            cycle = _rotate_to_least(cycle)
             first, second = cycle[0], cycle[1]
             fn_key, span = edge_spans.get((first, second),
                                           ("<program>", Span.DUMMY))

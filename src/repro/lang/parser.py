@@ -56,6 +56,10 @@ _COMPOUND_ASSIGN = {
     T.SHLEQ: BinOp.SHL, T.SHREQ: BinOp.SHR,
 }
 
+# Prefix operators; `&` builds a Reference, not a Unary.
+_PREFIX_OPS = {T.MINUS: UnOp.NEG, T.BANG: UnOp.NOT, T.STAR: UnOp.DEREF,
+               T.AMP: None}
+
 # Tokens that may legitimately start an expression.
 _EXPR_START = {
     T.IDENT, T.INT, T.FLOAT, T.STRING, T.CHAR, T.KW_TRUE, T.KW_FALSE,
@@ -65,6 +69,15 @@ _EXPR_START = {
     T.KW_SELF_TYPE, T.PIPE, T.PIPEPIPE, T.DOTDOT, T.KW_CRATE, T.KW_SUPER,
     T.UNDERSCORE,
 }
+
+
+#: Deepest nesting the parser admits, counted one level per nested
+#: expression, prefix-operator operand and block (a block used as an
+#: expression costs two).  Every later stage recurses over the tree the
+#: parser builds, so this bounds them too: at the limit the whole pipeline
+#: fits Python's default recursion limit with room for the caller's
+#: frames.  Deeper input is a located ``CompileError``.
+MAX_NESTING = 100
 
 
 class Parser:
@@ -77,6 +90,9 @@ class Parser:
             Lexer(source).tokenize()
         self.pos = 0
         self.no_struct_depth = 0   # >0 → struct literals disallowed
+        # Current recursion depth (see MAX_NESTING).  Only decremented on
+        # a normal return: the parser never recovers from an error.
+        self.depth = 0
 
     # -- token helpers -----------------------------------------------------
 
@@ -125,6 +141,15 @@ class Parser:
 
     def error(self, message: str, span: Optional[Span] = None) -> CompileError:
         return CompileError(message, span or self.tok.span, self.source)
+
+    def enter(self) -> None:
+        """One level deeper; fails at the token where nesting exceeds
+        :data:`MAX_NESTING`.  Paired with ``self.depth -= 1`` on return."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(
+                f"expression or block nested too deeply (more than "
+                f"{MAX_NESTING} levels)")
 
     # -- entry points --------------------------------------------------------
 
@@ -767,6 +792,7 @@ class Parser:
     # -- statements & blocks -----------------------------------------------------
 
     def parse_block(self, is_unsafe: bool = False) -> ast.Block:
+        self.enter()
         lo = self.expect(T.LBRACE).span
         statements: List[ast.Stmt] = []
         tail: Optional[ast.Expr] = None
@@ -783,6 +809,7 @@ class Parser:
             else:
                 statements.append(stmt_or_expr)
         hi = self.expect(T.RBRACE).span
+        self.depth -= 1
         return ast.Block(span=lo.merge(hi), statements=statements, tail=tail,
                          is_unsafe=is_unsafe)
 
@@ -832,6 +859,7 @@ class Parser:
                 self.no_struct_depth -= 1
 
     def _parse_expr_inner(self, min_power: int) -> ast.Expr:
+        self.enter()
         lhs = self._parse_prefix()
         while True:
             kind = self.tok.kind
@@ -876,32 +904,24 @@ class Parser:
                                  left=lhs, right=rhs)
                 continue
             break
+        self.depth -= 1
         return lhs
 
     def _parse_prefix(self) -> ast.Expr:
         lo = self.tok.span
         kind = self.tok.kind
-        if kind is T.MINUS:
+        if kind in _PREFIX_OPS:
+            self.enter()
             self.pos += 1
+            mut = Mutability.MUT if kind is T.AMP and self.eat(T.KW_MUT) \
+                else Mutability.NOT
             operand = self._parse_prefix()
-            return ast.Unary(span=lo.merge(operand.span), op=UnOp.NEG,
-                             operand=operand)
-        if kind is T.BANG:
-            self.pos += 1
-            operand = self._parse_prefix()
-            return ast.Unary(span=lo.merge(operand.span), op=UnOp.NOT,
-                             operand=operand)
-        if kind is T.STAR:
-            self.pos += 1
-            operand = self._parse_prefix()
-            return ast.Unary(span=lo.merge(operand.span), op=UnOp.DEREF,
-                             operand=operand)
-        if kind is T.AMP:
-            self.pos += 1
-            mut = Mutability.MUT if self.eat(T.KW_MUT) else Mutability.NOT
-            operand = self._parse_prefix()
-            return ast.Reference(span=lo.merge(operand.span), operand=operand,
-                                 mutability=mut)
+            self.depth -= 1
+            if kind is T.AMP:
+                return ast.Reference(span=lo.merge(operand.span),
+                                     operand=operand, mutability=mut)
+            return ast.Unary(span=lo.merge(operand.span),
+                             op=_PREFIX_OPS[kind], operand=operand)
         if kind is T.DOTDOT:       # prefix range ..hi
             self.pos += 1
             hi = None

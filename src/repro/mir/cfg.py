@@ -16,7 +16,8 @@ class Cfg:
     """Successor/predecessor view of one body, plus derived orders."""
 
     def __init__(self, body: Body) -> None:
-        self.body = body
+        # No reference back to ``body``: the Cfg is cached on the body's
+        # scan, and a back-reference would put every body in a cycle.
         self.num_blocks = len(body.blocks)
         self.successors: List[List[int]] = [[] for _ in range(self.num_blocks)]
         self.predecessors: List[List[int]] = [[] for _ in range(self.num_blocks)]
@@ -31,11 +32,12 @@ class Cfg:
         self._rpo: Optional[List[int]] = None
         self._idom: Optional[List[Optional[int]]] = None
 
-    def add_landing_pads(self, lowered) -> None:
-        """Catch up in place with unwind lowering: the landing pads the
-        body grew, and the unwind edge of each ``(block, terminator)`` in
-        ``lowered`` (in block order).  The result equals a fresh build."""
-        grown = len(self.body.blocks) - self.num_blocks
+    def add_landing_pads(self, body: Body, lowered) -> None:
+        """Catch up in place with unwind lowering: the landing pads
+        ``body`` grew, and the unwind edge of each ``(block, terminator)``
+        in ``lowered`` (in block order).  The result equals a fresh
+        build."""
+        grown = len(body.blocks) - self.num_blocks
         self.successors.extend([] for _ in range(grown))
         self.predecessors.extend([] for _ in range(grown))
         self.num_blocks += grown

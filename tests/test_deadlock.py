@@ -1,5 +1,10 @@
 """Cross-thread deadlock engine: lock graph, detector, subsumption."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis.config import AnalysisConfig
@@ -336,3 +341,31 @@ class TestDeterminism:
             if baseline is None:
                 baseline = payload
             assert payload == baseline
+
+    def test_lock_order_findings_independent_of_hash_seed(self):
+        """Lock identities reach the lock-order graph from sets; the
+        detector must not let their hash-seeded iteration order pick the
+        lock a cycle is reported from.  Two interpreters with different
+        ``PYTHONHASHSEED`` must agree byte for byte."""
+        import repro
+        script = (
+            "import json\n"
+            "from repro import api\n"
+            "from repro.corpus.generator import generate_corpus\n"
+            "from repro.corpus.inject import BUG_TEMPLATES\n"
+            "pair = BUG_TEMPLATES['lock_order_pair'].render('seed')\n"
+            "crate = generate_corpus(0, 1).combined_source()\n"
+            "print(json.dumps([api.analyze(pair, name='pair').to_dict(),\n"
+            "                  api.analyze(crate, name='crate').to_dict()]))\n")
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(
+            [src_dir] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        runs = [subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path))
+            for seed in ("1", "2")]
+        outputs = [run.communicate(timeout=300)[0] for run in runs]
+        assert [run.returncode for run in runs] == [0, 0]
+        pair, _crate = json.loads(outputs[0])
+        assert any(f["detector"] == "lock-order" for f in pair["findings"])
+        assert outputs[0] == outputs[1]

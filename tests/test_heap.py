@@ -1,0 +1,204 @@
+"""The analysis heap is acyclic, and ``repro.api`` pauses the cyclic
+collector for each operation without changing the caller's setting.
+
+Reference counting frees everything an analysis builds only while no
+part of it points back at its owner (DESIGN.md, "Memory: an acyclic
+heap").  The guard tests below fail on the first back-reference that
+puts a body, an engine or a closure in a cycle, naming the types along
+it, so such a change cannot leak quietly through the pause.
+"""
+
+import gc
+import json
+
+import pytest
+
+from repro import api
+from repro.analysis.config import AnalysisConfig
+from repro.corpus.benign import BENIGN_TEMPLATES
+from repro.corpus.generator import generate_corpus
+from repro.corpus.inject import BUG_TEMPLATES
+from repro.detectors.base import Detector
+from repro.lang.diagnostics import CompileError
+
+SMALL_SRC = """
+fn main() {
+    let m = Mutex::new(1);
+    let g = m.lock().unwrap();
+    print(*g);
+}
+"""
+
+UNSAFE_TEMPLATES = ("good_interior_unsafe", "checked_interior_unsafe",
+                    "checked_ffi")
+
+
+def _one_cycle(objects):
+    """Some reference cycle among ``objects``, as a list, or ``[]``."""
+    members = {id(obj): obj for obj in objects}
+    state = {}                       # id -> 1 on the DFS path, 2 finished
+    for root in objects:
+        if id(root) in state:
+            continue
+        path = [root]
+        state[id(root)] = 1
+        stack = [iter(gc.get_referents(root))]
+        while stack:
+            for ref in stack[-1]:
+                if id(ref) not in members:
+                    continue
+                if state.get(id(ref)) == 1:
+                    return path[[id(o) for o in path].index(id(ref)):]
+                if id(ref) not in state:
+                    state[id(ref)] = 1
+                    path.append(ref)
+                    stack.append(iter(gc.get_referents(ref)))
+                    break
+            else:
+                state[id(path.pop())] = 2
+                stack.pop()
+    return []
+
+
+def _describe(obj) -> str:
+    name = getattr(obj, "__qualname__", None)
+    if callable(obj) and name:
+        return f"{type(obj).__name__} {name}"
+    return type(obj).__qualname__
+
+
+def assert_no_cyclic_garbage(operation):
+    """Run ``operation`` twice; the second run must leave nothing that
+    only the cyclic collector can free.  The first run is a warm-up:
+    third-party code (networkx's dispatch wrappers) builds some cyclic
+    structures once, on first use, and keeps them for the process."""
+    operation()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        operation()
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    if garbage:
+        cycle = _one_cycle(garbage)
+        pytest.fail(
+            f"{len(garbage)} objects were freed only by the cyclic "
+            f"collector; one cycle: "
+            + " -> ".join(_describe(obj) for obj in cycle))
+
+
+@pytest.fixture
+def collector_on():
+    """Each test starts with the collector on and leaves it on."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestAcyclicHeap:
+    def test_combined_corpus(self):
+        source = generate_corpus(0, 1).combined_source()
+        assert_no_cyclic_garbage(lambda: api.analyze(source, name="crate"))
+
+    @pytest.mark.parametrize("name", sorted(BUG_TEMPLATES))
+    def test_bug_template(self, name):
+        source = BUG_TEMPLATES[name].render("heap")
+        assert_no_cyclic_garbage(lambda: api.analyze(source, name=name))
+
+    @pytest.mark.parametrize("name", sorted(BENIGN_TEMPLATES))
+    def test_benign_template(self, name):
+        source = BENIGN_TEMPLATES[name]("heap")
+        assert_no_cyclic_garbage(lambda: api.analyze(source, name=name))
+
+    def test_unsafe_audit(self):
+        sources = [(name, BENIGN_TEMPLATES[name]("heap"))
+                   for name in UNSAFE_TEMPLATES]
+        assert_no_cyclic_garbage(lambda: api.audit_unsafe(sources))
+
+    def test_guard_names_the_cycle(self):
+        class Node:
+            pass
+
+        def leak():
+            node = Node()
+            node.self_ref = node
+
+        with pytest.raises(pytest.fail.Exception, match="Node"):
+            assert_no_cyclic_garbage(leak)
+
+
+class _RecordCollector(Detector):
+    """Records ``gc.isenabled()`` while detectors run, and optionally
+    runs a nested session call from inside the outer one."""
+
+    name = "record-collector"
+
+    def __init__(self, nested: bool = False) -> None:
+        self.nested = nested
+        self.seen = []
+
+    def check_program(self, ctx):
+        self.seen.append(gc.isenabled())
+        if self.nested:
+            api.AnalysisSession().analyze_sources([("inner.rs", SMALL_SRC)])
+            self.seen.append(gc.isenabled())
+        return []
+
+
+@pytest.mark.usefixtures("collector_on")
+class TestCollectorPause:
+    def test_off_during_the_call_and_restored_after(self):
+        probe = _RecordCollector()
+        api.analyze(SMALL_SRC, detectors=[probe])
+        assert probe.seen == [False]
+        assert gc.isenabled()
+
+    def test_restored_after_compile_error(self):
+        with pytest.raises(CompileError):
+            api.analyze("fn main( {")
+        assert gc.isenabled()
+        with pytest.raises(CompileError):
+            api.AnalysisSession().analyze_sources([("bad.rs", "fn (")])
+        assert gc.isenabled()
+
+    def test_nested_calls_restore_only_at_the_outermost_exit(self):
+        probe = _RecordCollector(nested=True)
+        api.analyze(SMALL_SRC, detectors=[probe])
+        assert probe.seen == [False, False]
+        assert gc.isenabled()
+
+    def test_caller_that_disabled_the_collector_keeps_it_off(self):
+        gc.disable()
+        probe = _RecordCollector(nested=True)
+        api.analyze(SMALL_SRC, detectors=[probe])
+        api.audit_unsafe([("a.rs", BENIGN_TEMPLATES["checked_ffi"]("a"))])
+        assert probe.seen == [False, False]
+        assert not gc.isenabled()
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_jobs_2_matches_jobs_1_and_restores(self, backend):
+        sources = [(f"{name}.rs", BUG_TEMPLATES[name].render(name))
+                   for name in ("lock_order_pair", "uaf_drop_deref",
+                                "double_lock_match")]
+        with api.AnalysisSession() as session:
+            expected = [json.dumps(r.to_dict())
+                        for r in session.analyze_sources(sources)]
+        config = AnalysisConfig(jobs=2, executor_backend=backend)
+        with api.AnalysisSession(config) as session:
+            got = [json.dumps(r.to_dict())
+                   for r in session.analyze_sources(sources)]
+            assert gc.isenabled()
+            pool = session._pool
+            if backend == "process" and pool is not None:
+                # Workers forked inside the pause start with the
+                # caller's collector state, not the paused one.
+                assert all(pool.submit(gc.isenabled).result()
+                           for _ in range(4))
+        assert got == expected

@@ -342,3 +342,31 @@ class TestPatterns:
     def test_struct_pattern(self):
         expr = first_expr("match p { Point { x, y } => x + y };")
         assert isinstance(expr.arms[0].pattern, ast.PatStruct)
+
+
+class TestNestingLimit:
+    """Nesting beyond ``MAX_NESTING`` is a located diagnostic, never a
+    ``RecursionError`` from the parser or any stage after it."""
+
+    @pytest.mark.parametrize("opener, closer", [("(", ")"), ("{", "}")],
+                             ids=["parens", "blocks"])
+    def test_depth_400_is_a_located_compile_error(self, opener, closer):
+        from repro import api
+        text = ("fn main() {\n    let x = "
+                + opener * 400 + "1" + closer * 400 + ";\n}\n")
+        with pytest.raises(CompileError) as info:
+            api.analyze(text, name="deep.rs")
+        assert "nested too deeply" in info.value.message
+        line, col = info.value.source.line_col(info.value.span.lo)
+        assert line == 2 and col > len("    let x = ")
+        assert "deep.rs:2:" in str(info.value)
+
+    def test_depth_at_the_limit_runs_the_whole_pipeline(self):
+        from repro import api
+        from repro.lang.parser import MAX_NESTING
+        # The body block and the initializer take two of the levels.
+        depth = MAX_NESTING - 2
+        parens = "(" * depth + "1" + ")" * depth
+        api.analyze(f"fn main() {{ let x = {parens}; }}")
+        with pytest.raises(CompileError):
+            parse(f"fn main() {{ let x = ({parens}); }}")
