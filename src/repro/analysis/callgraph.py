@@ -48,6 +48,10 @@ class CallGraph:
     spawn_edges: Dict[str, Set[str]] = field(default_factory=dict)
     _lock_summaries: Optional[Dict[str, Set[LockId]]] = \
         field(default=None, repr=False)
+    #: callee key → the call sites naming it, in ``call_sites`` order;
+    #: built on the first :meth:`sites_calling` call.
+    _by_callee: Optional[Dict[str, List[CallSite]]] = \
+        field(default=None, repr=False, compare=False)
 
     @property
     def lock_summaries(self) -> Dict[str, Set[LockId]]:
@@ -65,6 +69,14 @@ class CallGraph:
 
     def sites_in(self, key: str) -> List[CallSite]:
         return [s for s in self.call_sites if s.caller == key]
+
+    def sites_calling(self, key: str) -> List[CallSite]:
+        if self._by_callee is None:
+            by_callee: Dict[str, List[CallSite]] = {}
+            for site in self.call_sites:
+                by_callee.setdefault(site.callee, []).append(site)
+            self._by_callee = by_callee
+        return self._by_callee.get(key, [])
 
     def transitive_callees(self, key: str,
                            include_spawned: bool = False) -> Set[str]:

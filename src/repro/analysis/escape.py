@@ -70,9 +70,18 @@ class ThreadEscape:
     escape_reasons: Dict[Tuple[str, int], str] = field(default_factory=dict)
     #: Heap sites / statics reachable from any escape root.
     shared_targets: Set[SharedTarget] = field(default_factory=set)
+    #: closure key → its spawn sites in ``spawn_sites`` order; built on
+    #: the first :meth:`sites_spawning` call.
+    _by_closure: Optional[Dict[str, List[SpawnSite]]] = field(
+        default=None, repr=False, compare=False)
 
     def sites_spawning(self, closure_key: str) -> List[SpawnSite]:
-        return [s for s in self.spawn_sites if s.closure == closure_key]
+        if self._by_closure is None:
+            by_closure: Dict[str, List[SpawnSite]] = {}
+            for site in self.spawn_sites:
+                by_closure.setdefault(site.closure, []).append(site)
+            self._by_closure = by_closure
+        return self._by_closure.get(closure_key, [])
 
     def escapes(self, fn_key: str, local: int) -> bool:
         return local in self.escape_roots.get(fn_key, set())

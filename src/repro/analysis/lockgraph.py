@@ -284,9 +284,7 @@ def global_site_ids(engine, body: Body, local: int,
     program = engine.program
 
     # Capture route: a closure argument resolves through each spawn site.
-    for site in te.spawn_sites:
-        if site.closure != body.key:
-            continue
+    for site in te.sites_spawning(body.key):
         spawner = program.functions.get(site.spawner)
         if spawner is None:
             continue
@@ -296,8 +294,8 @@ def global_site_ids(engine, body: Body, local: int,
                     translate_capture(site, pt_spawner, position, proj)}
 
     # Caller route: a declared parameter resolves through each call site.
-    for cs in engine.call_graph.call_sites:
-        if cs.callee != body.key or cs.is_spawn:
+    for cs in engine.call_graph.sites_calling(body.key):
+        if cs.is_spawn:
             continue
         caller = program.functions.get(cs.caller)
         if caller is None:

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import heapq
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro import obs
 from repro.analysis.callgraph import CallGraph
@@ -15,7 +16,9 @@ from repro.analysis.lifetime import (
 from repro.analysis.points_to import PointsTo
 from repro.analysis.summaries import FunctionSummary
 from repro.detectors.report import Finding
-from repro.mir.nodes import Body, Program
+from repro.hir.builtins import BuiltinOp
+from repro.lang.types import TyKind
+from repro.mir.nodes import Body, Program, Terminator, TerminatorKind
 
 
 class AnalysisContext:
@@ -25,7 +28,10 @@ class AnalysisContext:
     summaries, the call graph) are owned by one
     :class:`~repro.analysis.engine.SummaryEngine` instance; the context
     keeps the purely intraprocedural caches (guard regions, storage
-    ranges, init states) itself.
+    ranges, init states) itself, plus the program-level facts detectors
+    look up from ``check_body`` (:meth:`arc_shared_structs`,
+    :meth:`builtin_sites`).  Each of those is built by one walk of the
+    program on first use, so a per-body hook never walks the program.
 
     Every pass records an obs cache hit/miss counter and runs its compute
     under an ``analysis.<pass>`` span, so ``--profile`` shows where the
@@ -54,6 +60,10 @@ class AnalysisContext:
         self._guard_regions: Dict[Tuple[str, bool], List[GuardRegion]] = {}
         self._storage_ranges: Dict[str, StorageRanges] = {}
         self._init_states: Dict[str, dict] = {}
+        self._arc_shared: Optional[FrozenSet[str]] = None
+        #: op → ``(walk position, body, block, terminator)``, in walk order.
+        self._builtin_sites: Optional[
+            Dict[BuiltinOp, List[Tuple[int, Body, int, Terminator]]]] = None
 
     def _lookup(self, cache: Dict, key, pass_name: str, compute):
         hit = cache.get(key)
@@ -119,13 +129,49 @@ class AnalysisContext:
     def call_graph(self) -> CallGraph:
         return self.engine.call_graph
 
+    def arc_shared_structs(self) -> FrozenSet[str]:
+        """Names ``S`` such that some local anywhere in the program has
+        type ``Arc<S>`` (outermost ``Arc`` only, ``S`` with its wrappers
+        peeled)."""
+        if self._arc_shared is None:
+            self._arc_shared = frozenset(
+                local.ty.args[0].peel_wrappers().name
+                for body in self.program.bodies() for local in body.locals
+                if local.ty.kind is TyKind.BUILTIN
+                and local.ty.name == "Arc" and local.ty.args)
+        return self._arc_shared
+
+    def builtin_sites(self, *ops: BuiltinOp
+                      ) -> List[Tuple[Body, int, Terminator]]:
+        """Every call of one of ``ops`` (distinct) in the program, in the
+        order a walk of ``program.bodies()`` and each body's
+        ``iter_terminators()`` meets them.  Findings carry the first
+        matching site, so the order is part of the output."""
+        index = self._builtin_sites
+        if index is None:
+            index = {}
+            position = 0
+            for body in self.program.bodies():
+                for bb, term in body.iter_terminators():
+                    if term.kind is TerminatorKind.CALL \
+                            and term.func is not None \
+                            and term.func.builtin_op is not None:
+                        index.setdefault(term.func.builtin_op, []).append(
+                            (position, body, bb, term))
+                        position += 1
+            self._builtin_sites = index
+        return [(body, bb, term) for _pos, body, bb, term
+                in heapq.merge(*(index.get(op, ()) for op in ops))]
+
 
 class Detector:
     """Base class for all detectors.
 
     Subclasses set ``name`` / ``description`` and implement either
     :meth:`check_body` (called per function) or :meth:`check_program`
-    (called once), or both.
+    (called once), or both.  ``check_body`` may look up a per-program
+    fact on the context but never walks the program itself: that would
+    make the detector quadratic in program size.
     """
 
     name = "detector"

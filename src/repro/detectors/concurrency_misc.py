@@ -14,14 +14,14 @@ These cover the remaining §6.1 blocking-bug categories:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set
 
 from repro.analysis.lifetime import lock_identity, resolve_ref_chain
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.report import Finding, Severity
 from repro.hir.builtins import BuiltinOp
 from repro.lang.types import TyKind
-from repro.mir.nodes import Body, TerminatorKind
+from repro.mir.nodes import Body
 
 _NOTIFY_OPS = {BuiltinOp.CONDVAR_NOTIFY_ONE, BuiltinOp.CONDVAR_NOTIFY_ALL}
 
@@ -33,16 +33,6 @@ def _receiver_identity(ctx: AnalysisContext, body: Body, term) -> FrozenSet:
                          term.args[0].place.local)
 
 
-def _sites_with_op(program, ops) -> List[Tuple[Body, int, object]]:
-    sites = []
-    for body in program.bodies():
-        for bb, term in body.iter_terminators():
-            if term.kind is TerminatorKind.CALL and term.func is not None \
-                    and term.func.builtin_op in ops:
-                sites.append((body, bb, term))
-    return sites
-
-
 class CondvarDetector(Detector):
     name = "condvar"
     description = ("Condvar::wait with no reachable notify on the same "
@@ -51,8 +41,7 @@ class CondvarDetector(Detector):
 
     def check_program(self, ctx: AnalysisContext) -> List[Finding]:
         from repro.analysis.lockgraph import global_site_ids, live_functions
-        program = ctx.program
-        waits = _sites_with_op(program, {BuiltinOp.CONDVAR_WAIT})
+        waits = ctx.builtin_sites(BuiltinOp.CONDVAR_WAIT)
         findings: List[Finding] = []
         if not waits:
             return findings
@@ -61,7 +50,7 @@ class CondvarDetector(Detector):
         # notify inside a closure nothing ever invokes wakes nobody.
         live = live_functions(ctx.engine)
         notifies = [(body, bb, term) for body, bb, term
-                    in _sites_with_op(program, _NOTIFY_OPS)
+                    in ctx.builtin_sites(*_NOTIFY_OPS)
                     if body.key in live]
         # Identity comparison is only meaningful for global ids — but
         # ``global_site_ids`` resolves receiver locals interprocedurally
@@ -110,8 +99,8 @@ class ChannelDetector(Detector):
 
     def check_program(self, ctx: AnalysisContext) -> List[Finding]:
         program = ctx.program
-        recvs = _sites_with_op(program, {BuiltinOp.CHANNEL_RECV})
-        sends = _sites_with_op(program, {BuiltinOp.CHANNEL_SEND})
+        recvs = ctx.builtin_sites(BuiltinOp.CHANNEL_RECV)
+        sends = ctx.builtin_sites(BuiltinOp.CHANNEL_SEND)
         findings: List[Finding] = []
         if recvs and not sends:
             for body, bb, term in recvs:
@@ -175,10 +164,9 @@ class OnceRecursionDetector(Detector):
     paper_section = "6.1"
 
     def check_program(self, ctx: AnalysisContext) -> List[Finding]:
-        program = ctx.program
         graph = ctx.call_graph
         findings: List[Finding] = []
-        sites = _sites_with_op(program, {BuiltinOp.ONCE_CALL_ONCE})
+        sites = ctx.builtin_sites(BuiltinOp.ONCE_CALL_ONCE)
 
         # Map: fn key → once identities it calls call_once on directly.
         direct: Dict[str, Set] = {}

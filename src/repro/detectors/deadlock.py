@@ -35,7 +35,7 @@ from repro.analysis.lockgraph import (
     LockGraph, OrderEdge, global_site_ids, live_functions,
 )
 from repro.detectors.base import AnalysisContext, Detector
-from repro.detectors.concurrency_misc import _NOTIFY_OPS, _sites_with_op
+from repro.detectors.concurrency_misc import _NOTIFY_OPS
 from repro.detectors.report import Finding
 from repro.hir.builtins import BuiltinOp
 from repro.mir.nodes import Body
@@ -123,11 +123,10 @@ class DeadlockDetector(Detector):
     # -- condvar wait while holding an unrelated lock -----------------------
 
     def _condvar_findings(self, ctx: AnalysisContext) -> List[Finding]:
-        program = ctx.program
-        waits = _sites_with_op(program, {BuiltinOp.CONDVAR_WAIT})
+        waits = ctx.builtin_sites(BuiltinOp.CONDVAR_WAIT)
         if not waits:
             return []
-        notifies = _sites_with_op(program, _NOTIFY_OPS)
+        notifies = ctx.builtin_sites(*_NOTIFY_OPS)
         if not notifies:
             return []          # missed-signal outright: CondvarDetector's
         live = live_functions(ctx.engine)
@@ -201,11 +200,10 @@ class DeadlockDetector(Detector):
     # -- blocking recv while holding the sender's lock ----------------------
 
     def _channel_findings(self, ctx: AnalysisContext) -> List[Finding]:
-        program = ctx.program
-        recvs = _sites_with_op(program, {BuiltinOp.CHANNEL_RECV})
+        recvs = ctx.builtin_sites(BuiltinOp.CHANNEL_RECV)
         if not recvs:
             return []
-        sends = _sites_with_op(program, {BuiltinOp.CHANNEL_SEND})
+        sends = ctx.builtin_sites(BuiltinOp.CHANNEL_SEND)
         if not sends:
             return []          # no sender at all: ChannelDetector's case
         te = ctx.thread_escape()
@@ -289,8 +287,8 @@ class DeadlockDetector(Detector):
         guard a ``Condvar::wait`` releases)."""
         exclude = exclude_guard_locals or set()
         te = ctx.thread_escape()
-        spawn_sites = [s for s in te.spawn_sites
-                       if s.closure == body.key] if body.is_closure else []
+        spawn_sites = te.sites_spawning(body.key) if body.is_closure \
+            else []
         out: Dict[Tuple, str] = {}
         for region in ctx.guard_regions(body):
             if region.is_try or not region.covers(point):

@@ -23,7 +23,6 @@ from repro.analysis.scan import cfg_of
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.report import Finding, Severity
 from repro.hir.builtins import BuiltinOp
-from repro.lang.types import TyKind
 from repro.mir.nodes import (
     Body, RvalueKind, StatementKind, TerminatorKind,
 )
@@ -41,14 +40,7 @@ def _struct_is_shared(ctx: AnalysisContext, struct_name: str) -> bool:
     if info.unsafe_sync or info.traits.get("Sync") or info.traits.get("Send"):
         return True
     # Shared via Arc<StructName> anywhere in the program?
-    for body in ctx.program.bodies():
-        for local in body.locals:
-            ty = local.ty
-            if ty.kind is TyKind.BUILTIN and ty.name == "Arc" and ty.args:
-                inner = ty.args[0].peel_wrappers()
-                if inner.name == struct_name:
-                    return True
-    return False
+    return struct_name in ctx.arc_shared_structs()
 
 
 def _may_synchronise(ctx: AnalysisContext, body: Body) -> bool:

@@ -73,10 +73,14 @@ _EXPR_START = {
 
 #: Deepest nesting the parser admits, counted one level per nested
 #: expression, prefix-operator operand and block (a block used as an
-#: expression costs two).  Every later stage recurses over the tree the
-#: parser builds, so this bounds them too: at the limit the whole pipeline
-#: fits Python's default recursion limit with room for the caller's
-#: frames.  Deeper input is a located ``CompileError``.
+#: expression costs two), and one per link of an operator, cast or
+#: postfix chain (``a + b + c``, ``v[0][0]``, ``x.f().g()``).  A chain is
+#: built in a loop, not by recursion, so each link is placed above the
+#: deepest level its expression has reached so far.  Every later stage
+#: recurses over the tree the parser builds, so this bounds them too: at
+#: the limit the whole pipeline fits Python's default recursion limit
+#: with room for the caller's frames.  Deeper input is a located
+#: ``CompileError``.
 MAX_NESTING = 100
 
 
@@ -90,9 +94,12 @@ class Parser:
             Lexer(source).tokenize()
         self.pos = 0
         self.no_struct_depth = 0   # >0 → struct literals disallowed
-        # Current recursion depth (see MAX_NESTING).  Only decremented on
+        # Current nesting depth (see MAX_NESTING).  Only decremented on
         # a normal return: the parser never recovers from an error.
         self.depth = 0
+        # Deepest level reached inside the innermost expression being
+        # parsed; chain links are placed at or above it.
+        self.peak = 0
 
     # -- token helpers -----------------------------------------------------
 
@@ -150,6 +157,15 @@ class Parser:
             raise self.error(
                 f"expression or block nested too deeply (more than "
                 f"{MAX_NESTING} levels)")
+        if self.depth > self.peak:
+            self.peak = self.depth
+
+    def link(self) -> None:
+        """One more link of a chain: the new node sits one level above
+        the previous link, and above everything the chain holds so far.
+        The function that builds the chain restores ``self.depth``."""
+        self.depth = max(self.depth, self.peak - 1)
+        self.enter()
 
     # -- entry points --------------------------------------------------------
 
@@ -860,11 +876,14 @@ class Parser:
 
     def _parse_expr_inner(self, min_power: int) -> ast.Expr:
         self.enter()
+        base = self.depth
+        outer_peak, self.peak = self.peak, base
         lhs = self._parse_prefix()
         while True:
             kind = self.tok.kind
             # Assignment (right-associative, lowest precedence).
             if kind is T.EQ and min_power <= 1:
+                self.link()
                 self.pos += 1
                 value = self._parse_expr_inner(1)
                 lhs = ast.Assign(span=lhs.span.merge(value.span), target=lhs,
@@ -872,6 +891,7 @@ class Parser:
                 continue
             if kind in _COMPOUND_ASSIGN and min_power <= 1:
                 op = _COMPOUND_ASSIGN[kind]
+                self.link()
                 self.pos += 1
                 value = self._parse_expr_inner(1)
                 lhs = ast.CompoundAssign(span=lhs.span.merge(value.span), op=op,
@@ -880,6 +900,7 @@ class Parser:
             # Ranges.
             if kind in (T.DOTDOT, T.DOTDOTEQ) and min_power <= 2:
                 inclusive = kind is T.DOTDOTEQ
+                self.link()
                 self.pos += 1
                 hi = None
                 if self.tok.kind in _EXPR_START:
@@ -888,6 +909,7 @@ class Parser:
                 continue
             # `as` casts bind tighter than binary operators.
             if kind is T.KW_AS:
+                self.link()
                 self.pos += 1
                 ty = self.parse_type()
                 lhs = ast.Cast(span=lhs.span.merge(ty.span), operand=lhs,
@@ -898,13 +920,15 @@ class Parser:
                 if left_power < min_power:
                     break
                 op = _BINOP_FOR_TOKEN[kind]
+                self.link()
                 self.pos += 1
                 rhs = self._parse_expr_inner(right_power)
                 lhs = ast.Binary(span=lhs.span.merge(rhs.span), op=op,
                                  left=lhs, right=rhs)
                 continue
             break
-        self.depth -= 1
+        self.depth = base - 1
+        self.peak = max(outer_peak, self.peak)
         return lhs
 
     def _parse_prefix(self) -> ast.Expr:
@@ -931,10 +955,12 @@ class Parser:
         return self._parse_postfix()
 
     def _parse_postfix(self) -> ast.Expr:
+        base = self.depth
         expr = self._parse_primary()
         while True:
             if self.at(T.DOT):
                 nxt = self.peek()
+                self.link()
                 if nxt.kind is T.INT:
                     self.pos += 2
                     expr = ast.TupleIndex(span=expr.span.merge(nxt.span),
@@ -963,19 +989,23 @@ class Parser:
                     continue
                 raise self.error("expected field or method name after `.`")
             if self.eat(T.LPAREN):
+                self.link()
                 args = self._parse_call_args()
                 expr = ast.Call(span=expr.span.merge(self.tokens[self.pos - 1].span),
                                 callee=expr, args=args)
                 continue
             if self.eat(T.LBRACKET):
+                self.link()
                 index = self.parse_expr()
                 hi = self.expect(T.RBRACKET).span
                 expr = ast.Index(span=expr.span.merge(hi), base=expr, index=index)
                 continue
             if self.eat(T.QUESTION):
+                self.link()
                 expr = ast.Try(span=expr.span, operand=expr)
                 continue
             break
+        self.depth = base
         return expr
 
     def _parse_call_args(self) -> List[ast.Expr]:

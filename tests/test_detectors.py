@@ -464,6 +464,59 @@ class TestInteriorMutability:
             }""")
         assert not detectors_named(report, "sync-unsync-write")
 
+    # The Arc route: no Sync impl, but some local anywhere in the program
+    # holds the struct in an `Arc`.
+    _SLOT = """
+        struct Slot { value: i32 }
+        struct Other { value: i32 }
+        impl Slot {
+            fn set(&self, i: i32) {
+                let p = &self.value as *const i32 as *mut i32;
+                unsafe { *p = i; }
+            }
+        }
+        """
+
+    def test_arc_shared_struct_reported(self):
+        report = check(self._SLOT + """
+            fn share() {
+                let a: Arc<Slot> = Arc::new(Slot { value: 0 });
+                a.set(1);
+            }""")
+        found = detectors_named(report, "sync-unsync-write")
+        assert [f.fn_key for f in found] == ["Slot::set"]
+        assert found[0].metadata["struct"] == "Slot"
+
+    def test_arc_of_another_struct_clean(self):
+        report = check(self._SLOT + """
+            fn share() {
+                let a: Arc<Other> = Arc::new(Other { value: 0 });
+            }""")
+        assert not detectors_named(report, "sync-unsync-write")
+
+    def test_arc_of_boxed_struct_reported(self):
+        # peel_wrappers strips the Box: Arc<Box<Slot>> shares the Slot.
+        report = check(self._SLOT + """
+            fn share() {
+                let a: Arc<Box<Slot>> = Arc::new(Box::new(Slot { value: 0 }));
+            }""")
+        assert detectors_named(report, "sync-unsync-write")
+
+    def test_arc_sharing_is_a_fact_of_one_program(self):
+        from repro.api import AnalysisSession
+        session = AnalysisSession()
+        shared = session.analyze(self._SLOT + """
+            fn share() {
+                let a: Arc<Slot> = Arc::new(Slot { value: 0 });
+            }""")
+        assert detectors_named(shared, "sync-unsync-write")
+        private = session.analyze(self._SLOT + """
+            fn local() {
+                let c = Slot { value: 0 };
+                c.set(1);
+            }""")
+        assert not detectors_named(private, "sync-unsync-write")
+
 
 class TestReportApi:
     def test_dedup(self):

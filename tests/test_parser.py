@@ -370,3 +370,42 @@ class TestNestingLimit:
         api.analyze(f"fn main() {{ let x = {parens}; }}")
         with pytest.raises(CompileError):
             parse(f"fn main() {{ let x = ({parens}); }}")
+
+    # Flat chains are built in a loop, so the parser's recursion never
+    # sees their depth; each link still counts one level (MAX_NESTING).
+    _CHAINS = {
+        "binary": lambda n: " + ".join(["1"] * n),
+        "index": lambda n: "v" + "[0]" * (n - 1),
+        "method": lambda n: "1" + ".clone()" * (n - 1),
+    }
+
+    @staticmethod
+    def _chain_program(expr):
+        return ("fn main() {\n    let v = vec![vec![1]];\n    let x = "
+                + expr + ";\n}\n")
+
+    @pytest.mark.parametrize("shape, length", [
+        ("binary", 600), ("index", 2001), ("method", 1501)])
+    def test_flat_chain_is_a_located_compile_error(self, shape, length):
+        from repro import api
+        text = self._chain_program(self._CHAINS[shape](length))
+        with pytest.raises(CompileError) as info:
+            api.analyze(text, name="chain.rs")
+        assert "nested too deeply" in info.value.message
+        line, col = info.value.source.line_col(info.value.span.lo)
+        assert line == 3 and col > len("    let x = ")
+        assert "chain.rs:3:" in str(info.value)
+
+    @pytest.mark.parametrize("shape", ["binary", "index", "method"])
+    def test_chain_below_the_limit_runs_the_whole_pipeline(self, shape):
+        from repro import api
+        from repro.lang.parser import MAX_NESTING
+        api.analyze(self._chain_program(self._CHAINS[shape](MAX_NESTING - 5)))
+
+    def test_chain_counts_above_its_deepest_operand(self):
+        # Each half alone is well inside the limit; stacked, the second
+        # chain sits on top of the first one's tree.
+        half = " + ".join(["1"] * 60)
+        parse(f"fn main() {{ let x = {half}; }}")
+        with pytest.raises(CompileError):
+            parse(f"fn main() {{ let x = ({half}) + {half}; }}")
