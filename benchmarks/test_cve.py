@@ -10,15 +10,14 @@ Three claims about the unwind-aware panic model, measured on the
   same metric name is enforced by ``bench-diff`` against the committed
   baseline).
 * **Determinism** — findings over the cve corpus are byte-identical at
-  ``jobs`` 1/2/4 and across all three executor backends: unwind
-  lowering happens before anything scans, fingerprints or ships a body,
-  so the panic model cannot leak schedule or address-space detail.
+  ``jobs`` 1/2/4: unwind lowering happens before anything scans or
+  fingerprints a body, so the panic model cannot leak the whole-file
+  fan-out into findings.
 * **Recall floor** — the profile injects one of each CVE-class template
   (panic-safety, bad-drop, uninit-exposure); the run must report
   exactly those, with zero findings on benign files.
 """
 
-import itertools
 import json
 import os
 import pathlib
@@ -42,7 +41,6 @@ BENCH_CVE_PATH = pathlib.Path(__file__).resolve().parent.parent / \
 SEED = 0
 SCALE = 1
 JOBS_SWEEP = (1, 2, 4)
-BACKENDS = AnalysisConfig.EXECUTOR_BACKENDS
 #: The unwind model's wall-overhead contract: analysing with unwind
 #: edges and landing pads must cost at most this multiple of the
 #: ablated (--no-unwind-edges) analysis.
@@ -118,18 +116,18 @@ def test_cve_bench(benchmark, corpus, full_corpus_source):
         f"unwind_edges=True costs {unwind_wall_ratio}x the ablated "
         f"analysis (contract: <= {MAX_UNWIND_WALL_RATIO}x)")
 
-    # -- determinism sweep: jobs × backends ------------------------------
+    # -- determinism sweep: jobs ----------------------------------------
     timings = {}
     payloads = {}
-    for jobs, backend in itertools.product(JOBS_SWEEP, BACKENDS):
-        config = AnalysisConfig(jobs=jobs, executor_backend=backend)
+    for jobs in JOBS_SWEEP:
+        config = AnalysisConfig(jobs=jobs)
         start = time.perf_counter()
-        payloads[(jobs, backend)] = _findings_payload(corpus, config)
-        timings[(jobs, backend)] = round(time.perf_counter() - start, 4)
-    reference = payloads[(1, "process")]
-    for key, payload in payloads.items():
+        payloads[jobs] = _findings_payload(corpus, config)
+        timings[jobs] = round(time.perf_counter() - start, 4)
+    reference = payloads[1]
+    for jobs, payload in payloads.items():
         assert payload == reference, \
-            f"cve findings differ at jobs={key[0]} backend={key[1]}"
+            f"cve findings differ at jobs={jobs}"
 
     # -- recall floor / zero-FP over the labelled corpus -----------------
     reports = json.loads(reference)
@@ -178,10 +176,8 @@ def test_cve_bench(benchmark, corpus, full_corpus_source):
             "injected": len(injected),
             "recall": 1.0,
             "false_positives": 0,
-            "seconds_by_jobs_backend": {
-                f"{j}/{b}": timings[(j, b)]
-                for j, b in itertools.product(JOBS_SWEEP, BACKENDS)},
-            "identical_across_jobs_and_backends": True,
+            "seconds_by_jobs": {str(j): timings[j] for j in JOBS_SWEEP},
+            "identical_across_jobs": True,
         },
     }
     BENCH_CVE_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -199,4 +195,4 @@ def test_cve_bench(benchmark, corpus, full_corpus_source):
          f"{MAX_UNWIND_WALL_RATIO})\n"
          f"findings: {len(found)}/{len(injected)} injected recalled, "
          f"0 false positives; byte-identical across jobs "
-         f"{list(JOBS_SWEEP)} x backends {list(BACKENDS)}")
+         f"{list(JOBS_SWEEP)}")

@@ -8,15 +8,13 @@ evaluation corpus:
   pass itself is the marginal cost) and searching it for bounded
   elementary cycles are both cheap relative to the summary fixpoint.
 * **Determinism** — deadlock findings over the corpus are byte-identical
-  at ``jobs`` 1/2/4 and across all three executor backends (process /
-  persistent / thread): the graph is built from converged summaries, so
-  schedule and address space cannot leak into it.
+  at ``jobs`` 1/2/4: the graph is built from converged summaries, so the
+  whole-file fan-out cannot leak into it.
 * **Recall floor** — the corpus carries one injection of each deadlock
   template (ABBA across threads, condvar-hold, channel-recv); the run
   must report at least those, with zero findings on benign files.
 """
 
-import itertools
 import json
 import os
 import pathlib
@@ -38,7 +36,6 @@ BENCH_DEADLOCK_PATH = pathlib.Path(__file__).resolve().parent.parent / \
 SEED = 0
 SCALE = 1
 JOBS_SWEEP = (1, 2, 4)
-BACKENDS = AnalysisConfig.EXECUTOR_BACKENDS
 
 
 @pytest.fixture(scope="module")
@@ -75,19 +72,19 @@ def test_deadlock_bench(benchmark, corpus):
     # lock_order_pair cycle must NOT appear (its edges share one root).
     assert len(cycles) == 1, [c for c, _w in cycles]
 
-    # -- determinism sweep: jobs × backends ------------------------------
+    # -- determinism sweep: jobs ----------------------------------------
     detector_config = AnalysisConfig(detectors=("deadlock",))
     timings = {}
     payloads = {}
-    for jobs, backend in itertools.product(JOBS_SWEEP, BACKENDS):
-        config = detector_config.with_(jobs=jobs, executor_backend=backend)
+    for jobs in JOBS_SWEEP:
+        config = detector_config.with_(jobs=jobs)
         start = time.perf_counter()
-        payloads[(jobs, backend)] = _deadlock_payload(corpus, config)
-        timings[(jobs, backend)] = round(time.perf_counter() - start, 4)
-    reference = payloads[(1, "process")]
-    for key, payload in payloads.items():
+        payloads[jobs] = _deadlock_payload(corpus, config)
+        timings[jobs] = round(time.perf_counter() - start, 4)
+    reference = payloads[1]
+    for jobs, payload in payloads.items():
         assert payload == reference, \
-            f"deadlock findings differ at jobs={key[0]} backend={key[1]}"
+            f"deadlock findings differ at jobs={jobs}"
 
     # -- recall floor / zero-FP over the labelled corpus -----------------
     reports = json.loads(reference)
@@ -126,10 +123,8 @@ def test_deadlock_bench(benchmark, corpus):
             "injected": len(injected),
             "recall": 1.0,
             "false_positives": 0,
-            "seconds_by_jobs_backend": {
-                f"{j}/{b}": timings[(j, b)]
-                for j, b in itertools.product(JOBS_SWEEP, BACKENDS)},
-            "identical_across_jobs_and_backends": True,
+            "seconds_by_jobs": {str(j): timings[j] for j in JOBS_SWEEP},
+            "identical_across_jobs": True,
         },
     }
     BENCH_DEADLOCK_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -143,4 +138,4 @@ def test_deadlock_bench(benchmark, corpus):
          f"(build {build_seconds}s, cycle search {search_seconds}s)\n"
          f"findings: {len(found)}/{len(injected)} injected recalled, "
          f"0 false positives; byte-identical across jobs "
-         f"{list(JOBS_SWEEP)} x backends {list(BACKENDS)}")
+         f"{list(JOBS_SWEEP)}")

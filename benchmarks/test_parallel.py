@@ -1,20 +1,15 @@
-"""Parallel + incremental executor benchmarks → ``BENCH_parallel.json``.
+"""Whole-file fan-out + incremental executor benchmarks →
+``BENCH_parallel.json``.
 
-Three claims from the executor design, measured on the evaluation
-corpus (the synthetic stand-in for the paper's five applications):
+Three claims, measured on the evaluation corpus (the synthetic stand-in
+for the paper's five applications):
 
-* **Determinism** — findings are byte-identical at every worker count
-  and under every executor backend (process, persistent, thread).
+* **Determinism** — findings are byte-identical at every worker count.
 * **Cold scaling** — wall-clock for ``jobs=1`` vs ``jobs=N`` whole-file
   fan-out.  The speedup assertion (>= 1.5x at ``jobs=4``) is gated on
   ``os.cpu_count()``: a single-core CI runner records the timings but
   cannot physically show a parallel win (the artifact says so
   explicitly via ``host.cpu_count`` and ``speedup_asserted``).
-* **Serialization cost** — the persistent fork-server backend ships the
-  compiled program to each worker once, so its per-run
-  ``executor.pickle_bytes`` must undercut the per-task shipping of the
-  plain process backend.  Byte counts are deterministic, so bench-diff
-  enforces them even under ``--warn``.
 * **Warm incrementality** — with a summary cache, an unchanged re-run
   re-solves nothing, and a *single-function edit* re-solves <10% of
   function summaries (the edited component plus summary-changed
@@ -88,21 +83,6 @@ def _incremental_run(corpus, tmp_path):
     }
 
 
-def _backend_fanout(corpus, jobs):
-    """Solve the whole corpus as one combined program under each
-    executor backend; returns ``(payloads_by_backend, counters)``."""
-    src = corpus.combined_source()
-    payloads = {}
-    counters = {}
-    for backend in ("process", "persistent", "thread"):
-        config = AnalysisConfig(jobs=jobs, executor_backend=backend)
-        with obs.collecting() as collector:
-            report = analyze(src, name="combined.rs", config=config)
-        payloads[backend] = json.dumps(report.to_dict(), sort_keys=False)
-        counters[backend] = dict(collector.counters)
-    return payloads, counters
-
-
 def test_parallel_bench(corpus, tmp_path):
     timings, payloads = _timed_sweep(corpus)
     for jobs in JOBS_SWEEP[1:]:
@@ -148,21 +128,6 @@ def test_parallel_bench(corpus, tmp_path):
             f"jobs={best_jobs} only {speedup}x faster on " \
             f"{cpu_count} cores"
 
-    # Executor backends: identical findings, cheaper serialization for
-    # the persistent fork-server (program shipped once, not per task).
-    backend_payloads, backend_counters = _backend_fanout(corpus, best_jobs)
-    assert backend_payloads["persistent"] == backend_payloads["process"]
-    assert backend_payloads["thread"] == backend_payloads["process"]
-    process_bytes = backend_counters["process"].get(
-        "executor.pickle_bytes", 0)
-    persistent_bytes = backend_counters["persistent"].get(
-        "executor.pickle_bytes", 0)
-    pool_used = process_bytes > 0 and persistent_bytes > 0
-    if pool_used:
-        assert persistent_bytes < process_bytes, \
-            "persistent backend must pickle less than per-task shipping"
-    assert backend_counters["thread"].get("executor.pickle_bytes", 0) == 0
-
     payload = {
         "schema_version": "1.0",
         "host": {"cpu_count": cpu_count},
@@ -176,18 +141,6 @@ def test_parallel_bench(corpus, tmp_path):
             "speedup_asserted": speedup_asserted,
             "speedup_floor": 1.5,
             "findings_identical_across_jobs": True,
-        },
-        "executor_backends": {
-            "jobs": best_jobs,
-            "findings_identical_across_backends": True,
-            "pool_used": pool_used,
-            # Deterministic byte counts — enforced by bench-diff.
-            "process": {"pickle_bytes": process_bytes,
-                        "tasks": backend_counters["process"].get(
-                            "executor.tasks", 0)},
-            "persistent": {"pickle_bytes": persistent_bytes,
-                           "tasks": backend_counters["persistent"].get(
-                               "executor.tasks", 0)},
         },
         "warm_incremental": {
             "combined_functions": total_functions,
@@ -220,6 +173,4 @@ def test_parallel_bench(corpus, tmp_path):
          f"warm unchanged: {warm.get('analysis.cache.hit', 0)} hits, "
          f"0 re-solved\n"
          f"single edit: {resolved}/{total_functions} summaries re-solved "
-         f"({resolve_fraction:.2%}, target <10%)\n"
-         f"backend pickle bytes at jobs={best_jobs}: "
-         f"process {process_bytes}, persistent {persistent_bytes}")
+         f"({resolve_fraction:.2%}, target <10%)")

@@ -18,7 +18,8 @@ import pytest
 from conftest import emit
 
 from repro import obs
-from repro.driver import compile_source, run_all_detectors
+from repro.api import AnalysisSession
+from repro.driver import compile_source
 from repro.mir.interp import Interpreter, ScheduleConfig
 
 N = 512
@@ -158,7 +159,7 @@ BENCH_OBS_PATH = pathlib.Path(__file__).resolve().parent.parent / \
 
 def _full_pipeline():
     compiled = compile_source(CHECKED_SUM, name="bench://checked_sum")
-    report = run_all_detectors(compiled)
+    report = AnalysisSession().analyze_compiled(compiled).report
     interp = Interpreter(compiled.program,
                          schedule=ScheduleConfig(max_steps=10_000_000))
     return report, interp.run()

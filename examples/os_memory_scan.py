@@ -12,7 +12,7 @@ Run with::
     python examples/os_memory_scan.py
 """
 
-from repro import compile_source, run_all_detectors
+from repro import api, compile_source
 from repro.mir.interp import run_program
 
 FILE_LAYER = """
@@ -84,8 +84,9 @@ fn main() {
 
 def scan(title: str, library: str) -> None:
     print(f"\n==== {title} " + "=" * max(0, 60 - len(title)))
-    compiled = compile_source(library, name="file_layer.rs")
-    report = run_all_detectors(compiled)
+    session = api.AnalysisSession()
+    compiled = session.compile(library, name="file_layer.rs")
+    report = session.analyze_compiled(compiled)
     print("static findings:")
     print("  " + report.render().replace("\n", "\n  "))
 

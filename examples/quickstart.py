@@ -5,7 +5,7 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import compile_source, run_all_detectors
+from repro import api
 from repro.mir.interp import run_program
 from repro.mir.pretty import pretty_body
 
@@ -25,12 +25,13 @@ fn main() {
 
 
 def main() -> None:
+    session = api.AnalysisSession()
     print("== 1. compile to MIR " + "=" * 45)
-    compiled = compile_source(SOURCE, name="quickstart.rs")
+    compiled = session.compile(SOURCE, name="quickstart.rs")
     print(pretty_body(compiled.program.functions["main"]))
 
     print("\n== 2. static detectors (the paper's §7 tooling) " + "=" * 18)
-    report = run_all_detectors(compiled)
+    report = session.analyze_compiled(compiled)
     print(report.render())
 
     print("\n== 3. dynamic check (Miri-style interpretation) " + "=" * 18)
@@ -51,8 +52,8 @@ def main() -> None:
         print(x);
     }
     drop(v);""")
-    compiled_fixed = compile_source(fixed, name="quickstart_fixed.rs")
-    print("static: ", run_all_detectors(compiled_fixed).render())
+    compiled_fixed = session.compile(fixed, name="quickstart_fixed.rs")
+    print("static: ", session.analyze_compiled(compiled_fixed).render())
     result = run_program(compiled_fixed.program)
     print(f"dynamic: outcome={result.outcome}, stdout={result.stdout}")
 

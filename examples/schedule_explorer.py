@@ -12,7 +12,7 @@ Run with::
     python examples/schedule_explorer.py
 """
 
-from repro import compile_source, run_all_detectors
+from repro import api, compile_source
 from repro.mir.interp import ScheduleConfig, explore_schedules, run_program
 from repro.tools.fixes import suggest_fixes
 
@@ -70,7 +70,8 @@ def explore(title: str, source: str) -> None:
 
 def main() -> None:
     print("static findings on the racy version:")
-    report = run_all_detectors(compile_source(RACY))
+    session = api.AnalysisSession()
+    report = session.analyze_compiled(session.compile(RACY))
     for line in report.render().splitlines():
         print("  " + line)
     print("suggested fixes (from the paper's strategy catalogue):")

@@ -34,18 +34,13 @@ Quickstart (the stable facade — one import, three lines)::
     ''')
     print(report.render())
 
-The legacy ``compile_source`` / ``run_all_detectors`` pair still works;
-see DESIGN.md ("Migrating to repro.api") for the mapping.
+``compile_source`` stays the front-end entry point; analyze a program
+compiled that way with ``api.AnalysisSession().analyze_compiled(...)``.
+See DESIGN.md ("Migrating to repro.api") for the mapping.
 """
 
 from repro import obs
-from repro.driver import (
-    CompiledProgram,
-    compile_file,
-    compile_source,
-    run_all_detectors,
-    run_detectors,
-)
+from repro.driver import CompiledProgram, compile_file, compile_source
 from repro.detectors.report import Finding, Report
 
 __version__ = "1.2.0"
@@ -55,8 +50,6 @@ __all__ = [
     "api",
     "compile_file",
     "compile_source",
-    "run_all_detectors",
-    "run_detectors",
     "Finding",
     "Report",
     "obs",

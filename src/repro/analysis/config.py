@@ -1,22 +1,19 @@
 """One frozen, validated configuration object for the whole pipeline.
 
-Before this module existed every layer threaded its own keyword
-arguments: ``interprocedural=`` through :class:`AnalysisContext` and
-:class:`SummaryEngine`, detector lists through ``run_detectors``, and the
-executor would have added ``jobs=`` / ``cache_dir=`` on top.
-:class:`AnalysisConfig` replaces all of them — it is constructed (and
-validated) in exactly one place and handed down unchanged, so a bad
-value fails fast at the API boundary instead of deep inside a solve.
+:class:`AnalysisConfig` carries every knob — the ablation switches, the
+detector selection, the cache settings and the ``jobs`` fan-out.  It is
+constructed (and validated) in exactly one place and handed down
+unchanged through :class:`AnalysisContext` and :class:`SummaryEngine`,
+so a bad value fails fast at the API boundary instead of deep inside a
+solve.
 
-The legacy keyword arguments keep working for one release: call sites
-that still pass ``interprocedural=`` get the behaviour they asked for
-plus a :class:`DeprecationWarning` pointing at the replacement (see
-:func:`coerce_config`).
+``jobs`` is the only parallelism knob: batch entry points fan whole
+files out across that many worker processes, and the summary solve
+itself always runs serially in-process.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -33,14 +30,11 @@ class AnalysisConfig:
       function summary to the bottom element.
     * ``detectors`` — detector names to run (``None`` = the full
       registry); validated against the registry by the API layer.
-    * ``jobs`` — worker fan-out for the executor; ``1`` keeps
-      everything in-process.
-    * ``executor_backend`` — how ``jobs > 1`` fans out: ``"process"``
-      (stateless worker processes, every task ships its MIR),
-      ``"persistent"`` (a fork-server pool whose initializer ships the
-      compiled MIR once; tasks carry only schedules and callee
-      summaries), or ``"thread"`` (same address space, nothing pickled).
-      Findings are byte-identical across all three at any ``jobs``.
+    * ``jobs`` — worker processes for batch entry points
+      (``AnalysisSession.analyze_sources`` and everything built on it):
+      whole files fan out, one file per task.  Analyzing one program
+      never starts a pool, and the summary solve is always serial.
+      Findings are byte-identical at any ``jobs``.
     * ``cache_dir`` / ``use_cache`` — the content-addressed on-disk
       summary cache.  ``cache_dir=None`` disables caching regardless of
       ``use_cache`` (there is nowhere to put it); ``use_cache=False`` is
@@ -75,7 +69,6 @@ class AnalysisConfig:
     interprocedural: bool = True
     detectors: Optional[Tuple[str, ...]] = None
     jobs: int = 1
-    executor_backend: str = "process"
     cache_dir: Optional[str] = None
     use_cache: bool = True
     report_cache: bool = True
@@ -86,18 +79,11 @@ class AnalysisConfig:
     deadlock_cycle_bound: int = 4
     unwind_edges: bool = True
 
-    EXECUTOR_BACKENDS = ("process", "persistent", "thread")
-
     def __post_init__(self) -> None:
         if not isinstance(self.jobs, int) or isinstance(self.jobs, bool) \
                 or self.jobs < 1:
             raise ValueError(
                 f"jobs must be a positive integer, got {self.jobs!r}")
-        if self.executor_backend not in self.EXECUTOR_BACKENDS:
-            raise ValueError(
-                f"executor_backend must be one of "
-                f"{'/'.join(self.EXECUTOR_BACKENDS)}, "
-                f"got {self.executor_backend!r}")
         if not isinstance(self.cache_limit, int) or self.cache_limit < 1:
             raise ValueError(
                 f"cache_limit must be a positive integer, "
@@ -133,27 +119,12 @@ class AnalysisConfig:
         return replace(self, **changes)
 
 
-def coerce_config(config: Optional[AnalysisConfig] = None,
-                  *, interprocedural: Optional[bool] = None,
-                  _owner: str = "this API") -> AnalysisConfig:
-    """Resolve the (new) ``config`` object against (legacy) kwargs.
-
-    ``interprocedural=`` predates :class:`AnalysisConfig`; passing it
-    still works for one release but warns.  A bool in the ``config``
-    position is the old positional ``interprocedural`` argument and gets
-    the same treatment.
-    """
-    if isinstance(config, bool):          # legacy positional call shape
-        interprocedural, config = config, None
+def coerce_config(config: Optional[AnalysisConfig] = None
+                  ) -> AnalysisConfig:
+    """``config``, or the default config for ``None``; anything else
+    is a :class:`TypeError`."""
     if config is not None and not isinstance(config, AnalysisConfig):
         raise TypeError(
             f"config must be an AnalysisConfig, "
             f"got {type(config).__name__}")
-    if interprocedural is not None:
-        warnings.warn(
-            f"passing interprocedural= to {_owner} is deprecated; "
-            f"pass config=AnalysisConfig(interprocedural=...) instead",
-            DeprecationWarning, stacklevel=3)
-        return (config or AnalysisConfig()).with_(
-            interprocedural=interprocedural)
     return config or AnalysisConfig()

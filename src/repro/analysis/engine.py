@@ -20,9 +20,10 @@ already produced — with the same ``analysis.points_to.hit``/``.miss``
 obs counters the old ``AnalysisContext`` cache emitted (miss = first
 request for a body's facts, hit = every repeat).
 
-With ``interprocedural=False`` every summary is the bottom element and
-points-to runs without return summaries — the ablation mode the
-benchmarks use to measure what the interprocedural layer buys.
+With ``AnalysisConfig(interprocedural=False)`` every summary is the
+bottom element and points-to runs without return summaries — the
+ablation mode the benchmarks use to measure what the interprocedural
+layer buys.
 """
 
 from __future__ import annotations
@@ -98,23 +99,18 @@ class SummaryEngine:
     """Computes and caches :class:`FunctionSummary` facts for a program."""
 
     def __init__(self, program: Program,
-                 config: Optional[AnalysisConfig] = None, *,
-                 interprocedural: Optional[bool] = None,
-                 pool=None) -> None:
-        self.config = coerce_config(config, interprocedural=interprocedural,
-                                    _owner="SummaryEngine")
+                 config: Optional[AnalysisConfig] = None) -> None:
+        self.config = coerce_config(config)
         self.program = program
         if self.config.unwind_edges:
-            # Unwind lowering runs before anything scans, fingerprints or
-            # ships a body: every downstream consumer (dataflow, workers,
-            # the summary cache) sees one consistent CFG.  Idempotent, so
-            # a second engine over the same program is a no-op.
+            # Unwind lowering runs before anything scans or fingerprints
+            # a body: every downstream consumer (dataflow, the summary
+            # cache) sees one consistent CFG.  Idempotent, so a second
+            # engine over the same program is a no-op.
             with obs.span("analysis.unwind_lowering"):
                 for body in program.functions.values():
                     ensure_unwind_edges(body)
         self.interprocedural = self.config.interprocedural
-        #: Optionally session-owned worker pool, shared across programs.
-        self._executor_pool = pool
         self._summaries: Dict[str, FunctionSummary] = {}
         self._points_to: Dict[str, PointsTo] = {}
         self._call_graph: Optional[CallGraph] = None
@@ -319,12 +315,10 @@ class SummaryEngine:
         obs.gauge("analysis.intern.size", len(self._intern))
 
     def _solve(self) -> None:
-        # The executor owns scheduling: SCC waves, optional worker-process
-        # fan-out, and the on-disk summary cache.  At jobs=1 with no cache
-        # it degenerates to the classic serial bottom-up solve.
+        # The executor owns the schedule and the on-disk summary cache;
+        # with no cache it is the classic serial bottom-up solve.
         from repro.analysis.executor import AnalysisExecutor
-        AnalysisExecutor(self, self.config,
-                         pool=self._executor_pool).solve()
+        AnalysisExecutor(self, self.config).solve()
 
     def solve_component(self, component: List[str]) -> int:
         """Run the worklist for one SCC against ``self._summaries``.
@@ -333,9 +327,7 @@ class SummaryEngine:
         ``self._summaries`` (the bottom-up invariant).  Member summaries
         and their fixpoint points-to facts are written back in place;
         returns the number of worklist iterations taken.  This is the
-        unit of work the executor fans out: it only touches the member
-        bodies and callee summaries, so a worker process can run it
-        against a skeleton program.
+        unit of work the executor schedules and caches.
 
         Each solve records an ``analysis.scc`` span (head function,
         component size, wall time, iterations) — the per-unit cost
@@ -349,9 +341,9 @@ class SummaryEngine:
 
     def _component_worklist(self, component: List[str]) -> int:
         program = self.program
-        # Cyclicity is decided from the member bodies alone (not the call
-        # graph) so worker processes can solve against a skeleton program
-        # that only carries the component's bodies.
+        # Cyclicity is decided from the member bodies alone: a component
+        # is cyclic when it has several members or its one member calls
+        # itself.
         cyclic = len(component) > 1 or self._calls_self(
             program.functions[component[0]])
         in_progress = frozenset(component) if cyclic else frozenset()
@@ -403,7 +395,7 @@ class SummaryEngine:
         return iterations
 
     def adopt_summaries(self, summaries: Dict[str, FunctionSummary]) -> None:
-        """Install externally computed (worker / cache) summaries."""
+        """Install summaries served by the summary cache."""
         self._summaries.update(summaries)
 
     def _scc_order(self, graph: CallGraph) -> List[List[str]]:

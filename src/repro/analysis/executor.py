@@ -1,31 +1,32 @@
-"""Parallel + incremental execution layer for the summary solve.
+"""Incremental execution layer for the summary solve.
 
 The :class:`~repro.analysis.engine.SummaryEngine` solves the condensed
-call graph bottom-up; this module decides *how* that schedule runs:
+call graph bottom-up; this module runs that schedule in-process and
+keeps its results across runs:
 
-* **Waves** — :func:`repro.analysis.callgraph.wave_partition` groups the
-  SCCs into levels whose members share no edges, so every component in a
-  wave can be solved independently once the previous waves converged.
-* **Fan-out** — with ``config.jobs > 1``, a wave's unsolved components
-  are chunked across a ``ProcessPoolExecutor``.  Workers are stateless:
-  each task carries the member bodies, the program's key set (so callee
-  resolution behaves exactly as in-process) and the already-converged
-  callee summaries, and returns the component summaries.  Results are
-  merged in the original reverse-topological component order, never in
-  completion order, so findings are byte-identical at any worker count.
+* **Serial solve** — components are solved one after another in
+  reverse-topological order.  There is no parallel solve: every SCC of
+  the evaluation corpus is a singleton, and fanning SCC waves out to
+  worker processes or threads lost at every worker count (DESIGN.md §6,
+  "One fan-out: whole files").  The only
+  fan-out left is whole-file, in
+  :meth:`repro.api.AnalysisSession.analyze_sources`.
 * **Incrementality** — a content-addressed on-disk cache
   (:class:`SummaryCache`).  A component's key hashes its members' MIR
   fingerprints plus the *summary* fingerprints of its external callees,
   which gives early cutoff for free: editing a function invalidates its
   own component, and its callers only when its summary actually changed.
-  Corrupted or stale entries are dropped and recomputed, never trusted.
+  :func:`repro.analysis.callgraph.wave_partition` groups the components
+  into levels that share no edges; the cache stores and serves one
+  shard per level.  Corrupted or stale entries are dropped and
+  recomputed, never trusted.
+* **Whole-file reports** — :class:`ReportCache`, the tier above, keys a
+  finished report on the source text and every config field that can
+  change findings.
 
-Obs surface: ``analysis.wave`` spans (one per wave) with the workers'
-``analysis.scc`` solve spans folded back underneath (pid/tid-tagged, so
-``--trace-out`` renders worker timelines side by side),
+Obs surface: ``analysis.wave`` spans (one per cached wave),
 ``analysis.cache.{hit,miss,store,evict,corrupt,stale}`` counters,
-``analysis.executor.{solved,cached}_functions`` totals, per-task
-``executor.pickle_{bytes,seconds}`` and per-entry
+``analysis.executor.{solved,cached}_functions`` totals and per-entry
 ``cache.{read_bytes,deserialize_seconds}`` costs — the numbers the
 incremental-rerun benchmarks, the regression observatory
 (``minirust bench-diff``), and the tests assert on.
@@ -37,9 +38,9 @@ import hashlib
 import os
 import pickle
 import tempfile
-import warnings
+from dataclasses import fields
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro import obs
 from repro.analysis.callgraph import (
@@ -49,30 +50,21 @@ from repro.analysis.config import AnalysisConfig
 from repro.analysis.summaries import (
     FunctionSummary, canonical, summary_fingerprint,
 )
-from repro.mir.nodes import Body, Program
+from repro.mir.nodes import Body
 
 #: On-disk *container* format.  Bump when the shard/index layout
 #: changes: payloads from other formats are recognised as stale and
 #: evicted rather than unpickled into the wrong shape.
 #:
-#: v2: one ``<key>.summary.pkl`` pickle per component,
-#: ``{"format": 2, "summaries": {...}}``.
 #: v3: per-wave shard files (``<hash>.shard.pkl``) holding every
 #: component a wave stored, plus a content-addressed index mapping
-#: component key → shard file.  v2 per-entry files are still *read*
-#: (transparent migration: a hit from one is re-sharded and the old
-#: file retired), never written.
+#: component key → shard file.  Files of the older one-file-per-
+#: component layout (``<key>.summary.pkl``) are never read.
 CACHE_FORMAT = 3
 
-#: Format v2 per-entry payloads carry; the migration reader accepts
-#: exactly this (format-1 bare dicts stay stale).
-LEGACY_CACHE_FORMAT = 2
-
 #: Versions the *component key*, i.e. the summary solve semantics —
-#: separate from the container format so the v3 layout can serve
-#: entries keyed identically to v2 (that is what makes the migration
-#: a cache hit rather than a re-solve storm).  Bump when
-#: ``FunctionSummary`` fields or solve semantics change.
+#: separate from the container format.  Bump when ``FunctionSummary``
+#: fields or solve semantics change.
 SUMMARY_KEY_VERSION = 2
 
 
@@ -82,8 +74,8 @@ def body_fingerprint(body: Body) -> str:
 
     Memoised on the body under an underscore attribute: ``canonical()``
     walks only dataclass fields so the memo can never feed back into the
-    hash, and ``Body.__getstate__`` strips it from pickles (worker
-    payloads, cache entries) like every other piece of derived state.
+    hash, and ``Body.__getstate__`` strips it from pickles like every
+    other piece of derived state.
     """
     fp = body.__dict__.get("_fingerprint")
     if fp is None:
@@ -167,10 +159,7 @@ class SummaryCache:
     entries; removals rename-then-unlink (see :func:`_safe_remove`).
     Any failure to load — unreadable file, truncated pickle, wrong
     payload shape — counts as a miss: the entry is evicted and the
-    component recomputed.  v2 per-entry ``<key>.summary.pkl`` files are
-    still read (the component key never changed, see
-    ``SUMMARY_KEY_VERSION``); hits from them are re-sharded by the
-    caller and the old file retired.
+    component recomputed.
     """
 
     INDEX_NAME = "shards.index.pkl"
@@ -188,9 +177,6 @@ class SummaryCache:
 
     def _shard_path(self, name: str) -> str:
         return os.path.join(self.root, name)
-
-    def _legacy_path(self, key: str) -> str:
-        return os.path.join(self.root, key + ".summary.pkl")
 
     # -- index ---------------------------------------------------------------
 
@@ -296,44 +282,16 @@ class SummaryCache:
             isinstance(k, str) and isinstance(v, FunctionSummary)
             for k, v in summaries.items())
 
-    def _get_legacy(self, key: str):
-        """v2 migration path: one ``<key>.summary.pkl`` per component."""
-        path = self._legacy_path(key)
-        payload = self._read_blob(path)
-        if payload is None:
-            return None
-        if not isinstance(payload, dict):
-            obs.count("analysis.cache.corrupt")
-            _safe_remove(path)
-            return None
-        if payload.get("format") != LEGACY_CACHE_FORMAT:
-            # Format-1 bare dicts (and anything newer/unknown) would
-            # serve summaries missing fields: stale, evict, recompute.
-            obs.count("analysis.cache.stale")
-            _safe_remove(path)
-            return None
-        summaries = payload.get("summaries")
-        if not self._valid_summaries(summaries):
-            obs.count("analysis.cache.corrupt")
-            _safe_remove(path)
-            return None
-        obs.count("analysis.cache.migrated")
-        return summaries
-
     def get_wave(self, ckeys):
         """Serve every cached component of one wave in bulk.
 
-        Returns ``(found, fps, migrated)``: ``found`` maps component
-        key → ``{fn: summary}``, ``fps`` maps component key →
-        ``{fn: summary fingerprint}`` (only for shard entries — legacy
-        entries predate stored fingerprints), and ``migrated`` is the
-        set of keys served from v2 per-entry files, which the caller
-        re-shards and retires.
+        Returns ``(found, fps)``: ``found`` maps component key →
+        ``{fn: summary}`` and ``fps`` maps component key →
+        ``{fn: summary fingerprint}`` where the entry stored them.
         """
         index = self._load_index()
         found: Dict[str, Dict[str, FunctionSummary]] = {}
         fps: Dict[str, Dict[str, str]] = {}
-        migrated = set()
         by_shard: Dict[str, List[str]] = {}
         for ckey in ckeys:
             shard = index.get(ckey)
@@ -356,32 +314,23 @@ class SummaryCache:
                 entry_fps = entry.get("summary_fps")
                 if isinstance(entry_fps, dict):
                     fps[ckey] = entry_fps
-        for ckey in ckeys:
-            if ckey in found:
-                continue
-            legacy = self._get_legacy(ckey)
-            if legacy is not None:
-                found[ckey] = legacy
-                migrated.add(ckey)
-        return found, fps, migrated
+        return found, fps
 
     def get(self, key: str) -> Optional[Dict[str, FunctionSummary]]:
         """Single-component convenience over :meth:`get_wave`."""
-        found, _fps, _migrated = self.get_wave([key])
+        found, _fps = self.get_wave([key])
         return found.get(key)
 
     # -- writes --------------------------------------------------------------
 
-    def put_wave(self, entries, retire=()) -> Optional[str]:
+    def put_wave(self, entries) -> Optional[str]:
         """Store one wave's components as a single shard file.
 
         ``entries`` maps component key → ``(summaries, summary_fps)``.
         The shard name is content-addressed from the component keys it
         holds, so re-storing the same wave replaces (atomically) rather
-        than duplicates.  ``retire`` lists migrated v2 keys whose
-        per-entry files are unlinked now that their contents live in a
-        shard.  Returns the shard file name (``None`` if nothing was
-        written).
+        than duplicates.  Returns the shard file name (``None`` if
+        nothing was written).
         """
         if not entries:
             return None
@@ -401,8 +350,6 @@ class SummaryCache:
         for ckey in entries:
             index[ckey] = name
         self._write_index()
-        for ckey in retire:
-            _safe_remove(self._legacy_path(ckey))
         self._evict_over_limit()
         return name
 
@@ -428,7 +375,19 @@ class SummaryCache:
 
 #: Bump when the report payload or detector semantics the report tier
 #: cannot observe through its key change shape.
-REPORT_CACHE_FORMAT = 1
+#:
+#: v2: the key covers every finding-relevant config field (v1 left out
+#: ``unwind_edges``, ``deadlock_cycle_bound`` and ``seed``, so a report
+#: cached under one setting was served under another).
+REPORT_CACHE_FORMAT = 2
+
+#: :class:`AnalysisConfig` fields that only say how or where to run.
+#: Every other field can change findings, so the report key covers it.
+EXECUTION_FIELDS = frozenset(
+    {"jobs", "cache_dir", "use_cache", "report_cache", "cache_limit"})
+
+_REPORT_KEY_FIELDS = tuple(f.name for f in fields(AnalysisConfig)
+                           if f.name not in EXECUTION_FIELDS)
 
 #: Shard/report caps share one knob (``config.cache_limit``); reports
 #: are small, so the report tier keeps a generous fixed multiple.
@@ -441,8 +400,9 @@ class ReportCache:
     The summary cache saves the *solve*; it cannot save the compile or
     the detector walks, which dominate a warm corpus audit.  This tier
     keys the finished detector :class:`~repro.detectors.report.Report`
-    on the source text plus every config knob that can change findings,
-    so an unchanged file skips the front end entirely.  Same atomicity
+    on the source text plus every config field outside
+    :data:`EXECUTION_FIELDS`, so an unchanged file skips the front end
+    entirely.  Same atomicity
     and corruption discipline as :class:`SummaryCache`.
     """
 
@@ -458,8 +418,8 @@ class ReportCache:
         h = hashlib.sha256()
         h.update(f"repro-report-cache-v{REPORT_CACHE_FORMAT}"
                  f":schema{SCHEMA_VERSION}\x00".encode())
-        knobs = (config.interprocedural, config.detectors,
-                 config.emit_bounds_checks, config.audit_unsafe)
+        knobs = tuple((name, getattr(config, name))
+                      for name in _REPORT_KEY_FIELDS)
         h.update(repr(knobs).encode())
         h.update(b"\x00")
         h.update(name.encode())
@@ -498,137 +458,16 @@ class ReportCache:
 
 
 # ---------------------------------------------------------------------------
-# Worker side
-# ---------------------------------------------------------------------------
-
-class _SkeletonFunctions(dict):
-    """``program.functions`` stand-in for workers: full key membership,
-    bodies only for the components being solved."""
-
-    def __init__(self, all_keys, bodies) -> None:
-        super().__init__(bodies)
-        self._all_keys = all_keys
-
-    def __contains__(self, key) -> bool:
-        return key in self._all_keys or dict.__contains__(self, key)
-
-
-def _solve_components(program: Program, comps, callee_summaries):
-    """Solve independent components on a fresh engine; shared by every
-    worker flavour.  Returns ``(results, iterations)`` with results
-    mapping scc_id → {fn key: summary} in component order."""
-    from repro.analysis.engine import SummaryEngine
-
-    engine = SummaryEngine(program)
-    engine.adopt_summaries(callee_summaries)
-    results: Dict[int, Dict[str, FunctionSummary]] = {}
-    iterations = 0
-    for scc_id, component in comps:
-        iterations += engine.solve_component(component)
-        results[scc_id] = {key: engine._summaries[key]
-                           for key in component}
-    return results, iterations
-
-
-def _solve_chunk(payload: bytes) -> bytes:
-    """Solve a chunk of independent components in a worker process.
-
-    The payload is explicitly pickled on both legs so the task stays a
-    plain bytes → bytes function regardless of executor implementation.
-    Returns ``(results, iterations, counters, histograms, spans)`` where
-    results maps scc_id → {fn key: summary} in component order and
-    ``spans`` is the worker collector's root-span forest (pid/tid-tagged
-    ``analysis.scc`` trees the main process re-parents under the owning
-    ``analysis.wave`` span).
-    """
-    comps, bodies, all_keys, callee_summaries = pickle.loads(payload)
-    program = Program(functions=_SkeletonFunctions(all_keys, bodies))
-    with obs.collecting("executor-worker") as collector:
-        results, iterations = _solve_components(
-            program, comps, callee_summaries)
-    return pickle.dumps(
-        (results, iterations, dict(collector.counters),
-         dict(collector.histograms), list(collector.roots)),
-        protocol=pickle.HIGHEST_PROTOCOL)
-
-
-#: The persistent (fork-server) worker's compiled program, installed
-#: once per worker by the pool initializer.  Tasks then carry only the
-#: component lists and converged callee summaries — the MIR bodies that
-#: dominate the per-task pickle bill under the stateless backend ship
-#: exactly once per worker instead of once per chunk.
-_PERSISTENT_PROGRAM: Optional[Program] = None
-
-
-def _persistent_init(payload: bytes) -> None:
-    global _PERSISTENT_PROGRAM
-    bodies, all_keys = pickle.loads(payload)
-    _PERSISTENT_PROGRAM = Program(
-        functions=_SkeletonFunctions(all_keys, bodies))
-
-
-def _solve_chunk_persistent(payload: bytes) -> bytes:
-    """Persistent-worker task: like :func:`_solve_chunk`, but the
-    program comes from the initializer-installed module global."""
-    comps, callee_summaries = pickle.loads(payload)
-    program = _PERSISTENT_PROGRAM
-    if program is None:          # initializer failed: impossible to solve
-        raise RuntimeError("persistent worker has no program installed")
-    with obs.collecting("executor-worker") as collector:
-        results, iterations = _solve_components(
-            program, comps, callee_summaries)
-    return pickle.dumps(
-        (results, iterations, dict(collector.counters),
-         dict(collector.histograms), list(collector.roots)),
-        protocol=pickle.HIGHEST_PROTOCOL)
-
-
-# ---------------------------------------------------------------------------
-# Main-process executor
+# Executor
 # ---------------------------------------------------------------------------
 
 class AnalysisExecutor:
-    """Schedules one engine's summary solve over waves of SCCs."""
+    """Runs one engine's summary solve, through the summary cache when
+    the config enables it."""
 
-    def __init__(self, engine, config: AnalysisConfig,
-                 pool=None) -> None:
+    def __init__(self, engine, config: AnalysisConfig) -> None:
         self.engine = engine
         self.config = config
-        if config.executor_backend == "persistent":
-            # A persistent pool is program-specific (its initializer
-            # ships this engine's MIR): a session-shared pool cannot be
-            # reused, so the executor always owns one.
-            pool = None
-        self._pool = pool          # optionally session-owned, shared
-        self._owns_pool = pool is None
-        self._pool_broken = False
-
-    # -- pool management ----------------------------------------------------
-
-    def _ensure_pool(self):
-        if self._pool is not None or self._pool_broken:
-            return self._pool
-        backend = self.config.executor_backend
-        if backend == "persistent":
-            program = self.engine.program
-            started = perf_counter()
-            payload = pickle.dumps(
-                (dict(program.functions), frozenset(program.functions)),
-                protocol=pickle.HIGHEST_PROTOCOL)
-            _record_pickle_cost(len(payload), perf_counter() - started)
-            self._pool = create_pool(self.config.jobs, backend="persistent",
-                                     initializer=_persistent_init,
-                                     initargs=(payload,))
-        else:
-            self._pool = create_pool(self.config.jobs, backend=backend)
-        if self._pool is None:
-            self._pool_broken = True
-        return self._pool
-
-    def _close_pool(self) -> None:
-        if self._owns_pool and self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
     # -- cache keying --------------------------------------------------------
 
@@ -660,264 +499,68 @@ class AnalysisExecutor:
 
     def solve(self) -> None:
         engine = self.engine
-        program = engine.program
         graph = engine.call_graph
-        components = scc_order(program, graph)
+        components = scc_order(engine.program, graph)
         obs.gauge("analysis.summaries.sccs", len(components))
-        waves = wave_partition(components, graph, program)
-        obs.gauge("analysis.executor.waves", len(waves))
-
-        cache: Optional[SummaryCache] = None
         if self.config.caching_enabled:
-            cache = SummaryCache(self.config.cache_dir,
-                                 self.config.cache_limit)
+            iterations, solved, cached = self._solve_cached(components, graph)
+        else:
+            # Uncached: the classic bottom-up solve.
+            iterations = solved = cached = 0
+            for component in components:
+                iterations += engine.solve_component(component)
+                solved += len(component)
+        obs.count("analysis.summaries.iterations", iterations)
+        obs.count("analysis.executor.solved_functions", solved)
+        obs.count("analysis.executor.cached_functions", cached)
+
+    def _solve_cached(self, components: List[List[str]], graph):
+        """Bottom-up solve through the summary cache, one wave at a
+        time: waves share no edges, so each is one bulk cache read and
+        one shard write.  Returns ``(iterations, solved functions,
+        cached functions)``."""
+        engine = self.engine
+        cache = SummaryCache(self.config.cache_dir, self.config.cache_limit)
+        waves = wave_partition(components, graph, engine.program)
+        obs.gauge("analysis.executor.waves", len(waves))
         body_fps: Dict[str, str] = {}
         summary_fps: Dict[str, str] = {}
-        total_iterations = 0
-        solved_functions = 0
-        cached_functions = 0
-
-        if cache is None and self.config.jobs == 1:
-            # Serial, uncached: the classic bottom-up solve.  Waves add
-            # nothing here (no fan-out to schedule, no cache keys to
-            # batch), so skip the per-wave bookkeeping — measurably
-            # faster on corpora of many small programs.
-            for component in components:
-                total_iterations += engine.solve_component(component)
-                solved_functions += len(component)
-            obs.count("analysis.summaries.iterations", total_iterations)
-            obs.count("analysis.executor.solved_functions",
-                      solved_functions)
-            obs.count("analysis.executor.cached_functions", 0)
-            return
-
-        try:
-            for wave_index, wave in enumerate(waves):
-                with obs.span("analysis.wave", index=wave_index,
-                              sccs=len(wave)):
-                    pending: List[Tuple[int, List[str], Optional[str]]] = []
-                    wave_entries: Dict[str, Tuple[Dict[str, FunctionSummary],
-                                                  Dict[str, str]]] = {}
-                    retire = set()
-                    ckeys: Dict[int, str] = {}
-                    found: Dict[str, Dict[str, FunctionSummary]] = {}
-                    fps_map: Dict[str, Dict[str, str]] = {}
-                    migrated = set()
-                    if cache is not None:
-                        for scc_id in wave:
-                            ckeys[scc_id] = self._component_key(
-                                components[scc_id], graph, body_fps,
-                                summary_fps)
-                        # One bulk lookup per wave: typically a single
-                        # index consult + one shard read.
-                        found, fps_map, migrated = cache.get_wave(
-                            sorted(set(ckeys.values())))
-                    for scc_id in wave:
-                        component = components[scc_id]
-                        ckey = ckeys.get(scc_id)
-                        if cache is not None:
-                            hit = found.get(ckey)
-                            if hit is not None \
-                                    and set(hit) == set(component):
-                                obs.count("analysis.cache.hit")
-                                cached_functions += len(component)
-                                engine.adopt_summaries(hit)
-                                entry_fps = fps_map.get(ckey)
-                                if entry_fps is None or \
-                                        set(entry_fps) != set(component):
-                                    entry_fps = {
-                                        key: summary_fingerprint(hit[key])
-                                        for key in component}
-                                summary_fps.update(entry_fps)
-                                if ckey in migrated:
-                                    # v2 entry: re-shard it so the next
-                                    # warm run reads it with its wave.
-                                    wave_entries[ckey] = (dict(hit),
-                                                          dict(entry_fps))
-                                    retire.add(ckey)
-                                continue
-                            obs.count("analysis.cache.miss")
-                        pending.append((scc_id, component, ckey))
-
-                    results, iterations = self._solve_pending(pending, graph)
-                    total_iterations += iterations
-                    # Merge strictly in reverse-topological component
-                    # order — independent of worker completion order.
-                    for scc_id, component, ckey in pending:
-                        summaries = results[scc_id]
-                        solved_functions += len(component)
-                        engine.adopt_summaries(
-                            {key: summaries[key] for key in component})
-                        if cache is not None:
-                            entry_fps = {
-                                key: summary_fingerprint(summaries[key])
-                                for key in component}
-                            summary_fps.update(entry_fps)
-                            wave_entries[ckey] = (
-                                {key: summaries[key] for key in component},
-                                entry_fps)
-                    if cache is not None and wave_entries:
-                        cache.put_wave(wave_entries, retire=retire)
-        finally:
-            self._close_pool()
-        obs.count("analysis.summaries.iterations", total_iterations)
-        obs.count("analysis.executor.solved_functions", solved_functions)
-        obs.count("analysis.executor.cached_functions", cached_functions)
-
-    def _solve_pending(self, pending, graph):
-        """Solve a wave's unsatisfied components; returns
-        ``({scc_id: {key: summary}}, iterations)``."""
-        engine = self.engine
-        results: Dict[int, Dict[str, FunctionSummary]] = {}
-        iterations = 0
-        pool = None
-        if self.config.jobs > 1 and len(pending) > 1:
-            pool = self._ensure_pool()
-        if pool is None:
-            for scc_id, component, _ckey in pending:
-                iterations += engine.solve_component(component)
-                results[scc_id] = {key: engine._summaries[key]
-                                   for key in component}
-            return results, iterations
-
-        program = engine.program
-        backend = self.config.executor_backend
-        chunks = _chunk(pending, self.config.jobs)
-
-        def chunk_inputs(chunk):
-            comps = [(scc_id, component) for scc_id, component, _ in chunk]
-            callees = set()
-            for _, component, _ in chunk:
-                callees |= component_callees(component, graph, program)
-            callee_summaries = {key: engine._summaries[key]
-                                for key in sorted(callees)
-                                if key in engine._summaries}
-            return comps, callee_summaries
-
-        if backend == "thread":
-            # Same address space: no payloads to pickle at all.  Each
-            # task still solves on its own engine (mirroring process
-            # isolation) and results merge in component order, so
-            # findings stay byte-identical with every other backend.
-            futures = []
-            for chunk in chunks:
-                comps, callee_summaries = chunk_inputs(chunk)
-                obs.count("executor.tasks")
-                futures.append(pool.submit(
-                    _solve_components, program, comps, callee_summaries))
-            for future in futures:
-                chunk_results, chunk_iterations = future.result()
-                results.update(chunk_results)
-                iterations += chunk_iterations
-            return results, iterations
-
-        all_keys = frozenset(program.functions)
-        futures = []
-        for chunk in chunks:
-            comps, callee_summaries = chunk_inputs(chunk)
-            if backend == "persistent":
-                # MIR already lives in the workers (pool initializer);
-                # ship only the schedule and converged callee facts.
-                task, args = _solve_chunk_persistent, \
-                    (comps, callee_summaries)
-            else:
-                bodies = {key: program.functions[key]
-                          for _, component, _ in chunk for key in component}
-                task, args = _solve_chunk, \
-                    (comps, bodies, all_keys, callee_summaries)
-            started = perf_counter()
-            payload = pickle.dumps(args, protocol=pickle.HIGHEST_PROTOCOL)
-            _record_pickle_cost(len(payload), perf_counter() - started)
-            obs.count("executor.tasks")
-            futures.append(pool.submit(task, payload))
-        for future in futures:
-            blob = future.result()
-            started = perf_counter()
-            chunk_results, chunk_iterations, counters, histograms, \
-                spans = pickle.loads(blob)
-            _record_pickle_cost(len(blob), perf_counter() - started)
-            results.update(chunk_results)
-            iterations += chunk_iterations
-            _merge_worker_obs(counters, histograms, spans)
-        return results, iterations
-
-
-def _chunk(items: List, jobs: int) -> List[List]:
-    """Split ``items`` into at most ``2 * jobs`` contiguous chunks —
-    enough slices for load balancing without drowning small waves in
-    per-task pickling overhead."""
-    if not items:
-        return []
-    target = max(1, min(len(items), 2 * jobs))
-    size = (len(items) + target - 1) // target
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
-def _merge_counters(counters: Dict[str, float]) -> None:
-    """Fold a worker's obs counters into the installed collector (if
-    any), so ``--profile`` stays truthful under fan-out."""
-    for name, value in sorted(counters.items()):
-        obs.count(name, value)
-
-
-def _record_pickle_cost(nbytes: int, seconds: float) -> None:
-    """Per-task serialisation overhead — the suspected culprit behind
-    the fan-out regression (BENCH_parallel speedup < 1), now measured:
-    totals as counters, per-task distribution as a histogram."""
-    obs.count("executor.pickle_bytes", nbytes)
-    obs.count("executor.pickle_seconds", seconds)
-    obs.observe("executor.pickle_seconds", seconds)
-
-
-def _merge_worker_obs(counters: Dict[str, float], histograms,
-                      spans) -> None:
-    """Fold one worker task's full obs payload — counters, histograms,
-    and the pid/tid-tagged span forest — into the installed collector.
-
-    Spans are re-parented under the currently open span (the owning
-    ``analysis.wave``), so a trace shows every worker's solve timeline
-    side by side inside the wave that scheduled it.
-    """
-    _merge_counters(counters)
-    collector = obs.get_collector()
-    if collector is None:
-        return
-    for name, histogram in sorted(histograms.items()):
-        collector.merge_histogram(name, histogram)
-    collector.adopt_spans(spans)
-
-
-def create_pool(jobs: int, backend: str = "process",
-                initializer=None, initargs=()):
-    """A worker pool for ``backend``, or ``None`` when the platform
-    cannot give us one (no fork support, locked-down semaphores, …) —
-    callers degrade to in-process solving.
-
-    * ``"process"`` — stateless ``ProcessPoolExecutor`` workers.
-    * ``"persistent"`` — same pool class, but ``initializer`` runs once
-      per worker (the fork-server shape: compiled MIR ships once).
-    * ``"thread"`` — ``ThreadPoolExecutor``; always available.
-    """
-    if backend == "thread":
-        from concurrent.futures import ThreadPoolExecutor
-        return ThreadPoolExecutor(max_workers=jobs,
-                                  thread_name_prefix="repro-exec")
-    try:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:           # platform without fork
-            context = multiprocessing.get_context()
-        pool = ProcessPoolExecutor(max_workers=jobs, mp_context=context,
-                                   initializer=initializer,
-                                   initargs=initargs)
-        # Fail fast (and fall back) when process start is forbidden.
-        pool.submit(int, 0).result()
-        return pool
-    except Exception as exc:
-        warnings.warn(f"{backend} pool unavailable ({exc!r}); "
-                      f"running jobs=1 in-process", RuntimeWarning,
-                      stacklevel=2)
-        obs.count("analysis.executor.pool_unavailable")
-        return None
+        iterations = solved = cached = 0
+        for wave_index, wave in enumerate(waves):
+            with obs.span("analysis.wave", index=wave_index,
+                          sccs=len(wave)):
+                ckeys = {scc_id: self._component_key(
+                             components[scc_id], graph, body_fps,
+                             summary_fps)
+                         for scc_id in wave}
+                # One bulk lookup per wave: typically a single index
+                # consult + one shard read.
+                found, fps_map = cache.get_wave(sorted(set(ckeys.values())))
+                wave_entries: Dict[str, tuple] = {}
+                for scc_id in wave:
+                    component = components[scc_id]
+                    ckey = ckeys[scc_id]
+                    hit = found.get(ckey)
+                    if hit is not None and set(hit) == set(component):
+                        obs.count("analysis.cache.hit")
+                        cached += len(component)
+                        engine.adopt_summaries(hit)
+                        entry_fps = fps_map.get(ckey)
+                        if entry_fps is None or \
+                                set(entry_fps) != set(component):
+                            entry_fps = {key: summary_fingerprint(hit[key])
+                                         for key in component}
+                        summary_fps.update(entry_fps)
+                        continue
+                    obs.count("analysis.cache.miss")
+                    iterations += engine.solve_component(component)
+                    solved += len(component)
+                    summaries = {key: engine._summaries[key]
+                                 for key in component}
+                    entry_fps = {key: summary_fingerprint(summaries[key])
+                                 for key in component}
+                    summary_fps.update(entry_fps)
+                    wave_entries[ckey] = (summaries, entry_fps)
+                if wave_entries:
+                    cache.put_wave(wave_entries)
+        return iterations, solved, cached

@@ -13,13 +13,20 @@ schema" section of DESIGN.md).
 
 For anything beyond a one-shot call, use an :class:`AnalysisSession`: it
 owns one validated :class:`~repro.analysis.config.AnalysisConfig`, one
-worker-process pool (reused across every program it analyzes), and the
-connection to the on-disk summary cache — so a service analyzing a
-stream of files pays pool start-up once and shares incremental state::
+worker-process pool (reused across every batch it analyzes), and the
+connection to the on-disk caches — so a service analyzing a stream of
+files pays pool start-up once and shares incremental state::
 
     with api.AnalysisSession(api.AnalysisConfig(jobs=4,
                                                 cache_dir=".repro-cache")) as s:
         reports = s.analyze_files(paths)
+
+``jobs`` fans *whole files* out across worker processes, one file per
+task; that is the only fan-out.  Each program's summary solve runs
+serially in one process, and :meth:`AnalysisSession.analyze` of a
+single program never starts a pool.  Fanning SCC waves of one program
+out to workers lost at every worker count on the evaluation corpus
+(DESIGN.md §6, "One fan-out: whole files").
 
 Everything the CLI's ``check`` / ``detectors`` / ``explain`` subcommands
 do goes through this module; the CLI is a thin argument-parsing client.
@@ -31,6 +38,7 @@ import gc
 import os
 import pickle
 import threading
+import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -136,11 +144,11 @@ class _CollectorPause:
     and a collection during an operation would only re-walk a large,
     live heap.  The collector's switch is process-wide, so there is one
     pause per process: entries nest (a session call inside a paused
-    call, worker threads inside a paused batch) and only the outermost
-    exit restores the state seen by the outermost entry.  A caller that
-    had the collector off keeps it off.  A child forked while a pause is
-    open starts with no pause open and the collector state of the
-    parent's caller, so pool workers are never left with it off for good.
+    call) and only the outermost exit restores the state seen by the
+    outermost entry.  A caller that had the collector off keeps it off.
+    A child forked while a pause is open starts with no pause open and
+    the collector state of the parent's caller, so pool workers are
+    never left with it off for good.
     """
 
     def __init__(self) -> None:
@@ -187,7 +195,7 @@ def _compile_and_detect(name: str, text: str,
 
 
 def _analyze_task(payload: bytes) -> bytes:
-    """Worker-side whole-file analysis (compile + detect, jobs=1).
+    """Worker-side whole-file analysis (compile + detect).
 
     The worker's obs payload — counters, histograms, and its span forest
     (compile/detector/solve timelines, pid/tid-tagged) — rides back with
@@ -202,30 +210,62 @@ def _analyze_task(payload: bytes) -> bytes:
         protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _analyze_source_inproc(name: str, text: str, config: AnalysisConfig):
-    """Thread-backend whole-file task: same work as :func:`_analyze_task`
-    but in the session's address space — nothing pickled, and metrics
-    land directly in the installed (thread-safe) collector instead of
-    riding back in a payload."""
-    with _collector_paused:
-        return _compile_and_detect(name, text, config)
+def _merge_worker_obs(counters: Dict[str, float], histograms,
+                      spans) -> None:
+    """Fold one worker task's full obs payload — counters, histograms,
+    and the pid/tid-tagged span forest — into the installed collector,
+    so ``--profile`` and ``--trace-out`` stay truthful under fan-out.
+
+    Spans are re-parented under the currently open span (the batch's
+    ``analysis.fanout``), so a trace shows every worker's timeline side
+    by side inside the batch that scheduled it.
+    """
+    for name, value in sorted(counters.items()):
+        obs.count(name, value)
+    collector = obs.get_collector()
+    if collector is None:
+        return
+    for name, histogram in sorted(histograms.items()):
+        collector.merge_histogram(name, histogram)
+    collector.adopt_spans(spans)
+
+
+def create_pool(jobs: int):
+    """A ``ProcessPoolExecutor`` of ``jobs`` workers, or ``None`` when
+    the platform cannot give us one (no fork support, locked-down
+    semaphores, …) — callers then analyze in-process."""
+    try:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:           # platform without fork
+            context = multiprocessing.get_context()
+        pool = ProcessPoolExecutor(max_workers=jobs, mp_context=context)
+        # Fail fast (and fall back) when process start is forbidden.
+        pool.submit(int, 0).result()
+        return pool
+    except Exception as exc:
+        warnings.warn(f"process pool unavailable ({exc!r}); "
+                      f"running jobs=1 in-process", RuntimeWarning,
+                      stacklevel=2)
+        obs.count("analysis.executor.pool_unavailable")
+        return None
 
 
 class AnalysisSession:
-    """One validated config + one reusable executor runtime.
+    """One validated config + one reusable worker pool.
 
-    The session owns the worker pool (created lazily on the first
-    parallel call, shut down by :meth:`close` / the context manager) and
-    hands it to every engine it creates, so consecutive analyses — a
-    corpus sweep, a watch loop, a server — never pay pool start-up
-    twice.  All entry points are deterministic: results come back in
-    input order with findings byte-identical at any ``jobs`` value.
+    The session owns the worker pool (created lazily on the first batch
+    with more than one file to analyze, shut down by :meth:`close` / the
+    context manager), so consecutive batches — a corpus sweep, a watch
+    loop, a server — never pay pool start-up twice.  All entry points
+    are deterministic: results come back in input order with findings
+    byte-identical at any ``jobs`` value.
     """
 
-    def __init__(self, config: Optional[AnalysisConfig] = None, *,
-                 interprocedural: Optional[bool] = None) -> None:
-        self.config = coerce_config(config, interprocedural=interprocedural,
-                                    _owner="AnalysisSession")
+    def __init__(self, config: Optional[AnalysisConfig] = None) -> None:
+        self.config = coerce_config(config)
         if self.config.detectors is not None:
             # Fail on unknown names at session construction, not mid-run.
             _resolve_detector_arg(self.config.detectors)
@@ -252,14 +292,8 @@ class AnalysisSession:
             raise RuntimeError("AnalysisSession is closed")
         if self._pool is None and not self._pool_attempted \
                 and self.config.jobs > 1:
-            from repro.analysis.executor import create_pool
             self._pool_attempted = True
-            # Whole-file fan-out has no single compiled program to ship,
-            # so the persistent backend behaves like "process" here; the
-            # wave-level executor builds its own initialised pool.
-            backend = "thread" \
-                if self.config.executor_backend == "thread" else "process"
-            self._pool = create_pool(self.config.jobs, backend=backend)
+            self._pool = create_pool(self.config.jobs)
         return self._pool
 
     def _report_cache(self):
@@ -276,9 +310,9 @@ class AnalysisSession:
                 detectors=None) -> AnalysisReport:
         """Compile and analyze one program (path or source text).
 
-        The engine-level executor fans SCC waves out across the
-        session's pool when ``config.jobs > 1``.  The cyclic collector
-        is paused for the call (see :class:`_CollectorPause`).
+        Runs in-process at any ``config.jobs``: one program is one
+        task.  The cyclic collector is paused for the call (see
+        :class:`_CollectorPause`).
         """
         resolved_name, text = _load(source_or_path, name)
         with _collector_paused:
@@ -296,10 +330,11 @@ class AnalysisSession:
     def analyze_compiled(self, compiled: CompiledProgram, *,
                          detectors=None) -> AnalysisReport:
         from repro.detectors.registry import run_detectors
-        pool = self._ensure_pool()
+        if self._closed:
+            raise RuntimeError("AnalysisSession is closed")
         report = run_detectors(
             compiled.program, detectors=_resolve_detector_arg(detectors),
-            source=compiled.source, config=self.config, pool=pool)
+            source=compiled.source, config=self.config)
         return AnalysisReport(name=compiled.source.name, report=report,
                               config=self.config)
 
@@ -312,10 +347,10 @@ class AnalysisSession:
         consulted first: an unchanged ``(name, text)`` pair under the
         same config serves its finished report without compiling at
         all.  Only the misses fan out.  Each worker compiles and
-        analyzes one program with an in-process engine (no nested
-        pools) but shares the summary cache directory.  Results arrive
-        in input order; worker obs counters fold into the installed
-        collector.  The cyclic collector is paused for the call (see
+        analyzes one program with a serial in-process solve and shares
+        the summary cache directory.  Results arrive in input order;
+        worker obs counters fold into the installed collector.  The
+        cyclic collector is paused for the call (see
         :class:`_CollectorPause`).
         """
         with _collector_paused:
@@ -356,32 +391,24 @@ class AnalysisSession:
                 name, text = named_sources[i]
                 results[i] = self.analyze_compiled(
                     self.compile(text, name=name), detectors=detectors)
-        elif self.config.executor_backend == "thread":
-            worker_config = self.config.with_(jobs=1)
-            futures = [
-                pool.submit(_analyze_source_inproc, named_sources[i][0],
-                            named_sources[i][1], worker_config)
-                for i in misses]
-            for i, future in zip(misses, futures):
-                results[i] = AnalysisReport(
-                    name=named_sources[i][0], report=future.result(),
-                    config=self.config)
         else:
-            worker_config = self.config.with_(jobs=1)
-            futures = [
-                pool.submit(_analyze_task, pickle.dumps(
-                    (named_sources[i][0], named_sources[i][1],
-                     worker_config),
-                    protocol=pickle.HIGHEST_PROTOCOL))
-                for i in misses]
-            from repro.analysis.executor import _merge_worker_obs
-            for i, future in zip(misses, futures):
-                report, counters, histograms, spans = \
-                    pickle.loads(future.result())
-                _merge_worker_obs(counters, histograms, spans)
-                results[i] = AnalysisReport(
-                    name=named_sources[i][0], report=report,
-                    config=self.config)
+            # Worker spans fold back under this one, so a trace shows
+            # the files' timelines side by side inside the batch.
+            with obs.span("analysis.fanout", files=len(misses),
+                          jobs=self.config.jobs):
+                futures = [
+                    pool.submit(_analyze_task, pickle.dumps(
+                        (named_sources[i][0], named_sources[i][1],
+                         self.config),
+                        protocol=pickle.HIGHEST_PROTOCOL))
+                    for i in misses]
+                for i, future in zip(misses, futures):
+                    report, counters, histograms, spans = \
+                        pickle.loads(future.result())
+                    _merge_worker_obs(counters, histograms, spans)
+                    results[i] = AnalysisReport(
+                        name=named_sources[i][0], report=report,
+                        config=self.config)
         if rcache is not None:
             for i in misses:
                 rcache.put(keys[i], results[i].report)
@@ -441,7 +468,7 @@ def lock_graph(source_or_path: SourceOrPath, *,
     assigned pairwise-distinct threads, each with witness hold/want
     chains.
     """
-    config = coerce_config(config, _owner="lock_graph")
+    config = coerce_config(config)
     resolved_name, text = _load(source_or_path, name)
     compiled = compile_source(
         text, name=resolved_name,

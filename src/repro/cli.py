@@ -3,8 +3,7 @@
 Subcommands::
 
     minirust check FILE... [--detector NAME]... [--json] [--profile]
-                           [--jobs N] [--executor-backend B]
-                           [--cache-dir DIR] [--no-cache]
+                           [--jobs N] [--cache-dir DIR] [--no-cache]
                            [--deadlock-cycle-bound N]
                            [--trace-out T.json] [--flame-out F.folded]
                                                run static detectors
@@ -21,10 +20,15 @@ Subcommands::
                         [--enforce REGEX]      (contract metrics exit 1
                                                even under --warn)
 
+``--jobs N`` (on ``check``, ``explain``, ``audit-unsafe`` and
+``corpus``) fans whole files out across N worker processes; each file's
+summary solve runs serially, and findings are identical at any N.
+
 ``--trace-out`` (also on ``audit-unsafe`` and ``corpus``) writes a
-Chrome-trace/Perfetto timeline of the whole command — including worker
-processes' solve spans re-parented under their waves; ``--flame-out``
-writes folded flamegraph stacks from the same span tree.
+Chrome-trace/Perfetto timeline of the whole command — including the
+worker processes' per-file spans, re-parented into the main process's
+tree; ``--flame-out`` writes folded flamegraph stacks from the same span
+tree.
 
 Exit codes are uniform: 0 clean, 1 findings / failed run, 2 usage or
 compile error.
@@ -38,9 +42,7 @@ import sys
 from typing import List, Optional
 
 from repro import obs
-from repro.driver import (
-    compile_file, compile_source, run_all_detectors, run_detectors,
-)
+from repro.driver import compile_file
 from repro.lang.diagnostics import CompileError
 
 
@@ -51,7 +53,6 @@ def _analysis_config(args):
     return AnalysisConfig(
         detectors=detector_names,
         jobs=getattr(args, "jobs", 1),
-        executor_backend=getattr(args, "executor_backend", "process"),
         cache_dir=getattr(args, "cache_dir", None),
         use_cache=not getattr(args, "no_cache", False),
         unwind_edges=not getattr(args, "no_unwind_edges", False),
@@ -141,8 +142,10 @@ def _cmd_stats(args) -> int:
     collector = obs.get_collector() or obs.install("minirust-stats")
     top = args.top if args.top is not None else 5
     try:
+        from repro.api import AnalysisSession
         compiled = compile_file(args.file)
-        report = run_all_detectors(compiled)
+        with AnalysisSession() as session:
+            report = session.analyze_compiled(compiled)
         if args.run:
             from repro.mir.interp import ScheduleConfig, run_program
             run_program(compiled.program, schedule=ScheduleConfig())
@@ -368,15 +371,10 @@ def _cmd_corpus(args) -> int:
     return 0
 
 
-def _add_backend_flag(p: argparse.ArgumentParser) -> None:
-    """``--executor-backend`` for the commands that run the analysis
-    pipeline; findings are byte-identical across backends."""
-    p.add_argument("--executor-backend", default="process",
-                   choices=["process", "persistent", "thread"],
-                   dest="executor_backend",
-                   help="how --jobs fans out: stateless worker "
-                        "processes, a persistent fork-server pool "
-                        "(MIR ships once), or threads")
+#: ``--jobs`` help, shared by every command that runs the pipeline.
+JOBS_HELP = ("worker processes; whole files fan out, one per task, and "
+             "each file's solve stays serial (findings are identical at "
+             "any N)")
 
 
 def _add_unwind_flag(p: argparse.ArgumentParser) -> None:
@@ -420,8 +418,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--profile", action="store_true",
                    help="print the phase/detector timing tree")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes for the analysis executor "
-                        "(findings are identical at any N)")
+                   help=JOBS_HELP)
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="content-addressed summary cache directory; warm "
                         "runs re-solve only changed functions")
@@ -432,7 +429,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="longest lock-graph cycle the deadlock detector "
                         "searches for (default 4; real-world deadlocks "
                         "involve 2-3 locks)")
-    _add_backend_flag(p)
     _add_unwind_flag(p)
     _add_trace_flags(p)
     p.set_defaults(func=_cmd_check)
@@ -447,10 +443,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("files", nargs="+", metavar="FILE")
     p.add_argument("--detector", "--detectors", action="append",
                    default=[], dest="detector")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help=JOBS_HELP)
     p.add_argument("--cache-dir", default=None, metavar="DIR")
     p.add_argument("--no-cache", action="store_true")
-    _add_backend_flag(p)
     _add_unwind_flag(p)
     p.set_defaults(func=_cmd_explain)
 
@@ -492,10 +488,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--json", action="store_true",
                    help="emit the schema-versioned audit payload as JSON")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes (output identical at any N)")
+                   help=JOBS_HELP)
     p.add_argument("--cache-dir", default=None, metavar="DIR")
     p.add_argument("--no-cache", action="store_true")
-    _add_backend_flag(p)
     _add_unwind_flag(p)
     _add_trace_flags(p)
     p.set_defaults(func=_cmd_audit_unsafe)
@@ -510,11 +505,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--scale", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="analyze corpus programs across N worker "
-                        "processes")
+                   help=JOBS_HELP)
     p.add_argument("--cache-dir", default=None, metavar="DIR")
     p.add_argument("--no-cache", action="store_true")
-    _add_backend_flag(p)
     _add_unwind_flag(p)
     p.add_argument("--profile", action="store_true",
                    help="print corpus generation/evaluation timings")

@@ -45,18 +45,14 @@ class AnalysisContext:
     (``AnalysisConfig(interprocedural=False)`` is the ablation switch:
     every function summary collapses to the bottom element and points-to
     runs without return summaries, which is what the benchmarks use to
-    measure the interprocedural layer's contribution).  The legacy
-    ``interprocedural=`` keyword still works for one release and warns.
+    measure the interprocedural layer's contribution).
     """
 
     def __init__(self, program: Program,
-                 config: Optional[AnalysisConfig] = None, *,
-                 interprocedural: Optional[bool] = None,
-                 pool=None) -> None:
-        self.config = coerce_config(config, interprocedural=interprocedural,
-                                    _owner="AnalysisContext")
+                 config: Optional[AnalysisConfig] = None) -> None:
+        self.config = coerce_config(config)
         self.program = program
-        self.engine = SummaryEngine(program, self.config, pool=pool)
+        self.engine = SummaryEngine(program, self.config)
         self._guard_regions: Dict[Tuple[str, bool], List[GuardRegion]] = {}
         self._storage_ranges: Dict[str, StorageRanges] = {}
         self._init_states: Dict[str, dict] = {}

@@ -183,7 +183,7 @@ def apply_subsumption(report: Report) -> Report:
 
 
 def run_detectors(program, detectors: Optional[List[Detector]] = None,
-                  source=None, config=None, pool=None) -> Report:
+                  source=None, config=None) -> Report:
     """Run detectors over a MIR program and return a deduplicated report.
 
     ``detectors`` (instances) wins over ``config.detectors`` (names);
@@ -194,13 +194,13 @@ def run_detectors(program, detectors: Optional[List[Detector]] = None,
     """
     from repro import obs
     from repro.analysis.config import coerce_config
-    config = coerce_config(config, _owner="run_detectors")
+    config = coerce_config(config)
     if detectors is None:
         if config.detectors is not None:
             detectors = resolve_detectors(config.detectors)
         else:
             detectors = [cls() for cls in ALL_DETECTORS]
-    ctx = AnalysisContext(program, config, pool=pool)
+    ctx = AnalysisContext(program, config)
     report = Report(source=source)
     with obs.span("detectors"):
         for detector in detectors:

@@ -1,24 +1,18 @@
-"""End-to-end driver: source text → MIR program → detector report.
+"""Front-end driver: source text → MIR program.
 
-The compile half (``compile_source`` / ``compile_file``) is the
-front-end entry point.  For analysis, prefer the stable facade in
-:mod:`repro.api`::
+``compile_source`` / ``compile_file`` are the front-end entry points.
+Analysis goes through the facade in :mod:`repro.api`::
 
     from repro import api
     report = api.analyze("fn main() { ... }")
 
-``run_all_detectors`` / ``run_detectors`` remain as thin compatibility
-wrappers over the same machinery.
+or, for an already compiled program, ``AnalysisSession.analyze_compiled``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
-
 from repro import obs
-from repro.detectors.registry import run_detectors as _run
-from repro.detectors.report import Report
 from repro.lang.diagnostics import DiagnosticSink
 from repro.lang.lexer import Lexer
 from repro.lang.parser import Parser
@@ -74,19 +68,3 @@ def compile_source(text: str, name: str = "<input>",
 def compile_file(path: str) -> CompiledProgram:
     with open(path, "r", encoding="utf-8") as f:
         return compile_source(f.read(), name=path)
-
-
-def run_all_detectors(compiled, config=None) -> Report:
-    """Run every registered detector; accepts a CompiledProgram or a raw
-    MIR Program."""
-    if isinstance(compiled, CompiledProgram):
-        return _run(compiled.program, source=compiled.source, config=config)
-    return _run(compiled, config=config)
-
-
-def run_detectors(compiled, detectors: List, config=None) -> Report:
-    """Run a chosen set of detector *instances*."""
-    if isinstance(compiled, CompiledProgram):
-        return _run(compiled.program, detectors=detectors,
-                    source=compiled.source, config=config)
-    return _run(compiled, detectors=detectors, config=config)

@@ -507,9 +507,8 @@ class Body:
 
     def __getstate__(self):
         """Strip derived state (underscore attributes: the analysis scan,
-        the memoised fingerprint) so pickles — worker-task payloads,
-        summary-cache entries — carry only the MIR itself and receivers
-        rebuild their own caches."""
+        the memoised fingerprint) so a pickled body carries only the MIR
+        itself and the receiver rebuilds its own caches."""
         return {k: v for k, v in self.__dict__.items()
                 if not k.startswith("_")}
 

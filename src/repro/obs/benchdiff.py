@@ -30,13 +30,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 #: per-run jitter in the sub-millisecond phases.
 DEFAULT_THRESHOLD = 0.10
 
-#: The three contract metrics ``bench-diff --warn`` still *enforces*
-#: (exit 1): engine-vs-naive-schedule wall ratio (BENCH_summaries),
-#: warm-over-cold audit speedup (BENCH_unsafe), and executor pickle
-#: bytes (BENCH_parallel).  These are ratios of numbers measured in the
-#: same run on the same host, so host noise largely cancels — hard
-#: gating on them is honest where gating on raw seconds is not.
-DEFAULT_ENFORCE = r"wall_ratio|warm_speedup|pickle_bytes"
+#: The contract metrics ``bench-diff --warn`` still *enforces* (exit 1):
+#: wall ratios (engine-vs-naive-schedule in BENCH_summaries, unwind
+#: on/off in BENCH_cve) and the warm-over-cold audit speedup
+#: (BENCH_unsafe).  These are ratios of numbers measured in the same run
+#: on the same host, so host noise largely cancels — hard gating on them
+#: is honest where gating on raw seconds is not.
+DEFAULT_ENFORCE = r"wall_ratio|warm_speedup"
 
 #: Ordered ``(regex, direction, threshold-override)`` rules; the first
 #: match classifies the metric.  ``None`` threshold means "use the

@@ -169,8 +169,8 @@ class Collector:
     dotted names (``analysis.points_to.hit``).
 
     Thread-safe: the open-span stack is **per thread** (a span opened on
-    a thread-backend worker nests under that worker's spans, or becomes
-    a new root tagged with its ``tid``), while the shared structures —
+    another thread nests under that thread's spans, or becomes a new
+    root tagged with its ``tid``), while the shared structures —
     roots, id allocation, counters, gauges, histograms — mutate under
     one lock.  The lock is only ever touched when a collector is
     installed, so the no-collector fast path stays free.
@@ -252,8 +252,8 @@ class Collector:
         Each adopted subtree is re-assigned ids from this collector's
         sequence (worker ids collide across processes) and re-parented
         under ``parent`` — by default the currently open span, so the
-        executor folds worker solve timelines under the owning
-        ``analysis.wave`` span.  The records' own ``pid``/``tid`` are
+        session folds worker timelines under the batch's
+        ``analysis.fanout`` span.  The records' own ``pid``/``tid`` are
         preserved: that is how a trace shows workers side by side.
         """
         if parent is None:

@@ -8,7 +8,7 @@ identical paths recorded repeatedly (e.g. one ``analysis.scc`` span per
 component under one wave) aggregate into a single line.
 
 Spans folded back from worker processes are prefixed with their process
-lane (``worker-<pid>``) so a parallel solve shows each worker's stack
+lane (``worker-<pid>``) so a parallel batch shows each worker's stack
 as its own tower next to the main process.
 """
 

@@ -8,12 +8,12 @@ naming each process and thread lane.
 
 Because spans carry the ``pid``/``tid`` they were recorded on and
 :func:`time.perf_counter` is a ``CLOCK_MONOTONIC``-class clock shared by
-forked worker processes, spans folded back from the executor's workers
+forked worker processes, spans folded back from the session's workers
 line up on the same timeline as the main process: a ``--jobs 4`` run
-renders as four worker lanes solving side by side under the owning
-``analysis.wave`` span.  Each event's ``args`` keeps the span's stable
-``id`` and ``parent`` link, so tooling (and the tests) can reconstruct
-the exact tree independent of timestamp nesting.
+renders as four worker lanes analyzing files side by side under the
+batch's ``analysis.fanout`` span.  Each event's ``args`` keeps the
+span's stable ``id`` and ``parent`` link, so tooling (and the tests) can
+reconstruct the exact tree independent of timestamp nesting.
 """
 
 from __future__ import annotations

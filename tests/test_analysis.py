@@ -16,7 +16,7 @@ from repro.analysis.points_to import compute_points_to
 from repro.analysis.scan import cfg_of
 from repro.corpus.benign import BENIGN_TEMPLATES
 from repro.corpus.inject import BUG_TEMPLATES
-from repro.driver import run_all_detectors
+from repro.api import AnalysisSession
 from repro.mir.cfg import Cfg
 from repro.mir.nodes import StatementKind, TerminatorKind
 
@@ -89,7 +89,7 @@ class TestOneCfgPerBody:
             BENIGN_TEMPLATES["panic_guard_restores"]("c6"),
         ])
         compiled = compile_(source)
-        report = run_all_detectors(compiled)
+        report = AnalysisSession().analyze_compiled(compiled).report
         monkeypatch.setattr(Cfg, "__init__", original)
         return compiled.program.functions.values(), built, report
 

@@ -1,8 +1,9 @@
 """Tests for the ``repro.api`` facade, ``AnalysisConfig`` validation,
-the deprecation shims, and report schema versioning."""
+the removal of the ``interprocedural=`` shims, and report schema
+versioning."""
 
 import json
-import warnings
+from dataclasses import fields
 
 import pytest
 
@@ -178,6 +179,55 @@ class TestReportCache:
         # The summary tier below still works.
         assert warm.counters["analysis.cache.hit"] > 0
 
+    def test_unwind_ablation_never_served_a_default_report(self, tmp_path):
+        # Without unwind edges the panic window reads as a double free;
+        # a report cached at the default config must not answer for it.
+        from repro.corpus.inject import BUG_TEMPLATES
+        source = [("panic.rs", BUG_TEMPLATES[
+            "panic_between_read_and_write"].render("p0"))]
+        ablated = AnalysisConfig(unwind_edges=False)
+        with api.AnalysisSession(ablated) as session:
+            expected = session.analyze_sources(source)[0]
+        assert {f.detector for f in expected.findings} == {"double-free"}
+        with api.AnalysisSession(
+                AnalysisConfig(cache_dir=str(tmp_path))) as session:
+            warmed = session.analyze_sources(source)[0]
+        assert {f.detector for f in warmed.findings} == {"panic-safety"}
+        with api.AnalysisSession(
+                ablated.with_(cache_dir=str(tmp_path))) as session:
+            got = session.analyze_sources(source)[0]
+        assert json.dumps(got.to_dict()) == json.dumps(expected.to_dict())
+
+    def test_every_finding_field_changes_the_key(self):
+        # A config field either only says how or where to run, or it is
+        # part of the report key.  A new field fails here until it is
+        # placed on one side or the other.
+        from repro.analysis.executor import ReportCache
+        execution = {"jobs": 2, "cache_dir": "elsewhere",
+                     "use_cache": False, "report_cache": False,
+                     "cache_limit": 7}
+        base = AnalysisConfig()
+        key = ReportCache.key("a.rs", UAF_SRC, base)
+        for f in fields(AnalysisConfig):
+            value = getattr(base, f.name)
+            if f.name in execution:
+                flipped = execution[f.name]
+            elif isinstance(value, bool):
+                flipped = not value
+            elif isinstance(value, int):
+                flipped = value + 1
+            elif f.name == "detectors":
+                flipped = ("use-after-free",)
+            else:
+                raise AssertionError(
+                    f"no flipped value for new config field {f.name!r}")
+            changed = ReportCache.key("a.rs", UAF_SRC,
+                                      base.with_(**{f.name: flipped}))
+            if f.name in execution:
+                assert changed == key, f.name
+            else:
+                assert changed != key, f.name
+
 
 class TestAnalysisConfig:
     def test_frozen(self):
@@ -212,20 +262,23 @@ class TestAnalysisConfig:
 
 
 class TestDeprecationShims:
-    def test_interprocedural_kwarg_warns(self):
-        program = compile_source(CLEAN_SRC).program
-        with pytest.warns(DeprecationWarning, match="interprocedural"):
-            context = AnalysisContext(program, interprocedural=False)
-        assert context.config.interprocedural is False
+    """The ``interprocedural=`` keyword and the bare-bool config
+    position are gone; the ablation switch lives on the config."""
 
-    def test_legacy_positional_bool_still_works(self):
-        # The pre-AnalysisConfig call shape — a bare bool in the config
-        # position — keeps working for one release, with the same
-        # warning as the keyword form.
+    def test_interprocedural_kwarg_rejected(self):
         program = compile_source(CLEAN_SRC).program
-        with pytest.warns(DeprecationWarning, match="interprocedural"):
-            context = AnalysisContext(program, False)
+        context = AnalysisContext(
+            program, AnalysisConfig(interprocedural=False))
         assert context.config.interprocedural is False
+        with pytest.raises(TypeError):
+            AnalysisContext(program, interprocedural=False)
+
+    def test_legacy_positional_bool_rejected(self):
+        program = compile_source(CLEAN_SRC).program
+        with pytest.raises(TypeError, match="AnalysisConfig"):
+            AnalysisContext(program, False)
+        with pytest.raises(TypeError, match="AnalysisConfig"):
+            coerce_config(True)
 
     def test_coerce_config_passthrough(self):
         config = AnalysisConfig(jobs=2)

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro import compile_source, run_all_detectors
+from repro import compile_source
+from repro.api import AnalysisSession
 from repro.cli import main as cli_main
 from repro.detectors.use_after_free import UseAfterFreeDetector
-from repro.driver import CompiledProgram, compile_file, run_detectors
+from repro.driver import CompiledProgram, compile_file
 
 
 UAF_SRC = """
@@ -33,16 +34,18 @@ class TestDriver:
         assert compiled.item_table is not None
 
     def test_run_all_detectors_on_buggy(self):
-        report = run_all_detectors(compile_source(UAF_SRC))
+        report = AnalysisSession().analyze_compiled(
+            compile_source(UAF_SRC)).report
         assert report.by_detector("use-after-free")
 
     def test_run_all_detectors_on_clean(self):
-        report = run_all_detectors(compile_source(CLEAN_SRC))
+        report = AnalysisSession().analyze_compiled(
+            compile_source(CLEAN_SRC)).report
         assert not report.errors
 
     def test_run_selected_detectors(self):
-        report = run_detectors(compile_source(UAF_SRC),
-                               [UseAfterFreeDetector()])
+        report = AnalysisSession().analyze_compiled(
+            compile_source(UAF_SRC), detectors=[UseAfterFreeDetector()])
         assert {f.detector for f in report.findings} <= {"use-after-free"}
 
     def test_compile_file(self, tmp_path):

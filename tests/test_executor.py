@@ -1,5 +1,6 @@
-"""Tests for the parallel + incremental executor: wave scheduling,
-jobs-count determinism, and the content-addressed summary cache."""
+"""Tests for the incremental executor and whole-file fan-out: wave
+partitioning, jobs-count determinism, and the content-addressed summary
+cache."""
 
 import json
 import os
@@ -14,9 +15,7 @@ from repro.analysis.callgraph import (
 )
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.engine import SummaryEngine
-from repro.analysis.executor import (
-    LEGACY_CACHE_FORMAT, SummaryCache, body_fingerprint,
-)
+from repro.analysis.executor import SummaryCache, body_fingerprint
 from repro.analysis.summaries import canonical, summary_fingerprint
 from repro.api import AnalysisSession, analyze
 from repro.corpus.inject import BUG_TEMPLATES
@@ -149,26 +148,6 @@ def _shards(tmp_path):
     return sorted(tmp_path.glob("*.shard.pkl"))
 
 
-def _explode_to_v2(tmp_path):
-    """Rewrite a v3 shard cache as the legacy v2 per-entry layout:
-    one ``<key>.summary.pkl`` per component, no shards, no index."""
-    import pickle
-    entries = {}
-    for shard in _shards(tmp_path):
-        payload = pickle.loads(shard.read_bytes())
-        entries.update(payload["entries"])
-        shard.unlink()
-    index = tmp_path / SummaryCache.INDEX_NAME
-    if index.exists():
-        index.unlink()
-    for ckey, entry in entries.items():
-        (tmp_path / f"{ckey}.summary.pkl").write_bytes(pickle.dumps(
-            {"format": LEGACY_CACHE_FORMAT,
-             "summaries": entry["summaries"]},
-            protocol=pickle.HIGHEST_PROTOCOL))
-    return sorted(entries)
-
-
 class TestSummaryCache:
     def test_cold_then_warm(self, tmp_path):
         config = AnalysisConfig(cache_dir=str(tmp_path))
@@ -299,106 +278,41 @@ fn wraps(p: *const i32) -> *const i32 { gives(p) }
         assert "analysis.cache.miss" not in col.counters
         assert not list(tmp_path.iterdir())
 
-
-class TestCacheMigration:
-    """v2 → v3: the shard layout must *read* the old one-file-per-
-    component entries transparently — a hit, a re-shard, and a retire,
-    never a re-solve storm."""
-
-    def test_v2_entries_migrate_without_resolve_storm(self, tmp_path):
+    def test_v2_entry_files_are_never_read(self, tmp_path):
+        # The one-file-per-component layout that preceded the shards:
+        # a directory holding only such files solves cold, leaves them
+        # untouched, and finds exactly what an empty cache finds.
+        import pickle
         config = AnalysisConfig(cache_dir=str(tmp_path))
         with obs.collecting() as cold:
             first = analyze(EDIT_BASE, name="edit.rs", config=config)
         total = cold.counters["analysis.cache.miss"]
-        legacy_keys = _explode_to_v2(tmp_path)
-        assert len(legacy_keys) == total
-        with obs.collecting() as warm:
-            second = analyze(EDIT_BASE, name="edit.rs", config=config)
-        # Every component was served from a v2 file: zero re-solves.
-        assert warm.counters["analysis.cache.hit"] == total
-        assert warm.counters["analysis.cache.migrated"] == total
-        assert warm.counters.get("analysis.cache.miss", 0) == 0
-        assert warm.counters.get(
-            "analysis.executor.solved_functions", 0) == 0
-        assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
-        # ... and transparently re-sharded: old files retired, shards
-        # written, the next run reads shards only.
-        assert not list(tmp_path.glob("*.summary.pkl"))
-        assert _shards(tmp_path)
-        with obs.collecting() as resharded:
-            analyze(EDIT_BASE, name="edit.rs", config=config)
-        assert resharded.counters.get("analysis.cache.migrated", 0) == 0
-        assert resharded.counters["analysis.cache.hit"] == total
-
-    def test_mixed_v2_v3_dir_identical_across_jobs(self, tmp_path):
-        import pickle
-        config = AnalysisConfig(cache_dir=str(tmp_path))
-        baseline = analyze(JOBS_SRC, name="jobs.rs", config=config)
-        # Demote one shard's entries to v2 files, keep the rest v3.
-        shard = _shards(tmp_path)[0]
-        payload = pickle.loads(shard.read_bytes())
-        shard.unlink()
-        for ckey, entry in payload["entries"].items():
-            (tmp_path / f"{ckey}.summary.pkl").write_bytes(pickle.dumps(
-                {"format": LEGACY_CACHE_FORMAT,
-                 "summaries": entry["summaries"]},
-                protocol=pickle.HIGHEST_PROTOCOL))
-        payloads = []
-        for jobs in (1, 2, 4):
-            report = analyze(JOBS_SRC, name="jobs.rs",
-                             config=config.with_(jobs=jobs))
-            payloads.append(json.dumps(report.to_dict(), sort_keys=False))
-        assert payloads[0] == payloads[1] == payloads[2]
-        assert payloads[0] == json.dumps(baseline.to_dict(),
-                                         sort_keys=False)
-
-    def test_format1_bare_dict_is_stale_not_migrated(self, tmp_path):
-        # Format-1 entries stored a bare {key: FunctionSummary} dict.
-        # Serving one would hand out summaries missing newer fields, so
-        # the migration reader treats it as stale — evicted and
-        # recomputed, with the dedicated counter (not `corrupt`).
-        import pickle
-        config = AnalysisConfig(cache_dir=str(tmp_path))
-        first = analyze(EDIT_BASE, name="edit.rs", config=config)
-        for ckey in _explode_to_v2(tmp_path):
+        entries = {}
+        for shard in _shards(tmp_path):
+            entries.update(pickle.loads(shard.read_bytes())["entries"])
+            shard.unlink()
+        (tmp_path / SummaryCache.INDEX_NAME).unlink()
+        v2_files = {}
+        for ckey, entry in entries.items():
             path = tmp_path / f"{ckey}.summary.pkl"
-            payload = pickle.loads(path.read_bytes())
-            path.write_bytes(pickle.dumps(payload["summaries"]))
-        files = sorted(tmp_path.glob("*.summary.pkl"))
-        assert files
+            path.write_bytes(pickle.dumps(
+                {"format": 2, "summaries": entry["summaries"]}))
+            v2_files[path] = path.read_bytes()
+        assert len(v2_files) == total
         with obs.collecting() as col:
             second = analyze(EDIT_BASE, name="edit.rs", config=config)
-        assert col.counters["analysis.cache.stale"] == len(files)
         assert col.counters.get("analysis.cache.hit", 0) == 0
-        assert col.counters.get("analysis.cache.corrupt", 0) == 0
-        assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
-
-    def test_stale_and_corrupt_v2_mix_roundtrips(self, tmp_path):
-        # Half the v2 entries garbage, half format-1-shaped: one warm
-        # run heals the cache and reproduces identical findings.
-        import pickle
-        config = AnalysisConfig(cache_dir=str(tmp_path))
-        first = analyze(EDIT_BASE, name="edit.rs", config=config)
-        _explode_to_v2(tmp_path)
-        entries = sorted(tmp_path.glob("*.summary.pkl"))
-        assert len(entries) >= 2
-        for i, entry in enumerate(entries):
-            if i % 2 == 0:
-                entry.write_bytes(b"\x00truncated garbage")
-            else:
-                payload = pickle.loads(entry.read_bytes())
-                entry.write_bytes(pickle.dumps(payload["summaries"]))
-        with obs.collecting() as col:
-            second = analyze(EDIT_BASE, name="edit.rs", config=config)
-        assert col.counters.get("analysis.cache.corrupt", 0) + \
-            col.counters.get("analysis.cache.stale", 0) == len(entries)
+        assert col.counters["analysis.cache.miss"] == total
+        assert "cache.read_bytes" not in col.counters
+        assert all(path.read_bytes() == blob
+                   for path, blob in v2_files.items())
         assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
 
 
 def _pool_available() -> bool:
     import warnings
 
-    from repro.analysis.executor import create_pool
+    from repro.api import create_pool
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         pool = create_pool(2)
@@ -408,26 +322,35 @@ def _pool_available() -> bool:
     return True
 
 
+TWO_FILES = [(f"f{i}.rs", BUG_TEMPLATES[name].render(f"f{i}"))
+             for i, name in enumerate(_JOB_TEMPLATES[:2])]
+
+
 class TestObsFoldBack:
     """Cross-process observability: worker counters, histograms, and
     spans must fold back into the main collector — and degrade cleanly
     when the platform has no process pool at all."""
 
     def test_pool_unavailable_falls_back_in_process(self, monkeypatch):
-        import repro.analysis.executor as executor_mod
-        monkeypatch.setattr(executor_mod, "create_pool",
-                            lambda jobs, **kwargs: None)
+        import repro.api as api_mod
+        monkeypatch.setattr(api_mod, "create_pool", lambda jobs: None)
         with obs.collecting() as par:
-            degraded = analyze(JOBS_SRC, name="jobs.rs",
-                               config=AnalysisConfig(jobs=4))
+            with AnalysisSession(AnalysisConfig(jobs=4)) as session:
+                degraded = session.analyze_sources(TWO_FILES)
+                assert session._pool is None
         with obs.collecting() as ser:
-            serial = analyze(JOBS_SRC, name="jobs.rs",
-                             config=AnalysisConfig(jobs=1))
-        assert json.dumps(degraded.to_dict()) == \
-            json.dumps(serial.to_dict())
+            with AnalysisSession(AnalysisConfig(jobs=1)) as session:
+                serial = session.analyze_sources(TWO_FILES)
+        assert [json.dumps(r.to_dict()) for r in degraded] == \
+            [json.dumps(r.to_dict()) for r in serial]
         for key in ("analysis.summaries.iterations",
                     "analysis.executor.solved_functions"):
             assert par.counters[key] == ser.counters[key]
+
+    def test_single_program_never_starts_a_pool(self):
+        with AnalysisSession(AnalysisConfig(jobs=4)) as session:
+            session.analyze(JOBS_SRC, name="jobs.rs")
+            assert session._pool is None
 
     def test_counter_totals_identical_across_jobs(self):
         totals = []
@@ -442,27 +365,23 @@ class TestObsFoldBack:
         assert totals[0] == totals[1]
         assert totals[0]["analysis.executor.solved_functions"] > 0
 
-    def test_worker_spans_fold_under_wave(self):
+    def test_worker_spans_fold_back_with_parents(self):
         if not _pool_available():
             pytest.skip("no process pool on this host")
         with obs.collecting() as col:
-            analyze(JOBS_SRC, name="jobs.rs",
-                    config=AnalysisConfig(jobs=2))
+            with AnalysisSession(AnalysisConfig(jobs=2)) as session:
+                session.analyze_sources(TWO_FILES)
         by_id = {s.id: s for s in col.iter_spans()}
         workers = [s for s in col.iter_spans()
                    if s.pid != os.getpid()]
         assert workers, "no worker spans folded back"
+        assert {s.name for s in workers} >= {"compile", "analysis.scc"}
         for span in workers:
             node = span
-            while node.parent_id is not None \
-                    and node.name != "analysis.wave":
+            while node.pid != os.getpid():
+                assert node.parent_id in by_id
                 node = by_id[node.parent_id]
-            assert node.name == "analysis.wave"
-            assert node.pid == os.getpid()
-        # Serialisation overhead was measured on the way.
-        assert col.counters["executor.tasks"] >= 1
-        assert col.counters["executor.pickle_bytes"] > 0
-        assert col.histograms["executor.pickle_seconds"].count >= 2
+            assert node.name == "analysis.fanout"
 
     def test_cache_read_cost_counters(self, tmp_path):
         config = AnalysisConfig(cache_dir=str(tmp_path))
@@ -476,81 +395,6 @@ class TestObsFoldBack:
         # point of the wave-sharded layout.
         assert hist.count == warm.counters["analysis.cache.shard_read"]
         assert hist.count <= warm.counters["analysis.cache.hit"]
-
-
-class TestExecutorBackends:
-    """The three executor backends are interchangeable up to wall time:
-    findings must be byte-identical across all of them at any jobs
-    count, and every backend must degrade to the in-process path."""
-
-    BACKENDS = ("process", "persistent", "thread")
-
-    def test_findings_identical_across_backends(self):
-        serial = analyze(JOBS_SRC, name="jobs.rs",
-                         config=AnalysisConfig(jobs=1))
-        expected = json.dumps(serial.to_dict(), sort_keys=False)
-        for backend in self.BACKENDS:
-            for jobs in (2, 4):
-                report = analyze(JOBS_SRC, name="jobs.rs",
-                                 config=AnalysisConfig(
-                                     jobs=jobs,
-                                     executor_backend=backend))
-                got = json.dumps(report.to_dict(), sort_keys=False)
-                assert got == expected, (backend, jobs)
-
-    def test_thread_backend_counters_match_serial(self):
-        keys = ("analysis.summaries.iterations",
-                "analysis.executor.solved_functions")
-        with obs.collecting() as ser:
-            analyze(JOBS_SRC, name="jobs.rs", config=AnalysisConfig(jobs=1))
-        with obs.collecting() as thr:
-            analyze(JOBS_SRC, name="jobs.rs",
-                    config=AnalysisConfig(jobs=4,
-                                          executor_backend="thread"))
-        for key in keys:
-            assert thr.counters[key] == ser.counters[key]
-
-    def test_thread_backend_session_fanout_preserves_order(self):
-        sources = [(f"file{i}.rs", JOBS_SRC) for i in range(4)]
-        expected = [analyze(text, name=name).to_dict()
-                    for name, text in sources]
-        config = AnalysisConfig(jobs=4, executor_backend="thread")
-        with AnalysisSession(config) as session:
-            reports = session.analyze_sources(sources)
-        assert [r.to_dict() for r in reports] == expected
-
-    def test_persistent_backend_falls_back_in_process(self, monkeypatch):
-        import repro.analysis.executor as executor_mod
-        monkeypatch.setattr(executor_mod, "create_pool",
-                            lambda jobs, **kwargs: None)
-        degraded = analyze(JOBS_SRC, name="jobs.rs",
-                           config=AnalysisConfig(
-                               jobs=4, executor_backend="persistent"))
-        serial = analyze(JOBS_SRC, name="jobs.rs",
-                         config=AnalysisConfig(jobs=1))
-        assert json.dumps(degraded.to_dict()) == \
-            json.dumps(serial.to_dict())
-
-    def test_persistent_backend_ships_program_once(self):
-        if not _pool_available():
-            pytest.skip("no process pool on this host")
-        with obs.collecting() as proc:
-            analyze(JOBS_SRC, name="jobs.rs",
-                    config=AnalysisConfig(jobs=2,
-                                          executor_backend="process"))
-        with obs.collecting() as pers:
-            analyze(JOBS_SRC, name="jobs.rs",
-                    config=AnalysisConfig(jobs=2,
-                                          executor_backend="persistent"))
-        # Per-task payloads exclude the compiled program, so the
-        # persistent backend pickles strictly less per task even after
-        # paying the one-time program shipment.
-        assert pers.counters["executor.pickle_bytes"] < \
-            proc.counters["executor.pickle_bytes"]
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="executor_backend"):
-            AnalysisConfig(executor_backend="bogus")
 
 
 class TestComponentCallees:

@@ -182,21 +182,19 @@ class TestCollectorPause:
         assert probe.seen == [False, False]
         assert not gc.isenabled()
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_jobs_2_matches_jobs_1_and_restores(self, backend):
+    def test_jobs_2_matches_jobs_1_and_restores(self):
         sources = [(f"{name}.rs", BUG_TEMPLATES[name].render(name))
                    for name in ("lock_order_pair", "uaf_drop_deref",
                                 "double_lock_match")]
         with api.AnalysisSession() as session:
             expected = [json.dumps(r.to_dict())
                         for r in session.analyze_sources(sources)]
-        config = AnalysisConfig(jobs=2, executor_backend=backend)
-        with api.AnalysisSession(config) as session:
+        with api.AnalysisSession(AnalysisConfig(jobs=2)) as session:
             got = [json.dumps(r.to_dict())
                    for r in session.analyze_sources(sources)]
             assert gc.isenabled()
             pool = session._pool
-            if backend == "process" and pool is not None:
+            if pool is not None:
                 # Workers forked inside the pause start with the
                 # caller's collector state, not the paused one.
                 assert all(pool.submit(gc.isenabled).result()

@@ -1,7 +1,7 @@
 """Tests for the timeline exporters (Chrome-trace / Perfetto JSON and
 folded flamegraph stacks) and the ``--trace-out`` CLI acceptance path:
-a ``--jobs 2`` run must produce a valid trace whose worker spans are
-re-parented under the owning ``analysis.wave`` spans."""
+a ``--jobs 2`` run over two files must produce a valid trace whose
+worker spans are re-parented into the main process's span tree."""
 
 import json
 import os
@@ -20,7 +20,7 @@ def _pool_available() -> bool:
     """Whether this host can actually give us worker processes."""
     import warnings
 
-    from repro.analysis.executor import create_pool
+    from repro.api import create_pool
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         pool = create_pool(2)
@@ -123,26 +123,27 @@ class TestFoldedStacks:
         assert path.read_text().splitlines() == lines
 
 
-# Every race template in one program: enough components per wave that a
-# --jobs 2 run actually fans out to worker processes.
-RACE_CORPUS_SRC = "\n\n".join(
-    BUG_TEMPLATES[name].render(f"t{i}")
-    for i, name in enumerate(sorted(BUG_TEMPLATES))
-    if name.startswith("race_"))
+# Two race programs, one per file: a --jobs 2 run fans the files out to
+# worker processes.
+RACE_TEMPLATES = sorted(name for name in BUG_TEMPLATES
+                        if name.startswith("race_"))[:2]
 
 
 class TestTraceOutCli:
-    """ISSUE acceptance: ``minirust check --trace-out --jobs 2`` on the
-    race corpus emits valid Chrome-trace JSON whose worker spans are
-    re-parented under wave spans."""
+    """``minirust check --trace-out --jobs 2`` over two files emits
+    valid Chrome-trace JSON whose worker spans are re-parented into the
+    main process's tree."""
 
     def test_check_jobs2_trace_reparents_worker_spans(self, tmp_path):
         if not _pool_available():
             pytest.skip("no process pool on this host")
-        src = tmp_path / "races.mr"
-        src.write_text(RACE_CORPUS_SRC)
+        files = []
+        for i, name in enumerate(RACE_TEMPLATES):
+            src = tmp_path / f"race{i}.mr"
+            src.write_text(BUG_TEMPLATES[name].render(f"t{i}"))
+            files.append(str(src))
         out = tmp_path / "trace.json"
-        code = main(["check", str(src), "--jobs", "2",
+        code = main(["check", *files, "--jobs", "2",
                      "--trace-out", str(out)])
         assert code == 1                      # the races are found
         assert obs.get_collector() is None    # CLI uninstalled cleanly
@@ -168,25 +169,19 @@ class TestTraceOutCli:
             parent = e["args"]["parent"]
             assert parent is None or parent in by_id
 
-        waves = [e for e in xs if e["name"] == "analysis.wave"]
-        assert waves
         workers = [e for e in xs if e["pid"] != main_pid]
         assert workers, "worker spans did not fold back into the trace"
 
-        # Every worker span's parent chain passes through an
-        # analysis.wave span recorded in the main process.
+        # Every worker span's parent chain reaches the main process's
+        # analysis.fanout span.
         for e in workers:
-            chain = []
-            parent = e["args"]["parent"]
-            while parent is not None:
-                pe = by_id[parent]
-                chain.append(pe)
-                parent = pe["args"]["parent"]
-            wave_hops = [pe for pe in chain
-                         if pe["name"] == "analysis.wave"]
-            assert wave_hops, \
-                f"worker span {e['name']} not under an analysis.wave"
-            assert all(pe["pid"] == main_pid for pe in wave_hops)
+            node = e
+            while node["pid"] != main_pid:
+                parent = node["args"]["parent"]
+                assert parent is not None, \
+                    f"worker span {e['name']} has no main-process parent"
+                node = by_id[parent]
+            assert node["name"] == "analysis.fanout"
 
     def test_flame_out_cli(self, tmp_path):
         src = tmp_path / "one.mr"
