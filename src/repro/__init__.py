@@ -8,7 +8,7 @@ This package implements, from scratch in Python:
   ``RwLock`` / ``Condvar`` / channels, interior mutability);
 * a rustc-style **MIR** (control-flow graph of basic blocks with explicit
   ``StorageLive`` / ``StorageDead`` statements and ``Drop`` terminators)
-  plus the static analyses the paper's detectors need (liveness,
+  plus the static analyses the paper's detectors need (storage liveness,
   initialisation, points-to, lifetime regions, an approximate borrow
   checker, a call graph);
 * the paper's two **static bug detectors** (use-after-free, double-lock)

@@ -2,10 +2,12 @@
 
 These are the building blocks the paper's detectors are assembled from:
 
-* :mod:`repro.analysis.dataflow` — generic worklist solver;
-* :mod:`repro.analysis.liveness` — backward live-variable analysis;
+* :mod:`repro.analysis.dataflow` — the one forward gen/kill solver over
+  int bitsets: masks built once per body, block-entry states from a
+  union worklist, per-point states replayed on demand;
 * :mod:`repro.analysis.init` — forward maybe-initialised / moved-out state
-  per local (the "state of each variable (alive or dead)" tracking of §7.1);
+  per local (the "state of each variable (alive or dead)" tracking of §7.1),
+  solved once per body with unwind lowering's landing pads patched in;
 * :mod:`repro.analysis.points_to` — flow-insensitive points-to over locals
   ("for each pointer/reference, we conduct a points-to analysis", §7.1);
 * :mod:`repro.analysis.lifetime` — storage live-ranges and lock-guard
@@ -14,17 +16,15 @@ These are the building blocks the paper's detectors are assembled from:
 * :mod:`repro.analysis.callgraph` — call graph + inter-procedural summaries.
 """
 
-from repro.analysis.dataflow import DataflowAnalysis, solve
-from repro.analysis.liveness import LivenessAnalysis, compute_liveness
-from repro.analysis.init import InitState, MaybeInitAnalysis, compute_init
+from repro.analysis.dataflow import GenKill, Solution, solve
+from repro.analysis.init import InitStates, compute_init, init_of
 from repro.analysis.points_to import PointsTo, compute_points_to
 from repro.analysis.lifetime import GuardRegion, StorageRanges, compute_guard_regions, compute_storage_ranges
 from repro.analysis.callgraph import CallGraph, build_call_graph
 
 __all__ = [
-    "DataflowAnalysis", "solve",
-    "LivenessAnalysis", "compute_liveness",
-    "InitState", "MaybeInitAnalysis", "compute_init",
+    "GenKill", "Solution", "solve",
+    "InitStates", "compute_init", "init_of",
     "PointsTo", "compute_points_to",
     "GuardRegion", "StorageRanges", "compute_guard_regions",
     "compute_storage_ranges",

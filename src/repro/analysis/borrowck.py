@@ -1,8 +1,8 @@
 """An approximate NLL-style borrow checker over MIR.
 
 This is the *substrate* half of Rust's safety story: safe MiniRust code is
-expected to pass these checks, and the corpus generator uses them as a
-sanity filter.  Two rule families are enforced (both approximately, both
+expected to pass these checks, and the test suite holds the generated
+corpus to them.  Two rule families are enforced (both approximately, both
 skipped inside ``unsafe`` regions, mirroring how real unsafe code opts out
 of parts of the discipline):
 
@@ -12,6 +12,10 @@ of parts of the discipline):
   where at least one is mutable, or mutation of a local while a shared
   borrow of it is live (borrow regions are approximated by the storage
   range of the reference-holding local, i.e. lexical-lifetime precision).
+
+Both rules read the shared per-body facts: the init solution
+(:func:`~repro.analysis.init.init_of`) and storage liveness
+(:func:`~repro.analysis.lifetime.compute_storage_ranges`).
 """
 
 from __future__ import annotations
@@ -19,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.dataflow import statement_states
-from repro.analysis.init import MaybeInitAnalysis, compute_init
-from repro.analysis.lifetime import compute_storage_ranges
+from repro.analysis.init import init_of
+from repro.analysis.lifetime import StorageRanges, compute_storage_ranges
 from repro.lang.source import Span
 from repro.mir.nodes import (
     Body, RvalueKind, StatementKind, TerminatorKind,
@@ -70,17 +73,14 @@ def check_program(program) -> List[BorrowError]:
 
 def _check_use_after_move(body: Body) -> List[BorrowError]:
     errors: List[BorrowError] = []
-    analysis = MaybeInitAnalysis(body)
-    entry_states = compute_init(body)
+    init = init_of(body)
+    moved_here = init.moved_out
     named = {l.index for l in body.locals if l.name and not l.is_temp}
 
-    def moved_here(state, local: int) -> bool:
-        return ("moved", local) in state and ("init", local) not in state
-
     for block in body.blocks:
-        if block.index not in entry_states:
+        if not init.reached(block.index):
             continue
-        states = statement_states(analysis, entry_states, block.index)
+        states = init.states_in_block(block.index)
         for i, stmt in enumerate(block.statements):
             state = states[i]
             if stmt.in_unsafe:
@@ -170,9 +170,7 @@ def _check_conflicting_borrows(body: Body) -> List[BorrowError]:
                 continue
             if not (a.mutable or b.mutable):
                 continue
-            pts_a = ranges.live_points.get(a.holder, set())
-            pts_b = ranges.live_points.get(b.holder, set())
-            if pts_a & pts_b:
+            if _live_together(ranges, body, a.holder, b.holder):
                 which = "mutable" if (a.mutable and b.mutable) else \
                     "mutable and shared"
                 errors.append(BorrowError(
@@ -181,3 +179,14 @@ def _check_conflicting_borrows(body: Body) -> List[BorrowError]:
                             f"`{body.locals[a.target].name}`",
                     span=b.span, fn_key=body.key, local=a.target))
     return errors
+
+
+def _live_together(ranges: StorageRanges, body: Body, a: int,
+                   b: int) -> bool:
+    """Is there a program point where the storage of both ``a`` and
+    ``b`` is live?"""
+    both = 1 << a | 1 << b
+    solution = ranges.solution
+    return any(state & both == both
+               for bb in range(len(body.blocks)) if solution.reached(bb)
+               for state in solution.states_in_block(bb))

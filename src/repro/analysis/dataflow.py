@@ -1,150 +1,167 @@
-"""Generic forward/backward dataflow framework over MIR.
+"""Forward gen/kill dataflow over int bitsets.
 
-Analyses subclass :class:`DataflowAnalysis` with set-typed states (a
-powerset lattice joined by union or intersection) and per-statement /
-per-terminator transfer functions; :func:`solve` runs a worklist to a fixed
-point and returns block-entry states, from which per-statement states can
-be replayed on demand.
+The per-body analyses (maybe-init/moved in :mod:`repro.analysis.init`,
+storage liveness in :mod:`repro.analysis.lifetime`) are may-analyses
+whose transfer functions have the gen/kill shape ``out = (in & ~kill) |
+gen``.  This module is their one solver, after rustc's
+``rustc_mir_dataflow`` (``BitSet`` + ``GenKill``):
+
+* a state is a Python ``int`` used as a bitset, one bit per fact;
+* :class:`GenKill` holds one ``(gen, kill)`` pair per statement, plus
+  their composition per block (the statements alone, and with the
+  terminator), built once per body and stored flat in int lists;
+* :func:`solve` runs a union worklist over the body's :class:`Cfg` in
+  reverse post-order and keeps only the block-entry states;
+* a per-point question replays one block from its entry state
+  (:meth:`Solution.before`); no per-point state is stored.
+
+Only blocks reachable from the entry get a state.  Since a landing pad
+ends in ``RESUME`` and has no successors, adding one after solving
+changes no other block's entry: :meth:`Solution.add_blocks` patches each
+new block in as the union of its predecessors' exit states.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, FrozenSet, Generic, List, TypeVar
+from typing import List, Optional, Sequence, Tuple
 
-from repro.analysis.scan import cfg_of
-from repro.mir.nodes import Body, Statement, Terminator
+from repro.mir.cfg import Cfg
 
-T = TypeVar("T")
-State = FrozenSet[T]
+Mask = Tuple[int, int]          # (gen, kill)
 
 
-class DataflowAnalysis(Generic[T]):
-    """Base class: override the transfer functions and direction."""
+class GenKill:
+    """Gen/kill masks of one body: one ``(gen, kill)`` pair per statement,
+    and per block the statements composed (entry to before the
+    terminator) and the whole block (entry to exit).
 
-    FORWARD = True
-    #: ``union`` (may) or ``intersection`` (must) join.
-    JOIN_UNION = True
+    Pairs are stored flat, ``gen`` then ``kill``, in lists of ints: a
+    body's masks are a handful of objects however long it is, so keeping
+    a solution alive costs the cyclic collector nothing per statement."""
 
-    def __init__(self, body: Body) -> None:
-        self.body = body
-        self.cfg = cfg_of(body)
+    __slots__ = ("offsets", "statements", "head", "block")
 
-    # -- overridables --------------------------------------------------------
+    def __init__(self) -> None:
+        #: block ``bb``'s pairs are ``statements[offsets[bb]:offsets[bb + 1]]``
+        self.offsets: List[int] = [0]
+        self.statements: List[int] = []
+        self.head: List[int] = []
+        self.block: List[int] = []
 
-    def boundary_state(self) -> State:
-        """State at function entry (forward) or exit (backward)."""
-        return frozenset()
+    def add_block(self, statements: Sequence[int], terminator: Mask) -> None:
+        """Append a block: its statements' flat ``gen, kill`` pairs, and
+        its terminator's pair."""
+        gen = kill = 0
+        for j in range(0, len(statements), 2):
+            gen = (gen & ~statements[j + 1]) | statements[j]
+            kill |= statements[j + 1]
+        self.statements.extend(statements)
+        self.offsets.append(len(self.statements))
+        self.head += (gen, kill)
+        term_gen, term_kill = terminator
+        self.block += ((gen & ~term_kill) | term_gen, kill | term_kill)
 
-    def initial_state(self) -> State:
-        """State assumed for not-yet-visited blocks."""
-        if self.JOIN_UNION:
-            return frozenset()
-        return None   # "top": identity for intersection; handled in join
 
-    def transfer_statement(self, state: State, stmt: Statement,
-                           block: int, index: int) -> State:
+class Solution:
+    """Block-entry states of one solved body (``None``: unreached)."""
+
+    __slots__ = ("masks", "entry")
+
+    def __init__(self, masks: GenKill, entry: List[Optional[int]]) -> None:
+        self.masks = masks
+        self.entry = entry
+
+    def reached(self, bb: int) -> bool:
+        return bb < len(self.entry) and self.entry[bb] is not None
+
+    def before(self, bb: int, index: int) -> int:
+        """The state before statement ``index`` of ``bb`` (``index ==
+        len(statements)``: before the terminator); empty if unreached."""
+        masks = self.masks
+        start = masks.offsets[bb]
+        stop = start + 2 * index
+        if stop >= masks.offsets[bb + 1]:
+            return self.before_terminator(bb)
+        state = self.entry[bb] or 0
+        pairs = masks.statements
+        for j in range(start, stop, 2):
+            state = (state & ~pairs[j + 1]) | pairs[j]
         return state
 
-    def transfer_terminator(self, state: State, term: Terminator,
-                            block: int) -> State:
-        return state
+    def before_terminator(self, bb: int) -> int:
+        """The state before ``bb``'s terminator (empty if unreached)."""
+        head = self.masks.head
+        return ((self.entry[bb] or 0) & ~head[2 * bb + 1]) | head[2 * bb]
 
-    # -- engine ----------------------------------------------------------------
+    def states_in_block(self, bb: int) -> List[int]:
+        """The state before each statement of ``bb``, then before its
+        terminator."""
+        masks = self.masks
+        pairs = masks.statements
+        state = self.entry[bb] or 0
+        states = [state]
+        for j in range(masks.offsets[bb], masks.offsets[bb + 1], 2):
+            state = (state & ~pairs[j + 1]) | pairs[j]
+            states.append(state)
+        return states
 
-    def join(self, states: List[State]) -> State:
-        real = [s for s in states if s is not None]
-        if not real:
-            return frozenset()
-        if self.JOIN_UNION:
-            out = set()
-            for s in real:
-                out |= s
-            return frozenset(out)
-        out = set(real[0])
-        for s in real[1:]:
-            out &= s
-        return frozenset(out)
+    def exit(self, bb: int) -> int:
+        """The state after ``bb``'s terminator (empty if unreached)."""
+        block = self.masks.block
+        return ((self.entry[bb] or 0) & ~block[2 * bb + 1]) | block[2 * bb]
 
-    def transfer_block(self, state: State, block_index: int) -> State:
-        block = self.body.blocks[block_index]
-        if self.FORWARD:
-            for i, stmt in enumerate(block.statements):
-                state = self.transfer_statement(state, stmt, block_index, i)
-            if block.terminator is not None:
-                state = self.transfer_terminator(state, block.terminator,
-                                                 block_index)
-            return state
-        if block.terminator is not None:
-            state = self.transfer_terminator(state, block.terminator,
-                                             block_index)
-        for i in range(len(block.statements) - 1, -1, -1):
-            state = self.transfer_statement(state, block.statements[i],
-                                            block_index, i)
-        return state
+    def add_blocks(self, cfg: Cfg, masks: Sequence[
+            Tuple[Sequence[int], Mask]]) -> None:
+        """Patch in blocks appended to the body after solving, with
+        ``cfg`` already extended to them (``masks`` as for
+        :meth:`GenKill.add_block`).  Each new block must have no
+        successors; its entry is the union of its reached predecessors'
+        exit states."""
+        first = len(self.entry)
+        for statements, terminator in masks:
+            self.masks.add_block(statements, terminator)
+        for bb in range(first, first + len(masks)):
+            assert not cfg.successors[bb], "patched block has successors"
+            state = None
+            for pred in cfg.predecessors[bb]:
+                if pred < first and self.entry[pred] is not None:
+                    state = (state or 0) | self.exit(pred)
+            self.entry.append(state)
 
 
-def solve(analysis: DataflowAnalysis) -> Dict[int, State]:
-    """Run to fixpoint; returns block-*entry* states (forward) or
-    block-*exit* states (backward)."""
-    body = analysis.body
-    cfg = analysis.cfg
-    n = len(body.blocks)
-    entry_states: Dict[int, State] = {}
-
-    if analysis.FORWARD:
-        preds = cfg.predecessors
-        start_blocks = [0] if n else []
-    else:
-        preds = cfg.successors
-        start_blocks = [b.index for b in body.blocks
-                        if b.terminator is not None and
-                        not b.terminator.successors()]
-
-    for start in start_blocks:
-        entry_states[start] = analysis.boundary_state()
-
+def solve(cfg: Cfg, masks: GenKill, boundary: int) -> Solution:
+    """The least fixed point of a forward union analysis: ``boundary`` at
+    the entry block, each block's exit state flowing into its
+    successors.  Sweeps the blocks in reverse post-order while some
+    block's entry changed since it was last visited (one sweep for an
+    acyclic body)."""
+    n = cfg.num_blocks
+    entry: List[Optional[int]] = [None] * n
+    if not n:
+        return Solution(masks, entry)
+    entry[0] = boundary
     order = cfg.reverse_post_order()
-    if not analysis.FORWARD:
-        order = list(reversed(order))
-    worklist = deque(order)
-    in_worklist = set(worklist)
-
-    while worklist:
-        bb = worklist.popleft()
-        in_worklist.discard(bb)
-        incoming = [analysis.transfer_block(entry_states[p], p)
-                    for p in preds[bb] if p in entry_states]
-        if bb in start_blocks:
-            incoming.append(analysis.boundary_state())
-        if not incoming:
-            if bb not in entry_states:
-                entry_states[bb] = analysis.boundary_state() if bb in start_blocks \
-                    else frozenset()
-            continue
-        new_state = analysis.join(incoming)
-        if bb not in entry_states or entry_states[bb] != new_state:
-            entry_states[bb] = new_state
-            next_nodes = cfg.successors[bb] if analysis.FORWARD \
-                else cfg.predecessors[bb]
-            for nxt in next_nodes:
-                if nxt not in in_worklist:
-                    worklist.append(nxt)
-                    in_worklist.add(nxt)
-    return entry_states
-
-
-def statement_states(analysis: DataflowAnalysis,
-                     entry_states: Dict[int, State],
-                     block_index: int) -> List[State]:
-    """Replay one block, returning the state *before* each statement (and,
-    as the final element, before the terminator) for a forward analysis."""
-    assert analysis.FORWARD, "statement_states is for forward analyses"
-    state = entry_states.get(block_index, frozenset())
-    block = analysis.body.blocks[block_index]
-    states = []
-    for i, stmt in enumerate(block.statements):
-        states.append(state)
-        state = analysis.transfer_statement(state, stmt, block_index, i)
-    states.append(state)
-    return states
+    successors = cfg.successors
+    block = masks.block
+    dirty = [False] * n
+    dirty[0] = True
+    pending = 1
+    while pending:
+        for bb in order:
+            if not dirty[bb]:
+                continue
+            dirty[bb] = False
+            pending -= 1
+            out = (entry[bb] & ~block[2 * bb + 1]) | block[2 * bb]
+            for succ in successors[bb]:
+                old = entry[succ]
+                if old is None:
+                    entry[succ] = out
+                elif old | out != old:
+                    entry[succ] = old | out
+                else:
+                    continue
+                if not dirty[succ]:
+                    dirty[succ] = True
+                    pending += 1
+    return Solution(masks, entry)

@@ -2,9 +2,11 @@
 
 Two lifetime views feed the detectors:
 
-* :func:`compute_storage_ranges` — for every local, the program points
-  where its storage is live (between ``StorageLive`` and ``StorageDead``),
-  the §7.1 "state of each variable (alive or dead)";
+* :func:`compute_storage_ranges` — for every local, whether its storage
+  is live (between ``StorageLive`` and ``StorageDead``) at a program
+  point, the §7.1 "state of each variable (alive or dead)".  One gen/kill
+  solve over int bitsets (:mod:`repro.analysis.dataflow`) keeps the
+  block-entry states; a point query replays its block;
 * :func:`compute_guard_regions` — for every lock-acquisition call site,
   the region of program points during which the returned guard is still
   held, following the guard value through ``unwrap``/moves until its drop
@@ -21,6 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.analysis.dataflow import GenKill, Solution, solve
 from repro.analysis.points_to import PointsTo
 from repro.analysis.scan import cfg_of, scan_of
 from repro.hir.builtins import BuiltinOp, FuncKind
@@ -55,62 +58,42 @@ _EXTRACT_OPS = {BuiltinOp.UNWRAP, BuiltinOp.EXPECT, BuiltinOp.OK_METHOD,
                 BuiltinOp.TAKE, BuiltinOp.UNWRAP_OR}
 
 
-@dataclass
 class StorageRanges:
-    """Per-local storage liveness."""
+    """Per-local storage liveness of one body: bit ``l`` of a state is
+    "``l``'s storage is live" (between ``StorageLive`` and
+    ``StorageDead``)."""
 
-    body: Body
-    live_points: Dict[int, Set[Point]] = field(default_factory=dict)
-    live_at_entry: Dict[int, FrozenSet[int]] = field(default_factory=dict)
+    __slots__ = ("solution",)
+
+    def __init__(self, solution: Solution) -> None:
+        self.solution = solution
 
     def is_live_at(self, local: int, point: Point) -> bool:
-        return point in self.live_points.get(local, set())
+        bb, index = point
+        solution = self.solution
+        return solution.reached(bb) \
+            and bool(solution.before(bb, index) >> local & 1)
 
 
 def compute_storage_ranges(body: Body) -> StorageRanges:
-    """Forward reachability of storage-liveness per local."""
-    cfg = cfg_of(body)
-    n = len(body.blocks)
-    # Block-entry live sets (arguments are live from entry).
-    args = frozenset(l.index for l in body.locals if l.is_arg or l.index == 0)
-    entry: Dict[int, Set[int]] = {0: set(args)}
-    worklist = deque([0])
-    result = StorageRanges(body)
-
-    def block_transfer(bb: int, record: bool) -> Set[int]:
-        live = set(entry.get(bb, set()))
-        block = body.blocks[bb]
-        for i, stmt in enumerate(block.statements):
-            if record:
-                for l in live:
-                    result.live_points.setdefault(l, set()).add((bb, i))
+    """Forward may-liveness of every local's storage; arguments and the
+    return place are live from entry."""
+    masks = GenKill()
+    for block in body.blocks:
+        statements: List[int] = []
+        for stmt in block.statements:
             if stmt.kind is StatementKind.STORAGE_LIVE:
-                live.add(stmt.local)
+                statements += (1 << stmt.local, 0)
             elif stmt.kind is StatementKind.STORAGE_DEAD:
-                live.discard(stmt.local)
-        if record:
-            term_point = (bb, len(block.statements))
-            for l in live:
-                result.live_points.setdefault(l, set()).add(term_point)
-        return live
-
-    while worklist:
-        bb = worklist.popleft()
-        out = block_transfer(bb, record=False)
-        for succ in cfg.successors[bb]:
-            prev = entry.get(succ)
-            if prev is None:
-                entry[succ] = set(out)
-                worklist.append(succ)
-            elif not out <= prev:
-                prev |= out
-                worklist.append(succ)
-
-    for bb in range(n):
-        if bb in entry or bb == 0:
-            block_transfer(bb, record=True)
-    result.live_at_entry = {bb: frozenset(s) for bb, s in entry.items()}
-    return result
+                statements += (0, 1 << stmt.local)
+            else:
+                statements += (0, 0)
+        masks.add_block(statements, (0, 0))
+    boundary = 0
+    for local in body.locals:
+        if local.is_arg or local.index == 0:
+            boundary |= 1 << local.index
+    return StorageRanges(solve(cfg_of(body), masks, boundary))
 
 
 # ---------------------------------------------------------------------------

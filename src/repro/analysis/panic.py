@@ -28,6 +28,9 @@ The *drop-obligation* computation here is the single source of truth
 shared with the interpreter (``mir/interp.py`` runs the same
 :func:`unwind_drop_order` on unwind), fixing the drift where landing
 pads and the dynamic side disagreed about what dies during a panic.
+Both pieces read one init solution per body (int bitsets, see
+:mod:`repro.analysis.init`): lowering solves it once on the pre-pad
+CFG and patches its pads in.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.analysis.init import compute_init, init_states_in_block
-from repro.analysis.scan import scan_of
+from repro.analysis.init import InitStates, init_of
+from repro.analysis.scan import cfg_of, scan_of
 from repro.analysis.unsafe_prop import restore_slots_state
 from repro.hir.builtins import BuiltinOp, FuncKind
 from repro.mir.nodes import (
@@ -112,17 +115,17 @@ def unwind_drop_order(body: Body) -> Tuple[int, ...]:
     return order
 
 
-def _states_before_unwind(body: Body, entry_states, block_index: int,
-                          term: Terminator) -> set:
-    """Init-state tags observable by the unwind path of ``term``: the
+def _state_before_unwind(init: InitStates, block_index: int,
+                         term: Terminator) -> int:
+    """The init state observable by the unwind path of ``term``: the
     state before the terminator, minus locals the terminator itself
     moves into a callee (the callee owns them mid-call; on unwind it
     drops them, not our landing pad)."""
-    state = set(init_states_in_block(body, entry_states, block_index)[-1])
+    state = init.before_terminator(block_index)
     if term.kind is TerminatorKind.CALL:
         for op in term.args:
             if op.is_move and op.place is not None and op.place.is_local:
-                state.discard(("init", op.place.local))
+                state &= ~(1 << op.place.local)
     return state
 
 
@@ -137,12 +140,15 @@ def ensure_unwind_edges(body: Body) -> None:
     drop keep ``unwind=None`` (an empty pad adds no information —
     rustc's SimplifyCfg folds those away too).
 
-    Obligations are computed against the *pre-lowering* CFG.  The body's
-    scan survives lowering (its flattened views skip cleanup blocks and
-    share the mutated terminator objects, so they are pad-free either
-    way); only other modules' derived facts are dropped, and the drop
-    order plus direct panic facts computed here are re-seeded so the
-    summary pass never re-runs this body's init dataflow.
+    Obligations are read from the body's one init solution
+    (:func:`~repro.analysis.init.init_of`), solved on the *pre-lowering*
+    CFG; the pads are then patched into that solution rather than
+    solved again.  The body's scan survives lowering (its flattened
+    views skip cleanup blocks and share the mutated terminator objects,
+    so they are pad-free either way); only other modules' derived facts
+    are dropped, and the drop order, the patched init solution and the
+    direct panic facts computed here are re-seeded, so neither the
+    summary pass nor a detector solves this body's init again.
     """
     if body.__dict__.get(_LOWERED_ATTR) \
             or any(block.cleanup for block in body.blocks):
@@ -157,23 +163,22 @@ def ensure_unwind_edges(body: Body) -> None:
     order = unwind_drop_order(body)
     if not order:
         return
-    entry_states = compute_init(body)
+    init = init_of(body)
+    first_pad = len(body.blocks)
     pads: Dict[Tuple[int, ...], int] = {}
     sources: set = set()
     moved: set = set()
     drops: set = set()
     for block_index, term in sites:
-        state = _states_before_unwind(body, entry_states, block_index, term)
-        obligation = tuple(l for l in order if ("init", l) in state)
+        state = _state_before_unwind(init, block_index, term)
+        obligation = tuple(l for l in order if state >> l & 1)
         source = terminator_panic_source(term)
         if source is not None:
             # Direct-site panic facts fall out of the same per-site init
             # states; stashing them below spares `_direct_panic_facts` a
-            # second dataflow pass over this body.
+            # second look at this body.
             sources.add(source)
-            init_tags = {l for tag, l in state if tag == "init"}
-            moved |= {l for tag, l in state
-                      if tag == "moved" and l not in init_tags}
+            moved.update(init.moved_out_locals(state))
             drops.update(obligation)
         if not obligation:
             continue
@@ -192,14 +197,16 @@ def ensure_unwind_edges(body: Body) -> None:
     # itself stays valid across lowering — re-walking every lowered body
     # was the single biggest cost of the engine solve.  Only other
     # modules' derived facts may bake in the pre-pad CFG: drop those,
-    # re-seed the two facts this pass just computed, and extend the
-    # body's one Cfg with the pads rather than building a second.
+    # re-seed the facts this pass just computed, and extend the body's
+    # one Cfg and its one init solution with the pads rather than
+    # building or solving either a second time.
     scan = scan_of(body)
-    cfg = scan.cache.get("cfg")
+    cfg = cfg_of(body)
     scan.cache.clear()
-    if cfg is not None:
-        cfg.add_landing_pads(body, sites)
-        scan.cache["cfg"] = cfg
+    cfg.add_landing_pads(body, sites)
+    scan.cache["cfg"] = cfg
+    init.add_landing_pads(body, first_pad)
+    scan.cache["init"] = init
     scan.cache["unwind_drop_order"] = order
     scan.cache["panic_facts"] = (
         frozenset(sources), frozenset(moved), frozenset(drops))
@@ -264,17 +271,15 @@ def _direct_panic_facts(body: Body):
     if not sites:
         return frozenset(), frozenset(), frozenset()
     order = unwind_drop_order(body)
-    entry_states = compute_init(body)
+    init = init_of(body)
     sources = set()
     moved = set()
     drops = set()
     for bb, term, source in sites:
         sources.add(source)
-        state = _states_before_unwind(body, entry_states, bb, term)
-        init_tags = {l for tag, l in state if tag == "init"}
-        moved |= {l for tag, l in state
-                  if tag == "moved" and l not in init_tags}
-        drops |= {l for l in order if l in init_tags}
+        state = _state_before_unwind(init, bb, term)
+        moved.update(init.moved_out_locals(state))
+        drops.update(l for l in order if state >> l & 1)
     return frozenset(sources), frozenset(moved), frozenset(drops)
 
 

@@ -9,7 +9,7 @@ from repro import obs
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.config import AnalysisConfig, coerce_config
 from repro.analysis.engine import SummaryEngine
-from repro.analysis.init import compute_init
+from repro.analysis.init import InitStates, init_of
 from repro.analysis.lifetime import (
     GuardRegion, StorageRanges, compute_guard_regions, compute_storage_ranges,
 )
@@ -55,7 +55,7 @@ class AnalysisContext:
         self.engine = SummaryEngine(program, self.config)
         self._guard_regions: Dict[Tuple[str, bool], List[GuardRegion]] = {}
         self._storage_ranges: Dict[str, StorageRanges] = {}
-        self._init_states: Dict[str, dict] = {}
+        self._init_states: Dict[str, InitStates] = {}
         self._arc_shared: Optional[FrozenSet[str]] = None
         #: op → ``(walk position, body, block, terminator)``, in walk order.
         self._builtin_sites: Optional[
@@ -116,10 +116,12 @@ class AnalysisContext:
             self._storage_ranges, body.key, "storage_ranges",
             lambda: compute_storage_ranges(body))
 
-    def init_states(self, body: Body) -> dict:
+    def init_states(self, body: Body) -> InitStates:
+        """The body's one init solution (shared with unwind lowering and
+        the panic facts, see :func:`~repro.analysis.init.init_of`)."""
         return self._lookup(
             self._init_states, body.key, "init_states",
-            lambda: compute_init(body))
+            lambda: init_of(body))
 
     @property
     def call_graph(self) -> CallGraph:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.lifetime import resolve_ref_chain
-from repro.analysis.scan import cfg_of
+from repro.analysis.scan import cfg_of, scan_of
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.report import Finding, Severity
 from repro.hir.builtins import BuiltinOp
@@ -40,6 +40,12 @@ class BufferOverflowDetector(Detector):
     paper_section = "5.1"
 
     def check_body(self, ctx: AnalysisContext, body: Body) -> List[Finding]:
+        # Both rules fire only at a `get_unchecked(_mut)` call: a body
+        # without one skips the length, constant and dominance passes
+        # (DESIGN.md §9, "Per-body facts on demand, on bitsets").
+        if not any(term.func.builtin_op in _UNCHECKED_OPS
+                   for _bb, term in scan_of(body).calls):
+            return []
         findings: List[Finding] = []
         cfg = cfg_of(body)
         lengths = self._known_lengths(body)

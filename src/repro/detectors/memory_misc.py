@@ -331,7 +331,10 @@ class NullDerefDetector(Detector):
                     pointer = arg.place.local
                     base, _ = resolve_ref_chain(body, pointer)
                     targets = pt.targets(pointer) | pt.targets(base)
-                    if ("null",) in targets and pointer not in self._null_checked_locals(body):
+                    # Only the pointer itself is tested against
+                    # `guarded` here, not its resolved base as
+                    # `inspect` does; widening it would change findings.
+                    if ("null",) in targets and pointer not in guarded:
                         only_null = all(t == ("null",) for t in targets)
                         name = body.locals[pointer].name or f"_{pointer}"
                         findings.append(Finding(

@@ -24,8 +24,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.analysis.dataflow import statement_states
-from repro.analysis.init import MaybeInitAnalysis
 from repro.analysis.summaries import value_chain
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.report import Finding, Severity
@@ -53,11 +51,15 @@ class UseAfterFreeDetector(Detector):
     paper_section = "7.1"
 
     def check_body(self, ctx: AnalysisContext, body: Body) -> List[Finding]:
+        # Every finding is a deref or escape of a raw-pointer local, so a
+        # body without one holds nothing to check (DESIGN.md §9,
+        # "Per-body facts on demand, on bitsets").
+        if not any(local.ty.is_raw_ptr for local in body.locals):
+            return []
         findings: List[Finding] = []
         pt = ctx.points_to(body)
         ranges = ctx.storage_ranges(body)
-        init_entry = ctx.init_states(body)
-        init_analysis = MaybeInitAnalysis(body)
+        init = ctx.init_states(body)
 
         # Heap allocation sites and their owner chains.
         site_chains: Dict[str, Set[int]] = {}
@@ -70,7 +72,7 @@ class UseAfterFreeDetector(Detector):
                 site_chains[site] = value_chain(body, term.destination.local)
 
         freed, drop_reasons = self._compute_freed(
-            ctx, body, pt, site_chains, init_entry, init_analysis)
+            ctx, body, pt, site_chains, init)
 
         # Scan every deref / pointer-escaping use.
         for block in body.blocks:
@@ -120,8 +122,7 @@ class UseAfterFreeDetector(Detector):
 
     # -- freed-state dataflow ------------------------------------------------
 
-    def _compute_freed(self, ctx, body: Body, pt, site_chains, init_entry,
-                       init_analysis):
+    def _compute_freed(self, ctx, body: Body, pt, site_chains, init):
         """Forward may-freed facts per program point.
 
         Facts: ``("heap", site)`` and ``("dropped", local)``.  Returns
@@ -149,8 +150,8 @@ class UseAfterFreeDetector(Detector):
             visited[bb] = set(state) | (prev or set())
             block = body.blocks[bb]
             init_states = None
-            if bb in init_entry:
-                init_states = statement_states(init_analysis, init_entry, bb)
+            if init.reached(bb):
+                init_states = init.states_in_block(bb)
             for i, stmt in enumerate(block.statements):
                 point_states[(bb, i)] = frozenset(
                     point_states.get((bb, i), frozenset()) | state)
@@ -158,9 +159,8 @@ class UseAfterFreeDetector(Detector):
                     local = stmt.place.local
                     definitely_moved = False
                     if init_states is not None:
-                        st = init_states[i]
-                        definitely_moved = ("moved", local) in st and \
-                            ("init", local) not in st
+                        definitely_moved = init.moved_out(init_states[i],
+                                                          local)
                     if not definitely_moved:
                         state.add(("dropped", local))
                         for site in chain_of.get(local, []):

@@ -1,24 +1,32 @@
-"""Tests for the dataflow analyses: CFG, liveness, init, points-to,
-storage ranges, guard regions, call graph."""
+"""Tests for the dataflow analyses: CFG, the gen/kill solver, init,
+points-to, storage ranges, guard regions, call graph."""
 
-from collections import Counter
+from collections import Counter, deque
 
 from conftest import compile_, mir_of
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.callgraph import build_call_graph, direct_locks
-from repro.analysis.init import compute_init
+from repro.analysis.init import compute_init, init_of
 from repro.analysis.lifetime import (
     compute_guard_regions, compute_storage_ranges, lock_identity,
     resolve_ref_chain,
 )
-from repro.analysis.liveness import compute_liveness, live_at_statement
+from repro.analysis.panic import ensure_unwind_edges
 from repro.analysis.points_to import compute_points_to
 from repro.analysis.scan import cfg_of
 from repro.corpus.benign import BENIGN_TEMPLATES
 from repro.corpus.inject import BUG_TEMPLATES
 from repro.api import AnalysisSession
 from repro.mir.cfg import Cfg
-from repro.mir.nodes import StatementKind, TerminatorKind
+from repro.mir.nodes import (
+    BinOpKind, Body, Local, Operand, Place, Rvalue, Statement, StatementKind,
+    Terminator, TerminatorKind,
+)
+
+
+def _reached(solution):
+    return [state for state in solution.entry if state is not None]
 
 
 def local_named(body, name):
@@ -115,34 +123,14 @@ class TestOneCfgPerBody:
                 fresh.immediate_dominators()
 
 
-class TestLiveness:
-    def test_used_variable_live_before_use(self):
-        body = mir_of("fn main() { let x = 1; let y = x + 1; print(y); }")
-        exit_states = compute_liveness(body)
-        x = local_named(body, "x")
-        # x must be live somewhere (between def and use).
-        live_anywhere = set()
-        for bb in range(len(body.blocks)):
-            for state in live_at_statement(body, exit_states, bb):
-                live_anywhere |= state
-        assert x in live_anywhere
-
-    def test_dead_after_last_use(self):
-        body = mir_of("fn main() { let x = 1; print(x); let y = 2; print(y); }")
-        exit_states = compute_liveness(body)
-        x = local_named(body, "x")
-        last_exit = exit_states.get(len(body.blocks) - 1, frozenset())
-        assert x not in last_exit
-
-
 class TestInit:
     def test_assigned_local_is_init(self):
         body = mir_of("fn main() { let x = 1; print(x); }")
-        entry = compute_init(body)
+        init = compute_init(body)
         x = local_named(body, "x")
         final_block = len(body.blocks) - 1
-        assert ("init", x) in entry.get(final_block, frozenset()) or any(
-            ("init", x) in st for st in entry.values())
+        assert init.is_init(init.entry[final_block] or 0, x) or any(
+            init.is_init(st, x) for st in _reached(init))
 
     def test_moved_local_is_marked(self):
         body = mir_of("""
@@ -151,14 +139,14 @@ class TestInit:
                 let w = v;
                 print(1);
             }""")
-        entry = compute_init(body)
+        init = compute_init(body)
         v = local_named(body, "v")
-        assert any(("moved", v) in st for st in entry.values())
+        assert any(init.is_moved(st, v) for st in _reached(init))
 
     def test_args_init_at_entry(self):
         body = mir_of("fn f(a: i32) { print(a); }", "f")
-        entry = compute_init(body)
-        assert ("init", 1) in entry[0]
+        init = compute_init(body)
+        assert init.is_init(init.entry[0], 1)
 
 
 class TestPointsTo:
@@ -239,6 +227,280 @@ class TestStorageRanges:
             if s.kind is StatementKind.ASSIGN and s.place.local == outer}
         for point in outer_points:
             assert not ranges.is_live_at(inner, point)
+
+
+# ---------------------------------------------------------------------------
+# The bitset gen/kill solver against a frozenset reference
+# ---------------------------------------------------------------------------
+
+def _reference_solve(body, cfg, boundary, transfer_block):
+    """The frozenset worklist solver the bitset one replaced: block-entry
+    states of the reachable blocks, joined by union."""
+    entry = {}
+    if not body.blocks:
+        return entry
+    entry[0] = boundary
+    worklist = deque(cfg.reverse_post_order())
+    queued = set(worklist)
+    while worklist:
+        bb = worklist.popleft()
+        queued.discard(bb)
+        incoming = [transfer_block(entry[p], p)
+                    for p in cfg.predecessors[bb] if p in entry]
+        if bb == 0:
+            incoming.append(boundary)
+        if not incoming:
+            continue
+        new_state = frozenset().union(*incoming)
+        if entry.get(bb) != new_state:
+            entry[bb] = new_state
+            for succ in cfg.successors[bb]:
+                if succ not in queued:
+                    worklist.append(succ)
+                    queued.add(succ)
+    return entry
+
+
+def _moves(tags, operands):
+    for op in operands:
+        if op.is_move and op.place is not None and op.place.is_local:
+            tags.add(("moved", op.place.local))
+            tags.discard(("init", op.place.local))
+
+
+def _init_statement(state, stmt):
+    tags = set(state)
+    if stmt.kind is StatementKind.ASSIGN:
+        if stmt.rvalue is not None:
+            _moves(tags, stmt.rvalue.operands)
+        if stmt.place.is_local:
+            tags.add(("init", stmt.place.local))
+            tags.discard(("moved", stmt.place.local))
+    elif stmt.kind is StatementKind.DROP:
+        if stmt.place.is_local:
+            tags.discard(("init", stmt.place.local))
+    elif stmt.kind in (StatementKind.STORAGE_LIVE,
+                       StatementKind.STORAGE_DEAD):
+        tags.discard(("init", stmt.local))
+        tags.discard(("moved", stmt.local))
+    return frozenset(tags)
+
+
+def _init_terminator(state, term):
+    tags = set(state)
+    if term is not None and term.kind is TerminatorKind.CALL:
+        _moves(tags, term.args)
+        if term.destination is not None and term.destination.is_local:
+            tags.add(("init", term.destination.local))
+            tags.discard(("moved", term.destination.local))
+    return frozenset(tags)
+
+
+def _storage_statement(state, stmt):
+    if stmt.kind is StatementKind.STORAGE_LIVE:
+        return state | {stmt.local}
+    if stmt.kind is StatementKind.STORAGE_DEAD:
+        return state - {stmt.local}
+    return state
+
+
+def _reference_points(body, boundary, transfer_stmt,
+                      transfer_term=lambda state, term: state):
+    """Per block: whether it is reached, and the state before each
+    statement and then before the terminator (replayed from an empty
+    entry when unreached)."""
+    def transfer_block(state, bb):
+        for stmt in body.blocks[bb].statements:
+            state = transfer_stmt(state, stmt)
+        return transfer_term(state, body.blocks[bb].terminator)
+
+    entry = _reference_solve(body, Cfg(body), boundary, transfer_block)
+    out = []
+    for block in body.blocks:
+        state = entry.get(block.index, frozenset())
+        states = [state]
+        for stmt in block.statements:
+            state = transfer_stmt(state, stmt)
+            states.append(state)
+        out.append((block.index in entry, states))
+    return out
+
+
+def _init_tags(init, state):
+    return frozenset(
+        [("init", l) for l in range(init.num_locals)
+         if init.is_init(state, l)]
+        + [("moved", l) for l in range(init.num_locals)
+           if init.is_moved(state, l)])
+
+
+def _assert_init_agrees(body, init):
+    boundary = frozenset(("init", l.index) for l in body.locals if l.is_arg)
+    reference = _reference_points(body, boundary, _init_statement,
+                                  _init_terminator)
+    for bb, (reached, states) in enumerate(reference):
+        assert init.reached(bb) == reached, bb
+        replayed = init.states_in_block(bb)
+        assert [_init_tags(init, s) for s in replayed] == states, bb
+        for index, state in enumerate(replayed):
+            assert init.before(bb, index) == state
+        for l in range(init.num_locals):
+            for state in replayed:
+                assert init.moved_out(state, l) == (
+                    l in set(init.moved_out_locals(state)))
+
+
+def _assert_storage_agrees(body):
+    boundary = frozenset(l.index for l in body.locals
+                         if l.is_arg or l.index == 0)
+    reference = _reference_points(body, boundary, _storage_statement)
+    ranges = compute_storage_ranges(body)
+    for bb, (reached, states) in enumerate(reference):
+        for index, state in enumerate(states):
+            for local in range(len(body.locals)):
+                assert ranges.is_live_at(local, (bb, index)) == (
+                    reached and local in state), (bb, index, local)
+
+
+@st.composite
+def _random_bodies(draw):
+    """A small MIR body over random blocks: loops (backward targets),
+    unreachable blocks (nothing targets them), switch fan-out to one
+    target, calls with and without a return edge or destination, and
+    projected places (which neither analysis tracks)."""
+    num_locals = draw(st.integers(1, 6))
+    num_args = draw(st.integers(0, num_locals - 1))
+    locals_ = [Local(index=i, is_arg=1 <= i <= num_args)
+               for i in range(num_locals)]
+    num_blocks = draw(st.integers(1, 7))
+    block_ids = st.integers(0, num_blocks - 1)
+
+    def place():
+        local = draw(st.integers(0, num_locals - 1))
+        return Place(local).field(0) if draw(st.integers(0, 4)) == 0 \
+            else Place(local)
+
+    def operand():
+        kind = draw(st.sampled_from(["move", "move", "copy", "const"]))
+        if kind == "const":
+            return Operand.const(1)
+        return Operand.move(place()) if kind == "move" \
+            else Operand.copy(place())
+
+    def statement():
+        kind = draw(st.sampled_from(
+            ["assign", "assign", "drop", "live", "dead", "nop"]))
+        if kind == "assign":
+            arity = draw(st.integers(0, 2))
+            rvalue = (Rvalue.ref(place()) if arity == 0
+                      else Rvalue.use_(operand()) if arity == 1
+                      else Rvalue.binary(BinOpKind.ADD, operand(),
+                                         operand()))
+            return Statement(StatementKind.ASSIGN, place=place(),
+                             rvalue=rvalue)
+        if kind == "drop":
+            return Statement(StatementKind.DROP, place=place())
+        if kind == "nop":
+            return Statement(StatementKind.NOP)
+        return Statement(StatementKind.STORAGE_LIVE if kind == "live"
+                         else StatementKind.STORAGE_DEAD,
+                         local=draw(st.integers(0, num_locals - 1)))
+
+    def terminator():
+        kind = draw(st.sampled_from(
+            ["goto", "switch", "fan-out", "call", "call", "assert",
+             "return"]))
+        if kind == "goto":
+            return Terminator(TerminatorKind.GOTO, target=draw(block_ids))
+        if kind in ("switch", "fan-out"):
+            if kind == "fan-out":
+                targets = [draw(block_ids)] * draw(st.integers(2, 3))
+            else:
+                targets = draw(st.lists(block_ids, min_size=1, max_size=3))
+            return Terminator(
+                TerminatorKind.SWITCH_INT, discr=Operand.copy(Place(0)),
+                switch_targets=list(enumerate(targets[:-1])),
+                otherwise=targets[-1])
+        if kind == "call":
+            return Terminator(
+                TerminatorKind.CALL,
+                args=[operand() for _ in range(draw(st.integers(0, 2)))],
+                destination=draw(st.sampled_from([None, place()])),
+                target=draw(st.one_of(st.none(), block_ids)))
+        if kind == "assert":
+            return Terminator(TerminatorKind.ASSERT,
+                              cond=Operand.copy(Place(0)),
+                              target=draw(block_ids))
+        return Terminator(TerminatorKind.RETURN)
+
+    body = Body(key="random", locals=locals_, arg_count=num_args)
+    for _ in range(num_blocks):
+        block = body.new_block()
+        block.statements = [statement()
+                            for _ in range(draw(st.integers(0, 4)))]
+        block.terminator = terminator()
+    return body
+
+
+def _add_random_pads(draw, body):
+    """Lower random unwind edges the way ``ensure_unwind_edges`` does:
+    ``cleanup`` blocks of ``DROP`` statements ending in ``RESUME``,
+    appended after the body's blocks; each may-unwind site (reachable
+    or not) points at one of them or at none."""
+    sites = [(block.index, block.terminator) for block in body.blocks
+             if block.terminator.kind in (TerminatorKind.CALL,
+                                          TerminatorKind.ASSERT)]
+    num_pads = draw(st.integers(0, 3))
+    first_pad = len(body.blocks)
+    for _ in range(num_pads):
+        pad = body.new_block()
+        pad.cleanup = True
+        pad.statements = [
+            Statement(StatementKind.DROP, place=Place(local))
+            for local in draw(st.lists(
+                st.integers(0, len(body.locals) - 1), max_size=3))]
+        pad.terminator = Terminator(TerminatorKind.RESUME)
+    for _bb, term in sites:
+        if num_pads:
+            term.unwind = draw(st.one_of(
+                st.none(), st.integers(first_pad, first_pad + num_pads - 1)))
+    return sites, first_pad
+
+
+class TestBitsetSolver:
+    """The int-bitset gen/kill solver agrees with the frozenset
+    reference at every program point, for maybe-init/moved and storage
+    liveness, including landing pads patched in after solving."""
+
+    @given(_random_bodies())
+    @settings(max_examples=200, deadline=None)
+    def test_init_and_storage_match_the_reference(self, body):
+        _assert_init_agrees(body, compute_init(body))
+        _assert_storage_agrees(body)
+
+    @given(_random_bodies(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_patched_landing_pads_match_a_fresh_solve(self, body, data):
+        init = init_of(body)            # solved on the pre-pad CFG
+        sites, first_pad = _add_random_pads(data.draw, body)
+        cfg_of(body).add_landing_pads(body, sites)
+        init.add_landing_pads(body, first_pad)
+        _assert_init_agrees(body, init)
+        _assert_init_agrees(body, compute_init(body))
+        _assert_storage_agrees(body)
+
+    def test_unwind_lowering_reuses_the_one_init_solve(self):
+        compiled = compile_(BUG_TEMPLATES[
+            "panic_between_read_and_write"].render("u1"))
+        lowered = 0
+        for body in compiled.program.functions.values():
+            before = init_of(body)
+            ensure_unwind_edges(body)
+            if any(block.cleanup for block in body.blocks):
+                lowered += 1
+                assert init_of(body) is before
+                _assert_init_agrees(body, before)
+        assert lowered
 
 
 class TestGuardRegions:

@@ -122,3 +122,87 @@ def test_spawn_and_call_site_indexes_keep_list_order(corpus_ctx):
             s for s in te.spawn_sites if s.closure == key]
         assert graph.sites_calling(key) == [
             s for s in graph.call_sites if s.callee == key]
+
+
+# ---------------------------------------------------------------------------
+# Per-body facts on demand (DESIGN.md §9, "Per-body facts on demand, on
+# bitsets")
+# ---------------------------------------------------------------------------
+
+def _has_raw_ptr(body):
+    return any(local.ty.is_raw_ptr for local in body.locals)
+
+
+def _calls_get_unchecked(body):
+    return any(term.func is not None
+               and term.func.builtin_op in (BuiltinOp.VEC_GET_UNCHECKED,
+                                            BuiltinOp.VEC_GET_UNCHECKED_MUT)
+               for _bb, term in body.iter_terminators())
+
+
+@pytest.fixture(scope="module")
+def demand_run():
+    """One analysis of ``generate_corpus(0, 1)`` recording the obs
+    counters, every init solve, and the bodies each demand-gated
+    per-body pass ran on (keys in call order)."""
+    from repro import obs
+    from repro.analysis import init as init_module
+    from repro.detectors import base
+    from repro.detectors.buffer_overflow import BufferOverflowDetector
+
+    compiled = compile_source(generate_corpus(0, 1).combined_source())
+    calls = {"solve": [], "storage": [], "init": [], "overflow": []}
+
+    def recording(name, original, method=False):
+        if method:
+            def wrapper(self, body):
+                calls[name].append(body.key)
+                return original(self, body)
+        else:
+            def wrapper(body):
+                calls[name].append(body.key)
+                return original(body)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(init_module, "compute_init",
+                      recording("solve", init_module.compute_init))
+        patch.setattr(base, "compute_storage_ranges",
+                      recording("storage", base.compute_storage_ranges))
+        patch.setattr(base, "init_of", recording("init", base.init_of))
+        patch.setattr(BufferOverflowDetector, "_known_lengths", recording(
+            "overflow", BufferOverflowDetector._known_lengths, True))
+        with obs.collecting("demand") as collector:
+            api.AnalysisSession().analyze_compiled(compiled)
+    return compiled.program, collector.counters, calls
+
+
+def test_use_after_free_facts_only_for_raw_pointer_bodies(demand_run):
+    program, counters, calls = demand_run
+    raw = {body.key for body in program.bodies() if _has_raw_ptr(body)}
+    assert 0 < len(raw) < len(program.bodies())
+    assert counters["analysis.storage_ranges.miss"] == len(raw)
+    assert counters["analysis.init_states.miss"] == len(raw)
+    assert sorted(calls["storage"]) == sorted(calls["init"]) == sorted(raw)
+
+
+def test_init_is_solved_at_most_once_per_body(demand_run):
+    program, _counters, calls = demand_run
+    solves = calls["solve"]
+    assert solves
+    assert len(solves) == len(set(solves))
+    assert len(solves) <= len(program.bodies())
+
+
+def test_a_body_without_the_subject_triggers_neither_pass(demand_run):
+    program, _counters, calls = demand_run
+    unchecked = {body.key for body in program.bodies()
+                 if _calls_get_unchecked(body)}
+    assert unchecked
+    assert sorted(calls["overflow"]) == sorted(unchecked)
+    plain = [body.key for body in program.bodies()
+             if not _has_raw_ptr(body) and not _calls_get_unchecked(body)]
+    assert plain
+    touched = set(calls["storage"]) | set(calls["init"]) \
+        | set(calls["overflow"])
+    assert not touched & set(plain)

@@ -200,3 +200,12 @@ class TestBorrowck:
             }""")
         errors = check_program(compiled.program)
         assert not [e for e in errors if e.kind == "conflicting_borrow"]
+
+    def test_generated_corpus_is_borrowck_clean(self):
+        # Safe generated code must pass the checker; both rule families
+        # skip code inside `unsafe`.
+        from repro.analysis.borrowck import check_program
+        from repro.corpus import generate_corpus
+        errors = check_program(
+            compile_(generate_corpus(0, 1).combined_source()).program)
+        assert not errors, [e.render() for e in errors[:5]]
