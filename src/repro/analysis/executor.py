@@ -65,7 +65,11 @@ CACHE_FORMAT = 3
 #: Versions the *component key*, i.e. the summary solve semantics —
 #: separate from the container format.  Bump when ``FunctionSummary``
 #: fields or solve semantics change.
-SUMMARY_KEY_VERSION = 2
+#:
+#: v3: the IR value classes (``Span``, ``Ty``, ``Place``, ...) are
+#: slotted, so summaries pickled with the old per-instance ``__dict__``
+#: layout are never opened.
+SUMMARY_KEY_VERSION = 3
 
 
 def body_fingerprint(body: Body) -> str:
@@ -379,7 +383,9 @@ class SummaryCache:
 #: v2: the key covers every finding-relevant config field (v1 left out
 #: ``unwind_edges``, ``deadlock_cycle_bound`` and ``seed``, so a report
 #: cached under one setting was served under another).
-REPORT_CACHE_FORMAT = 2
+#: v3: reports pickle slotted spans; v2 entries (spans with a
+#: ``__dict__``) are never opened.
+REPORT_CACHE_FORMAT = 3
 
 #: :class:`AnalysisConfig` fields that only say how or where to run.
 #: Every other field can change findings, so the report key covers it.

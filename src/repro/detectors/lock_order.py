@@ -103,6 +103,12 @@ class LockOrderDetector(Detector):
                 edge_spans.setdefault((first, second), (body.key, span))
 
         findings: List[Finding] = []
+        if not edge_spans:
+            # No edge (each one is recorded in ``edge_spans``), no cycle:
+            # skip the enumerator's set-up, which a per-file check would
+            # otherwise pay on every file.  Not ``graph.number_of_edges()``:
+            # it caches a degree view on the graph that points back at it.
+            return findings
         seen_cycles = set()
         for cycle in nx.simple_cycles(graph):
             key = frozenset(cycle)

@@ -186,6 +186,8 @@ class BuiltinOp(enum.Enum):
     GETMNTENT = "libc::getmntent"       # the paper's §6.2 OS-resource example
     FFI = "ffi_call"
 
+    __hash__ = object.__hash__  # identity; Enum's own hashes the name
+
 
 class FuncKind(enum.Enum):
     USER = "user"
@@ -193,8 +195,10 @@ class FuncKind(enum.Enum):
     CLOSURE = "closure"
     UNKNOWN = "unknown"
 
+    __hash__ = object.__hash__  # identity; Enum's own hashes the name
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True, unsafe_hash=True)
 class FuncRef:
     """Resolved callee of a MIR ``Call`` terminator."""
 

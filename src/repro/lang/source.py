@@ -9,18 +9,21 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Span:
-    """A half-open byte range ``[lo, hi)`` in one source file."""
+    """A half-open byte range ``[lo, hi)`` in one source file.
+
+    A slotted value atom: equal and hashed by its fields, and never
+    mutated after construction.  ``tests/test_ir_values.py`` holds
+    that; a frozen dataclass would check it at run time, which makes
+    every construction several times slower.
+    """
 
     lo: int
     hi: int
     file_name: str = "<input>"
-
-    DUMMY: "ClassVar[Span]" = None  # assigned below
 
     def merge(self, other: "Span") -> "Span":
         """Smallest span covering both ``self`` and ``other``."""
@@ -39,6 +42,7 @@ class Span:
 
 
 # Sentinel used for compiler-generated constructs with no source location.
+# A plain class attribute assigned after the class, so it is not a field.
 Span.DUMMY = Span(0, 0, "<dummy>")
 
 

@@ -108,6 +108,8 @@ class TokenKind(enum.Enum):
 
     EOF = "<eof>"
 
+    __hash__ = object.__hash__  # identity; Enum's own hashes the name
+
 
 KEYWORDS = {
     "as": TokenKind.KW_AS,

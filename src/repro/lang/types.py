@@ -7,8 +7,8 @@ questions like "is this local a ``MutexGuard``?", "is this a raw pointer,
 and to what?", "does this type own heap memory (needs drop)?" — not full
 Hindley-Milner inference.
 
-Types are interned-by-construction immutable dataclasses; equality is
-structural.
+Types are slotted value dataclasses: equality and hashing are structural,
+and a type is never mutated after construction.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ class TyKind(enum.Enum):
     CLOSURE = "closure"
     TYPE_PARAM = "param"
     UNKNOWN = "unknown"
+
+    __hash__ = object.__hash__  # identity; Enum's own hashes the name
 
 
 # Built-in generic container / sync names recognised by the checker.  These
@@ -81,7 +83,7 @@ INTERIOR_MUTABLE_BUILTINS = {"Cell", "RefCell", "UnsafeCell", "Mutex",
                              "AtomicI64", "AtomicU64", "AtomicPtr"}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Ty:
     """A semantic type.  ``args`` carries generic parameters for ADTs and
     builtins, the referent for refs/pointers, element types, etc."""

@@ -1819,7 +1819,8 @@ def _walk_free(node, bound: Set[str], free: Set[str]) -> None:
             _walk_free(arm.body, inner, free)
         return
     if isinstance(node, ast.Node):
-        for value in vars(node).values():
+        for name in ast.field_names(type(node)):
+            value = getattr(node, name)
             if isinstance(value, ast.Node):
                 _walk_free(value, bound, free)
             elif isinstance(value, list):

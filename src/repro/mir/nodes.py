@@ -33,7 +33,7 @@ from repro.lang.types import UNKNOWN, Ty
 # Places
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ProjectionElem:
     """One projection step: deref, field access, or index."""
 
@@ -66,7 +66,7 @@ class ProjectionElem:
         return f"[{self.index_const}]"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Place:
     """A memory location: a local with zero or more projections."""
 
@@ -110,7 +110,7 @@ class Place:
 # Operands and constants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Constant:
     value: object
     ty: Ty = UNKNOWN
@@ -121,7 +121,7 @@ class Constant:
         return f"const {self.value}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Operand:
     """Copy(place) | Move(place) | Const(constant)."""
 
@@ -172,6 +172,8 @@ class RvalueKind(enum.Enum):
     DISCRIMINANT = "discriminant"
     REPEAT = "repeat"
 
+    __hash__ = object.__hash__  # identity; Enum's own hashes the name
+
 
 class BinOpKind(enum.Enum):
     ADD = "+"
@@ -191,10 +193,14 @@ class BinOpKind(enum.Enum):
     GT = ">"
     GE = ">="
 
+    __hash__ = object.__hash__  # identity; Enum's own hashes the name
+
 
 class UnOpKind(enum.Enum):
     NEG = "-"
     NOT = "!"
+
+    __hash__ = object.__hash__  # identity; Enum's own hashes the name
 
 
 class CastKind(enum.Enum):
@@ -206,6 +212,8 @@ class CastKind(enum.Enum):
     UNSIZE = "unsize"               # &Vec<T> → &[T]
     OTHER = "other"
 
+    __hash__ = object.__hash__  # identity; Enum's own hashes the name
+
 
 class AggregateKind(enum.Enum):
     TUPLE = "tuple"
@@ -214,8 +222,10 @@ class AggregateKind(enum.Enum):
     ARRAY = "array"
     CLOSURE = "closure"
 
+    __hash__ = object.__hash__  # identity; Enum's own hashes the name
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True, unsafe_hash=True)
 class Rvalue:
     kind: RvalueKind
     operands: Tuple[Operand, ...] = ()
@@ -311,8 +321,10 @@ class StatementKind(enum.Enum):
     SET_DISCRIMINANT = "set_discriminant"
     NOP = "nop"
 
+    __hash__ = object.__hash__  # identity; Enum's own hashes the name
 
-@dataclass
+
+@dataclass(slots=True)
 class Statement:
     kind: StatementKind
     span: Span = Span.DUMMY
@@ -351,8 +363,10 @@ class TerminatorKind(enum.Enum):
     ABORT = "abort"
     RESUME = "resume"        # end of a landing pad: continue unwinding
 
+    __hash__ = object.__hash__  # identity; Enum's own hashes the name
 
-@dataclass
+
+@dataclass(slots=True)
 class Terminator:
     kind: TerminatorKind
     span: Span = Span.DUMMY
@@ -416,7 +430,7 @@ class Terminator:
 # Bodies and programs
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Local:
     index: int
     ty: Ty = UNKNOWN
@@ -433,7 +447,7 @@ class Local:
         return label
 
 
-@dataclass
+@dataclass(slots=True)
 class BasicBlock:
     index: int
     statements: List[Statement] = field(default_factory=list)

@@ -106,7 +106,8 @@ def _count_unsafe_blocks(node) -> int:
         if isinstance(current, ast.Block) and current.is_unsafe:
             count += 1
         if isinstance(current, ast.Node):
-            for value in vars(current).values():
+            for name in ast.field_names(type(current)):
+                value = getattr(current, name)
                 if isinstance(value, ast.Node):
                     stack.append(value)
                 elif isinstance(value, list):
