@@ -40,7 +40,6 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.init import InitStates, init_of
 from repro.analysis.scan import cfg_of, scan_of
-from repro.analysis.unsafe_prop import restore_slots_state
 from repro.hir.builtins import BuiltinOp, FuncKind
 from repro.mir.nodes import (
     Body, Place, Statement, StatementKind, Terminator, TerminatorKind,
@@ -246,9 +245,6 @@ class PanicEffects:
     def is_bottom(self) -> bool:
         return not (self.may_panic or self.sources or self.moved_at_panic
                     or self.unwind_drops)
-
-    def __setstate__(self, state):
-        restore_slots_state(self, state)
 
 
 #: Shared bottom element for the common case (no panic source anywhere

@@ -82,7 +82,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.panic import PanicEffects
 from repro.analysis.scan import scan_of
-from repro.analysis.unsafe_prop import UnsafeProvenance, restore_slots_state
+from repro.analysis.unsafe_prop import UnsafeProvenance
 from repro.hir.builtins import BuiltinOp
 from repro.lang.source import Span
 from repro.mir.nodes import Body, RvalueKind, StatementKind, TerminatorKind
@@ -137,9 +137,6 @@ class FunctionSummary:
 
     def lock_kinds(self) -> Set[str]:
         return {lock[3] for lock in self.locks}
-
-    def __setstate__(self, state):
-        restore_slots_state(self, state)
 
 
 _EXTRACT_OPS = frozenset({BuiltinOp.UNWRAP, BuiltinOp.EXPECT,

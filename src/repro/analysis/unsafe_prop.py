@@ -86,24 +86,6 @@ _TAINT_FLOW = {RvalueKind.USE, RvalueKind.CAST, RvalueKind.BINARY,
 _TAINT_FLOW_CALLS = {BuiltinOp.PTR_IS_NULL}
 
 
-def restore_slots_state(obj, state) -> None:
-    """``__setstate__`` body shared by the slotted summary dataclasses.
-
-    Accepts both state shapes a pickle may carry: the ``(dict,
-    slots_dict)`` pair the slotted classes produce, and the plain
-    ``__dict__`` older (pre-slots) releases wrote into the on-disk
-    summary cache — those entries stay loadable instead of being
-    treated as corrupt and re-solved.
-    """
-    if isinstance(state, tuple):
-        plain, slotted = state
-        merged = dict(plain or {})
-        merged.update(slotted or {})
-        state = merged
-    for name, value in state.items():
-        object.__setattr__(obj, name, value)
-
-
 @dataclass(slots=True)
 class UnsafeProvenance:
     """The unsafe-provenance component of a function summary.
@@ -140,9 +122,6 @@ class UnsafeProvenance:
         return not (self.arg_sinks or self.guarded_args
                     or self.delegated_args or self.returns_unsafe_ptr
                     or self.unsafe_sites)
-
-    def __setstate__(self, state):
-        restore_slots_state(self, state)
 
 
 #: Shared bottom element served for the common case (a body with no
