@@ -26,10 +26,11 @@ keeps its results across runs:
 
 Obs surface: ``analysis.wave`` spans (one per cached wave),
 ``analysis.cache.{hit,miss,store,evict,corrupt,stale}`` counters,
-``analysis.executor.{solved,cached}_functions`` totals and per-entry
-``cache.{read_bytes,deserialize_seconds}`` costs — the numbers the
-incremental-rerun benchmarks, the regression observatory
-(``minirust bench-diff``), and the tests assert on.
+``analysis.cache.key_seconds`` (time spent fingerprinting and keying,
+once per cached solve), ``analysis.executor.{solved,cached}_functions``
+totals and per-entry ``cache.{read_bytes,deserialize_seconds}`` costs —
+the numbers the incremental-rerun benchmarks, the regression
+observatory (``minirust bench-diff``), and the tests assert on.
 """
 
 from __future__ import annotations
@@ -40,7 +41,14 @@ import pickle
 import tempfile
 from dataclasses import fields
 from time import perf_counter
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
+
+try:
+    import fcntl
+except ImportError:
+    # No advisory locks: concurrent index merges may lose updates,
+    # which costs only future misses.
+    fcntl = None
 
 from repro import obs
 from repro.analysis.callgraph import (
@@ -125,6 +133,24 @@ def _atomic_write(root: str, path: str, payload: object) -> bool:
     return True
 
 
+def _lock_file(path: str):
+    """Open ``path`` holding an exclusive advisory lock on it, released
+    when the returned file is closed; ``None`` where the platform or the
+    directory offers no lock."""
+    if fcntl is None:
+        return None
+    try:
+        handle = open(path, "ab")
+    except OSError:
+        return None
+    try:
+        fcntl.flock(handle, fcntl.LOCK_EX)
+    except OSError:
+        handle.close()
+        return None
+    return handle
+
+
 def _evict_over_limit(root: str, suffix: str, limit: int) -> List[str]:
     """Oldest-first eviction of ``*suffix`` files beyond ``limit``;
     returns the removed file names."""
@@ -156,7 +182,9 @@ class SummaryCache:
     precomputed summary fingerprints, so a warm run neither re-opens a
     file per component nor re-hashes every served summary.  A
     ``shards.index.pkl`` maps component key → shard file; a warm run
-    therefore costs one index read plus one shard read per wave.
+    therefore costs one index read plus one shard read per wave.  Stores
+    and evictions change the index in memory only; :meth:`flush` writes
+    it, once per solve.
 
     Writes are atomic (tempfile + rename) so concurrent workers and
     sessions sharing a cache directory only ever observe complete
@@ -167,12 +195,17 @@ class SummaryCache:
     """
 
     INDEX_NAME = "shards.index.pkl"
+    LOCK_NAME = "shards.index.lock"
 
     def __init__(self, root: str, limit: int) -> None:
         self.root = root
         self.limit = limit
         os.makedirs(root, exist_ok=True)
         self._index: Optional[Dict[str, str]] = None
+        #: Unflushed index changes: stored mappings, and the shard files
+        #: evicted since the last :meth:`flush`.
+        self._dirty = False
+        self._evicted: Set[str] = set()
 
     # -- paths ---------------------------------------------------------------
 
@@ -220,24 +253,43 @@ class SummaryCache:
                     index[ckey] = name
         return index
 
-    def _write_index(self) -> None:
-        # Merge with the on-disk index first: a concurrent session may
-        # have added mappings since we loaded ours.  Lost updates only
-        # cost a future miss, never a wrong hit.
-        merged: Dict[str, str] = {}
+    def flush(self) -> None:
+        """Write the in-memory index if it changed since the last flush.
+
+        :meth:`put_wave` only updates the index in memory; one flush per
+        solve writes it.  The write merges with the on-disk index first:
+        a concurrent session may have added mappings since we loaded
+        ours.  The read-merge-write holds an advisory lock on
+        :attr:`LOCK_NAME`, so two workers flushing at once cannot drop
+        each other's mappings.  Shards stored by a process that died
+        before its flush only cost a future miss, never a wrong hit.
+        """
+        if not self._dirty:
+            return
+        lock = _lock_file(os.path.join(self.root, self.LOCK_NAME))
         try:
-            with open(self._index_path(), "rb") as f:
-                payload = pickle.load(f)
-            if isinstance(payload, dict) \
-                    and payload.get("format") == CACHE_FORMAT \
-                    and isinstance(payload.get("shards"), dict):
-                merged.update(payload["shards"])
-        except Exception:
-            pass
-        merged.update(self._index or {})
-        self._index = merged
-        _atomic_write(self.root, self._index_path(),
-                      {"format": CACHE_FORMAT, "shards": merged})
+            merged: Dict[str, str] = {}
+            try:
+                with open(self._index_path(), "rb") as f:
+                    payload = pickle.load(f)
+                if isinstance(payload, dict) \
+                        and payload.get("format") == CACHE_FORMAT \
+                        and isinstance(payload.get("shards"), dict):
+                    merged.update(payload["shards"])
+            except Exception:
+                pass
+            merged.update(self._index or {})
+            if self._evicted:
+                merged = {ckey: shard for ckey, shard in merged.items()
+                          if shard not in self._evicted}
+            self._index = merged
+            _atomic_write(self.root, self._index_path(),
+                          {"format": CACHE_FORMAT, "shards": merged})
+        finally:
+            if lock is not None:
+                lock.close()
+        self._dirty = False
+        self._evicted.clear()
 
     # -- reads ---------------------------------------------------------------
 
@@ -353,7 +405,8 @@ class SummaryCache:
         index = self._load_index()
         for ckey in entries:
             index[ckey] = name
-        self._write_index()
+        self._evicted.discard(name)
+        self._dirty = True
         self._evict_over_limit()
         return name
 
@@ -364,6 +417,7 @@ class SummaryCache:
             summary_fps = {k: summary_fingerprint(v)
                            for k, v in summaries.items()}
         self.put_wave({key: (summaries, summary_fps)})
+        self.flush()
 
     def _evict_over_limit(self) -> None:
         removed = _evict_over_limit(self.root, ".shard.pkl", self.limit)
@@ -373,8 +427,8 @@ class SummaryCache:
         index = self._load_index()
         for ckey in [k for k, shard in index.items() if shard in dead]:
             index.pop(ckey, None)
-        _atomic_write(self.root, self._index_path(),
-                      {"format": CACHE_FORMAT, "shards": index})
+        self._evicted |= dead
+        self._dirty = True
 
 
 #: Bump when the report payload or detector semantics the report tier
@@ -400,6 +454,29 @@ _REPORT_KEY_FIELDS = tuple(f.name for f in fields(AnalysisConfig)
 _REPORT_LIMIT_FACTOR = 4
 
 
+#: ``(config, REPORT_CACHE_FORMAT, prefix)`` of the last report key
+#: prefix built.  One slot, matched by identity: a session keys every
+#: file under one config object.
+_report_prefix_memo: tuple = (None, None, b"")
+
+
+def _report_key_prefix(config: AnalysisConfig) -> bytes:
+    """The part of a report key shared by every file under ``config``:
+    format and schema versions, then ``repr`` of the finding-relevant
+    config fields, each part ``\\x00``-terminated."""
+    global _report_prefix_memo
+    memo_config, memo_format, prefix = _report_prefix_memo
+    if memo_config is config and memo_format == REPORT_CACHE_FORMAT:
+        return prefix
+    from repro.detectors.report import SCHEMA_VERSION
+    knobs = tuple((name, getattr(config, name))
+                  for name in _REPORT_KEY_FIELDS)
+    prefix = (f"repro-report-cache-v{REPORT_CACHE_FORMAT}"
+              f":schema{SCHEMA_VERSION}\x00{knobs!r}\x00").encode()
+    _report_prefix_memo = (config, REPORT_CACHE_FORMAT, prefix)
+    return prefix
+
+
 class ReportCache:
     """Whole-file report tier above the summary cache.
 
@@ -420,14 +497,7 @@ class ReportCache:
 
     @staticmethod
     def key(name: str, text: str, config: AnalysisConfig) -> str:
-        from repro.detectors.report import SCHEMA_VERSION
-        h = hashlib.sha256()
-        h.update(f"repro-report-cache-v{REPORT_CACHE_FORMAT}"
-                 f":schema{SCHEMA_VERSION}\x00".encode())
-        knobs = tuple((name, getattr(config, name))
-                      for name in _REPORT_KEY_FIELDS)
-        h.update(repr(knobs).encode())
-        h.update(b"\x00")
+        h = hashlib.sha256(_report_key_prefix(config))
         h.update(name.encode())
         h.update(b"\x00")
         h.update(text.encode())
@@ -523,8 +593,8 @@ class AnalysisExecutor:
     def _solve_cached(self, components: List[List[str]], graph):
         """Bottom-up solve through the summary cache, one wave at a
         time: waves share no edges, so each is one bulk cache read and
-        one shard write.  Returns ``(iterations, solved functions,
-        cached functions)``."""
+        one shard write.  The shard index is written once, at the end.
+        Returns ``(iterations, solved functions, cached functions)``."""
         engine = self.engine
         cache = SummaryCache(self.config.cache_dir, self.config.cache_limit)
         waves = wave_partition(components, graph, engine.program)
@@ -532,13 +602,16 @@ class AnalysisExecutor:
         body_fps: Dict[str, str] = {}
         summary_fps: Dict[str, str] = {}
         iterations = solved = cached = 0
+        key_seconds = 0.0
         for wave_index, wave in enumerate(waves):
             with obs.span("analysis.wave", index=wave_index,
                           sccs=len(wave)):
+                started = perf_counter()
                 ckeys = {scc_id: self._component_key(
                              components[scc_id], graph, body_fps,
                              summary_fps)
                          for scc_id in wave}
+                key_seconds += perf_counter() - started
                 # One bulk lookup per wave: typically a single index
                 # consult + one shard read.
                 found, fps_map = cache.get_wave(sorted(set(ckeys.values())))
@@ -554,8 +627,10 @@ class AnalysisExecutor:
                         entry_fps = fps_map.get(ckey)
                         if entry_fps is None or \
                                 set(entry_fps) != set(component):
+                            started = perf_counter()
                             entry_fps = {key: summary_fingerprint(hit[key])
                                          for key in component}
+                            key_seconds += perf_counter() - started
                         summary_fps.update(entry_fps)
                         continue
                     obs.count("analysis.cache.miss")
@@ -563,10 +638,14 @@ class AnalysisExecutor:
                     solved += len(component)
                     summaries = {key: engine._summaries[key]
                                  for key in component}
+                    started = perf_counter()
                     entry_fps = {key: summary_fingerprint(summaries[key])
                                  for key in component}
+                    key_seconds += perf_counter() - started
                     summary_fps.update(entry_fps)
                     wave_entries[ckey] = (summaries, entry_fps)
                 if wave_entries:
                     cache.put_wave(wave_entries)
+        cache.flush()
+        obs.count("analysis.cache.key_seconds", key_seconds)
         return iterations, solved, cached

@@ -323,22 +323,93 @@ def canonical(obj) -> str:
     frozensets.  This walk sorts every unordered container and expands
     dataclasses field-by-field, so equal values — whether computed in
     this process, in a worker, or loaded from a previous run's cache —
-    always canonicalise to the same bytes.
+    always canonicalise to the same bytes:
+
+    * set / frozenset → ``{`` sorted member forms ``}``;
+    * dict → ``{`` sorted ``key:value`` forms ``}``;
+    * list / tuple → ``[`` member forms ``]``;
+    * enum member → ``TypeName.MEMBER``;
+    * dataclass instance → ``TypeName(field=form,...)`` in field order;
+    * anything else → ``repr``.
+
+    Each form is produced by a handler chosen once per ``type(obj)``
+    (see :class:`_Handlers`), so the walk pays one dict lookup per
+    object instead of an ``isinstance`` chain and a ``fields()`` call.
     """
-    if isinstance(obj, (frozenset, set)):
-        return "{" + ",".join(sorted(canonical(x) for x in obj)) + "}"
-    if isinstance(obj, dict):
-        return "{" + ",".join(sorted(
-            canonical(k) + ":" + canonical(v) for k, v in obj.items())) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(canonical(x) for x in obj) + "]"
-    if isinstance(obj, enum.Enum):
-        return f"{type(obj).__name__}.{obj.name}"
-    if is_dataclass(obj) and not isinstance(obj, type):
-        inner = ",".join(f"{f.name}={canonical(getattr(obj, f.name))}"
-                         for f in fields(obj))
-        return f"{type(obj).__name__}({inner})"
-    return repr(obj)
+    return _HANDLERS[type(obj)](obj)
+
+
+def _canonical_set(obj) -> str:
+    handlers = _HANDLERS
+    return "{" + ",".join(sorted(
+        [handlers[type(x)](x) for x in obj])) + "}"
+
+
+def _canonical_dict(obj) -> str:
+    handlers = _HANDLERS
+    return "{" + ",".join(sorted(
+        [handlers[type(k)](k) + ":" + handlers[type(v)](v)
+         for k, v in obj.items()])) + "}"
+
+
+def _canonical_sequence(obj) -> str:
+    handlers = _HANDLERS
+    return "[" + ",".join([handlers[type(x)](x) for x in obj]) + "]"
+
+
+def _enum_handler(cls):
+    names: Dict[enum.Enum, str] = {}
+    prefix = cls.__name__ + "."
+
+    def handle(member) -> str:
+        text = names.get(member)
+        if text is None:
+            text = names[member] = prefix + member.name
+        return text
+    return handle
+
+
+def _dataclass_handler(cls):
+    head = cls.__name__ + "("
+    pairs = tuple((f.name, f.name + "=") for f in fields(cls))
+
+    def handle(obj) -> str:
+        handlers = _HANDLERS
+        parts = []
+        for name, label in pairs:
+            value = getattr(obj, name)
+            parts.append(label + handlers[type(value)](value))
+        return head + ",".join(parts) + ")"
+    return handle
+
+
+class _Handlers(dict):
+    """``type`` → the function that canonicalises its instances.
+
+    A handler is built on a type's first lookup, with the same
+    ``issubclass`` order the forms above are listed in, so a subclass
+    (a ``NamedTuple``, an ``IntEnum``) gets the form of the first base
+    it matches.  Keyed by type only: the table is as large as the set
+    of types canonicalised, never the set of values."""
+
+    def __missing__(self, cls):
+        if issubclass(cls, (frozenset, set)):
+            handler = _canonical_set
+        elif issubclass(cls, dict):
+            handler = _canonical_dict
+        elif issubclass(cls, (list, tuple)):
+            handler = _canonical_sequence
+        elif issubclass(cls, enum.Enum):
+            handler = _enum_handler(cls)
+        elif is_dataclass(cls) and not issubclass(cls, type):
+            handler = _dataclass_handler(cls)
+        else:
+            handler = repr
+        self[cls] = handler
+        return handler
+
+
+_HANDLERS = _Handlers()
 
 
 def summary_fingerprint(summary: "FunctionSummary") -> str:

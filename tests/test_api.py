@@ -2,6 +2,7 @@
 the removal of the ``interprocedural=`` shims, and report schema
 versioning."""
 
+import hashlib
 import json
 from dataclasses import fields
 
@@ -197,6 +198,28 @@ class TestReportCache:
                 ablated.with_(cache_dir=str(tmp_path))) as session:
             got = session.analyze_sources(source)[0]
         assert json.dumps(got.to_dict()) == json.dumps(expected.to_dict())
+
+    def test_key_pins_the_current_formula(self):
+        # Report keys on disk stay valid only while these bytes do: the
+        # version/schema/knob prefix built once per config must hash
+        # exactly what the per-file formula did.
+        from repro.analysis.executor import ReportCache
+        for unwind in (True, False):
+            knobs = (("interprocedural", True), ("detectors", None),
+                     ("seed", 0), ("emit_bounds_checks", True),
+                     ("audit_unsafe", False), ("deadlock_cycle_bound", 4),
+                     ("unwind_edges", unwind))
+            h = hashlib.sha256()
+            h.update(b"repro-report-cache-v3:schema1.0\x00")
+            h.update(repr(knobs).encode())
+            h.update(b"\x00a.rs\x00")
+            h.update(UAF_SRC.encode())
+            expected = h.hexdigest()
+            config = AnalysisConfig(unwind_edges=unwind)
+            for _ in range(2):      # the second call reuses the prefix
+                assert ReportCache.key("a.rs", UAF_SRC, config) == expected
+            assert ReportCache.key("a.rs", UAF_SRC, AnalysisConfig(
+                unwind_edges=unwind, jobs=2)) == expected
 
     def test_every_finding_field_changes_the_key(self):
         # A config field either only says how or where to run, or it is

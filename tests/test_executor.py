@@ -2,14 +2,20 @@
 partitioning, jobs-count determinism, and the content-addressed summary
 cache."""
 
+import enum
 import json
 import os
+import subprocess
+import sys
+from dataclasses import fields, is_dataclass
+from typing import NamedTuple
 
 import pytest
 
 from conftest import compile_
 
 from repro import obs
+from repro.analysis import executor
 from repro.analysis.callgraph import (
     build_call_graph, component_callees, scc_order, wave_partition,
 )
@@ -18,7 +24,11 @@ from repro.analysis.engine import SummaryEngine
 from repro.analysis.executor import SummaryCache, body_fingerprint
 from repro.analysis.summaries import canonical, summary_fingerprint
 from repro.api import AnalysisSession, analyze
+from repro.corpus.benign import BENIGN_TEMPLATES
+from repro.corpus.generator import generate_corpus
 from repro.corpus.inject import BUG_TEMPLATES
+from repro.lang.source import Span
+from repro.mir.nodes import Body, Local
 
 
 CHAIN_SRC = """
@@ -123,6 +133,85 @@ class TestFingerprints:
         a = compile_(src).program.functions["f"]
         b = compile_("\n\n" + src).program.functions["f"]
         assert body_fingerprint(a) != body_fingerprint(b)
+
+
+def _reference_canonical(obj) -> str:
+    """The generic walk ``canonical`` replaced: one ``isinstance`` chain
+    and one ``fields()`` call per object.  Every cache key ever written
+    hashes this form, so ``canonical`` must match it byte for byte."""
+    if isinstance(obj, (frozenset, set)):
+        return "{" + ",".join(sorted(_reference_canonical(x)
+                                     for x in obj)) + "}"
+    if isinstance(obj, dict):
+        return "{" + ",".join(sorted(
+            _reference_canonical(k) + ":" + _reference_canonical(v)
+            for k, v in obj.items())) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_reference_canonical(x) for x in obj) + "]"
+    if isinstance(obj, enum.Enum):
+        return f"{type(obj).__name__}.{obj.name}"
+    if is_dataclass(obj) and not isinstance(obj, type):
+        inner = ",".join(
+            f"{f.name}={_reference_canonical(getattr(obj, f.name))}"
+            for f in fields(obj))
+        return f"{type(obj).__name__}({inner})"
+    return repr(obj)
+
+
+class _Pair(NamedTuple):
+    left: object
+    right: object
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+def _bodies_and_summaries(source: str):
+    program = compile_(source).program
+    # Building the engine lowers every body's unwind edges first.
+    engine = SummaryEngine(program)
+    bodies = list(program.functions.values())
+    return bodies, [engine.summary(key) for key in program.functions]
+
+
+class TestCanonicalMatchesTheReference:
+    def _assert_same(self, values):
+        assert values
+        for value in values:
+            assert canonical(value) == _reference_canonical(value)
+
+    def test_combined_corpus_bodies_and_summaries(self):
+        bodies, summaries = _bodies_and_summaries(
+            generate_corpus(0, 1).combined_source())
+        assert any(block.cleanup for body in bodies for block in body.blocks)
+        self._assert_same(bodies)
+        self._assert_same(summaries)
+
+    def test_every_bug_and_benign_template(self):
+        source = "\n".join(
+            [BUG_TEMPLATES[name].render(f"b{i}")
+             for i, name in enumerate(sorted(BUG_TEMPLATES))]
+            + [BENIGN_TEMPLATES[name](f"g{i}")
+               for i, name in enumerate(sorted(BENIGN_TEMPLATES))])
+        bodies, summaries = _bodies_and_summaries(source)
+        self._assert_same(bodies)
+        self._assert_same(summaries)
+
+    def test_edge_values(self):
+        span = Span(3, 9, "a.rs")
+        self._assert_same([
+            frozenset({frozenset({(1, "a"), (2, "b")}),
+                       frozenset({("c", None)})}),
+            {(1, "x"): [span], ("y", 2): {frozenset(): ()}},
+            _Pair(span, _Level.HIGH), [_Pair(1, 2)], _Level.LOW,
+            True, False, 0, -7, 1.5, float("inf"), None, "", "q'\"",
+            frozenset(), set(), {}, [], (),
+            Body(key="f", locals=[Local(index=0, name="_0")], span=span),
+        ])
+        assert canonical(_Pair(1, 2)) == "[1,2]"
+        assert canonical(_Level.HIGH) == "_Level.HIGH"
 
 
 EDIT_BASE = """
@@ -307,6 +396,117 @@ fn wraps(p: *const i32) -> *const i32 { gives(p) }
         assert all(path.read_bytes() == blob
                    for path, blob in v2_files.items())
         assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
+
+
+def _index_writes(monkeypatch):
+    """Patch the cache's atomic writer to record every index write."""
+    writes = []
+    atomic_write = executor._atomic_write
+
+    def recording(root, path, payload):
+        if os.path.basename(path) == SummaryCache.INDEX_NAME:
+            writes.append(path)
+        return atomic_write(root, path, payload)
+    monkeypatch.setattr(executor, "_atomic_write", recording)
+    return writes
+
+
+class TestIndexWrites:
+    def test_one_index_write_per_cold_solve_none_warm(
+            self, tmp_path, monkeypatch):
+        config = AnalysisConfig(cache_dir=str(tmp_path))
+        writes = _index_writes(monkeypatch)
+        with obs.collecting() as cold:
+            analyze(EDIT_BASE, name="edit.rs", config=config)
+        # Three waves, three shards, one index write.
+        assert len(_shards(tmp_path)) == 3
+        assert len(writes) == 1
+        assert cold.counters["analysis.cache.key_seconds"] > 0
+        del writes[:]
+        with obs.collecting() as warm:
+            analyze(EDIT_BASE, name="edit.rs", config=config)
+        assert warm.counters["analysis.cache.hit"] > 0
+        assert writes == []
+
+    def test_unflushed_index_costs_no_findings(self, tmp_path, monkeypatch):
+        # A process that dies between its shard writes and the flush
+        # leaves shards the index does not name: the next run finds the
+        # same, counts nothing corrupt, and the shards still serve.
+        config = AnalysisConfig(cache_dir=str(tmp_path))
+        with monkeypatch.context() as crashed:
+            crashed.setattr(SummaryCache, "flush", lambda self: None)
+            first = analyze(EDIT_BASE, name="edit.rs", config=config)
+        assert _shards(tmp_path)
+        assert not (tmp_path / SummaryCache.INDEX_NAME).exists()
+        with obs.collecting() as col:
+            second = analyze(EDIT_BASE, name="edit.rs", config=config)
+        assert col.counters.get("analysis.cache.corrupt", 0) == 0
+        assert col.counters.get("analysis.executor.solved_functions", 0) == 0
+        assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
+
+    def test_concurrent_flushes_keep_every_mapping(self, tmp_path):
+        # Each worker flushes once per file, under the index lock: a
+        # warm rerun after a two-worker cold fill re-solves nothing.
+        if not _pool_available():
+            pytest.skip("no process pool on this host")
+        files = [(f.name, f.text) for f in generate_corpus(0, 1).files]
+        config = AnalysisConfig(jobs=2, cache_dir=str(tmp_path),
+                                report_cache=False)
+        with AnalysisSession(config) as session:
+            cold = [r.to_dict() for r in session.analyze_sources(files)]
+        with obs.collecting() as col, AnalysisSession(config) as session:
+            warm = [r.to_dict() for r in session.analyze_sources(files)]
+        assert col.counters["analysis.executor.cached_functions"] > 0
+        assert col.counters.get("analysis.executor.solved_functions", 0) == 0
+        assert warm == cold
+
+    def test_uncached_solve_counts_no_key_time(self):
+        with obs.collecting() as col:
+            analyze(EDIT_BASE, name="edit.rs")
+        assert "analysis.cache.key_seconds" not in col.counters
+
+
+_FILL_SCRIPT = """
+import json, sys
+from repro import api, obs
+from repro.analysis.config import AnalysisConfig
+from repro.corpus.generator import generate_corpus
+corpus = generate_corpus(0, 1)
+config = AnalysisConfig(cache_dir=sys.argv[1], report_cache=False)
+with obs.collecting() as col, api.AnalysisSession(config) as session:
+    reports = session.analyze_sources(
+        [(f.name, f.text) for f in corpus.files])
+counters = {name: col.counters.get("analysis." + name, 0)
+            for name in ("executor.solved_functions", "cache.corrupt",
+                         "cache.stale")}
+print(json.dumps({"counters": counters,
+                  "reports": [r.to_dict() for r in reports]}))
+"""
+
+
+class TestKeyStability:
+    def test_cache_filled_at_one_hash_seed_serves_another(self, tmp_path):
+        """Summary and body fingerprints sort every unordered container,
+        so a cache filled by a process with one string-hash seed serves
+        every component to a process with another."""
+        import repro
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(
+            [src_dir] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        runs = []
+        for seed in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", _FILL_SCRIPT, str(tmp_path)],
+                stdout=subprocess.PIPE, timeout=600,
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path))
+            assert done.returncode == 0
+            runs.append(json.loads(done.stdout))
+        cold, warm = runs
+        assert cold["counters"]["executor.solved_functions"] > 0
+        assert warm["counters"] == {"executor.solved_functions": 0,
+                                    "cache.corrupt": 0, "cache.stale": 0}
+        assert any(report["findings"] for report in cold["reports"])
+        assert json.dumps(warm["reports"]) == json.dumps(cold["reports"])
 
 
 def _pool_available() -> bool:
