@@ -52,11 +52,12 @@ class AnalysisConfig:
       per-function classification findings (the §5 encapsulation report
       behind ``minirust audit-unsafe``).  Off by default so a plain
       ``check`` never mixes audit rows into bug findings.
-    * ``deadlock_cycle_bound`` — maximum lock-graph cycle length the
-      deadlock detector searches for (the bound of its Johnson-style
-      elementary-circuit enumeration).  Real-world deadlocks in the
-      studied bug set involve two or three locks; the default of 4 keeps
-      the search linear in practice while leaving headroom.
+    * ``deadlock_cycle_bound`` — maximum lock-graph cycle length both
+      lock-graph detectors (``lock-order`` and ``deadlock``) search for:
+      the bound of their one Johnson-style elementary-circuit
+      enumeration.  Real-world deadlocks in the studied bug set involve
+      two or three locks; the default of 4 keeps the search linear in
+      practice while leaving headroom.
     * ``unwind_edges`` — materialise unwind successor edges and
       landing-pad cleanup blocks on may-panic terminators (bounds
       checks, ``unwrap``, ``RefCell`` borrows, explicit ``panic!``,

@@ -23,7 +23,8 @@ request for a body's facts, hit = every repeat).
 With ``AnalysisConfig(interprocedural=False)`` every summary is the
 bottom element and points-to runs without return summaries — the
 ablation mode the benchmarks use to measure what the interprocedural
-layer buys.
+layer buys.  The one exception is ``lock_orders``: each summary keeps
+its body's own direct pairs, which the lock-graph detectors read.
 """
 
 from __future__ import annotations
@@ -304,9 +305,16 @@ class SummaryEngine:
             return
         self._solved = True
         if not self.interprocedural:
-            # Ablation mode: every summary is the bottom element.
-            for key in self.program.functions:
-                self._summaries[key] = FunctionSummary(key=key)
+            # Ablation mode: every summary is the bottom element, except
+            # that it keeps the body's own direct lock-order pairs (the
+            # lock-order detector's edges).  Every body's pairs are
+            # computed before any summary is filled in, so each sees
+            # only missing (bottom) callees and nothing composes.
+            direct = {key: self._direct_lock_orders(body)
+                      for key, body in self.program.functions.items()}
+            for key, orders in direct.items():
+                self._summaries[key] = FunctionSummary(
+                    key=key, lock_orders=orders)
             return
         with obs.span("analysis.summaries"):
             self._solve()
@@ -830,6 +838,19 @@ class SummaryEngine:
                 if firsts and seconds:
                     add_pairs(firsts, seconds, term.span)
         return orders
+
+    def _direct_lock_orders(self, body: Body) -> Dict:
+        """The body's own lock-order pairs, with no callee summarised —
+        the ablation branch's one summary component."""
+        facts = self._body_facts(body)
+        if not facts.direct_acquires:
+            return {}
+        with obs.span("analysis.points_to"):
+            pt = self._points_to[body.key] = compute_points_to(body, None)
+        return self._lock_orders(
+            body, pt, facts.user_sites, True,
+            lambda: compute_guard_regions(body, pt, include_try=True,
+                                          summaries=self._summaries))
 
     def _caller_order_ids(self, body: Body, pt: PointsTo, term,
                           lock: LockId, sources) -> Set[LockId]:

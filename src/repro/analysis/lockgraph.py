@@ -19,10 +19,11 @@ one whole-program structure:
   :class:`~repro.analysis.escape.SpawnSite` owns its closure's pairs,
   with arg-relative ids resolved through the capture environment.
 * **Cycles** come from a bounded Johnson-style elementary-circuit
-  enumeration; a cycle is a *deadlock* candidate only when its edges can
-  be assigned pairwise-distinct thread roots (the same thread acquiring
-  A→B then B→A merely re-orders, and stays the lock-order detector's
-  business).
+  enumeration (:func:`elementary_circuits`, which the lock-order
+  detector runs over the same summary pairs); a cycle is a *deadlock*
+  candidate only when its edges can be assigned pairwise-distinct
+  thread roots (the same thread acquiring A→B then B→A merely
+  re-orders, and stays the lock-order detector's business).
 
 Every edge carries hold/want provenance chains (the call chain from the
 thread root's function to each acquisition, via the engine's
@@ -39,7 +40,9 @@ missed-signal report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.analysis.escape import capture_lock_ids, translate_capture
 from repro.analysis.lifetime import lock_identity
@@ -120,17 +123,10 @@ class LockGraph:
 
     def cycles(self, max_len: int = DEFAULT_CYCLE_BOUND) \
             -> List[Tuple[LockNode, ...]]:
-        """Elementary circuits of length ``2..max_len``, each reported
-        once, rotated so its smallest node comes first (the Johnson
-        ordering: a DFS from each start node may only visit larger
-        nodes, so no circuit is found twice)."""
-        adjacency: Dict[LockNode, Set[LockNode]] = {}
-        for edge in self.edges:
-            adjacency.setdefault(edge.src, set()).add(edge.dst)
-        found: List[Tuple[LockNode, ...]] = []
-        for start in sorted(adjacency):
-            _circuits_from(adjacency, [start], {start}, max_len, found)
-        return found
+        """The graph's elementary circuits (see
+        :func:`elementary_circuits`); roots are ignored here."""
+        return elementary_circuits(
+            ((edge.src, edge.dst) for edge in self.edges), max_len)
 
     def deadlock_cycles(self, max_len: int = DEFAULT_CYCLE_BOUND) \
             -> List[Tuple[Tuple[LockNode, ...], List[OrderEdge]]]:
@@ -146,6 +142,36 @@ class LockGraph:
             if witness is not None:
                 out.append((cycle, witness))
         return out
+
+
+def elementary_circuits(edges: Iterable[Tuple[LockNode, LockNode]],
+                        max_len: int) -> List[Tuple[LockNode, ...]]:
+    """Elementary circuits of length ``2..max_len`` over the directed
+    ``edges``, each reported once, rotated so its smallest node comes
+    first (the Johnson ordering: a DFS from each start node may only
+    visit larger nodes, so no circuit is found twice).  Start nodes and
+    successors are visited in sorted order, so the result does not
+    depend on the order of ``edges``.  The one circuit enumerator of
+    both lock-graph detectors (``lock-order`` and ``deadlock``), bounded
+    by ``AnalysisConfig.deadlock_cycle_bound``."""
+    adjacency: Dict[LockNode, Set[LockNode]] = {}
+    for src, dst in edges:
+        adjacency.setdefault(src, set()).add(dst)
+    found: List[Tuple[LockNode, ...]] = []
+    for start in sorted(adjacency):
+        _circuits_from(adjacency, [start], {start}, max_len, found)
+    return found
+
+
+def pretty_lock(node: Tuple) -> str:
+    """A lock id as the findings print it: ``static `NAME`.proj`` or
+    ``lock@SITE.proj``."""
+    kind, payload = node[0], node[1]
+    proj = node[2] if len(node) > 2 else ()
+    suffix = ("." + ".".join(proj)) if proj else ""
+    if kind == "static":
+        return f"static `{payload}`{suffix}"
+    return f"lock@{payload}{suffix}"
 
 
 def _assign_distinct_roots(

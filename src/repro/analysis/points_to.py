@@ -85,13 +85,6 @@ class PointsTo:
         """Just the ``("local", l)`` targets, as local indices."""
         return {t[1] for t in self.targets(local) if t[0] == "local"}
 
-    def may_point_to_local(self, pointer: int, target_local: int) -> bool:
-        return ("local", target_local) in self.targets(pointer)
-
-    def may_alias(self, a: int, b: int) -> bool:
-        ta, tb = self.targets(a), self.targets(b)
-        return bool(ta & tb)
-
 
 class _PtSkeleton:
     """The return-summary-independent constraint system of one body,

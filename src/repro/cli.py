@@ -426,9 +426,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="skip summary-cache lookups and stores")
     p.add_argument("--deadlock-cycle-bound", type=int, default=4,
                    metavar="N", dest="deadlock_cycle_bound",
-                   help="longest lock-graph cycle the deadlock detector "
-                        "searches for (default 4; real-world deadlocks "
-                        "involve 2-3 locks)")
+                   help="longest lock-graph cycle the lock-order and "
+                        "deadlock detectors search for (default 4; "
+                        "real-world deadlocks involve 2-3 locks)")
     _add_unwind_flag(p)
     _add_trace_flags(p)
     p.set_defaults(func=_cmd_check)

@@ -32,7 +32,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.analysis.escape import translate_capture
 from repro.analysis.lifetime import resolve_ref_chain
 from repro.analysis.lockgraph import (
-    LockGraph, OrderEdge, global_site_ids, live_functions,
+    LockGraph, OrderEdge, global_site_ids, live_functions, pretty_lock,
 )
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.concurrency_misc import _NOTIFY_OPS
@@ -40,15 +40,6 @@ from repro.detectors.report import Finding
 from repro.hir.builtins import BuiltinOp
 from repro.mir.nodes import Body
 from repro.obs.provenance import fact
-
-
-def _pretty(node: Tuple) -> str:
-    kind, payload = node[0], node[1]
-    proj = node[2] if len(node) > 2 else ()
-    suffix = ("." + ".".join(proj)) if proj else ""
-    if kind == "static":
-        return f"static `{payload}`{suffix}"
-    return f"lock@{payload}{suffix}"
 
 
 def _chain_text(chain: Tuple[str, ...]) -> str:
@@ -95,18 +86,19 @@ class DeadlockDetector(Detector):
             "lock-graph",
             f"cycle of {len(cycle)} locks across "
             f"{len({e.root for e in witness})} threads",
-            locks=[_pretty(node) for node in cycle])]
+            locks=[pretty_lock(node) for node in cycle])]
         for edge in witness:
             lines.append(
-                f"{edge.root.label()} holds {_pretty(edge.src)} and wants "
-                f"{_pretty(edge.dst)} (in `{edge.fn_key}`)")
+                f"{edge.root.label()} holds {pretty_lock(edge.src)} and wants "
+                f"{pretty_lock(edge.dst)} (in `{edge.fn_key}`)")
             facts.append(fact(
                 "hold-want",
-                f"{edge.root.label()}: holds {_pretty(edge.src)} along "
+                f"{edge.root.label()}: holds {pretty_lock(edge.src)} along "
                 f"{_chain_text(edge.hold_chain)}; wants "
-                f"{_pretty(edge.dst)} along {_chain_text(edge.want_chain)}",
+                f"{pretty_lock(edge.dst)} along "
+                f"{_chain_text(edge.want_chain)}",
                 thread=edge.root.label(), fn=edge.fn_key,
-                holds=_pretty(edge.src), wants=_pretty(edge.dst),
+                holds=pretty_lock(edge.src), wants=pretty_lock(edge.dst),
                 hold_chain=list(edge.hold_chain),
                 want_chain=list(edge.want_chain)))
         return Finding(
@@ -176,23 +168,23 @@ class DeadlockDetector(Detector):
             findings.append(Finding(
                 detector=self.name, kind="condvar-hold-lock",
                 message=(f"`Condvar::wait` while still holding "
-                         f"{_pretty(lock)}; every reachable notifier "
+                         f"{pretty_lock(lock)}; every reachable notifier "
                          f"({', '.join(f'`{n}`' for n in notifier_names)}) "
                          f"must acquire that lock before signalling, so "
                          f"the wakeup can never happen"),
                 fn_key=body.key, span=term.span,
-                metadata={"held": _pretty(lock),
+                metadata={"held": pretty_lock(lock),
                           "notifiers": notifier_names},
                 provenance=[
                     fact("lockset",
-                         f"waiter holds {_pretty(lock)} across the wait "
+                         f"waiter holds {pretty_lock(lock)} across the wait "
                          f"(the wait only releases its own guard)",
-                         held=[_pretty(l) for l in sorted(held)]),
+                         held=[pretty_lock(l) for l in sorted(held)]),
                     fact("condvar-identity",
                          "wait and notify resolve to the same condvar",
-                         ids=[_pretty(i) for i in sorted(cv_ids)]),
+                         ids=[pretty_lock(i) for i in sorted(cv_ids)]),
                     fact("notify-blocked",
-                         f"all notify sites acquire {_pretty(lock)} "
+                         f"all notify sites acquire {pretty_lock(lock)} "
                          f"first", notifiers=notifier_names),
                 ]))
         return findings
@@ -251,23 +243,23 @@ class DeadlockDetector(Detector):
             findings.append(Finding(
                 detector=self.name, kind="recv-deadlock",
                 message=(f"blocking `recv()` while holding "
-                         f"{_pretty(locks[0])}; every sender on this "
+                         f"{pretty_lock(locks[0])}; every sender on this "
                          f"channel ({', '.join(f'`{n}`' for n in sender_names)}) "
                          f"runs on another thread and must acquire that "
                          f"lock before sending — the receiver waits for "
                          f"a message only a blocked thread can produce"),
                 fn_key=body.key, span=term.span,
-                metadata={"held": [_pretty(l) for l in locks],
+                metadata={"held": [pretty_lock(l) for l in locks],
                           "senders": sender_names},
                 provenance=[
                     fact("lockset",
-                         f"receiver holds {_pretty(locks[0])} across the "
+                         f"receiver holds {pretty_lock(locks[0])} across the "
                          f"blocking recv",
-                         held=[_pretty(l) for l in sorted(held)]),
+                         held=[pretty_lock(l) for l in sorted(held)]),
                     fact("channel-identity",
                          "recv and send resolve to the same channel "
                          "endpoints",
-                         ids=[_pretty(i) for i in sorted(chan_ids)]),
+                         ids=[pretty_lock(i) for i in sorted(chan_ids)]),
                     fact("sender-blocked",
                          "every live sender acquires the held lock "
                          "before sending", senders=sender_names),

@@ -1,8 +1,8 @@
 """Control-flow-graph utilities over MIR bodies.
 
-Provides predecessor/successor maps, reverse post-order, dominators
-(Cooper-Harvey-Kennedy), natural-loop detection, and reachability — the
-graph substrate every dataflow analysis and detector builds on.
+Provides predecessor/successor maps, reverse post-order, reachable
+blocks and dominators (Cooper-Harvey-Kennedy) — the graph substrate
+every dataflow analysis and detector builds on.
 """
 
 from __future__ import annotations
@@ -133,50 +133,4 @@ class Cfg:
             if parent == node:
                 return node == a
             node = parent
-        return False
-
-    # -- loops ----------------------------------------------------------------------
-
-    def back_edges(self) -> List[tuple]:
-        """Edges ``(tail, head)`` where head dominates tail."""
-        edges = []
-        for bb in self.reachable_blocks():
-            for succ in self.successors[bb]:
-                if self.dominates(succ, bb):
-                    edges.append((bb, succ))
-        return edges
-
-    def natural_loop(self, tail: int, head: int) -> Set[int]:
-        """Blocks of the natural loop of back edge ``tail → head``."""
-        loop = {head, tail}
-        stack = [tail]
-        while stack:
-            node = stack.pop()
-            for pred in self.predecessors[node]:
-                if pred not in loop:
-                    loop.add(pred)
-                    stack.append(pred)
-        return loop
-
-    def loops(self) -> List[Set[int]]:
-        return [self.natural_loop(t, h) for t, h in self.back_edges()]
-
-    # -- path queries ----------------------------------------------------------------
-
-    def can_reach(self, source: int, target: int,
-                  without: Optional[Set[int]] = None) -> bool:
-        """Is ``target`` reachable from ``source`` (avoiding ``without``)?"""
-        blocked = without or set()
-        if source in blocked:
-            return False
-        seen = {source}
-        stack = [source]
-        while stack:
-            node = stack.pop()
-            if node == target:
-                return True
-            for succ in self.successors[node]:
-                if succ not in seen and succ not in blocked:
-                    seen.add(succ)
-                    stack.append(succ)
         return False

@@ -1,14 +1,18 @@
 """Cross-thread deadlock engine: lock graph, detector, subsumption."""
 
+import itertools
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.engine import SummaryEngine
+from repro.analysis.lockgraph import elementary_circuits
+from repro.corpus.inject import BUG_TEMPLATES
 from repro.detectors.registry import run_detectors
 from repro.driver import compile_source
 
@@ -84,6 +88,17 @@ fn bug_three() {
     h2.join();
 }
 """
+
+
+# Five locks taken pairwise around a ring, all on the main thread: one
+# lock-order cycle one lock longer than the default bound.
+FIVE_LOCK_RING = "".join(
+    f"static R{i}: Mutex<i32> = Mutex::new(0);\n" for i in range(5)) + "".join(
+    f"fn hop{i}() {{\n"
+    f"    let a = R{i}.lock().unwrap();\n"
+    f"    let b = R{(i + 1) % 5}.lock().unwrap();\n"
+    f"    print(*a + *b);\n"
+    f"}}\n" for i in range(5))
 
 
 def _findings(src, **config_kwargs):
@@ -172,6 +187,94 @@ class TestDeadlockCycleDetector:
     def test_same_thread_abba_left_to_lock_order(self):
         findings = _findings(SAME_THREAD_ABBA)
         assert {f.detector for f in findings} == {"lock-order"}
+
+
+def _brute_force_circuits(edges, max_len):
+    """Every elementary circuit of length ``2..max_len``, as the node
+    sequence that starts at its least node."""
+    nodes = sorted({node for edge in edges for node in edge})
+    found = set()
+    for length in range(2, max_len + 1):
+        for path in itertools.permutations(nodes, length):
+            if path[0] == min(path) and all(
+                    (path[i], path[(i + 1) % length]) in edges
+                    for i in range(length)):
+                found.add(path)
+    return found
+
+
+def _lock_node(i):
+    return ("heap" if i % 2 else "static", f"L{i}", ())
+
+
+# Self-loops included: neither side counts one as a circuit.
+_digraphs = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.sets(st.tuples(st.integers(0, n - 1),
+                                st.integers(0, n - 1))))
+
+
+class TestOneLockGraph:
+    """Both lock-graph detectors share one circuit enumerator and one
+    bound, over the engine's solved lock-order pairs."""
+
+    @given(_digraphs)
+    @settings(max_examples=200, deadline=None)
+    def test_enumerator_matches_brute_force(self, index_edges):
+        edges = [(_lock_node(a), _lock_node(b))
+                 for a, b in sorted(index_edges)]
+        for bound in range(2, 7):
+            circuits = elementary_circuits(edges, bound)
+            assert len(circuits) == len(set(circuits))
+            assert set(circuits) == _brute_force_circuits(set(edges), bound)
+            assert elementary_circuits(reversed(edges), bound) == circuits
+
+    def test_five_lock_ring_needs_bound_five(self):
+        assert not [f for f in _findings(FIVE_LOCK_RING)
+                    if f.detector in ("lock-order", "deadlock")]
+        findings = _findings(FIVE_LOCK_RING, deadlock_cycle_bound=5)
+        assert [(f.detector, len(f.metadata["cycle"]))
+                for f in findings] == [("lock-order", 5)]
+
+    @pytest.mark.parametrize("src", [
+        BUG_TEMPLATES["lock_order_pair"].render("ablation"),
+        SAME_THREAD_ABBA,
+    ], ids=["lock_order_pair", "two_function_abba"])
+    def test_lock_order_without_interprocedural_summaries(self, src):
+        """The ablation's bottom summaries keep each body's own direct
+        pairs, so a cycle needing no callee still reaches lock-order."""
+        findings = _findings(src, interprocedural=False)
+        assert "lock-order" in {f.detector for f in findings}
+
+    def test_ablation_cross_thread_cycle_is_a_deadlock(self):
+        """The deadlock detector reads the same direct pairs, so a
+        cross-thread cycle over directly locked statics is reported as
+        in the default mode, subsuming lock-order's finding."""
+        findings = _findings(STATIC_CROSS_THREAD_ABBA, interprocedural=False)
+        assert [(f.detector, f.kind) for f in findings] == \
+            [("deadlock", "deadlock-cycle")]
+
+    @pytest.mark.skipif(sys.version_info < (3, 10),
+                        reason="needs sys.stdlib_module_names")
+    def test_runtime_loads_only_stdlib_and_repro(self):
+        import repro
+        script = (
+            "import sys\n"
+            "import repro.cli\n"
+            "from repro import api\n"
+            "from repro.corpus.inject import BUG_TEMPLATES\n"
+            "api.analyze(BUG_TEMPLATES['lock_order_pair'].render('x'))\n"
+            "allowed = (set(sys.stdlib_module_names)\n"
+            "           | set(sys.builtin_module_names)\n"
+            "           | {'repro', '__main__'})\n"
+            "print(sorted({name.split('.')[0] for name in sys.modules}\n"
+            "             - allowed))\n")
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        # -S: no site hooks, so only what repro itself imports is loaded.
+        run = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True,
+            text=True, timeout=300, env=dict(os.environ, PYTHONPATH=src_dir))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
 
 
 class TestSubsumption:

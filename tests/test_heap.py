@@ -68,11 +68,8 @@ def _describe(obj) -> str:
 
 
 def assert_no_cyclic_garbage(operation):
-    """Run ``operation`` twice; the second run must leave nothing that
-    only the cyclic collector can free.  The first run is a warm-up:
-    third-party code (networkx's dispatch wrappers) builds some cyclic
-    structures once, on first use, and keeps them for the process."""
-    operation()
+    """Run ``operation`` once; it must leave nothing that only the
+    cyclic collector can free."""
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:

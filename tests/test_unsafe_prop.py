@@ -212,10 +212,10 @@ class TestLockOrderViaSummaries:
     """
 
     def test_abba_split_across_helper_detected(self):
-        # Regression: the helper's guard regions only carry
-        # argument-relative lock ids, which `_global_ids` drops; the
-        # summary-carried lock_orders must surface the cycle once the
-        # callers resolve both ids to statics.
+        # Regression: the helper's own lock-order pairs are
+        # argument-relative, and lock-order keeps only static / heap
+        # pairs; the callers' summaries must surface the cycle once they
+        # resolve both ids to statics.
         report = analyze(self.ABBA_SPLIT)
         hits = report.report.by_detector("lock-order")
         assert len(hits) == 1
