@@ -221,6 +221,60 @@ def test_obs_trajectory_artifact():
          f"interp {phases['interp.run'] * 1e3:.2f}ms")
 
 
+def _reference_return_summaries(program, compute_points_to):
+    """The pre-engine return-summary fixpoint, kept here as the
+    benchmark's reference arm: which argument positions each function's
+    return value may point into, iterated to a true fixpoint with every
+    round re-running ``compute_points_to`` for every function."""
+    from repro.analysis.points_to import return_items
+
+    summaries = {}
+    changed = True
+    while changed:
+        changed = False
+        for key, body in program.functions.items():
+            items = return_items(body, compute_points_to(body, summaries))
+            if items and not items <= summaries.get(key, set()):
+                summaries[key] = set(summaries.get(key, set())) | items
+                changed = True
+    return summaries
+
+
+def _reference_lock_summaries(graph):
+    """The pre-engine lock summaries over a call graph: every function's
+    transitively acquired caller-translatable locks, iterated over the
+    call sites to a fixpoint (the engine's ``locks`` component subsumes
+    them)."""
+    from repro.analysis.callgraph import direct_locks
+
+    def translate(lock, site):
+        if lock[0] == "static":
+            return lock
+        if lock[0] == "arg":
+            index = lock[1]
+            if index < len(site.arg_sources) \
+                    and site.arg_sources[index] is not None:
+                return ("arg", site.arg_sources[index], lock[2], lock[3])
+        return None
+
+    summaries = {key: direct_locks(body)
+                 for key, body in graph.program.functions.items()}
+    changed = True
+    while changed:
+        changed = False
+        for site in graph.call_sites:
+            if site.is_spawn:
+                continue
+            callee_locks = summaries.get(site.callee, set())
+            caller_locks = summaries.setdefault(site.caller, set())
+            for lock in callee_locks:
+                translated = translate(lock, site)
+                if translated is not None and translated not in caller_locks:
+                    caller_locks.add(translated)
+                    changed = True
+    return summaries
+
+
 BENCH_SUMMARIES_PATH = pathlib.Path(__file__).resolve().parent.parent / \
     "BENCH_summaries.json"
 
@@ -237,11 +291,11 @@ def test_summary_engine_artifact(monkeypatch):
       SCCs, worklist per component with early-exit re-queueing, so each
       acyclic function is summarised exactly once.
     * **legacy** — the pre-engine schedule (what
-      ``compute_return_summaries`` still does for its one fact family):
-      global Gauss-Seidel rounds over *all* functions until no summary
-      changes, with no SCC ordering and no change tracking.
+      :func:`_reference_return_summaries` still does for its one fact
+      family): global Gauss-Seidel rounds over *all* functions until no
+      summary changes, with no SCC ordering and no change tracking.
 
-    (The benchmark originally timed ``compute_return_summaries`` itself
+    (The benchmark originally timed the return-summary reference itself
     as the legacy arm; that compared the engine's six summary families
     against legacy's one-and-a-half and mostly measured the product gap,
     not the schedule.)
@@ -251,8 +305,8 @@ def test_summary_engine_artifact(monkeypatch):
     shared corpus would hand whichever arm runs second the first arm's
     warm caches.  Points-to constructions are counted by patching the
     shared entry point, making the schedule gap deterministic; the
-    reference ``compute_return_summaries`` numbers are recorded as
-    context.
+    reference arm's numbers (:func:`_reference_return_summaries` plus
+    :func:`_reference_lock_summaries`) are recorded as context.
     """
     import time
 
@@ -365,8 +419,9 @@ def test_summary_engine_artifact(monkeypatch):
     def run_reference(programs):
         from repro.analysis.callgraph import build_call_graph
         for program in programs:
-            summaries = points_to_mod.compute_return_summaries(program)
-            build_call_graph(program).lock_summaries
+            summaries = _reference_return_summaries(
+                program, points_to_mod.compute_points_to)
+            _reference_lock_summaries(build_call_graph(program))
             for body in program.functions.values():
                 counting_compute(body, summaries)
 

@@ -1,10 +1,12 @@
-"""Call graph and inter-procedural lock summaries.
+"""Call graph and each body's directly acquired locks.
 
 The paper's double-lock detector "covers the case where two lock
 acquisitions are in different functions by performing inter-procedural
-analysis" (§7.2).  The summary computed here maps every function to the
-set of abstract locks it (transitively) acquires, expressed in terms the
-caller can translate: argument positions and statics.
+analysis" (§7.2).  The call graph here is the schedule of that analysis
+(the :class:`~repro.analysis.engine.SummaryEngine` solves its SCCs
+bottom-up), and :func:`direct_locks` is the seed of each function's
+``locks`` summary, expressed in terms the caller can translate:
+argument positions and statics.
 
 Thread-spawn edges are kept separately — a lock acquired inside a spawned
 closure runs on another thread and must *not* be treated as a re-entrant
@@ -14,15 +16,13 @@ acquisition by the spawning code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.lifetime import LOCK_ACQUIRE_OPS, resolve_ref_chain
+from repro.analysis.scan import scan_of
 from repro.hir.builtins import BuiltinOp, FuncKind
 from repro.lang.source import Span
 from repro.lang.types import TyKind
-from repro.mir.nodes import (
-    Body, Program, RvalueKind, StatementKind, TerminatorKind,
-)
+from repro.mir.nodes import Body, Program
 
 # Abstract lock id, caller-translatable: ("arg", index, proj) | ("static", name)
 LockId = Tuple
@@ -46,23 +46,10 @@ class CallGraph:
     call_sites: List[CallSite] = field(default_factory=list)
     edges: Dict[str, Set[str]] = field(default_factory=dict)
     spawn_edges: Dict[str, Set[str]] = field(default_factory=dict)
-    _lock_summaries: Optional[Dict[str, Set[LockId]]] = \
-        field(default=None, repr=False)
     #: callee key → the call sites naming it, in ``call_sites`` order;
     #: built on the first :meth:`sites_calling` call.
     _by_callee: Optional[Dict[str, List[CallSite]]] = \
         field(default=None, repr=False, compare=False)
-
-    @property
-    def lock_summaries(self) -> Dict[str, Set[LockId]]:
-        """fn key → abstract locks it may acquire (transitively, same
-        thread).  Computed lazily on first access: the
-        :class:`repro.analysis.engine.SummaryEngine` subsumes these
-        facts, so graph consumers that only need edges never pay for
-        the whole-program fixpoint."""
-        if self._lock_summaries is None:
-            _compute_lock_summaries(self)
-        return self._lock_summaries
 
     def callees(self, key: str) -> Set[str]:
         return self.edges.get(key, set())
@@ -115,22 +102,15 @@ def _closure_keys_in_args(body: Body, term) -> List[str]:
     return keys
 
 
-def _arg_index_of_local(body: Body, local: int) -> Optional[int]:
-    base, _proj = resolve_ref_chain(body, local)
-    if 0 < base <= body.arg_count:
-        return base - 1
-    return None
-
-
 def build_call_graph(program: Program) -> CallGraph:
+    """The program's call graph, read off each body's indexed calls."""
     graph = CallGraph(program)
 
     for key, body in program.functions.items():
         graph.edges.setdefault(key, set())
         graph.spawn_edges.setdefault(key, set())
-        for bb, term in body.iter_terminators():
-            if term.kind is not TerminatorKind.CALL or term.func is None:
-                continue
+        scan = scan_of(body)
+        for bb, term in scan.calls:
             func = term.func
             if func.builtin_op is BuiltinOp.THREAD_SPAWN:
                 for closure_key in _closure_keys_in_args(body, term):
@@ -151,12 +131,9 @@ def build_call_graph(program: Program) -> CallGraph:
             if callee_key is None or callee_key not in program.functions:
                 continue
             graph.edges[key].add(callee_key)
-            arg_sources = [_arg_index_of_local(body, a.place.local)
-                           if a.place is not None else None
-                           for a in term.args]
             graph.call_sites.append(CallSite(
                 caller=key, callee=callee_key, block=bb, span=term.span,
-                arg_sources=arg_sources))
+                arg_sources=list(scan.arg_sources(body, term))))
 
     return graph
 
@@ -268,59 +245,5 @@ def direct_locks(body: Body) -> Set[LockId]:
     """Abstract locks directly acquired in ``body`` (caller-translatable
     ids only: args and statics).  Each entry is
     ``(kind_of_id, payload, projection, lock_kind)`` where ``lock_kind`` is
-    "mutex" / "read" / "write" / ..."""
-    from repro.analysis.scan import scan_of
-
-    def compute() -> FrozenSet[LockId]:
-        scan = scan_of(body)
-        locks: Set[LockId] = set()
-        for _bb, term in scan.calls:
-            lock_kind = LOCK_ACQUIRE_OPS.get(term.func.builtin_op)
-            if lock_kind is None:
-                continue
-            if not term.args or term.args[0].place is None:
-                continue
-            recv = term.args[0].place.local
-            base, proj = scan.ref_chain(recv)
-            proj_key = tuple((p.field_name or str(p.field_index))
-                             for p in proj)
-            name = body.locals[base].name or ""
-            if name.startswith("static:"):
-                locks.add(("static", name[7:], proj_key, lock_kind))
-            elif 0 < base <= body.arg_count:
-                locks.add(("arg", base - 1, proj_key, lock_kind))
-        return frozenset(locks)
-
-    return set(scan_of(body).memo("direct_locks", compute))
-
-
-def _translate(lock: LockId, site: CallSite) -> Optional[LockId]:
-    """Translate a callee lock id into the caller's frame."""
-    if lock[0] == "static":
-        return lock
-    if lock[0] == "arg":
-        index = lock[1]
-        if index < len(site.arg_sources) and site.arg_sources[index] is not None:
-            return ("arg", site.arg_sources[index], lock[2], lock[3])
-    return None
-
-
-def _compute_lock_summaries(graph: CallGraph) -> None:
-    program = graph.program
-    summaries: Dict[str, Set[LockId]] = {
-        key: direct_locks(body) for key, body in program.functions.items()
-    }
-    changed = True
-    while changed:
-        changed = False
-        for site in graph.call_sites:
-            if site.is_spawn:
-                continue
-            callee_locks = summaries.get(site.callee, set())
-            caller_locks = summaries.setdefault(site.caller, set())
-            for lock in callee_locks:
-                translated = _translate(lock, site)
-                if translated is not None and translated not in caller_locks:
-                    caller_locks.add(translated)
-                    changed = True
-    graph._lock_summaries = summaries
+    "mutex" / "read" / "write" / ...; read off the body's fact index."""
+    return set(scan_of(body).direct_locks)

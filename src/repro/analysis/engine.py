@@ -6,8 +6,8 @@ strongly connected components in reverse topological order, so every
 callee outside the current component is already summarised — and iterates
 each component with a worklist until its members' summaries stop
 changing.  All summary fields are may-sets (or monotone flags), so the
-fixpoint is exact: recursion and mutual recursion converge without the
-round bounds the legacy ``compute_return_summaries`` needed.
+fixpoint is exact: recursion and mutual recursion converge without
+round bounds.
 
 The engine also owns the per-body points-to cache.  Points-to facts and
 function summaries are mutually dependent (a body's points-to needs its
@@ -39,24 +39,22 @@ from repro.analysis.config import AnalysisConfig, coerce_config
 from repro.analysis.escape import ThreadEscape, compute_thread_escape
 from repro.analysis.intern import Interner
 from repro.analysis.lifetime import (
-    LOCK_ACQUIRE_OPS, caller_lock_ids, compute_guard_regions, lock_identity,
+    LOCK_ACQUIRE_OPS, GuardRegion, caller_lock_ids, compute_guard_regions,
+    lock_identity,
 )
 from repro.analysis.panic import compute_panic_effects, ensure_unwind_edges
 from repro.analysis.points_to import (
     PointsTo, UNKNOWN_TARGET, compute_points_to, return_items,
 )
-from repro.analysis.scan import scan_of
+from repro.analysis.scan import callee_of, scan_of
 from repro.analysis.summaries import (
     AccessKey, EffectHop, FunctionSummary, LockId, deref_access_sites,
-    opaque_lock, owned_value_args, term_arg_sources, translate_access_loc,
+    opaque_lock, owned_value_args, translate_access_loc,
     translate_lock, value_chain,
 )
 from repro.analysis.unsafe_prop import compute_unsafe_provenance
 from repro.hir.builtins import BuiltinOp, FuncKind
-from repro.lang.types import TyKind
-from repro.mir.nodes import (
-    Body, Program, RvalueKind, StatementKind, TerminatorKind,
-)
+from repro.mir.nodes import Body, Program
 
 
 class _ReturnView:
@@ -81,19 +79,6 @@ class _ReturnView:
 
     def __bool__(self) -> bool:
         return True
-
-
-class _BodyFacts:
-    """Per-body facts the summariser re-reads on every worklist
-    iteration but that only depend on the body text (and the program's
-    key set): the same-thread call-site inventory, direct flags, the
-    const-return skeleton, and the held-on-return preconditions.
-    Cached on the body's scan so cyclic components stop re-deriving
-    them per iteration."""
-
-    __slots__ = ("user_sites", "direct_acquires", "direct_calls_unknown",
-                 "drop_call_facts", "const_skeleton", "return_points",
-                 "guard_return")
 
 
 class SummaryEngine:
@@ -122,6 +107,12 @@ class SummaryEngine:
         #: locations/keys, locksets) — one canonical object per distinct
         #: atom, so summary equality checks hit identity fast paths.
         self._intern = Interner()
+        #: body key → the guard regions (``include_try=True``) its last
+        #: summarise computed, against its converged callees and its
+        #: fixpoint points-to; ``AnalysisContext.guard_regions`` serves
+        #: them.  Kept here, not on the body's scan: a region points
+        #: back at its body.
+        self._guard_regions: Dict[str, List[GuardRegion]] = {}
         self._solved = False
         self._served: Set[str] = set()
         self._pt_served: Set[str] = set()
@@ -175,6 +166,13 @@ class SummaryEngine:
             summary = FunctionSummary(key=key)
             self._summaries[key] = summary
         return summary
+
+    def solved_guard_regions(self, key: str) -> Optional[List[GuardRegion]]:
+        """The ``include_try=True`` guard regions the solve computed for
+        ``key`` on its final summarise, or None when it computed none
+        (summary served from the cache, no lock in reach, ablation)."""
+        self._ensure_solved()
+        return self._guard_regions.get(key)
 
     def summaries_map(self) -> Dict[str, FunctionSummary]:
         """The converged summary map (for summary-aware guard regions)."""
@@ -352,8 +350,8 @@ class SummaryEngine:
         # Cyclicity is decided from the member bodies alone: a component
         # is cyclic when it has several members or its one member calls
         # itself.
-        cyclic = len(component) > 1 or self._calls_self(
-            program.functions[component[0]])
+        cyclic = len(component) > 1 \
+            or scan_of(program.functions[component[0]]).calls_self
         in_progress = frozenset(component) if cyclic else frozenset()
         if not cyclic:
             # Every callee is outside the component and already
@@ -377,7 +375,7 @@ class SummaryEngine:
         deps = {
             key: frozenset(
                 callee for _bb, _term, callee, _sources in
-                self._body_facts(program.functions[key]).user_sites
+                self._user_sites(program.functions[key])
             ) & member_set
             for key in component}
         iterations = 0
@@ -411,112 +409,23 @@ class SummaryEngine:
 
     # -- per-body summarisation ---------------------------------------------
 
-    def _calls_self(self, body: Body) -> bool:
-        """Does ``body`` (same-thread) call itself?  Mirrors the call
-        graph's self-edge test without needing the graph."""
-        return scan_of(body).memo(
-            "calls_self",
-            lambda: any(self._callee_of(body, term) == body.key
-                        for _bb, term in scan_of(body).calls))
-
-    def _body_facts(self, body: Body) -> _BodyFacts:
-        """The body's :class:`_BodyFacts`, built once per body."""
-        scan = scan_of(body)
-        facts = scan.cache.get("engine_facts")
-        if facts is None:
-            facts = scan.cache["engine_facts"] = \
-                self._build_body_facts(body, scan)
-        return facts
-
-    def _build_body_facts(self, body: Body, scan) -> _BodyFacts:
-        program = self.program
-        facts = _BodyFacts()
-        acquires = False
-        calls_unknown = False
-        user_sites: List[Tuple[int, object, str, Tuple]] = []
-        drop_call_facts: List[Tuple] = []
-        for bb, term in scan.calls:
-            func = term.func
-            if func.builtin_op in LOCK_ACQUIRE_OPS:
-                acquires = True
-            if func.kind is FuncKind.UNKNOWN \
-                    or func.builtin_op is BuiltinOp.FFI:
-                calls_unknown = True
-            drop_call_facts.append(
-                (func, tuple((j, arg.place.local, arg.is_move)
-                             for j, arg in enumerate(term.args)
-                             if arg.place is not None)))
-            if func.builtin_op is BuiltinOp.THREAD_SPAWN:
-                continue       # the spawned closure runs on another thread
-            callee = self._callee_of(body, term)
-            if callee is not None and callee in program.functions:
-                user_sites.append((bb, term, callee,
-                                   tuple(term_arg_sources(body, term))))
-        facts.user_sites = tuple(user_sites)
-        facts.direct_acquires = acquires
-        facts.direct_calls_unknown = calls_unknown
-        facts.drop_call_facts = tuple(drop_call_facts)
-
-        # Const-return skeleton: the direct constant assignments to the
-        # return place plus the callee keys whose const-ness must be
-        # resolved against live summaries per iteration.
-        values: List[int] = []
-        unknown = False
-        for _bb, _i, stmt in scan.statements:
-            if stmt.kind is not StatementKind.ASSIGN \
-                    or not stmt.place.is_local or stmt.place.local != 0:
-                continue
-            rv = stmt.rvalue
-            if rv is not None and rv.kind is RvalueKind.USE \
-                    and rv.operands[0].is_const \
-                    and isinstance(rv.operands[0].constant.value, int) \
-                    and not isinstance(rv.operands[0].constant.value, bool):
-                values.append(rv.operands[0].constant.value)
-            else:
-                unknown = True
-        zero_dest_calls: List[Optional[str]] = []
-        for _bb, term in scan.calls:
-            if term.destination is None or not term.destination.is_local \
-                    or term.destination.local != 0:
-                continue
-            func = term.func
-            zero_dest_calls.append(
-                func.user_fn
-                if func.kind in (FuncKind.USER, FuncKind.CLOSURE)
-                else None)
-        facts.const_skeleton = (tuple(values), unknown,
-                                tuple(zero_dest_calls))
-
-        ret_ty = body.local_ty(0)
-        facts.guard_return = ret_ty.is_guard or any(
-            a.is_guard for a in ret_ty.args)
-        facts.return_points = frozenset(
-            (block.index, len(block.statements))
-            for block in body.blocks
-            if block.terminator is not None
-            and block.terminator.kind is TerminatorKind.RETURN)
-        return facts
-
-    def _callee_of(self, body: Body, term) -> Optional[str]:
-        """Same-thread callee key of a call terminator, or None."""
-        func = term.func
-        if func.kind in (FuncKind.USER, FuncKind.CLOSURE):
-            return func.user_fn
-        if func.builtin_op is BuiltinOp.ONCE_CALL_ONCE:
-            # call_once(closure) executes the closure synchronously.
-            for arg in term.args:
-                if arg.place is not None:
-                    ty = body.local_ty(arg.place.local)
-                    if ty.kind is TyKind.CLOSURE:
-                        return ty.name
-        return None
+    def _user_sites(self, body: Body) -> Tuple:
+        """The body's same-thread call sites ``(block, terminator, callee
+        key, arg sources)`` whose callee is in the program."""
+        sites = scan_of(body).facts.user_sites
+        functions = self.program.functions
+        for site in sites:
+            if site[2] not in functions:
+                return tuple(site for site in sites if site[2] in functions)
+        return sites
 
     def _summarize(self, body: Body, pt: PointsTo,
                    in_progress: FrozenSet[str]) -> FunctionSummary:
         key = body.key
         intern = self._intern.intern
-        facts = self._body_facts(body)
-        user_sites = facts.user_sites
+        facts = scan_of(body).facts
+        user_sites = self._user_sites(body)
+        self._guard_regions.pop(key, None)
 
         returns: Set = set(return_items(body, pt))
         for target in pt.targets(0):
@@ -617,7 +526,7 @@ class SummaryEngine:
         def guard_regions() -> List:
             nonlocal regions
             if regions is None:
-                regions = compute_guard_regions(
+                regions = self._guard_regions[key] = compute_guard_regions(
                     body, pt, include_try=True, summaries=self._summaries)
             return regions
 
@@ -814,11 +723,11 @@ class SummaryEngine:
                         if ident[0] in ("arg", "static", "heap"):
                             seconds.add((ident[0], ident[1],
                                          tuple(ident[2]), lock_kind))
-                callee = self._callee_of(body, term)
+                callee = callee_of(body, term)
                 if callee is not None and callee in self.program.functions:
                     callee_summary = self._summaries.get(callee)
                     if callee_summary is not None:
-                        sources = term_arg_sources(body, term)
+                        sources = scan_of(body).arg_sources(body, term)
                         for lock in callee_summary.locks:
                             seconds |= self._caller_order_ids(
                                 body, pt, term, lock, sources)
@@ -842,13 +751,12 @@ class SummaryEngine:
     def _direct_lock_orders(self, body: Body) -> Dict:
         """The body's own lock-order pairs, with no callee summarised —
         the ablation branch's one summary component."""
-        facts = self._body_facts(body)
-        if not facts.direct_acquires:
+        if not scan_of(body).facts.direct_acquires:
             return {}
         with obs.span("analysis.points_to"):
             pt = self._points_to[body.key] = compute_points_to(body, None)
         return self._lock_orders(
-            body, pt, facts.user_sites, True,
+            body, pt, self._user_sites(body), True,
             lambda: compute_guard_regions(body, pt, include_try=True,
                                           summaries=self._summaries))
 
@@ -876,7 +784,7 @@ class SummaryEngine:
         this field never oscillates during the worklist.
         """
         direct_values, unknown, zero_dest_calls = \
-            self._body_facts(body).const_skeleton
+            scan_of(body).facts.const_skeleton
         values: List[int] = list(direct_values)
         for user_fn in zero_dest_calls:
             resolved = False

@@ -32,11 +32,10 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.points_to import PointsTo
+from repro.analysis.scan import scan_of
 from repro.hir.builtins import BuiltinOp
 from repro.lang.source import Span
-from repro.mir.nodes import (
-    AggregateKind, Body, Program, RvalueKind, StatementKind, TerminatorKind,
-)
+from repro.mir.nodes import AggregateKind, Body, Program, RvalueKind
 
 #: Globally identifiable shared-data id: ``("heap", site)`` / ``("static",
 #: name)``.
@@ -99,10 +98,7 @@ def _closure_params(body: Body) -> int:
 def _follow_to_aggregate(body: Body, local: int, max_hops: int = 8):
     """Follow ``USE``/``CAST`` move chains from ``local`` back to the
     closure-aggregate rvalue that built it, if any."""
-    assigns: Dict[int, object] = {}
-    for _bb, _i, stmt in body.iter_statements():
-        if stmt.kind is StatementKind.ASSIGN and stmt.place.is_local:
-            assigns.setdefault(stmt.place.local, stmt.rvalue)
+    assigns = scan_of(body).first_assigns
     current = local
     for _ in range(max_hops):
         rv = assigns.get(current)
@@ -162,9 +158,8 @@ def compute_thread_escape(program: Program,
             te.escape_reasons.setdefault((key, local), reason)
             te.shared_targets |= _global_targets(pt, local)
 
-        for bb, term in body.iter_terminators():
-            if term.kind is not TerminatorKind.CALL or term.func is None:
-                continue
+        for bb, term in scan_of(body).calls_of(BuiltinOp.THREAD_SPAWN,
+                                               BuiltinOp.CHANNEL_SEND):
             op = term.func.builtin_op
             if op is BuiltinOp.THREAD_SPAWN:
                 pt = pt or points_to(body)

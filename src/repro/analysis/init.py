@@ -9,7 +9,7 @@ via ``ptr::read`` duplication, invalid-free via never-initialised struct).
 States are int bitsets (:mod:`repro.analysis.dataflow`) over a body's
 ``n`` locals: bit ``l`` is "``l`` maybe initialised", bit ``n + l`` is
 "``l`` maybe moved out".  The solution is computed once per body and
-kept on its scan (:func:`init_of`); unwind lowering solves the pre-pad
+kept in its store (:func:`init_of`); unwind lowering solves the pre-pad
 CFG and patches its landing pads in (:meth:`InitStates.add_landing_pads`).
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterator, List, Tuple
 
 from repro.analysis.dataflow import GenKill, Mask, Solution, solve
-from repro.analysis.scan import cfg_of, scan_of
+from repro.analysis.scan import cfg_of, store_of
 from repro.mir.nodes import Body, StatementKind, TerminatorKind
 
 
@@ -124,7 +124,7 @@ def compute_init(body: Body) -> InitStates:
 
 
 def init_of(body: Body) -> InitStates:
-    """The body's init solution, solved on first use and kept on its
-    scan (unwind lowering re-seeds it with its landing pads patched in)."""
-    return scan_of(body).memo("init", lambda: compute_init(body))
+    """The body's init solution, solved on first use and kept in its
+    store (unwind lowering re-seeds it with its landing pads patched in)."""
+    return store_of(body).memo("init", lambda: compute_init(body))
 

@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.dataflow import GenKill, Solution, solve
 from repro.analysis.points_to import PointsTo
-from repro.analysis.scan import cfg_of, scan_of
+from repro.analysis.scan import LOCK_ACQUIRE_OPS, cfg_of, scan_of
 from repro.hir.builtins import BuiltinOp, FuncKind
 from repro.lang.source import Span
 from repro.mir.cfg import Cfg
@@ -35,14 +35,6 @@ from repro.mir.nodes import (
 
 Point = Tuple[int, int]
 
-# Lock-acquisition operations and what they lock.
-LOCK_ACQUIRE_OPS = {
-    BuiltinOp.MUTEX_LOCK: "mutex",
-    BuiltinOp.RWLOCK_READ: "read",
-    BuiltinOp.RWLOCK_WRITE: "write",
-    BuiltinOp.REFCELL_BORROW: "borrow",
-    BuiltinOp.REFCELL_BORROW_MUT: "borrow_mut",
-}
 # try_* variants acquire but cannot deadlock by blocking.
 TRY_ACQUIRE_OPS = {
     BuiltinOp.MUTEX_TRY_LOCK: "mutex",
@@ -225,6 +217,7 @@ def _guard_chain(body: Body, seed: int) -> Set[int]:
 
 def _compute_guard_chain(body: Body, scan, seed: int) -> Set[int]:
     ref_map = scan.ref_map
+    extracts = scan.calls_of(*_EXTRACT_OPS)
     chain = {seed}
     changed = True
     while changed:
@@ -244,8 +237,8 @@ def _compute_guard_chain(body: Body, scan, seed: int) -> Set[int]:
                         and _guardish_ty(body.local_ty(stmt.place.local)):
                     chain.add(stmt.place.local)
                     changed = True
-        for _bb, term in scan.calls:
-            if term.func.builtin_op in _EXTRACT_OPS and term.args:
+        for _bb, term in extracts:
+            if term.args:
                 arg = term.args[0]
                 if arg.place is not None and arg.place.is_local:
                     src = arg.place.local

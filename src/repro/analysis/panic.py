@@ -39,21 +39,13 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.init import InitStates, init_of
-from repro.analysis.scan import cfg_of, scan_of
-from repro.hir.builtins import BuiltinOp, FuncKind
+from repro.analysis.scan import (
+    cfg_of, scan_of, store_of, terminator_panic_source,
+)
+from repro.hir.builtins import FuncKind
 from repro.mir.nodes import (
     Body, Place, Statement, StatementKind, Terminator, TerminatorKind,
 )
-
-#: Builtin operations that can panic by themselves: the paper's §5/§6
-#: panic vocabulary (failed ``unwrap``/``expect``, explicit ``panic!`` /
-#: ``unreachable!`` / ``todo!``, ``assert!`` macros, and ``RefCell``
-#: borrow-rule violations).
-PANIC_BUILTIN_OPS = frozenset({
-    BuiltinOp.UNWRAP, BuiltinOp.EXPECT, BuiltinOp.PANIC, BuiltinOp.ASSERT,
-    BuiltinOp.UNIMPLEMENTED, BuiltinOp.REFCELL_BORROW,
-    BuiltinOp.REFCELL_BORROW_MUT,
-})
 
 #: ``body.__dict__`` flag marking unwind lowering as done.  Underscore
 #: attribute: ``Body.__getstate__`` strips it, but pickled bodies carry
@@ -62,32 +54,12 @@ PANIC_BUILTIN_OPS = frozenset({
 _LOWERED_ATTR = "_unwind_lowered"
 
 
-def terminator_panic_source(term: Terminator) -> Optional[str]:
-    """The direct panic source of a terminator, or ``None``.
-
-    ``assert`` covers the builder-emitted bounds/overflow checks and
-    ``SWITCH``-free assertion lowering; builtin calls map to their op
-    name (``unwrap``, ``panic``, ``RefCell::borrow_mut``, ...); calls
-    into unresolved or foreign code are ``opaque-call`` (unknown code
-    may panic).  User/closure calls return ``None`` — their panics are
-    composed through summaries, not counted as direct sources.
-    """
-    if term.kind is TerminatorKind.ASSERT:
-        return "assert"
-    if term.kind is TerminatorKind.CALL and term.func is not None:
-        func = term.func
-        if func.builtin_op in PANIC_BUILTIN_OPS:
-            return func.builtin_op.value
-        if func.kind is FuncKind.UNKNOWN or func.builtin_op is BuiltinOp.FFI:
-            return "opaque-call"
-    return None
-
-
 def may_unwind(term: Terminator) -> bool:
     """Can this terminator start unwinding?  Direct panic sources plus
     user/closure calls (whose callees may panic — rustc's shape, where
     every non-``nounwind`` call carries an unwind edge).  Known builtins
-    outside :data:`PANIC_BUILTIN_OPS` are treated as nounwind."""
+    outside :data:`repro.analysis.scan.PANIC_BUILTIN_OPS` are treated as
+    nounwind."""
     if terminator_panic_source(term) is not None:
         return True
     return term.kind is TerminatorKind.CALL and term.func is not None \
@@ -106,11 +78,20 @@ def unwind_drop_order(body: Body) -> Tuple[int, ...]:
     its panic point; the interpreter filters dynamically (skipping
     ``UNINIT``/``MOVED`` slots) to the same effect.
     """
-    scan = scan_of(body)
-    order = scan.cache.get("unwind_drop_order")
+    store = store_of(body)
+    order = store.cache.get("unwind_drop_order")
     if order is None:
-        order = scan.cache["unwind_drop_order"] = tuple(
-            sorted(set(scan.drop_locals), reverse=True))
+        if store.indexed:
+            drops = store.drop_locals
+        else:
+            # Unwind lowering runs before the body is indexed: read the
+            # DROP statements off the blocks rather than index it early.
+            drops = [stmt.place.local for block in body.blocks
+                     if not block.cleanup for stmt in block.statements
+                     if stmt.kind is StatementKind.DROP
+                     and stmt.place.is_local]
+        order = store.cache["unwind_drop_order"] = tuple(
+            sorted(set(drops), reverse=True))
     return order
 
 
@@ -142,12 +123,13 @@ def ensure_unwind_edges(body: Body) -> None:
     Obligations are read from the body's one init solution
     (:func:`~repro.analysis.init.init_of`), solved on the *pre-lowering*
     CFG; the pads are then patched into that solution rather than
-    solved again.  The body's scan survives lowering (its flattened
-    views skip cleanup blocks and share the mutated terminator objects,
-    so they are pad-free either way); only other modules' derived facts
-    are dropped, and the drop order, the patched init solution and the
-    direct panic facts computed here are re-seeded, so neither the
-    summary pass nor a detector solves this body's init again.
+    solved again.  Lowering reads the body's store
+    (:func:`~repro.analysis.scan.store_of`) and never fills its fact
+    index: the index's one walk runs on the lowered body.  Only derived
+    facts in the store are dropped, and the drop order, the patched init
+    solution and the direct panic facts computed here are re-seeded, so
+    neither the summary pass nor a detector solves this body's init
+    again.
     """
     if body.__dict__.get(_LOWERED_ATTR) \
             or any(block.cleanup for block in body.blocks):
@@ -191,23 +173,22 @@ def ensure_unwind_edges(body: Body) -> None:
             pad.terminator = Terminator(TerminatorKind.RESUME, span=term.span)
             pads[obligation] = pad_index = pad.index
         term.unwind = pad_index
-    # The scan's flattened views are pad-free by construction (cleanup
-    # blocks are skipped, terminator objects are shared), so the scan
-    # itself stays valid across lowering — re-walking every lowered body
-    # was the single biggest cost of the engine solve.  Only other
-    # modules' derived facts may bake in the pre-pad CFG: drop those,
+    # An index filled before lowering stays valid (it skips cleanup
+    # blocks and shares the terminator objects, so it is pad-free
+    # either way).  Derived facts in the store may bake in the pre-pad
+    # CFG: drop those,
     # re-seed the facts this pass just computed, and extend the body's
     # one Cfg and its one init solution with the pads rather than
     # building or solving either a second time.
-    scan = scan_of(body)
+    store = store_of(body)
     cfg = cfg_of(body)
-    scan.cache.clear()
+    store.cache.clear()
     cfg.add_landing_pads(body, sites)
-    scan.cache["cfg"] = cfg
+    store.cache["cfg"] = cfg
     init.add_landing_pads(body, first_pad)
-    scan.cache["init"] = init
-    scan.cache["unwind_drop_order"] = order
-    scan.cache["panic_facts"] = (
+    store.cache["init"] = init
+    store.cache["unwind_drop_order"] = order
+    store.cache["panic_facts"] = (
         frozenset(sources), frozenset(moved), frozenset(drops))
 
 
@@ -258,12 +239,7 @@ def _direct_panic_facts(body: Body):
     """Body-local panic facts (independent of callee summaries, so
     cached on the scan): the direct source names, the moved-out window
     and the live drop obligations across this body's own panic points."""
-    scan = scan_of(body)
-    sites = []
-    for bb, term in scan.terminators:
-        source = terminator_panic_source(term)
-        if source is not None:
-            sites.append((bb, term, source))
+    sites = scan_of(body).panic_sites
     if not sites:
         return frozenset(), frozenset(), frozenset()
     order = unwind_drop_order(body)

@@ -12,8 +12,7 @@ Fields and their join direction:
 
 * ``returns`` — what the return value may alias: argument positions
   (ints), ``"null"``, ``"heap"`` (a fresh allocation made somewhere in the
-  call tree), ``"unknown"``.  Subsumes the old ``compute_return_summaries``
-  shape (which only knew args and null).
+  call tree), ``"unknown"``.
 * ``const_return`` — the constant integer the function always returns, if
   any (feeds the buffer-overflow detector's constant propagation).
 * ``may_drop_args`` — argument positions whose (by-value, droppable) value
@@ -85,7 +84,7 @@ from repro.analysis.scan import scan_of
 from repro.analysis.unsafe_prop import UnsafeProvenance
 from repro.hir.builtins import BuiltinOp
 from repro.lang.source import Span
-from repro.mir.nodes import Body, RvalueKind, StatementKind, TerminatorKind
+from repro.mir.nodes import Body, RvalueKind, StatementKind
 
 #: ``(kind_of_id, payload, projection, lock_kind)``.
 LockId = Tuple
@@ -157,6 +156,7 @@ def value_chain(body: Body, seed: int) -> Set[int]:
 
 def _compute_value_chain(scan, seed: int) -> Set[int]:
     ref_map = scan.ref_map
+    extracts = scan.calls_of(*_EXTRACT_OPS)
     chain = {seed}
     changed = True
     while changed:
@@ -172,8 +172,8 @@ def _compute_value_chain(scan, seed: int) -> Set[int]:
                         and not op.place.projection:
                     chain.add(stmt.place.local)
                     changed = True
-        for _bb, term in scan.calls:
-            if term.func.builtin_op in _EXTRACT_OPS and term.args:
+        for _bb, term in extracts:
+            if term.args:
                 arg = term.args[0]
                 if arg.place is not None and arg.place.is_local:
                     src = ref_map.get(arg.place.local, arg.place.local)
@@ -198,25 +198,6 @@ def owned_value_args(body: Body) -> List[int]:
     return list(scan_of(body).memo("owned_value_args", compute))
 
 
-def term_arg_sources(body: Body, term) -> List[Optional[int]]:
-    """For each call operand: the caller argument position it carries
-    (following reference/copy chains), or None.  Memoised per call
-    terminator on the body's scan."""
-    scan = scan_of(body)
-    key = ("arg_sources", id(term))
-    cached = scan.cache.get(key)
-    if cached is None:
-        sources: List[Optional[int]] = []
-        for arg in term.args:
-            if arg.place is None:
-                sources.append(None)
-                continue
-            base, _proj = scan.ref_chain(arg.place.local)
-            sources.append(base - 1 if 0 < base <= body.arg_count else None)
-        cached = scan.cache[key] = tuple(sources)
-    return list(cached)
-
-
 def translate_lock(lock: LockId,
                    sources: List[Optional[int]]) -> Optional[LockId]:
     """Translate a callee lock id into the caller's frame using the call
@@ -235,12 +216,7 @@ def translate_lock(lock: LockId,
 # Shared-access collection (feeds the data-race summary component)
 # ---------------------------------------------------------------------------
 
-def _fields_of(projection) -> Tuple:
-    return tuple((p.field_name or str(p.field_index))
-                 for p in projection if p.kind == "field")
-
-
-def deref_access_sites(body: Body) -> List[Tuple]:
+def deref_access_sites(body: Body) -> Tuple[Tuple, ...]:
     """Every read/write that goes *through* a pointer or reference in
     ``body``: ``(point, base_local, projection, is_write, span)``.
 
@@ -250,43 +226,11 @@ def deref_access_sites(body: Body) -> List[Tuple]:
     access; atomics go through their own builtin calls and are excluded —
     they synchronise by construction.
 
-    Cached on the body's scan: the site list only depends on the body
-    text, and the shared-access summariser re-reads it every worklist
-    iteration."""
-    return scan_of(body).memo(
-        "deref_sites", lambda: _compute_deref_sites(body))
-
-
-def _compute_deref_sites(body: Body) -> List[Tuple]:
-    scan = scan_of(body)
-    sites: List[Tuple] = []
-    for bb, i, stmt in scan.statements:
-        if stmt.kind is not StatementKind.ASSIGN:
-            continue
-        point = (bb, i)
-        if stmt.place.has_deref:
-            base, proj = scan.ref_chain(stmt.place.local)
-            combined = _fields_of(proj) + _fields_of(stmt.place.projection)
-            sites.append((point, base, combined, True, stmt.span))
-        rv = stmt.rvalue
-        if rv is None or rv.kind in (RvalueKind.REF, RvalueKind.ADDRESS_OF):
-            continue
-        for op in rv.operands:
-            if op.place is not None and op.place.has_deref:
-                base, proj = scan.ref_chain(op.place.local)
-                combined = _fields_of(proj) + _fields_of(op.place.projection)
-                sites.append((point, base, combined, False, stmt.span))
-    for bb, term in scan.calls:
-        op = term.func.builtin_op
-        if op not in (BuiltinOp.PTR_READ, BuiltinOp.PTR_WRITE):
-            continue
-        if not term.args or term.args[0].place is None:
-            continue
-        point = (bb, len(body.blocks[bb].statements))
-        base, proj = scan.ref_chain(term.args[0].place.local)
-        sites.append((point, base, _fields_of(proj),
-                      op is BuiltinOp.PTR_WRITE, term.span))
-    return sites
+    One entry of the body's fact index
+    (:attr:`~repro.analysis.scan.BodyScan.deref_sites`): the site list
+    only depends on the body text, and the shared-access summariser
+    re-reads it every worklist iteration."""
+    return scan_of(body).deref_sites
 
 
 def translate_access_loc(loc: Tuple,

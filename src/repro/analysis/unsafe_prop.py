@@ -49,7 +49,7 @@ from repro.hir.builtins import BuiltinOp, FuncKind
 from repro.lang.source import Span
 from repro.lang.types import TyKind
 from repro.mir.nodes import (
-    Body, CastKind, RvalueKind, StatementKind, TerminatorKind,
+    Body, RvalueKind, StatementKind, TerminatorKind,
 )
 
 #: One hop of a cross-function provenance chain: (callee key, arg pos).
@@ -71,10 +71,6 @@ UNSAFE_SINK_OPS: Dict[BuiltinOp, Tuple[Tuple[str, int], ...]] = {
     BuiltinOp.PTR_COPY_NONOVERLAPPING: (("deref", 0), ("deref", 1)),
     BuiltinOp.DEALLOC: (("deref", 0),),
 }
-
-#: Casts that mint a raw pointer (the unsafe-birth sites when they occur
-#: inside an unsafe region).
-_RAW_MINT_CASTS = {CastKind.REF_TO_RAW, CastKind.INT_TO_RAW}
 
 #: Rvalue kinds through which taint flows local-to-local.
 _TAINT_FLOW = {RvalueKind.USE, RvalueKind.CAST, RvalueKind.BINARY,
@@ -239,24 +235,18 @@ def direct_arg_sinks(body: Body,
         base, _proj = scan.ref_chain(local)
         return taint.get(local, frozenset()) | taint.get(base, frozenset())
 
-    for bb, _i, stmt in scan.statements:
-        if not stmt.in_unsafe or stmt.kind is not StatementKind.ASSIGN:
+    for bb, _i, stmt, place, is_write in scan.deref_places:
+        if not stmt.in_unsafe:
             continue
-        places = []
-        if stmt.place.has_deref:
-            places.append(stmt.place)
-        rv = stmt.rvalue
-        if rv is not None and rv.kind not in (RvalueKind.REF,
-                                              RvalueKind.ADDRESS_OF):
-            places.extend(op.place for op in rv.operands
-                          if op.place is not None and op.place.has_deref)
-        for place in places:
-            base, _proj = scan.ref_chain(place.local)
-            if not (body.local_ty(place.local).is_raw_ptr
-                    or body.local_ty(base).is_raw_ptr):
-                continue          # deref of a safe reference
-            for position in sorted(taints_of(place.local)):
-                sinks.append((position, "deref", bb, stmt.span))
+        if not is_write and stmt.rvalue.kind in (RvalueKind.REF,
+                                                 RvalueKind.ADDRESS_OF):
+            continue
+        base, _proj = scan.ref_chain(place.local)
+        if not (body.local_ty(place.local).is_raw_ptr
+                or body.local_ty(base).is_raw_ptr):
+            continue          # deref of a safe reference
+        for position in sorted(taints_of(place.local)):
+            sinks.append((position, "deref", bb, stmt.span))
 
     for bb, term in scan.calls:
         if not term.in_unsafe:
@@ -293,56 +283,13 @@ def delegation_sites(body: Body) -> List[Tuple[int, int, Span]]:
     return out
 
 
-def _born_skeleton(body: Body) -> Tuple:
-    """Body-only half of :func:`unsafe_born_locals`, cached on the scan:
-    ``(mints, copy_edges, call_edges)`` — the locals minted unsafe in
-    this body, the copy/cast flow edges the provenance travels along,
-    and the ``(dest, callee key)`` call results whose unsafety depends
-    on callee summaries."""
-
-    def compute() -> Tuple:
-        scan = scan_of(body)
-        mints: Set[int] = set()
-        copy_edges: List[Tuple[int, Tuple[int, ...]]] = []
-        call_edges: List[Tuple[int, str]] = []
-        for _bb, _i, stmt in scan.statements:
-            if stmt.kind is not StatementKind.ASSIGN \
-                    or not stmt.place.is_local or stmt.rvalue is None:
-                continue
-            dest = stmt.place.local
-            rv = stmt.rvalue
-            if stmt.in_unsafe and rv.kind is RvalueKind.CAST \
-                    and rv.cast_kind in _RAW_MINT_CASTS \
-                    and rv.cast_ty.is_raw_ptr:
-                mints.add(dest)
-            elif rv.kind in (RvalueKind.USE, RvalueKind.CAST):
-                sources = tuple(op.place.local for op in rv.operands
-                                if op.place is not None)
-                if sources:
-                    copy_edges.append((dest, sources))
-        for _bb, term in scan.calls:
-            if term.destination is None or not term.destination.is_local:
-                continue
-            dest = term.destination.local
-            func = term.func
-            if term.in_unsafe and func.builtin_op is not None \
-                    and func.is_unsafe \
-                    and body.local_ty(dest).is_raw_ptr:
-                mints.add(dest)
-            elif func.kind in (FuncKind.USER, FuncKind.CLOSURE):
-                call_edges.append((dest, func.user_fn))
-        return frozenset(mints), tuple(copy_edges), tuple(call_edges)
-
-    return scan_of(body).memo("born_skeleton", compute)
-
-
 def unsafe_born_locals(body: Body, summaries=None) -> Set[int]:
     """Locals that may hold a raw pointer *born in an unsafe region*:
     minted by a ref/int→raw cast inside unsafe, returned by ``alloc`` or
     an unsafe builtin, or returned by a callee whose summary says so.
     Propagates through copies and further casts (a later safe-context
     cast does not launder the provenance)."""
-    mints, copy_edges, call_edges = _born_skeleton(body)
+    mints, copy_edges, call_edges = scan_of(body).born_skeleton
     born: Set[int] = set(mints)
     if summaries is not None:
         for dest, callee in call_edges:
@@ -364,16 +311,7 @@ def unsafe_born_locals(body: Body, summaries=None) -> Set[int]:
 
 def count_unsafe_sites(body: Body) -> int:
     """Direct MIR statements/terminators lowered from an unsafe region."""
-
-    def compute() -> int:
-        scan = scan_of(body)
-        count = sum(1 for _bb, _i, stmt in scan.statements
-                    if stmt.in_unsafe)
-        count += sum(1 for _bb, term in scan.terminators
-                     if term.in_unsafe)
-        return count
-
-    return scan_of(body).memo("unsafe_sites", compute)
+    return scan_of(body).unsafe_sites
 
 
 def compute_unsafe_provenance(body: Body, summaries,

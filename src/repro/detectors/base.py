@@ -14,21 +14,23 @@ from repro.analysis.lifetime import (
     GuardRegion, StorageRanges, compute_guard_regions, compute_storage_ranges,
 )
 from repro.analysis.points_to import PointsTo
+from repro.analysis.scan import scan_of
 from repro.analysis.summaries import FunctionSummary
 from repro.detectors.report import Finding
 from repro.hir.builtins import BuiltinOp
 from repro.lang.types import TyKind
-from repro.mir.nodes import Body, Program, Terminator, TerminatorKind
+from repro.mir.nodes import Body, Program, Terminator
 
 
 class AnalysisContext:
     """Caches per-body and per-program analyses so detectors share work.
 
     Interprocedural facts (points-to with return summaries, function
-    summaries, the call graph) are owned by one
-    :class:`~repro.analysis.engine.SummaryEngine` instance; the context
-    keeps the purely intraprocedural caches (guard regions, storage
-    ranges, init states) itself, plus the program-level facts detectors
+    summaries, the call graph, and the guard regions its solve computed)
+    are owned by one :class:`~repro.analysis.engine.SummaryEngine`
+    instance; the context keeps the purely intraprocedural caches (guard
+    regions the solve did not cover, storage ranges, init states)
+    itself, plus the program-level facts detectors
     look up from ``check_body`` (:meth:`arc_shared_structs`,
     :meth:`builtin_sites`).  Each of those is built by one walk of the
     program on first use, so a per-body hook never walks the program.
@@ -105,11 +107,25 @@ class AnalysisContext:
 
     def guard_regions(self, body: Body,
                       include_try: bool = False) -> List[GuardRegion]:
+        """The body's guard regions.  The solve already computed the
+        ``include_try=True`` list of most bodies that take a lock, with
+        the same points-to and summaries; those are served (filtered to
+        the blocking acquisitions for ``include_try=False``) and only
+        the bodies it did not cover are computed here."""
         return self._lookup(
             self._guard_regions, (body.key, include_try), "guard_regions",
-            lambda: compute_guard_regions(
-                body, self.points_to(body), include_try=include_try,
-                summaries=self.engine.summaries_map()))
+            lambda: self._compute_guard_regions(body, include_try))
+
+    def _compute_guard_regions(self, body: Body,
+                               include_try: bool) -> List[GuardRegion]:
+        solved = self.engine.solved_guard_regions(body.key)
+        if solved is not None:
+            if include_try:
+                return solved
+            return [region for region in solved if not region.is_try]
+        return compute_guard_regions(
+            body, self.points_to(body), include_try=include_try,
+            summaries=self.engine.summaries_map())
 
     def storage_ranges(self, body: Body) -> StorageRanges:
         return self._lookup(
@@ -150,11 +166,10 @@ class AnalysisContext:
             index = {}
             position = 0
             for body in self.program.bodies():
-                for bb, term in body.iter_terminators():
-                    if term.kind is TerminatorKind.CALL \
-                            and term.func is not None \
-                            and term.func.builtin_op is not None:
-                        index.setdefault(term.func.builtin_op, []).append(
+                for bb, term in scan_of(body).calls:
+                    op = term.func.builtin_op
+                    if op is not None:
+                        index.setdefault(op, []).append(
                             (position, body, bb, term))
                         position += 1
             self._builtin_sites = index
@@ -169,7 +184,11 @@ class Detector:
     :meth:`check_body` (called per function) or :meth:`check_program`
     (called once), or both.  ``check_body`` may look up a per-program
     fact on the context but never walks the program itself: that would
-    make the detector quadratic in program size.
+    make the detector quadratic in program size.  Neither hook walks a
+    body: per-body facts are read off its index
+    (:func:`~repro.analysis.scan.scan_of`), and a hook first asks the
+    index whether its subject is in the body at all, returning ``[]``
+    before any points-to, CFG or dataflow request when it is not.
     """
 
     name = "detector"

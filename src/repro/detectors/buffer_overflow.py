@@ -22,7 +22,7 @@ from repro.analysis.lifetime import resolve_ref_chain
 from repro.analysis.scan import cfg_of, scan_of
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.report import Finding, Severity
-from repro.hir.builtins import BuiltinOp
+from repro.hir.builtins import BuiltinOp, FuncKind
 from repro.mir.cfg import Cfg
 from repro.mir.nodes import (
     Body, BinOpKind, RvalueKind, StatementKind, TerminatorKind,
@@ -43,20 +43,17 @@ class BufferOverflowDetector(Detector):
         # Both rules fire only at a `get_unchecked(_mut)` call: a body
         # without one skips the length, constant and dominance passes
         # (DESIGN.md §9, "Per-body facts on demand, on bitsets").
-        if not any(term.func.builtin_op in _UNCHECKED_OPS
-                   for _bb, term in scan_of(body).calls):
+        scan = scan_of(body)
+        unchecked = scan.calls_of(*_UNCHECKED_OPS)
+        if not unchecked:
             return []
         findings: List[Finding] = []
         cfg = cfg_of(body)
         lengths = self._known_lengths(body)
-        consts = self._const_locals(ctx, body)
-        guarded = self._guarded_blocks(body, cfg)
+        consts = self._const_locals(ctx, scan)
+        guarded = self._guarded_blocks(body, scan, cfg)
 
-        for bb, term in body.iter_terminators():
-            if term.kind is not TerminatorKind.CALL or term.func is None:
-                continue
-            if term.func.builtin_op not in _UNCHECKED_OPS:
-                continue
+        for bb, term in unchecked:
             if len(term.args) < 2 or term.args[0].place is None:
                 continue
             recv_base, _ = resolve_ref_chain(body, term.args[0].place.local)
@@ -83,8 +80,7 @@ class BufferOverflowDetector(Detector):
                                   "definite": True}))
                 continue
             if index_local is not None:
-                if not self._index_guarded(body, cfg, guarded, bb,
-                                           index_local):
+                if not self._index_guarded(scan, guarded, bb, index_local):
                     findings.append(Finding(
                         detector=self.name, kind="unguarded-unchecked",
                         message=(f"`get_unchecked` on `{recv_name}` with an "
@@ -99,12 +95,10 @@ class BufferOverflowDetector(Detector):
 
     def _known_lengths(self, body: Body) -> Dict[int, int]:
         """Container local → constant length, where derivable."""
+        scan = scan_of(body)
         lengths: Dict[int, int] = {}
-        for bb, term in body.iter_terminators():
-            if term.kind is not TerminatorKind.CALL or term.func is None:
-                continue
-            if term.func.builtin_op is BuiltinOp.VEC_MACRO \
-                    and term.destination is not None \
+        for bb, term in scan.calls_of(BuiltinOp.VEC_MACRO):
+            if term.destination is not None \
                     and term.destination.is_local:
                 if len(term.args) == 2 and term.args[1].is_const \
                         and isinstance(term.args[1].constant.value, int):
@@ -113,7 +107,7 @@ class BufferOverflowDetector(Detector):
                 elif all(a.is_const or a.place is not None
                          for a in term.args) and len(term.args) != 2:
                     lengths[term.destination.local] = len(term.args)
-        for _bb, _i, stmt in body.iter_statements():
+        for _bb, _i, stmt in scan.statements:
             if stmt.kind is StatementKind.ASSIGN and stmt.rvalue is not None \
                     and stmt.place.is_local:
                 rv = stmt.rvalue
@@ -132,8 +126,7 @@ class BufferOverflowDetector(Detector):
                         lengths[stmt.place.local] = lengths[op.place.local]
         return lengths
 
-    def _const_locals(self, ctx: AnalysisContext,
-                      body: Body) -> Dict[int, int]:
+    def _const_locals(self, ctx: AnalysisContext, scan) -> Dict[int, int]:
         """Locals assigned a constant integer exactly once.  A call to a
         function whose summary has a ``const_return`` counts as a constant
         assignment, so indices computed by helpers propagate."""
@@ -145,7 +138,7 @@ class BufferOverflowDetector(Detector):
             else:
                 consts[local] = value
 
-        for _bb, _i, stmt in body.iter_statements():
+        for _bb, _i, stmt in scan.statements:
             if stmt.kind is StatementKind.ASSIGN and stmt.place.is_local:
                 rv = stmt.rvalue
                 value: Optional[int] = None
@@ -154,10 +147,8 @@ class BufferOverflowDetector(Detector):
                         and isinstance(rv.operands[0].constant.value, int):
                     value = rv.operands[0].constant.value
                 record(stmt.place.local, value)
-        from repro.hir.builtins import FuncKind
-        for _bb, term in body.iter_terminators():
-            if term.kind is not TerminatorKind.CALL or term.func is None \
-                    or term.destination is None \
+        for _bb, term in scan.calls:
+            if term.destination is None \
                     or not term.destination.is_local:
                 continue
             value = None
@@ -166,12 +157,13 @@ class BufferOverflowDetector(Detector):
             record(term.destination.local, value)
         return {l: v for l, v in consts.items() if v is not None}
 
-    def _guarded_blocks(self, body: Body, cfg: Cfg) -> Dict[int, Set[int]]:
+    def _guarded_blocks(self, body: Body, scan,
+                        cfg: Cfg) -> Dict[int, Set[int]]:
         """index-local → blocks where a comparison involving it controls
         entry (i.e. blocks dominated by a comparison's switch)."""
         cmp_blocks: Dict[int, List[int]] = {}
         cmp_locals: Dict[int, Set[int]] = {}
-        for bb, i, stmt in body.iter_statements():
+        for bb, i, stmt in scan.statements:
             if stmt.kind is StatementKind.ASSIGN and stmt.rvalue is not None \
                     and stmt.rvalue.kind is RvalueKind.BINARY \
                     and stmt.rvalue.bin_op in _CMP_OPS \
@@ -180,7 +172,7 @@ class BufferOverflowDetector(Detector):
                             if op.place is not None}
                 cmp_locals.setdefault(stmt.place.local, set()).update(involved)
         guard: Dict[int, Set[int]] = {}
-        for bb, term in body.iter_terminators():
+        for bb, term in scan.terminators:
             if term.kind is not TerminatorKind.SWITCH_INT or term.discr is None:
                 continue
             if term.discr.place is None:
@@ -195,7 +187,7 @@ class BufferOverflowDetector(Detector):
                         if cfg.dominates(succ, candidate):
                             blocks.add(candidate)
         # Assert-based guards (safe indexing emits these).
-        for bb, term in body.iter_terminators():
+        for bb, term in scan.terminators:
             if term.kind is not TerminatorKind.ASSERT or term.cond is None \
                     or term.cond.place is None:
                 continue
@@ -211,13 +203,13 @@ class BufferOverflowDetector(Detector):
                     blocks.add(term.target)
         return guard
 
-    def _index_guarded(self, body: Body, cfg: Cfg, guarded, access_block: int,
+    def _index_guarded(self, scan, guarded, access_block: int,
                        index_local: int) -> bool:
         blocks = guarded.get(index_local, set())
         if access_block in blocks:
             return True
         # Follow one copy backwards: idx temp copied from a named local.
-        for _bb, _i, stmt in body.iter_statements():
+        for _bb, _i, stmt in scan.statements:
             if stmt.kind is StatementKind.ASSIGN and stmt.place.is_local \
                     and stmt.place.local == index_local \
                     and stmt.rvalue is not None \

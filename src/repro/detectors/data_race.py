@@ -46,13 +46,14 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from repro import obs
 from repro.analysis.escape import SpawnSite, translate_capture
 from repro.analysis.lifetime import caller_lock_ids, lock_identity
+from repro.analysis.scan import scan_of
 from repro.analysis.summaries import (
     deref_access_sites, opaque_lock, translate_access_loc,
 )
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.report import Finding, Severity
 from repro.hir.builtins import BuiltinOp, FuncKind
-from repro.mir.nodes import Body, TerminatorKind
+from repro.mir.nodes import Body
 from repro.obs.provenance import fact
 
 
@@ -232,9 +233,9 @@ class DataRaceDetector(Detector):
         """Callee summary accesses at call sites that run after a spawn,
         translated into global ids, with the caller's locks added."""
         out: List[_Access] = []
-        for bb, term in body.iter_terminators():
-            if bb not in after or term.kind is not TerminatorKind.CALL \
-                    or term.func is None:
+        for bb, term in scan_of(body).calls_of_kind(FuncKind.USER,
+                                                    FuncKind.CLOSURE):
+            if bb not in after:
                 continue
             func = term.func
             if func.kind not in (FuncKind.USER, FuncKind.CLOSURE) \

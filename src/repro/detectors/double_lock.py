@@ -24,11 +24,12 @@ from typing import List
 from repro.analysis.lifetime import (
     LOCK_ACQUIRE_OPS, GuardRegion, caller_lock_ids, lock_identity,
 )
+from repro.analysis.scan import scan_of
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.report import Finding, Severity
 from repro.obs.provenance import fact
 from repro.hir.builtins import BuiltinOp, FuncKind
-from repro.mir.nodes import Body, TerminatorKind
+from repro.mir.nodes import Body
 
 
 def _kinds_conflict(first: str, second: str) -> bool:
@@ -49,20 +50,21 @@ class DoubleLockDetector(Detector):
         self.interprocedural = interprocedural
 
     def check_body(self, ctx: AnalysisContext, body: Body) -> List[Finding]:
+        regions = ctx.guard_regions(body)
+        if not regions:
+            return []
         findings: List[Finding] = []
         pt = ctx.points_to(body)
-        regions = ctx.guard_regions(body)
+        scan = scan_of(body)
+        acquisitions = scan.calls_of(*LOCK_ACQUIRE_OPS)
+        user_calls = scan.calls_of_kind(FuncKind.USER, FuncKind.CLOSURE)
 
         for region in regions:
             if region.is_try:
                 continue
             # Intra-procedural: another acquisition inside the region.
-            for bb, term in body.iter_terminators():
-                if term.kind is not TerminatorKind.CALL or term.func is None:
-                    continue
-                second_kind = LOCK_ACQUIRE_OPS.get(term.func.builtin_op)
-                if second_kind is None:
-                    continue
+            for bb, term in acquisitions:
+                second_kind = LOCK_ACQUIRE_OPS[term.func.builtin_op]
                 point = (bb, len(body.blocks[bb].statements))
                 if bb == region.acquire_block or not region.covers(point):
                     continue
@@ -116,17 +118,14 @@ class DoubleLockDetector(Detector):
             if not self.interprocedural:
                 continue
             findings.extend(self._check_calls_in_region(
-                ctx, body, pt, region))
+                ctx, body, pt, region, user_calls))
         return findings
 
     def _check_calls_in_region(self, ctx, body: Body, pt,
-                               region: GuardRegion) -> List[Finding]:
+                               region: GuardRegion,
+                               user_calls) -> List[Finding]:
         findings: List[Finding] = []
-        for bb, term in body.iter_terminators():
-            if term.kind is not TerminatorKind.CALL or term.func is None:
-                continue
-            if term.func.kind not in (FuncKind.USER, FuncKind.CLOSURE):
-                continue
+        for bb, term in user_calls:
             point = (bb, len(body.blocks[bb].statements))
             if not region.covers(point):
                 continue

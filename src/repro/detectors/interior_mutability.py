@@ -19,13 +19,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.lifetime import resolve_ref_chain
-from repro.analysis.scan import cfg_of
+from repro.analysis.scan import cfg_of, scan_of
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.report import Finding, Severity
 from repro.hir.builtins import BuiltinOp
-from repro.mir.nodes import (
-    Body, RvalueKind, StatementKind, TerminatorKind,
-)
+from repro.mir.nodes import Body, StatementKind, TerminatorKind
 
 
 def _is_self_method(body: Body) -> bool:
@@ -71,8 +69,8 @@ class SyncUnsyncWriteDetector(Detector):
         pt = ctx.points_to(body)
         # self is argument local 1; writes through raw pointers whose
         # points-to includes self's storage are unsynchronised mutations.
-        for bb, i, stmt in body.iter_statements():
-            if stmt.kind is not StatementKind.ASSIGN or not stmt.place.has_deref:
+        for _bb, _i, stmt, _place, is_write in scan_of(body).deref_places:
+            if not is_write:
                 continue
             base_ty = body.local_ty(stmt.place.local)
             if not base_ty.is_raw_ptr:
@@ -100,18 +98,20 @@ class AtomicityViolationDetector(Detector):
     paper_section = "6.2"
 
     def check_body(self, ctx: AnalysisContext, body: Body) -> List[Finding]:
+        # A finding needs an atomic load and an atomic store.
+        scan = scan_of(body)
+        if BuiltinOp.ATOMIC_LOAD not in scan.ops \
+                or BuiltinOp.ATOMIC_STORE not in scan.ops:
+            return []
         findings: List[Finding] = []
         cfg = cfg_of(body)
         pt = ctx.points_to(body)
 
         loads: List[Tuple[int, int, frozenset]] = []   # (block, dest, field-id)
         stores: List[Tuple[int, frozenset, object]] = []  # (block, field-id, term)
-        for bb, term in body.iter_terminators():
-            if term.kind is not TerminatorKind.CALL or term.func is None:
-                continue
+        for bb, term in scan.calls_of(BuiltinOp.ATOMIC_LOAD,
+                                      BuiltinOp.ATOMIC_STORE):
             op = term.func.builtin_op
-            if op not in (BuiltinOp.ATOMIC_LOAD, BuiltinOp.ATOMIC_STORE):
-                continue
             if not term.args or term.args[0].place is None:
                 continue
             base, proj = resolve_ref_chain(body, term.args[0].place.local)
@@ -132,7 +132,7 @@ class AtomicityViolationDetector(Detector):
         # is some SwitchInt discriminant; the store must sit in a block
         # dominated by one of the branch targets.
         influenced: Dict[int, Set[int]] = {}   # load dest → derived locals
-        for bb, i, stmt in body.iter_statements():
+        for bb, i, stmt in scan.statements:
             if stmt.kind is StatementKind.ASSIGN and stmt.rvalue is not None \
                     and stmt.place.is_local:
                 srcs = {op.place.local for op in stmt.rvalue.operands
@@ -145,7 +145,7 @@ class AtomicityViolationDetector(Detector):
         reported = set()
         for load_bb, dest, load_ident in loads:
             derived = influenced.get(dest, {dest})
-            for bb, term in body.iter_terminators():
+            for bb, term in scan.terminators:
                 if term.kind is not TerminatorKind.SWITCH_INT \
                         or term.discr is None or term.discr.place is None:
                     continue

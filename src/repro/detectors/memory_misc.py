@@ -19,20 +19,39 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.lifetime import resolve_ref_chain
-from repro.analysis.scan import cfg_of
+from repro.analysis.scan import cfg_of, scan_of
 from repro.analysis.summaries import value_chain
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.report import Finding, Severity
 from repro.hir.builtins import BuiltinOp, FuncKind
-from repro.mir.nodes import (
-    Body, RvalueKind, StatementKind, TerminatorKind,
-)
+from repro.mir.nodes import Body
 
 # Allocation ops that yield *uninitialised* memory.
 _RAW_ALLOC_OPS = {BuiltinOp.ALLOC, BuiltinOp.MEM_UNINITIALIZED,
                   BuiltinOp.MAYBE_UNINIT}
 _WRITE_OPS = {BuiltinOp.PTR_WRITE, BuiltinOp.PTR_COPY,
               BuiltinOp.PTR_COPY_NONOVERLAPPING, BuiltinOp.MEM_ZEROED}
+
+
+def _uninit_sites(body: Body, scan) -> Set[str]:
+    """Heap site ids of the body's uninitialised allocations."""
+    return {f"{body.key}:{bb}" for bb, _term in scan.calls_of(*_RAW_ALLOC_OPS)}
+
+
+def _written_sites(scan, pt) -> Set[str]:
+    """Heap sites some write op or deref-assignment in the body targets."""
+    written: Set[str] = set()
+    for _bb, term in scan.calls_of(*_WRITE_OPS):
+        if term.args and term.args[0].place is not None:
+            for target in pt.targets(term.args[0].place.local):
+                if target[0] == "heap":
+                    written.add(target[1])
+    for _bb, _i, stmt, _place, is_write in scan.deref_places:
+        if is_write:
+            for target in pt.targets(stmt.place.local):
+                if target[0] == "heap":
+                    written.add(target[1])
+    return written
 
 
 class DoubleFreeDetector(Detector):
@@ -42,13 +61,10 @@ class DoubleFreeDetector(Detector):
     paper_section = "5.1"
 
     def check_body(self, ctx: AnalysisContext, body: Body) -> List[Finding]:
+        scan = scan_of(body)
         findings: List[Finding] = []
         # Find `dup = ptr::read(&orig)` call sites.
-        for bb, term in body.iter_terminators():
-            if term.kind is not TerminatorKind.CALL or term.func is None:
-                continue
-            if term.func.builtin_op is not BuiltinOp.PTR_READ:
-                continue
+        for bb, term in scan.calls_of(BuiltinOp.PTR_READ):
             if term.destination is None or not term.destination.is_local:
                 continue
             if not term.args or term.args[0].place is None:
@@ -62,9 +78,9 @@ class DoubleFreeDetector(Detector):
             # Both the original and the duplicate reach a drop?
             orig_chain = value_chain(body, src_base)
             dup_chain = value_chain(body, dup)
-            orig_dropped = self._chain_dropped(ctx, body, orig_chain)
-            dup_dropped = self._chain_dropped(ctx, body, dup_chain)
-            forgotten = self._chain_forgotten(body, orig_chain | dup_chain)
+            orig_dropped = self._chain_dropped(ctx, scan, orig_chain)
+            dup_dropped = self._chain_dropped(ctx, scan, dup_chain)
+            forgotten = self._chain_forgotten(scan, orig_chain | dup_chain)
             if orig_dropped and dup_dropped and not forgotten:
                 src_name = body.locals[src_base].name or f"_{src_base}"
                 findings.append(Finding(
@@ -78,15 +94,11 @@ class DoubleFreeDetector(Detector):
         return findings
 
     @staticmethod
-    def _chain_dropped(ctx: AnalysisContext, body: Body,
+    def _chain_dropped(ctx: AnalysisContext, scan,
                        chain: Set[int]) -> bool:
-        for _bb, _i, stmt in body.iter_statements():
-            if stmt.kind is StatementKind.DROP and stmt.place.is_local \
-                    and stmt.place.local in chain:
-                return True
-        for _bb, term in body.iter_terminators():
-            if term.kind is not TerminatorKind.CALL or term.func is None:
-                continue
+        if any(local in chain for local in scan.drop_locals):
+            return True
+        for _bb, term in scan.calls:
             if term.func.builtin_op is BuiltinOp.MEM_DROP:
                 for arg in term.args:
                     if arg.place is not None and arg.place.local in chain:
@@ -104,13 +116,11 @@ class DoubleFreeDetector(Detector):
         return False
 
     @staticmethod
-    def _chain_forgotten(body: Body, chain: Set[int]) -> bool:
-        for _bb, term in body.iter_terminators():
-            if term.kind is TerminatorKind.CALL and term.func is not None \
-                    and term.func.builtin_op is BuiltinOp.MEM_FORGET:
-                for arg in term.args:
-                    if arg.place is not None and arg.place.local in chain:
-                        return True
+    def _chain_forgotten(scan, chain: Set[int]) -> bool:
+        for _bb, term in scan.calls_of(BuiltinOp.MEM_FORGET):
+            for arg in term.args:
+                if arg.place is not None and arg.place.local in chain:
+                    return True
         return False
 
 
@@ -121,14 +131,15 @@ class InvalidFreeDetector(Detector):
     paper_section = "5.1"
 
     def check_body(self, ctx: AnalysisContext, body: Body) -> List[Finding]:
+        scan = scan_of(body)
+        uninit_sites = _uninit_sites(body, scan)
+        if not uninit_sites:
+            return []
         findings: List[Finding] = []
         pt = ctx.points_to(body)
-        uninit_sites = self._uninit_sites(body)
-        if not uninit_sites:
-            return findings
-        written = self._sites_written_before(body, pt, uninit_sites)
-        for bb, i, stmt in body.iter_statements():
-            if stmt.kind is not StatementKind.ASSIGN or not stmt.place.has_deref:
+        written = self._sites_written_before(body, scan, pt, uninit_sites)
+        for bb, i, stmt, _place, is_write in scan.deref_places:
+            if not is_write:
                 continue
             base_ty = body.local_ty(stmt.place.local)
             if not base_ty.is_raw_ptr:
@@ -153,15 +164,8 @@ class InvalidFreeDetector(Detector):
                     break
         return findings
 
-    def _uninit_sites(self, body: Body) -> Set[str]:
-        sites = set()
-        for bb, term in body.iter_terminators():
-            if term.kind is TerminatorKind.CALL and term.func is not None \
-                    and term.func.builtin_op in _RAW_ALLOC_OPS:
-                sites.add(f"{body.key}:{bb}")
-        return sites
-
-    def _sites_written_before(self, body: Body, pt, sites: Set[str]) -> Dict:
+    def _sites_written_before(self, body: Body, scan, pt,
+                              sites: Set[str]) -> Dict:
         """For each site: the set of points at which it has definitely been
         written (a ptr::write dominates).  Approximation: once a
         ``ptr::write``/copy targets the site, every point in blocks
@@ -169,11 +173,7 @@ class InvalidFreeDetector(Detector):
         cfg = cfg_of(body)
         written: Dict[str, Set[Tuple[int, int]]] = {s: set() for s in sites}
         write_blocks: Dict[str, List[int]] = {s: [] for s in sites}
-        for bb, term in body.iter_terminators():
-            if term.kind is not TerminatorKind.CALL or term.func is None:
-                continue
-            if term.func.builtin_op not in _WRITE_OPS:
-                continue
+        for bb, term in scan.calls_of(*_WRITE_OPS):
             for arg in term.args[:1]:
                 if arg.place is None:
                     continue
@@ -196,33 +196,17 @@ class UninitReadDetector(Detector):
     paper_section = "5.1"
 
     def check_body(self, ctx: AnalysisContext, body: Body) -> List[Finding]:
+        scan = scan_of(body)
+        uninit_sites = _uninit_sites(body, scan)
+        if not uninit_sites:
+            return []
         findings: List[Finding] = []
         pt = ctx.points_to(body)
-        uninit_sites: Set[str] = set()
-        for bb, term in body.iter_terminators():
-            if term.kind is TerminatorKind.CALL and term.func is not None \
-                    and term.func.builtin_op in _RAW_ALLOC_OPS:
-                uninit_sites.add(f"{body.key}:{bb}")
-        if not uninit_sites:
-            return findings
 
         # A site is "ever written" if any write op or deref-assignment
         # targets it anywhere in the body (coarse; flow handled by the
         # invalid-free detector's dominance check).
-        written: Set[str] = set()
-        for bb, term in body.iter_terminators():
-            if term.kind is TerminatorKind.CALL and term.func is not None \
-                    and term.func.builtin_op in _WRITE_OPS and term.args:
-                arg = term.args[0]
-                if arg.place is not None:
-                    for target in pt.targets(arg.place.local):
-                        if target[0] == "heap":
-                            written.add(target[1])
-        for _bb, _i, stmt in body.iter_statements():
-            if stmt.kind is StatementKind.ASSIGN and stmt.place.has_deref:
-                for target in pt.targets(stmt.place.local):
-                    if target[0] == "heap":
-                        written.add(target[1])
+        written = _written_sites(scan, pt)
 
         # Reads: deref in an rvalue, or ptr::read.
         def report(pointer: int, site: str, span) -> None:
@@ -236,25 +220,18 @@ class UninitReadDetector(Detector):
                 metadata={"pointer": pointer, "site": site}))
 
         reported = set()
-        for _bb, _i, stmt in body.iter_statements():
-            if stmt.kind is not StatementKind.ASSIGN or stmt.rvalue is None:
+        for _bb, _i, stmt, place, is_write in scan.deref_places:
+            if is_write:
                 continue
-            for op in stmt.rvalue.operands:
-                if op.place is None or not op.place.has_deref:
-                    continue
-                if not body.local_ty(op.place.local).is_raw_ptr:
-                    continue
-                for target in pt.targets(op.place.local):
-                    if target[0] == "heap" and target[1] in uninit_sites \
-                            and target[1] not in written \
-                            and (op.place.local, target[1]) not in reported:
-                        reported.add((op.place.local, target[1]))
-                        report(op.place.local, target[1], stmt.span)
-        for bb, term in body.iter_terminators():
-            if term.kind is not TerminatorKind.CALL or term.func is None:
+            if not body.local_ty(place.local).is_raw_ptr:
                 continue
-            if term.func.builtin_op is not BuiltinOp.PTR_READ:
-                continue
+            for target in pt.targets(place.local):
+                if target[0] == "heap" and target[1] in uninit_sites \
+                        and target[1] not in written \
+                        and (place.local, target[1]) not in reported:
+                    reported.add((place.local, target[1]))
+                    report(place.local, target[1], stmt.span)
+        for bb, term in scan.calls_of(BuiltinOp.PTR_READ):
             for arg in term.args[:1]:
                 if arg.place is None:
                     continue
@@ -287,13 +264,16 @@ class NullDerefDetector(Detector):
     paper_section = "5.1"
 
     def check_body(self, ctx: AnalysisContext, body: Body) -> List[Finding]:
+        # Every finding needs a local that may point to null: a body
+        # whose points-to has no null target holds nothing to check.
+        scan = scan_of(body)
+        if not self._may_point_to_null(ctx, scan):
+            return []
         findings: List[Finding] = []
         pt = ctx.points_to(body)
-        guarded = self._null_checked_locals(body)
+        guarded = scan.null_checked
 
         def inspect(place, span) -> None:
-            if place is None or not place.has_deref:
-                return
             base_ty = body.local_ty(place.local)
             if not base_ty.is_raw_ptr:
                 return
@@ -315,37 +295,31 @@ class NullDerefDetector(Detector):
                 severity=Severity.ERROR if only_null else Severity.WARNING,
                 metadata={"definite": only_null}))
 
-        for _bb, _i, stmt in body.iter_statements():
-            if stmt.kind is not StatementKind.ASSIGN or stmt.rvalue is None:
-                continue
-            inspect(stmt.place, stmt.span)
-            for op in stmt.rvalue.operands:
-                inspect(op.place, stmt.span)
-        for _bb, term in body.iter_terminators():
-            if term.kind is not TerminatorKind.CALL or term.func is None:
-                continue
-            if term.func.builtin_op in (BuiltinOp.PTR_READ,
-                                        BuiltinOp.PTR_WRITE):
-                arg = term.args[0] if term.args else None
-                if arg is not None and arg.place is not None:
-                    pointer = arg.place.local
-                    base, _ = resolve_ref_chain(body, pointer)
-                    targets = pt.targets(pointer) | pt.targets(base)
-                    # Only the pointer itself is tested against
-                    # `guarded` here, not its resolved base as
-                    # `inspect` does; widening it would change findings.
-                    if ("null",) in targets and pointer not in guarded:
-                        only_null = all(t == ("null",) for t in targets)
-                        name = body.locals[pointer].name or f"_{pointer}"
-                        findings.append(Finding(
-                            detector=self.name, kind="null-deref",
-                            message=(f"`ptr::read`/`ptr::write` on "
-                                     f"{'always' if only_null else 'possibly'}"
-                                     f"-null pointer `{name}`"),
-                            fn_key=body.key, span=term.span,
-                            severity=Severity.ERROR if only_null
-                            else Severity.WARNING,
-                            metadata={"definite": only_null}))
+        for _bb, _i, stmt, place, _is_write in scan.deref_places:
+            if stmt.rvalue is not None:
+                inspect(place, stmt.span)
+        for _bb, term in scan.calls_of(BuiltinOp.PTR_READ,
+                                       BuiltinOp.PTR_WRITE):
+            arg = term.args[0] if term.args else None
+            if arg is not None and arg.place is not None:
+                pointer = arg.place.local
+                base, _ = resolve_ref_chain(body, pointer)
+                targets = pt.targets(pointer) | pt.targets(base)
+                # Only the pointer itself is tested against
+                # `guarded` here, not its resolved base as
+                # `inspect` does; widening it would change findings.
+                if ("null",) in targets and pointer not in guarded:
+                    only_null = all(t == ("null",) for t in targets)
+                    name = body.locals[pointer].name or f"_{pointer}"
+                    findings.append(Finding(
+                        detector=self.name, kind="null-deref",
+                        message=(f"`ptr::read`/`ptr::write` on "
+                                 f"{'always' if only_null else 'possibly'}"
+                                 f"-null pointer `{name}`"),
+                        fn_key=body.key, span=term.span,
+                        severity=Severity.ERROR if only_null
+                        else Severity.WARNING,
+                        metadata={"definite": only_null}))
         # One finding per (local, kind) is enough.
         unique = {}
         for finding in findings:
@@ -354,16 +328,16 @@ class NullDerefDetector(Detector):
         return list(unique.values())
 
     @staticmethod
-    def _null_checked_locals(body: Body) -> Set[int]:
-        """Locals that flow through an `is_null()` call (any guard counts;
-        flow-sensitivity is deliberately coarse to avoid FPs)."""
-        checked: Set[int] = set()
-        for _bb, term in body.iter_terminators():
-            if term.kind is TerminatorKind.CALL and term.func is not None \
-                    and term.func.builtin_op is BuiltinOp.PTR_IS_NULL:
-                for arg in term.args[:1]:
-                    if arg.place is not None:
-                        checked.add(arg.place.local)
-                        base, _ = resolve_ref_chain(body, arg.place.local)
-                        checked.add(base)
-        return checked
+    def _may_point_to_null(ctx: AnalysisContext, scan) -> bool:
+        """Can the body's points-to hold a null target?  Null enters only
+        through a ``ptr::null`` result or a call whose callee's return
+        summary says it may return null (the same summaries points-to
+        expands its user calls with)."""
+        if scan.null_seeded:
+            return True
+        summaries = ctx.engine.summaries_map()
+        for _dst, callee, _args, _site in scan.pt_skeleton.user_calls:
+            summary = summaries.get(callee)
+            if summary is not None and "null" in summary.returns:
+                return True
+        return False

@@ -29,10 +29,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.lifetime import resolve_ref_chain
-from repro.analysis.panic import terminator_panic_source
+from repro.analysis.scan import scan_of, terminator_panic_source
 from repro.analysis.summaries import value_chain
 from repro.detectors.base import AnalysisContext, Detector
-from repro.detectors.memory_misc import _RAW_ALLOC_OPS, _WRITE_OPS
+from repro.detectors.memory_misc import (
+    _RAW_ALLOC_OPS, _WRITE_OPS, _written_sites,
+)
 from repro.detectors.report import Finding, Severity
 from repro.hir.builtins import BuiltinOp, FuncKind
 from repro.mir.nodes import (
@@ -84,9 +86,7 @@ class PanicSafetyDetector(Detector):
         if not ctx.config.unwind_edges:
             return []
         findings: List[Finding] = []
-        for bb, term in body.iter_terminators():
-            if _call_op(term) is not BuiltinOp.PTR_READ:
-                continue
+        for bb, term in scan_of(body).calls_of(BuiltinOp.PTR_READ):
             if not term.in_unsafe:
                 continue
             if term.destination is None or not term.destination.is_local:
@@ -241,17 +241,15 @@ class BadDropDetector(Detector):
     def check_body(self, ctx: AnalysisContext, body: Body) -> List[Finding]:
         if not body.key.endswith("::drop") or body.arg_count < 1:
             return []
+        scan = scan_of(body)
         findings: List[Finding] = []
-        findings.extend(self._double_drop_fields(ctx, body))
-        findings.extend(self._drop_uninit(body))
+        findings.extend(self._double_drop_fields(body, scan))
+        findings.extend(self._drop_uninit(body, scan))
         return findings
 
-    def _double_drop_fields(self, ctx: AnalysisContext,
-                            body: Body) -> List[Finding]:
+    def _double_drop_fields(self, body: Body, scan) -> List[Finding]:
         findings: List[Finding] = []
-        for bb, term in body.iter_terminators():
-            if _call_op(term) is not BuiltinOp.PTR_READ:
-                continue
+        for bb, term in scan.calls_of(BuiltinOp.PTR_READ):
             if term.destination is None or not term.destination.is_local:
                 continue
             if not term.args or term.args[0].place is None:
@@ -263,10 +261,10 @@ class BadDropDetector(Detector):
             if not body.local_ty(dup).needs_drop:
                 continue
             chain = value_chain(body, dup)
-            if not self._chain_dropped(body, chain):
+            if not self._chain_dropped(scan, chain):
                 continue
-            if self._chain_forgotten(body, chain) \
-                    or self._field_restored(body):
+            if self._chain_forgotten(scan, chain) \
+                    or self._field_restored(body, scan):
                 continue
             field_name = proj[-1].field_name or f"field {proj[-1].field_index}"
             findings.append(Finding(
@@ -292,18 +290,16 @@ class BadDropDetector(Detector):
                 ]))
         return findings
 
-    def _drop_uninit(self, body: Body) -> List[Finding]:
+    def _drop_uninit(self, body: Body, scan) -> List[Finding]:
         findings: List[Finding] = []
-        for bb, term in body.iter_terminators():
-            if _call_op(term) not in _UNINIT_VALUE_OPS:
-                continue
+        for bb, term in scan.calls_of(*_UNINIT_VALUE_OPS):
             if term.destination is None or not term.destination.is_local:
                 continue
             origin = term.destination.local
             chain = value_chain(body, origin)
-            if self._chain_written(body, chain):
+            if self._chain_written(body, scan, chain):
                 continue
-            if not self._chain_dropped(body, chain):
+            if not self._chain_dropped(scan, chain):
                 continue
             name = body.locals[origin].name or f"_{origin}"
             findings.append(Finding(
@@ -325,47 +321,38 @@ class BadDropDetector(Detector):
         return findings
 
     @staticmethod
-    def _chain_dropped(body: Body, chain: Set[int]) -> bool:
-        for _bb, _i, stmt in body.iter_statements():
-            if stmt.kind is StatementKind.DROP and stmt.place.is_local \
-                    and stmt.place.local in chain:
-                return True
-        for _bb, term in body.iter_terminators():
-            if _call_op(term) is BuiltinOp.MEM_DROP:
-                for arg in term.args:
-                    if arg.place is not None and arg.place.local in chain:
-                        return True
+    def _chain_dropped(scan, chain: Set[int]) -> bool:
+        if any(local in chain for local in scan.drop_locals):
+            return True
+        for _bb, term in scan.calls_of(BuiltinOp.MEM_DROP):
+            for arg in term.args:
+                if arg.place is not None and arg.place.local in chain:
+                    return True
         return False
 
     @staticmethod
-    def _chain_forgotten(body: Body, chain: Set[int]) -> bool:
-        for _bb, term in body.iter_terminators():
-            if _call_op(term) is BuiltinOp.MEM_FORGET:
-                for arg in term.args:
-                    if arg.place is not None and arg.place.local in chain:
-                        return True
+    def _chain_forgotten(scan, chain: Set[int]) -> bool:
+        for _bb, term in scan.calls_of(BuiltinOp.MEM_FORGET):
+            for arg in term.args:
+                if arg.place is not None and arg.place.local in chain:
+                    return True
         return False
 
-    def _field_restored(self, body: Body) -> bool:
+    def _field_restored(self, body: Body, scan) -> bool:
         """A `ptr::write` back into any `self` field counts as a restore:
         the impl replaced what it read out."""
-        for _bb, term in body.iter_terminators():
-            if _call_op(term) is BuiltinOp.PTR_WRITE \
-                    and _arg_base(body, term) == self._SELF:
-                return True
-        return False
+        return any(_arg_base(body, term) == self._SELF
+                   for _bb, term in scan.calls_of(BuiltinOp.PTR_WRITE))
 
     @staticmethod
-    def _chain_written(body: Body, chain: Set[int]) -> bool:
-        for _bb, term in body.iter_terminators():
-            if _call_op(term) in _WRITE_OPS or \
-                    _call_op(term) is BuiltinOp.MAYBE_UNINIT_ASSUME:
-                for arg in term.args[:1]:
-                    if arg.place is not None and \
-                            resolve_ref_chain(body, arg.place.local)[0] \
-                            in chain:
-                        return True
-        for _bb, _i, stmt in body.iter_statements():
+    def _chain_written(body: Body, scan, chain: Set[int]) -> bool:
+        for _bb, term in scan.calls_of(*_WRITE_OPS,
+                                       BuiltinOp.MAYBE_UNINIT_ASSUME):
+            for arg in term.args[:1]:
+                if arg.place is not None and \
+                        resolve_ref_chain(body, arg.place.local)[0] in chain:
+                    return True
+        for _bb, _i, stmt in scan.statements:
             if stmt.kind is StatementKind.ASSIGN and stmt.place.is_local \
                     and stmt.place.local in chain and stmt.rvalue is not None:
                 operands = [op.place.local for op in stmt.rvalue.operands
@@ -398,14 +385,14 @@ class UninitExposureDetector(Detector):
             return []
         if not body.local_ty(0).is_raw_ptr:
             return []
-        uninit_sites: Dict[str, Terminator] = {}
-        for bb, term in body.iter_terminators():
-            if _call_op(term) in _RAW_ALLOC_OPS:
-                uninit_sites[f"{body.key}:{bb}"] = term
+        scan = scan_of(body)
+        uninit_sites: Dict[str, Terminator] = {
+            f"{body.key}:{bb}": term
+            for bb, term in scan.calls_of(*_RAW_ALLOC_OPS)}
         if not uninit_sites:
             return []
         pt = ctx.points_to(body)
-        written = self._written_sites(body, pt)
+        written = _written_sites(scan, pt)
         prov = ctx.summary(body.key).unsafe_provenance
         findings: List[Finding] = []
         for target in sorted(pt.targets(0), key=repr):
@@ -436,20 +423,3 @@ class UninitExposureDetector(Detector):
                          returns_unsafe_ptr=prov.returns_unsafe_ptr),
                 ]))
         return findings
-
-    @staticmethod
-    def _written_sites(body: Body, pt) -> Set[str]:
-        written: Set[str] = set()
-        for _bb, term in body.iter_terminators():
-            if _call_op(term) in _WRITE_OPS and term.args:
-                arg = term.args[0]
-                if arg.place is not None:
-                    for target in pt.targets(arg.place.local):
-                        if target[0] == "heap":
-                            written.add(target[1])
-        for _bb, _i, stmt in body.iter_statements():
-            if stmt.kind is StatementKind.ASSIGN and stmt.place.has_deref:
-                for target in pt.targets(stmt.place.local):
-                    if target[0] == "heap":
-                        written.add(target[1])
-        return written

@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import List, Optional, Set, Tuple
 
 from repro import obs
+from repro.analysis.scan import scan_of
 from repro.analysis.unsafe_prop import (
     classify_interior_unsafe, unsafe_born_locals,
 )
@@ -39,15 +40,16 @@ from repro.obs.provenance import fact
 def _born_site(body: Body) -> Optional[Span]:
     """The first unsafe-region statement/terminator that mints a raw
     pointer in this body, for provenance messages."""
-    for _bb, _i, stmt in body.iter_statements():
+    scan = scan_of(body)
+    for _bb, _i, stmt in scan.statements:
         if stmt.in_unsafe and stmt.kind is StatementKind.ASSIGN \
                 and stmt.rvalue is not None \
                 and stmt.rvalue.kind is RvalueKind.CAST \
                 and stmt.rvalue.cast_kind in (CastKind.REF_TO_RAW,
                                               CastKind.INT_TO_RAW):
             return stmt.span
-    for _bb, term in body.iter_terminators():
-        if term.in_unsafe and term.func is not None and term.func.is_unsafe:
+    for _bb, term in scan.calls:
+        if term.in_unsafe and term.func.is_unsafe:
             return term.span
     return None
 
@@ -90,7 +92,7 @@ class UnsafeLeakDetector(Detector):
         born = unsafe_born_locals(body, summaries)
         if born:
             pt = ctx.points_to(body)
-            for _bb, _i, stmt in body.iter_statements():
+            for _bb, _i, stmt in scan_of(body).statements:
                 if stmt.kind is not StatementKind.ASSIGN \
                         or stmt.rvalue is None \
                         or stmt.rvalue.kind not in (RvalueKind.USE,

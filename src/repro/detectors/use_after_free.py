@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.analysis.scan import scan_of
 from repro.analysis.summaries import value_chain
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.report import Finding, Severity
@@ -53,8 +54,9 @@ class UseAfterFreeDetector(Detector):
     def check_body(self, ctx: AnalysisContext, body: Body) -> List[Finding]:
         # Every finding is a deref or escape of a raw-pointer local, so a
         # body without one holds nothing to check (DESIGN.md §9,
-        # "Per-body facts on demand, on bitsets").
-        if not any(local.ty.is_raw_ptr for local in body.locals):
+        # "One walk per body").
+        scan = scan_of(body)
+        if not scan.raw_ptr_locals:
             return []
         findings: List[Finding] = []
         pt = ctx.points_to(body)
@@ -63,10 +65,8 @@ class UseAfterFreeDetector(Detector):
 
         # Heap allocation sites and their owner chains.
         site_chains: Dict[str, Set[int]] = {}
-        for bb, term in body.iter_terminators():
-            if term.kind is TerminatorKind.CALL and term.func is not None \
-                    and term.func.builtin_op in _ALLOC_OPS \
-                    and term.destination is not None \
+        for bb, term in scan.calls_of(*_ALLOC_OPS):
+            if term.destination is not None \
                     and term.destination.is_local:
                 site = f"{body.key}:{bb}"
                 site_chains[site] = value_chain(body, term.destination.local)

@@ -168,19 +168,19 @@ class Collector:
     forest of completed root spans, and three metric families keyed by
     dotted names (``analysis.points_to.hit``).
 
-    Thread-safe: the open-span stack is **per thread** (a span opened on
-    another thread nests under that thread's spans, or becomes a new
-    root tagged with its ``tid``), while the shared structures —
-    roots, id allocation, counters, gauges, histograms — mutate under
-    one lock.  The lock is only ever touched when a collector is
-    installed, so the no-collector fast path stays free.
+    One thread records: the pipeline is single-threaded in every
+    process (parallelism is worker *processes*, each with its own
+    collector, whose spans and metrics fold back through
+    :meth:`adopt_spans` and :meth:`merge_histogram`), so the open-span
+    stack and the metric dicts are plain attributes with no lock.
+    Every span still records the ``pid``/``tid`` it ran on, which is
+    how a trace lays worker timelines side by side.
     """
 
     def __init__(self, name: str = "repro") -> None:
         self.name = name
         self.roots: List[SpanRecord] = []
-        self._local = threading.local()
-        self._lock = threading.Lock()
+        self._stack: List[SpanRecord] = []
         self._last_id = 0
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
@@ -188,17 +188,9 @@ class Collector:
 
     # -- spans ----------------------------------------------------------
 
-    @property
-    def _stack(self) -> List[SpanRecord]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
     def _alloc_id(self) -> int:
-        with self._lock:
-            self._last_id += 1
-            return self._last_id
+        self._last_id += 1
+        return self._last_id
 
     def span(self, name: str, **attrs: Any) -> _SpanHandle:
         record = SpanRecord(name=name, start=perf_counter(),
@@ -213,8 +205,7 @@ class Collector:
             stack[-1].children.append(record)
         else:
             record.parent_id = None
-            with self._lock:
-                self.roots.append(record)
+            self.roots.append(record)
         stack.append(record)
 
     def _pop(self, record: SpanRecord) -> None:
@@ -274,19 +265,16 @@ class Collector:
     # -- metrics --------------------------------------------------------
 
     def count(self, name: str, n: float = 1) -> None:
-        with self._lock:
-            self.counters[name] = self.counters.get(name, 0) + n
+        self.counters[name] = self.counters.get(name, 0) + n
 
     def gauge(self, name: str, value: float) -> None:
-        with self._lock:
-            self.gauges[name] = value
+        self.gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
-        with self._lock:
-            hist = self.histograms.get(name)
-            if hist is None:
-                hist = self.histograms[name] = Histogram()
-            hist.observe(value)
+        hist = self.histograms.get(name)
+        if hist is None:
+            hist = self.histograms[name] = Histogram()
+        hist.observe(value)
 
     def merge_histogram(self, name: str, other: Histogram) -> None:
         """Fold a worker histogram into this collector's, preserving

@@ -7,6 +7,7 @@ from conftest import compile_, mir_of
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.callgraph import build_call_graph, direct_locks
+from repro.analysis.engine import SummaryEngine
 from repro.analysis.init import compute_init, init_of
 from repro.analysis.lifetime import (
     compute_guard_regions, compute_storage_ranges, lock_identity,
@@ -595,22 +596,22 @@ class TestCallGraph:
         compiled = compile_("""
             fn locks(m: &Mutex<i32>) { let g = m.lock().unwrap(); }
             fn main() {}""")
-        graph = build_call_graph(compiled.program)
-        assert ("arg", 0, (), "mutex") in graph.lock_summaries["locks"]
+        engine = SummaryEngine(compiled.program)
+        assert ("arg", 0, (), "mutex") in engine.summary("locks").locks
 
     def test_lock_summary_transitive(self):
         compiled = compile_("""
             fn inner(m: &Mutex<i32>) { let g = m.lock().unwrap(); }
             fn outer(m: &Mutex<i32>) { inner(m); }
             fn main() {}""")
-        graph = build_call_graph(compiled.program)
-        assert ("arg", 0, (), "mutex") in graph.lock_summaries["outer"]
+        engine = SummaryEngine(compiled.program)
+        assert ("arg", 0, (), "mutex") in engine.summary("outer").locks
 
     def test_static_lock_summary(self):
         compiled = compile_("""
             static LOCK: Mutex<i32> = Mutex::new(0);
             fn locks() { let g = LOCK.lock().unwrap(); }
             fn main() {}""")
-        graph = build_call_graph(compiled.program)
+        engine = SummaryEngine(compiled.program)
         assert any(l[0] == "static" and l[1] == "LOCK"
-                   for l in graph.lock_summaries["locks"])
+                   for l in engine.summary("locks").locks)

@@ -5,7 +5,9 @@ then looked up (DESIGN.md §9, "Program-level facts are built once").
 These tests count calls rather than time them, so they are deterministic:
 the number of whole-program walks (``Program.bodies()`` calls) per
 ``api.analyze`` must not depend on how big the program is, and no
-detector's ``check_body`` may walk the program itself.
+detector's ``check_body`` may walk the program itself.  The same rule
+holds one level down (§9, "One walk per body"): each body is indexed
+once, and neither a detector hook nor a summarise step walks a body.
 """
 
 import sys
@@ -13,12 +15,14 @@ import sys
 import pytest
 
 from repro import api
+from repro.analysis.engine import SummaryEngine
 from repro.corpus import generate_corpus
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.concurrency_misc import _NOTIFY_OPS
+from repro.detectors.memory_misc import _RAW_ALLOC_OPS
 from repro.driver import compile_source
 from repro.hir.builtins import BuiltinOp
-from repro.mir.nodes import Program, TerminatorKind
+from repro.mir.nodes import Body, Program, TerminatorKind
 
 
 def _walks_during_analyze(monkeypatch, source):
@@ -206,3 +210,177 @@ def test_a_body_without_the_subject_triggers_neither_pass(demand_run):
     touched = set(calls["storage"]) | set(calls["init"]) \
         | set(calls["overflow"])
     assert not touched & set(plain)
+
+
+# ---------------------------------------------------------------------------
+# One walk per body (DESIGN.md §9, "One walk per body")
+# ---------------------------------------------------------------------------
+
+#: Functions allowed to walk a body (``Body.iter_statements`` /
+#: ``iter_terminators``) while a detector hook or a summarise step is on
+#: the stack, with the reason each may.  None of them makes such a call
+#: under a hook today; the list names who may, so a new walk has to
+#: argue its case here.
+_WALK_ALLOWED = {
+    ("repro.analysis.panic", "ensure_unwind_edges"):
+        "unwind lowering rewrites the CFG before anything is indexed",
+    ("repro.analysis.init", "compute_init"):
+        "init's per-block gen/kill masks are built from the blocks, "
+        "cleanup pads included, which the index skips",
+    ("repro.analysis.borrowck", "_collect_borrows"):
+        "the borrow checker is a front-end pass with its own walks",
+    ("repro.analysis.borrowck", "_check_conflicting_borrows"):
+        "the borrow checker is a front-end pass with its own walks",
+    ("repro.mir.interp", "_unwind_frame_drops"):
+        "the interpreter executes blocks; it does not analyse them",
+}
+
+
+def _is_hook(frame) -> bool:
+    name = frame.f_code.co_name
+    owner = frame.f_locals.get("self")
+    if name in ("check_body", "check_program"):
+        return isinstance(owner, Detector)
+    return name == "_summarize" and isinstance(owner, SummaryEngine)
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["scale1", "scale2"])
+def walk_run(request):
+    """One ``api.analyze`` of the seed-0 combined crate at the given
+    scale, recording every index build, every guard-region compute the
+    context makes, and every body walk made under a hook."""
+    from repro.analysis import scan as scan_module
+    from repro.detectors import base
+
+    source = generate_corpus(0, request.param).combined_source()
+    keys = list(compile_source(source).program.functions)
+    record = {"index": [], "ctx_regions": [], "walks": [], "ctx": []}
+    index = scan_module.BodyScan.index
+    regions = base.compute_guard_regions
+    init = AnalysisContext.__init__
+
+    def counting_index(self, body):
+        record["index"].append(body.key)
+        return index(self, body)
+
+    def counting_regions(body, *args, **kwargs):
+        record["ctx_regions"].append(body.key)
+        return regions(body, *args, **kwargs)
+
+    def keeping_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        record["ctx"].append(self)
+
+    def walking(original):
+        def walk(self, *args, **kwargs):
+            caller = sys._getframe(1)
+            frame = caller
+            while frame is not None:
+                if _is_hook(frame):
+                    record["walks"].append(
+                        (caller.f_globals.get("__name__"),
+                         caller.f_code.co_name))
+                    break
+                frame = frame.f_back
+            return original(self, *args, **kwargs)
+        return walk
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scan_module.BodyScan, "index", counting_index)
+        patch.setattr(base, "compute_guard_regions", counting_regions)
+        patch.setattr(AnalysisContext, "__init__", keeping_init)
+        for name in ("iter_statements", "iter_terminators"):
+            patch.setattr(Body, name, walking(getattr(Body, name)))
+        report = api.analyze(source)
+    assert report.findings
+    return keys, record
+
+
+def test_each_body_is_indexed_exactly_once(walk_run):
+    keys, record = walk_run
+    assert sorted(record["index"]) == sorted(keys)
+
+
+def test_context_reuses_the_guard_regions_the_solve_computed(walk_run):
+    _keys, record = walk_run
+    (ctx,) = record["ctx"]
+    covered = set(ctx.engine._guard_regions)
+    assert covered
+    assert not covered & set(record["ctx_regions"])
+    # The detectors did ask for those bodies' regions: they were served.
+    served = {key for key, _include_try in ctx._guard_regions}
+    assert covered & served
+
+
+def test_hooks_never_walk_a_body(walk_run):
+    _keys, record = walk_run
+    unexpected = [walk for walk in record["walks"]
+                  if walk not in _WALK_ALLOWED]
+    assert not unexpected, unexpected
+
+
+def _ops_called(body):
+    """The builtin ops a reference walk of ``body`` finds."""
+    return {term.func.builtin_op for _bb, term in body.iter_terminators()
+            if term.kind is TerminatorKind.CALL and term.func is not None}
+
+
+def _points_to_null(ctx, body):
+    from repro.analysis.points_to import NULL_TARGET
+    return any(NULL_TARGET in targets
+               for targets in ctx.points_to(body).points_to.values())
+
+
+#: Gated detector → does the body hold its subject (by a reference
+#: walk, independent of the index)?
+_SUBJECTS = {
+    "null-deref": _points_to_null,
+    "double-free": lambda ctx, body: BuiltinOp.PTR_READ in _ops_called(body),
+    "invalid-free": lambda ctx, body: bool(
+        _ops_called(body) & _RAW_ALLOC_OPS),
+    "uninit-read": lambda ctx, body: bool(
+        _ops_called(body) & _RAW_ALLOC_OPS),
+    "atomicity-violation": lambda ctx, body: {
+        BuiltinOp.ATOMIC_LOAD, BuiltinOp.ATOMIC_STORE} <= _ops_called(body),
+    "use-after-free": lambda ctx, body: _has_raw_ptr(body),
+    "buffer-overflow": lambda ctx, body: _calls_get_unchecked(body),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUBJECTS))
+def test_gated_detector_makes_no_request_without_its_subject(name):
+    from repro.analysis import init as init_module
+    from repro.analysis import lifetime as lifetime_module
+    from repro.detectors import (
+        buffer_overflow, interior_mutability, memory_misc, use_after_free,
+    )
+    from repro.detectors.registry import resolve_detectors
+
+    program = compile_source(
+        generate_corpus(0, 1).combined_source()).program
+    ctx = AnalysisContext(program)
+    (detector,) = resolve_detectors([name])
+    subject = _SUBJECTS[name]
+    plain = [body for body in program.bodies() if not subject(ctx, body)]
+    assert plain and len(plain) < len(program.bodies())
+
+    requests = []
+
+    def refuse(what):
+        def request(*args, **kwargs):
+            requests.append(what)
+            raise AssertionError(f"{name} requested {what}")
+        return request
+
+    with pytest.MonkeyPatch.context() as patch:
+        for what in ("points_to", "storage_ranges", "init_states",
+                     "guard_regions"):
+            patch.setattr(ctx, what, refuse(what))
+        for module in (buffer_overflow, interior_mutability, memory_misc):
+            patch.setattr(module, "cfg_of", refuse("cfg"))
+        for module in (init_module, lifetime_module):
+            patch.setattr(module, "solve", refuse("dataflow"))
+        patch.setattr(use_after_free, "value_chain", refuse("value chain"))
+        for body in plain:
+            assert detector.check_body(ctx, body) == []
+    assert not requests

@@ -4,7 +4,6 @@ cross-function provenance the detectors attach from them."""
 from conftest import check, compile_, detectors_named
 
 from repro.analysis.engine import SummaryEngine
-from repro.analysis.points_to import compute_return_summaries
 from repro.detectors.base import AnalysisContext
 
 
@@ -14,8 +13,7 @@ def engine_of(src: str) -> SummaryEngine:
 
 # Callers are defined before callees on purpose: a bounded round loop
 # that walks functions in definition order propagates return facts one
-# level per round, so the old 3-round `compute_return_summaries` lost
-# this 4-deep chain.
+# level per round, so a 3-round schedule would lose this 4-deep chain.
 CHAIN_SRC = """
 fn chain1(p: *const i32) -> *const i32 { chain2(p) }
 fn chain2(p: *const i32) -> *const i32 { chain3(p) }
@@ -25,12 +23,6 @@ fn chain4(p: *const i32) -> *const i32 { p }
 
 
 class TestReturnChainFixpoint:
-    def test_legacy_summaries_reach_four_deep(self):
-        program = compile_(CHAIN_SRC).program
-        summaries = compute_return_summaries(program)
-        for fn in ("chain1", "chain2", "chain3", "chain4"):
-            assert 0 in summaries.get(fn, set()), fn
-
     def test_engine_summaries_reach_four_deep(self):
         engine = engine_of(CHAIN_SRC)
         for fn in ("chain1", "chain2", "chain3", "chain4"):
