@@ -20,12 +20,11 @@ Three claims about the unwind-aware panic model, measured on the
 
 import json
 import os
-import pathlib
 import time
 
 import pytest
 
-from conftest import emit
+from conftest import bench_path, emit
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.panic import ensure_unwind_edges
@@ -35,8 +34,7 @@ from repro.corpus.generator import APP_PROFILES
 from repro.detectors.registry import run_detectors
 from repro.driver import compile_source
 
-BENCH_CVE_PATH = pathlib.Path(__file__).resolve().parent.parent / \
-    "BENCH_cve.json"
+BENCH_CVE_PATH = bench_path("BENCH_cve.json")
 
 SEED = 0
 SCALE = 1

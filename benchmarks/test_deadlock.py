@@ -17,12 +17,11 @@ evaluation corpus:
 
 import json
 import os
-import pathlib
 import time
 
 import pytest
 
-from conftest import emit
+from conftest import bench_path, emit
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.engine import SummaryEngine
@@ -30,8 +29,7 @@ from repro.api import AnalysisSession
 from repro.corpus import generate_corpus
 from repro.driver import compile_source
 
-BENCH_DEADLOCK_PATH = pathlib.Path(__file__).resolve().parent.parent / \
-    "BENCH_deadlock.json"
+BENCH_DEADLOCK_PATH = bench_path("BENCH_deadlock.json")
 
 SEED = 0
 SCALE = 1

@@ -18,20 +18,18 @@ for the paper's five applications):
 
 import json
 import os
-import pathlib
 import time
 
 import pytest
 
-from conftest import emit
+from conftest import bench_path, emit
 
 from repro import obs
 from repro.analysis.config import AnalysisConfig
 from repro.api import AnalysisSession, analyze
 from repro.corpus import generate_corpus
 
-BENCH_PARALLEL_PATH = pathlib.Path(__file__).resolve().parent.parent / \
-    "BENCH_parallel.json"
+BENCH_PARALLEL_PATH = bench_path("BENCH_parallel.json")
 
 SEED = 0
 SCALE = 1

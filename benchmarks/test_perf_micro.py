@@ -11,11 +11,10 @@ it.
 """
 
 import json
-import pathlib
 
 import pytest
 
-from conftest import emit
+from conftest import bench_path, emit
 
 from repro import obs
 from repro.api import AnalysisSession
@@ -153,8 +152,7 @@ def test_bounds_check_work_is_deterministic(benchmark, programs):
     assert checked_result.steps > unchecked_result.steps
 
 
-BENCH_OBS_PATH = pathlib.Path(__file__).resolve().parent.parent / \
-    "BENCH_obs.json"
+BENCH_OBS_PATH = bench_path("BENCH_obs.json")
 
 
 def _full_pipeline():
@@ -275,8 +273,7 @@ def _reference_lock_summaries(graph):
     return summaries
 
 
-BENCH_SUMMARIES_PATH = pathlib.Path(__file__).resolve().parent.parent / \
-    "BENCH_summaries.json"
+BENCH_SUMMARIES_PATH = bench_path("BENCH_summaries.json")
 
 
 def test_summary_engine_artifact(monkeypatch):
@@ -543,8 +540,7 @@ def test_intern_table_micro():
          f"{hits / (hits + misses):.1%} hit rate)")
 
 
-BENCH_RACE_PATH = pathlib.Path(__file__).resolve().parent.parent / \
-    "BENCH_race.json"
+BENCH_RACE_PATH = bench_path("BENCH_race.json")
 
 
 def test_race_detector_artifact():

@@ -14,28 +14,27 @@ evaluation corpus:
   summaries and is served entirely from cache, and still renders the
   identical report.  Two warm tiers are measured separately: the
   summary tier alone (``report_cache=False`` — summaries served from
-  wave shards, files still recompiled) and the full stack (whole-file
-  report tier — no compile, no solve).  The full warm audit must be at
-  least 2× faster than cold; ``bench-diff`` enforces the recorded
-  ``warm_speedup`` even under ``--warn``.
+  the wave shards a ``report_cache=False`` cold audit stored, files
+  still recompiled) and the report tier (no compile, no solve; its
+  cold audit solves without the summary cache).  The full warm audit
+  must be at least 2× faster than cold; ``bench-diff`` enforces the
+  recorded ``warm_speedup`` even under ``--warn``.
 """
 
 import json
 import os
-import pathlib
 import time
 
 import pytest
 
-from conftest import emit
+from conftest import bench_path, emit
 
 from repro import obs
 from repro.analysis.config import AnalysisConfig
 from repro.api import audit_unsafe
 from repro.corpus import generate_corpus
 
-BENCH_UNSAFE_PATH = pathlib.Path(__file__).resolve().parent.parent / \
-    "BENCH_unsafe.json"
+BENCH_UNSAFE_PATH = bench_path("BENCH_unsafe.json")
 
 SEED = 0
 SCALE = 1
@@ -69,21 +68,26 @@ def test_unsafe_audit_bench(corpus, tmp_path):
         assert payloads[jobs] == payloads[1], \
             f"audit differs between jobs=1 and jobs={jobs}"
 
-    # Cold vs warm against a cache directory.  The warm path is
-    # measured twice: summary tier only, then the full report tier.
+    # Cold vs warm against a cache directory.  Each request uses one
+    # cache tier: a report-tier audit solves its misses without the
+    # summary cache, so the summary tier is filled and measured by
+    # audits with the report tier off.
     config = AnalysisConfig(cache_dir=str(tmp_path))
+    summaries_only = config.with_(report_cache=False)
     cold_report, cold_seconds, cold = _audit(sources, config)
+    _, _, summary_cold = _audit(sources, summaries_only)
     summary_report, summary_seconds, summary_warm = _audit(
-        sources, config.with_(report_cache=False))
+        sources, summaries_only)
     warm_report, warm_seconds, warm = _audit(sources, config)
 
     solved_cold = cold.get("analysis.executor.solved_functions", 0)
     assert solved_cold > 0
+    assert "analysis.cache.store" not in cold
     # Summary tier: every component served from wave shards, zero
     # re-solves, one shard read per wave rather than one per entry.
     assert summary_warm.get("analysis.executor.solved_functions", 0) == 0
     assert summary_warm["analysis.cache.hit"] == \
-        cold["analysis.cache.miss"]
+        summary_cold["analysis.cache.miss"]
     assert 0 < summary_warm["analysis.cache.shard_read"] < \
         summary_warm["analysis.cache.hit"]
     # Report tier: one hit per file, neither compile nor solve runs.
@@ -123,8 +127,8 @@ def test_unsafe_audit_bench(corpus, tmp_path):
             "solved_functions_cold": solved_cold,
             "solved_functions_warm": 0,
             "cache": {
-                "cold_miss": cold.get("analysis.cache.miss", 0),
-                "cold_store": cold.get("analysis.cache.store", 0),
+                "cold_miss": summary_cold.get("analysis.cache.miss", 0),
+                "cold_store": summary_cold.get("analysis.cache.store", 0),
                 "warm_hit": summary_warm.get("analysis.cache.hit", 0),
                 "warm_shard_reads": summary_warm.get(
                     "analysis.cache.shard_read", 0),

@@ -251,6 +251,29 @@ def _compute_guard_chain(body: Body, scan, seed: int) -> Set[int]:
     return chain
 
 
+def may_have_guard_regions(body: Body, include_try: bool = False,
+                           summaries=None) -> bool:
+    """Whether :func:`compute_guard_regions` can return a region for
+    ``body``: it acquires a lock (a try-lock too with ``include_try``),
+    or calls a user function or closure whose summary in ``summaries``
+    holds a lock on return.  Reads the body's index only."""
+    scan = scan_of(body)
+    if scan.facts.direct_acquires:
+        return True
+    by_op = scan.calls_by_op
+    if include_try and any(op in by_op for op in TRY_ACQUIRE_OPS):
+        return True
+    if summaries is None:
+        return False
+    by_kind = scan.calls_by_kind
+    for kind in (FuncKind.USER, FuncKind.CLOSURE):
+        for _bb, term in by_kind.get(kind, ()):
+            summary = summaries.get(term.func.user_fn)
+            if summary is not None and summary.locks_held_on_return:
+                return True
+    return False
+
+
 def compute_guard_regions(body: Body, pt: Optional[PointsTo] = None,
                           include_try: bool = False,
                           summaries=None) -> List[GuardRegion]:

@@ -272,6 +272,8 @@ class AnalysisSession:
         self._pool = None
         self._pool_attempted = False
         self._closed = False
+        #: ``(config, its solve config)``; see :meth:`_solve_config`.
+        self._solve_memo: Tuple[Optional[AnalysisConfig], ...] = (None, None)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -303,6 +305,23 @@ class AnalysisSession:
                                             "reports"))
         return None
 
+    def _solve_config(self) -> AnalysisConfig:
+        """The config a report-tier batch compiles and solves its misses
+        under: the session's, with the summary tier off.
+
+        One cache tier per request (DESIGN.md §6): an edited file misses
+        the report tier because its text changed, and keying its
+        summaries (body fingerprints, shard reads and writes, an index
+        flush) costs more than the summarise it saves.  Report keys
+        still come from the session config.  Derived once per session
+        config (``audit_unsafe`` swaps the config for one call).
+        """
+        config, solve = self._solve_memo
+        if config is not self.config:
+            config, solve = self.config, self.config.with_(use_cache=False)
+            self._solve_memo = (config, solve)
+        return solve
+
     # -- analysis entry points ----------------------------------------------
 
     def analyze(self, source_or_path: SourceOrPath, *,
@@ -329,12 +348,18 @@ class AnalysisSession:
 
     def analyze_compiled(self, compiled: CompiledProgram, *,
                          detectors=None) -> AnalysisReport:
+        return self._detect(compiled, _resolve_detector_arg(detectors),
+                            self.config)
+
+    def _detect(self, compiled: CompiledProgram,
+                detectors: Optional[List[Detector]],
+                solve_config: AnalysisConfig) -> AnalysisReport:
         from repro.detectors.registry import run_detectors
         if self._closed:
             raise RuntimeError("AnalysisSession is closed")
         report = run_detectors(
-            compiled.program, detectors=_resolve_detector_arg(detectors),
-            source=compiled.source, config=self.config)
+            compiled.program, detectors=detectors,
+            source=compiled.source, config=solve_config)
         return AnalysisReport(name=compiled.source.name, report=report,
                               config=self.config)
 
@@ -346,9 +371,12 @@ class AnalysisSession:
         With ``config.cache_dir`` set, the whole-file report tier is
         consulted first: an unchanged ``(name, text)`` pair under the
         same config serves its finished report without compiling at
-        all.  Only the misses fan out.  Each worker compiles and
-        analyzes one program with a serial in-process solve and shares
-        the summary cache directory.  Results arrive in input order;
+        all.  Only the misses fan out, and they solve without the
+        summary cache (one cache tier per request, DESIGN.md §6); with
+        ``report_cache=False`` or explicit detector instances the
+        summary cache serves instead, shared by every worker.  Each
+        worker compiles and analyzes one program with a serial
+        in-process solve.  Results arrive in input order;
         worker obs counters fold into the installed collector.  The
         cyclic collector is paused for the call (see
         :class:`_CollectorPause`).
@@ -382,6 +410,10 @@ class AnalysisSession:
         else:
             misses = list(range(len(named_sources)))
 
+        # One cache tier per request: the report tier's misses solve
+        # without the summary tier below it.
+        solve_config = self.config if rcache is None \
+            else self._solve_config()
         pool = None
         if explicit is None and self.config.jobs > 1 and len(misses) > 1:
             pool = self._ensure_pool()
@@ -389,8 +421,9 @@ class AnalysisSession:
         if pool is None:
             for i in misses:
                 name, text = named_sources[i]
-                results[i] = self.analyze_compiled(
-                    self.compile(text, name=name), detectors=detectors)
+                results[i] = self._detect(
+                    self.compile(text, name=name),
+                    _resolve_detector_arg(detectors), solve_config)
         else:
             # Worker spans fold back under this one, so a trace shows
             # the files' timelines side by side inside the batch.
@@ -399,7 +432,7 @@ class AnalysisSession:
                 futures = [
                     pool.submit(_analyze_task, pickle.dumps(
                         (named_sources[i][0], named_sources[i][1],
-                         self.config),
+                         solve_config),
                         protocol=pickle.HIGHEST_PROTOCOL))
                     for i in misses]
                 for i, future in zip(misses, futures):

@@ -12,6 +12,7 @@ from repro.analysis.engine import SummaryEngine
 from repro.analysis.init import InitStates, init_of
 from repro.analysis.lifetime import (
     GuardRegion, StorageRanges, compute_guard_regions, compute_storage_ranges,
+    may_have_guard_regions,
 )
 from repro.analysis.points_to import PointsTo
 from repro.analysis.scan import scan_of
@@ -123,9 +124,14 @@ class AnalysisContext:
             if include_try:
                 return solved
             return [region for region in solved if not region.is_try]
+        summaries = self.engine.summaries_map()
+        # Most uncovered bodies have no lock in reach: answer them from
+        # the index, before their points-to is asked for.
+        if not may_have_guard_regions(body, include_try, summaries):
+            return []
         return compute_guard_regions(
             body, self.points_to(body), include_try=include_try,
-            summaries=self.engine.summaries_map())
+            summaries=summaries)
 
     def storage_ranges(self, body: Body) -> StorageRanges:
         return self._lookup(

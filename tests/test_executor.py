@@ -466,6 +466,84 @@ class TestIndexWrites:
         assert "analysis.cache.key_seconds" not in col.counters
 
 
+def _counting_fingerprints(monkeypatch):
+    """Count ``body_fingerprint`` calls as an obs counter, so the calls
+    of pool workers (forked with the patch in place) fold back too."""
+    original = executor.body_fingerprint
+
+    def counting(body):
+        obs.count("test.body_fingerprint")
+        return original(body)
+    monkeypatch.setattr(executor, "body_fingerprint", counting)
+
+
+class TestOneTierPerRequest:
+    """A report-tier batch solves the files it misses without the summary
+    cache; single programs and ``report_cache=False`` batches keep it."""
+
+    @pytest.fixture(scope="class")
+    def files(self):
+        return [(f.name, f.text) for f in generate_corpus(0, 1).files[:6]]
+
+    @staticmethod
+    def _edited(files):
+        name, text = files[0]
+        extra = BENIGN_TEMPLATES["safe_counter"]("xe")
+        return [(name, text + "\n" + extra)] + files[1:]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_report_tier_batch_keys_no_summary(
+            self, files, tmp_path, monkeypatch, jobs):
+        if jobs > 1 and not _pool_available():
+            pytest.skip("no process pool on this host")
+        _counting_fingerprints(monkeypatch)
+        writes = _index_writes(monkeypatch)
+        config = AnalysisConfig(jobs=jobs, cache_dir=str(tmp_path))
+        runs = (files, files, self._edited(files))
+        with obs.collecting() as col, AnalysisSession(config) as session:
+            got = [[r.to_dict() for r in session.analyze_sources(run)]
+                   for run in runs]
+        counters = col.counters
+        assert counters["analysis.report_cache.miss"] == len(files) + 1
+        assert counters["analysis.report_cache.hit"] == 2 * len(files) - 1
+        assert counters["analysis.executor.solved_functions"] > 0
+        assert counters.get("test.body_fingerprint", 0) == 0
+        for name in ("hit", "miss", "store", "shard_read", "key_seconds"):
+            assert f"analysis.cache.{name}" not in counters
+        assert writes == []
+        assert [p.name for p in tmp_path.iterdir()] == ["reports"]
+        with AnalysisSession(AnalysisConfig(jobs=jobs)) as session:
+            expected = [[r.to_dict() for r in session.analyze_sources(run)]
+                        for run in runs]
+        assert got == expected
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch_without_report_tier_keeps_the_summary_cache(
+            self, files, tmp_path, monkeypatch, jobs):
+        if jobs > 1 and not _pool_available():
+            pytest.skip("no process pool on this host")
+        _counting_fingerprints(monkeypatch)
+        config = AnalysisConfig(jobs=jobs, cache_dir=str(tmp_path),
+                                report_cache=False)
+        with AnalysisSession(config) as session:
+            session.analyze_sources(files)
+        assert _shards(tmp_path)
+        with obs.collecting() as warm, AnalysisSession(config) as session:
+            session.analyze_sources(self._edited(files))
+        assert warm.counters["analysis.cache.hit"] > 0
+        assert warm.counters["test.body_fingerprint"] > 0
+
+    def test_single_program_keeps_the_summary_cache(
+            self, tmp_path, monkeypatch):
+        _counting_fingerprints(monkeypatch)
+        config = AnalysisConfig(cache_dir=str(tmp_path))
+        analyze(EDIT_BASE, name="edit.rs", config=config)
+        with obs.collecting() as warm:
+            analyze(EDIT_TAIL, name="edit.rs", config=config)
+        assert warm.counters["analysis.cache.hit"] > 0
+        assert warm.counters["test.body_fingerprint"] > 0
+
+
 _FILL_SCRIPT = """
 import json, sys
 from repro import api, obs

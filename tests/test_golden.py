@@ -8,10 +8,10 @@ change is meant to move findings, and say which ones moved and why.
 """
 
 import json
-import shutil
 
 import pytest
 
+from repro import obs
 from repro.analysis.config import AnalysisConfig
 
 import golden_ledger
@@ -50,7 +50,13 @@ def test_cold_then_warm_cache(inputs, golden, jobs, tmp_path):
     _assert_matches(golden, golden_ledger.compute_ledger(config, inputs))
     # Warm: every report is served from the report tier.
     _assert_matches(golden, golden_ledger.compute_ledger(config, inputs))
-    # Warm summaries only: the report tier is gone, so every file
-    # compiles again and its functions are served from the summary cache.
-    shutil.rmtree(tmp_path / "reports")
-    _assert_matches(golden, golden_ledger.compute_ledger(config, inputs))
+    # Summaries only: the report-tier runs stored no summaries, so with
+    # the report tier off every file compiles and fills the summary
+    # cache cold, then is served from it warm.
+    summaries = config.with_(report_cache=False)
+    _assert_matches(golden, golden_ledger.compute_ledger(summaries, inputs))
+    with obs.collecting() as warm:
+        _assert_matches(golden,
+                        golden_ledger.compute_ledger(summaries, inputs))
+    assert warm.counters["analysis.cache.hit"] > 0
+    assert warm.counters.get("analysis.executor.solved_functions", 0) == 0

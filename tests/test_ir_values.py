@@ -235,21 +235,32 @@ class TestCacheVersions:
         version constants is neither read nor counted corrupt, and the
         rerun solves cold and finds the same."""
         files = [(f.name, f.text) for f in corpus.files[:12]]
-        config = AnalysisConfig(cache_dir=str(tmp_path), report_cache=True)
+        # A report-tier batch fills the reports; a batch without it
+        # fills the summary shards.
+        configs = (AnalysisConfig(cache_dir=str(tmp_path)),
+                   AnalysisConfig(cache_dir=str(tmp_path),
+                                  report_cache=False))
+
+        def run(config):
+            with api.AnalysisSession(config) as session:
+                return [r.to_dict() for r in session.analyze_sources(files)]
         with monkeypatch.context() as old:
             old.setattr(executor, "REPORT_CACHE_FORMAT", 2)
             old.setattr(executor, "SUMMARY_KEY_VERSION", 2)
-            with api.AnalysisSession(config) as session:
-                before = [r.to_dict() for r in session.analyze_sources(files)]
+            before = [run(config) for config in configs]
+        assert list((tmp_path / "reports").glob("*.report.pkl"))
+        assert list(tmp_path.glob("*.shard.pkl"))
+        assert before[0] == before[1]
         assert executor.REPORT_CACHE_FORMAT == 3
         assert executor.SUMMARY_KEY_VERSION == 3
-        with obs.collecting() as col, api.AnalysisSession(config) as session:
-            after = [r.to_dict() for r in session.analyze_sources(files)]
+        with obs.collecting() as col:
+            after = [run(config) for config in configs]
         counters = col.counters
         assert counters.get("analysis.report_cache.corrupt", 0) == 0
         assert counters.get("analysis.cache.corrupt", 0) == 0
         assert counters.get("analysis.report_cache.hit", 0) == 0
         assert counters["analysis.report_cache.miss"] == len(files)
+        assert counters.get("analysis.cache.hit", 0) == 0
         assert counters.get("analysis.executor.cached_functions", 0) == 0
         assert counters["analysis.executor.solved_functions"] > 0
         assert after == before

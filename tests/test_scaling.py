@@ -254,7 +254,8 @@ def walk_run(request):
 
     source = generate_corpus(0, request.param).combined_source()
     keys = list(compile_source(source).program.functions)
-    record = {"index": [], "ctx_regions": [], "walks": [], "ctx": []}
+    record = {"index": [], "ctx_regions": [], "ctx_empty": [], "walks": [],
+              "ctx": []}
     index = scan_module.BodyScan.index
     regions = base.compute_guard_regions
     init = AnalysisContext.__init__
@@ -265,7 +266,10 @@ def walk_run(request):
 
     def counting_regions(body, *args, **kwargs):
         record["ctx_regions"].append(body.key)
-        return regions(body, *args, **kwargs)
+        found = regions(body, *args, **kwargs)
+        if not found:
+            record["ctx_empty"].append(body.key)
+        return found
 
     def keeping_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
@@ -293,6 +297,8 @@ def walk_run(request):
             patch.setattr(Body, name, walking(getattr(Body, name)))
         report = api.analyze(source)
     assert report.findings
+    record["source"] = source
+    record["findings"] = report.to_dict()["findings"]
     return keys, record
 
 
@@ -310,6 +316,22 @@ def test_context_reuses_the_guard_regions_the_solve_computed(walk_run):
     # The detectors did ask for those bodies' regions: they were served.
     served = {key for key, _include_try in ctx._guard_regions}
     assert covered & served
+
+
+def test_uncovered_bodies_without_a_lock_compute_no_regions(walk_run):
+    # Bodies the solve did not cover are answered from their index when
+    # no lock is in reach: no guard-region compute comes back empty.
+    _keys, record = walk_run
+    assert record["ctx_empty"] == []
+
+
+def test_region_gate_keeps_findings(walk_run, monkeypatch):
+    from repro.detectors import base
+    _keys, record = walk_run
+    monkeypatch.setattr(base, "may_have_guard_regions",
+                        lambda *args, **kwargs: True)
+    ungated = api.analyze(record["source"])
+    assert ungated.to_dict()["findings"] == record["findings"]
 
 
 def test_hooks_never_walk_a_body(walk_run):
