@@ -55,8 +55,8 @@ def test_corpus_unsafe_scan(benchmark):
     emit("§4 live scan over the synthetic corpus",
          f"{corpus.total_loc} LOC, counts: {result.counts}, "
          f"operation shares: { {k: round(v, 2) for k, v in shares.items()} }, "
-         f"interior-unsafe fns: {len(result.interior_unsafe_fns)}, "
-         f"improperly encapsulated: {len(result.improperly_encapsulated)}")
+         f"interior-unsafe fns: {result.audit.total}, "
+         f"unchecked: {len(result.audit.unchecked)}")
     assert result.counts.blocks > result.counts.functions
     mem = shares.get(UnsafeOpKind.MEMORY_OPERATION.value, 0.0)
     calls = shares.get(UnsafeOpKind.UNSAFE_CALL.value, 0.0)

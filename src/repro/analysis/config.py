@@ -28,8 +28,9 @@ class AnalysisConfig:
 
     * ``interprocedural`` — the ablation switch: ``False`` collapses every
       function summary to the bottom element.
-    * ``detectors`` — detector names to run (``None`` = the full
-      registry); validated against the registry by the API layer.
+    * ``detectors`` — detector names to run (``None`` = every detector
+      but the ``interior-unsafe-audit`` census, which runs only when
+      named); validated against the registry by the API layer.
     * ``jobs`` — worker processes for batch entry points
       (``AnalysisSession.analyze_sources`` and everything built on it):
       whole files fan out, one file per task.  Analyzing one program
@@ -48,10 +49,6 @@ class AnalysisConfig:
       interpreter schedules.
     * ``emit_bounds_checks`` — compile-time switch for the §4.1
       perf-comparison build.
-    * ``audit_unsafe`` — enables the ``interior-unsafe-audit`` detector's
-      per-function classification findings (the §5 encapsulation report
-      behind ``minirust audit-unsafe``).  Off by default so a plain
-      ``check`` never mixes audit rows into bug findings.
     * ``deadlock_cycle_bound`` — maximum lock-graph cycle length both
       lock-graph detectors (``lock-order`` and ``deadlock``) search for:
       the bound of their one Johnson-style elementary-circuit
@@ -76,7 +73,6 @@ class AnalysisConfig:
     cache_limit: int = DEFAULT_CACHE_LIMIT
     seed: int = 0
     emit_bounds_checks: bool = True
-    audit_unsafe: bool = False
     deadlock_cycle_bound: int = 4
     unwind_edges: bool = True
 

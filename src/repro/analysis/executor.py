@@ -372,11 +372,6 @@ class SummaryCache:
                     fps[ckey] = entry_fps
         return found, fps
 
-    def get(self, key: str) -> Optional[Dict[str, FunctionSummary]]:
-        """Single-component convenience over :meth:`get_wave`."""
-        found, _fps = self.get_wave([key])
-        return found.get(key)
-
     # -- writes --------------------------------------------------------------
 
     def put_wave(self, entries) -> Optional[str]:
@@ -409,15 +404,6 @@ class SummaryCache:
         self._dirty = True
         self._evict_over_limit()
         return name
-
-    def put(self, key: str, summaries: Dict[str, FunctionSummary],
-            summary_fps: Optional[Dict[str, str]] = None) -> None:
-        """Single-component convenience over :meth:`put_wave`."""
-        if summary_fps is None:
-            summary_fps = {k: summary_fingerprint(v)
-                           for k, v in summaries.items()}
-        self.put_wave({key: (summaries, summary_fps)})
-        self.flush()
 
     def _evict_over_limit(self) -> None:
         removed = _evict_over_limit(self.root, ".shard.pkl", self.limit)

@@ -24,8 +24,7 @@ engine's SCC fixpoint):
 * **Guards** (:func:`guard_blocks`) — ``switchInt``/``assert``
   terminators whose condition is tainted by an argument: the null /
   bounds / tag checks that sanitise it.  A guard *dominates* a sink when
-  its block precedes the sink's block (the same block-order heuristic the
-  source-level audit in :mod:`repro.study.unsafe_scan` uses).
+  its block precedes the sink's block (a block-order heuristic).
 * **Unsafe birth** (:func:`unsafe_born_locals`) — locals holding a raw
   pointer derived *inside* an unsafe region (a ``&x as *mut`` cast in an
   unsafe block, an ``alloc`` result, or a callee that returns such a

@@ -45,7 +45,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro import obs
 from repro.analysis.config import AnalysisConfig, coerce_config
 from repro.detectors.base import Detector
-from repro.detectors.report import Report, SCHEMA_VERSION
+from repro.detectors.report import Finding, Report, SCHEMA_VERSION
 from repro.driver import CompiledProgram, compile_source
 
 __all__ = [
@@ -460,7 +460,8 @@ class AnalysisSession:
             reports = self.analyze_sources(list(named_sources))
         finally:
             self.config = original
-        return _build_audit_report(reports, audit_cfg)
+        return UnsafeAuditReport.of(((r.name, r.findings) for r in reports),
+                                    audit_cfg)
 
     def analyze_files(self, paths: Iterable[SourceOrPath], *,
                       detectors=None) -> List[AnalysisReport]:
@@ -529,6 +530,25 @@ class UnsafeAuditReport:
     rows: List[Dict[str, object]] = field(default_factory=list)
     config: AnalysisConfig = field(default_factory=AnalysisConfig)
 
+    def __post_init__(self) -> None:
+        self.rows = sorted(self.rows,
+                           key=lambda r: (str(r["file"]), str(r["fn"])))
+
+    @classmethod
+    def of(cls, named_findings: Iterable[Tuple[str, Iterable[Finding]]],
+           config: Optional[AnalysisConfig] = None) -> "UnsafeAuditReport":
+        """The census over ``(file, findings)`` pairs: one row per
+        ``interior-unsafe-audit`` finding, carrying its metadata."""
+        rows: List[Dict[str, object]] = []
+        for name, findings in named_findings:
+            for finding in findings:
+                if finding.detector != "interior-unsafe-audit":
+                    continue
+                row: Dict[str, object] = {"file": name, "fn": finding.fn_key}
+                row.update(finding.metadata)
+                rows.append(row)
+        return cls(rows=rows, config=config or AnalysisConfig())
+
     @property
     def breakdown(self) -> Dict[str, int]:
         out = {"checked": 0, "unchecked": 0, "caller-delegated": 0}
@@ -539,6 +559,12 @@ class UnsafeAuditReport:
     @property
     def total(self) -> int:
         return len(self.rows)
+
+    @property
+    def unchecked(self) -> List[str]:
+        """Keys of the functions classified ``unchecked``, in row order."""
+        return [str(row["fn"]) for row in self.rows
+                if row["classification"] == "unchecked"]
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -567,24 +593,9 @@ class UnsafeAuditReport:
         return "\n".join(lines)
 
 
-def _build_audit_report(reports: List[AnalysisReport],
-                        config: AnalysisConfig) -> UnsafeAuditReport:
-    rows: List[Dict[str, object]] = []
-    for report in reports:
-        for finding in report.findings:
-            if finding.detector != "interior-unsafe-audit":
-                continue
-            row: Dict[str, object] = {"file": report.name,
-                                      "fn": finding.fn_key}
-            row.update(finding.metadata)
-            rows.append(row)
-    rows.sort(key=lambda r: (str(r["file"]), str(r["fn"])))
-    return UnsafeAuditReport(rows=rows, config=config)
-
-
 def _audit_config(config: Optional[AnalysisConfig]) -> AnalysisConfig:
     return (config or AnalysisConfig()).with_(
-        audit_unsafe=True, detectors=("interior-unsafe-audit",))
+        detectors=("interior-unsafe-audit",))
 
 
 def audit_unsafe(named_sources: Sequence[Tuple[str, str]], *,
@@ -594,10 +605,11 @@ def audit_unsafe(named_sources: Sequence[Tuple[str, str]], *,
     pairs, regenerating the paper's §5 checked/unchecked breakdown.
 
     ``config`` carries the execution knobs (``jobs``, ``cache_dir``, …);
-    its detector selection is overridden with the audit detector and
-    ``audit_unsafe=True``.  Output is deterministic at any worker count.
+    its detector selection is overridden with the audit detector.
+    Output is deterministic at any worker count.
     """
     audit_cfg = _audit_config(config)
     with AnalysisSession(audit_cfg) as session:
         reports = session.analyze_sources(list(named_sources))
-    return _build_audit_report(reports, audit_cfg)
+    return UnsafeAuditReport.of(((r.name, r.findings) for r in reports),
+                                audit_cfg)

@@ -258,12 +258,14 @@ def _cmd_scan(args) -> int:
     for kind, count in sorted(result.operations.items(),
                               key=lambda kv: -kv[1]):
         print(f"  {kind.value}: {count}")
-    print(f"interior-unsafe functions: {len(result.interior_unsafe_fns)}")
-    improper = result.improperly_encapsulated
-    if improper:
-        print("improperly encapsulated:")
-        for audit in improper:
-            print(f"  {audit.fn_key}")
+    audit = result.audit
+    print(f"interior-unsafe functions: {audit.total}")
+    print(", ".join(f"{label}: {count}"
+                    for label, count in audit.breakdown.items()))
+    if audit.unchecked:
+        print("unchecked:")
+        for fn in audit.unchecked:
+            print(f"  {fn}")
     return 0
 
 

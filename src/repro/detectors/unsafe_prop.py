@@ -16,9 +16,10 @@ Three detectors consume the engine's unsafe-provenance summary component
   forwarding into an unchecked private helper is reported too.
 * ``interior-unsafe-audit`` — the §5 study regenerated as findings: one
   NOTE per interior-unsafe function with its checked / unchecked /
-  caller-delegated classification.  Only active under
-  ``AnalysisConfig(audit_unsafe=True)`` (the ``minirust audit-unsafe``
-  path), so plain ``check`` runs never mix audit rows into bug findings.
+  caller-delegated classification.  The default registry run leaves it
+  out, so plain ``check`` runs never mix audit rows into bug findings;
+  it runs when a selection names it (``minirust audit-unsafe``,
+  ``minirust scan``, ``check --detector interior-unsafe-audit``).
 """
 
 from __future__ import annotations
@@ -201,11 +202,11 @@ class InteriorUnsafeAuditDetector(Detector):
     name = "interior-unsafe-audit"
     description = ("Study-style classification of every interior-unsafe "
                    "function as checked / unchecked / caller-delegated "
-                   "(only under audit_unsafe=True)")
+                   "(runs only when selected by name)")
     paper_section = "5"
 
     def check_body(self, ctx: AnalysisContext, body: Body) -> List[Finding]:
-        if not ctx.config.audit_unsafe or not body.has_interior_unsafe:
+        if not body.has_interior_unsafe:
             return []
         prov = ctx.summary(body.key).unsafe_provenance
         classification = classify_interior_unsafe(prov)

@@ -5,16 +5,20 @@ Given parsed crates, counts and classifies:
 * unsafe blocks / unsafe functions / unsafe traits / unsafe impls;
 * what each unsafe region *does* (raw-pointer ops, unsafe calls, static
   mutation — the §4.1 operation classification);
-* interior-unsafe functions (safe signature, unsafe inside) and whether
-  they guard their unsafe code with explicit condition checks (the §4.3
-  encapsulation audit).
+* interior-unsafe functions (safe signature, unsafe inside) and how they
+  encapsulate their unsafe code (the §4.3 census).  That part is the
+  summary-based ``interior-unsafe-audit`` detector's rows, the same ones
+  ``minirust audit-unsafe`` prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
+from repro.analysis.config import AnalysisConfig
+from repro.api import UnsafeAuditReport
+from repro.detectors.registry import run_detectors
 from repro.lang import ast_nodes as ast
 from repro.mir.nodes import (
     Body, Program, RvalueKind, StatementKind, TerminatorKind,
@@ -41,28 +45,12 @@ class UnsafeCounts:
 
 
 @dataclass
-class InteriorUnsafeAudit:
-    """One interior-unsafe function and how it guards its unsafe code."""
-
-    fn_key: str
-    unsafe_statements: int = 0
-    has_explicit_check: bool = False        # branch/assert dominating unsafe
-    derefs_parameter_unchecked: bool = False
-
-
-@dataclass
 class ScanResult:
     counts: UnsafeCounts = field(default_factory=UnsafeCounts)
     #: §4.1 operation classification of unsafe statements.
     operations: Dict[UnsafeOpKind, int] = field(default_factory=dict)
-    interior_unsafe_fns: List[InteriorUnsafeAudit] = field(
-        default_factory=list)
-    unsafe_fn_keys: List[str] = field(default_factory=list)
-
-    @property
-    def improperly_encapsulated(self) -> List[InteriorUnsafeAudit]:
-        return [a for a in self.interior_unsafe_fns
-                if a.derefs_parameter_unchecked and not a.has_explicit_check]
+    #: §4.3 census: one audit row per interior-unsafe function.
+    audit: UnsafeAuditReport = field(default_factory=UnsafeAuditReport)
 
     def operation_shares(self) -> Dict[str, float]:
         total = sum(self.operations.values()) or 1
@@ -167,54 +155,8 @@ def classify_unsafe_operations(body: Body) -> Dict[UnsafeOpKind, int]:
     return out
 
 
-def audit_interior_unsafe(body: Body) -> Optional[InteriorUnsafeAudit]:
-    """§4.3: audit one interior-unsafe function's encapsulation."""
-    if not body.has_interior_unsafe:
-        return None
-    audit = InteriorUnsafeAudit(fn_key=body.key)
-    audit.unsafe_statements = sum(1 for _b, _i, s in body.iter_statements()
-                                  if s.in_unsafe)
-    # Explicit check: a SwitchInt or Assert in a block *before* the first
-    # unsafe statement's block.
-    first_unsafe_block = None
-    for bb, _i, stmt in body.iter_statements():
-        if stmt.in_unsafe:
-            first_unsafe_block = bb
-            break
-    if first_unsafe_block is None:
-        for bb, term in body.iter_terminators():
-            if term.in_unsafe:
-                first_unsafe_block = bb
-                break
-    if first_unsafe_block is not None:
-        for bb, term in body.iter_terminators():
-            if bb < first_unsafe_block and term.kind in (
-                    TerminatorKind.SWITCH_INT, TerminatorKind.ASSERT):
-                audit.has_explicit_check = True
-                break
-    # Unchecked parameter deref: an unsafe deref whose base local is an
-    # argument (directly or through one copy).
-    arg_locals = {l.index for l in body.locals if l.is_arg}
-    derived = set(arg_locals)
-    for _bb, _i, stmt in body.iter_statements():
-        if stmt.kind is StatementKind.ASSIGN and stmt.rvalue is not None \
-                and stmt.place.is_local \
-                and stmt.rvalue.kind in (RvalueKind.USE, RvalueKind.CAST):
-            op = stmt.rvalue.operands[0]
-            if op.place is not None and op.place.local in derived:
-                derived.add(stmt.place.local)
-    for _bb, _i, stmt in body.iter_statements():
-        if not stmt.in_unsafe or stmt.kind is not StatementKind.ASSIGN:
-            continue
-        places = [stmt.place] + [op.place for op in stmt.rvalue.operands
-                                 if op.place is not None]
-        for place in places:
-            if place is not None and place.has_deref \
-                    and place.local in derived:
-                audit.derefs_parameter_unchecked = True
-    if audit.has_explicit_check:
-        audit.derefs_parameter_unchecked = False
-    return audit
+#: The §4.3 census is the ``interior-unsafe-audit`` detector's rows.
+_CENSUS = AnalysisConfig(detectors=("interior-unsafe-audit",))
 
 
 def scan_program(program: Program,
@@ -226,11 +168,9 @@ def scan_program(program: Program,
     for body in program.bodies():
         for kind, count in classify_unsafe_operations(body).items():
             result.operations[kind] = result.operations.get(kind, 0) + count
-        if body.is_unsafe_fn:
-            result.unsafe_fn_keys.append(body.key)
-        audit = audit_interior_unsafe(body)
-        if audit is not None:
-            result.interior_unsafe_fns.append(audit)
+    report = run_detectors(program, source=program.source, config=_CENSUS)
+    result.audit = UnsafeAuditReport.of(
+        [(program.source.name, report.findings)], _CENSUS)
     return result
 
 
@@ -238,12 +178,13 @@ def scan_sources(sources: Iterable[Tuple[str, str]]) -> ScanResult:
     """Scan many (name, source) crates, merging the results."""
     from repro.driver import compile_source
     merged = ScanResult()
+    rows = []
     for name, text in sources:
         compiled = compile_source(text, name=name)
         partial = scan_program(compiled.program, compiled.crate)
         merged.counts = merged.counts.add(partial.counts)
         for kind, count in partial.operations.items():
             merged.operations[kind] = merged.operations.get(kind, 0) + count
-        merged.interior_unsafe_fns.extend(partial.interior_unsafe_fns)
-        merged.unsafe_fn_keys.extend(partial.unsafe_fn_keys)
+        rows.extend(partial.audit.rows)
+    merged.audit = UnsafeAuditReport(rows=rows, config=_CENSUS)
     return merged

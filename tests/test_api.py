@@ -207,7 +207,7 @@ class TestReportCache:
         for unwind in (True, False):
             knobs = (("interprocedural", True), ("detectors", None),
                      ("seed", 0), ("emit_bounds_checks", True),
-                     ("audit_unsafe", False), ("deadlock_cycle_bound", 4),
+                     ("deadlock_cycle_bound", 4),
                      ("unwind_edges", unwind))
             h = hashlib.sha256()
             h.update(b"repro-report-cache-v3:schema1.0\x00")

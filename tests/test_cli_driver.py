@@ -105,6 +105,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "unsafe blocks" in out
+        assert "interior-unsafe functions: 1\n" \
+            "checked: 1, unchecked: 0, caller-delegated: 0\n" in out
 
     def test_tables(self, capsys):
         code = cli_main(["tables", "--table", "1"])

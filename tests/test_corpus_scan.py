@@ -7,8 +7,9 @@ from repro.corpus import (
 )
 from repro.driver import compile_source
 from repro.study.taxonomy import UnsafeOpKind
+from repro import api
 from repro.study.unsafe_scan import (
-    audit_interior_unsafe, count_unsafe_in_crate, scan_program, scan_sources,
+    count_unsafe_in_crate, scan_program, scan_sources,
 )
 
 
@@ -137,9 +138,9 @@ class TestUnsafeScan:
     def test_interior_unsafe_found_and_checked(self):
         compiled = compile_source(self.SRC)
         result = scan_program(compiled.program, compiled.crate)
-        audits = {a.fn_key: a for a in result.interior_unsafe_fns}
-        assert "Buf::read" in audits
-        assert audits["Buf::read"].has_explicit_check
+        classes = {row["fn"]: row["classification"]
+                   for row in result.audit.rows}
+        assert classes["Buf::read"] == "checked"
 
     def test_improper_encapsulation_detected(self):
         bad = """
@@ -149,12 +150,27 @@ class TestUnsafeScan:
         """
         compiled = compile_source(bad)
         result = scan_program(compiled.program, compiled.crate)
-        assert result.improperly_encapsulated
+        assert result.audit.unchecked == ["deref_it"]
 
     def test_scan_sources_merges(self):
         result = scan_sources([("a.rs", "unsafe fn f() {}"),
                                ("b.rs", "unsafe fn g() {}")])
         assert result.counts.functions == 2
+
+    @pytest.mark.parametrize("seed, unchecked", [
+        (0, ["Tableli5::get_raw"]), (1, ["Tableli1::get_raw"])],
+        ids=["seed0", "seed1"])
+    def test_scan_census_is_the_audit(self, seed, unchecked):
+        """`scan` and `audit-unsafe` give one §4.3 census: the same
+        interior-unsafe functions, classified the same way."""
+        corpus = generate_corpus(seed=seed, scale=1)
+        named = [(f.name, f.text) for f in corpus.files]
+        scanned = scan_sources(named).audit
+        audited = api.audit_unsafe(named)
+        assert {row["fn"] for row in scanned.rows} == \
+            {row["fn"] for row in audited.rows}
+        assert scanned.unchecked == audited.unchecked == unchecked
+        assert scanned.rows == audited.rows
 
     def test_corpus_scan_shape(self):
         """The §4 shape on the corpus: unsafe exists, memory operations

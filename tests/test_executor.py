@@ -328,7 +328,7 @@ fn wraps(p: *const i32) -> *const i32 { gives(p) }
         with open(path, "wb") as f:
             pickle.dump(["not", "a", "shard", "payload"], f)
         with obs.collecting() as col:
-            assert cache.get("deadbeef") is None
+            assert cache.get_wave(["deadbeef"]) == ({}, {})
         assert col.counters["analysis.cache.corrupt"] == 1
         assert not os.path.exists(path)
 
@@ -346,8 +346,8 @@ fn wraps(p: *const i32) -> *const i32 { gives(p) }
         assert col.counters["analysis.cache.evict"] == 3
         # Evicted mappings are pruned: the survivors still hit, the
         # evicted keys miss cleanly.
-        assert cache.get("key4") is not None
-        assert cache.get("key0") is None
+        found, _fps = cache.get_wave(["key0", "key4"])
+        assert list(found) == ["key4"]
 
     def test_other_format_shard_is_stale(self, tmp_path):
         import pickle
@@ -356,7 +356,7 @@ fn wraps(p: *const i32) -> *const i32 { gives(p) }
         with open(path, "wb") as f:
             pickle.dump({"format": 999, "entries": {}}, f)
         with obs.collecting() as col:
-            assert cache.get("cafe") is None
+            assert cache.get_wave(["cafe"]) == ({}, {})
         assert col.counters["analysis.cache.stale"] == 1
         assert not os.path.exists(path)
 

@@ -161,10 +161,10 @@ class TestArena:
     def test_interior_unsafe_judged_well_encapsulated(self):
         compiled = compile_(UNSAFE_ARENA)
         scan = scan_program(compiled.program, compiled.crate)
-        audits = {a.fn_key: a for a in scan.interior_unsafe_fns}
-        assert "Arena::load" in audits
-        assert audits["Arena::load"].has_explicit_check
-        assert not scan.improperly_encapsulated
+        classes = {row["fn"]: row["classification"]
+                   for row in scan.audit.rows}
+        assert classes["Arena::load"] == "checked"
+        assert scan.audit.unchecked == []
 
     def test_no_buffer_overflow_findings(self):
         report = check(UNSAFE_ARENA)

@@ -23,6 +23,7 @@ from repro.analysis.unsafe_prop import (
     unsafe_born_locals,
 )
 from repro.api import AnalysisSession, analyze, audit_unsafe
+from repro.cli import main as cli_main
 from repro.detectors.base import AnalysisContext
 from repro.detectors.registry import detector_by_name
 
@@ -189,13 +190,23 @@ class TestUnsafeDetectors:
         assert not report.report.by_detector("interior-unsafe-audit")
 
     def test_audit_classifies_under_flag(self):
-        config = AnalysisConfig(audit_unsafe=True,
-                                detectors=("interior-unsafe-audit",))
+        # Naming the census in the selection is all it takes to run it.
+        config = AnalysisConfig(detectors=("interior-unsafe-audit",))
         report = analyze(TABLE_SRC, config=config)
         rows = {f.fn_key: f.metadata["classification"]
                 for f in report.findings}
         assert rows == {"Table::get_raw": UNCHECKED,
                         "Table::get_checked": CHECKED}
+
+    def test_check_runs_the_audit_when_named(self, tmp_path, capsys):
+        path = tmp_path / "table.rs"
+        path.write_text(TABLE_SRC)
+        code = cli_main(["check", "--detector", "interior-unsafe-audit",
+                         str(path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "[interior-unsafe-audit] note: interior-unsafe fn " \
+            "`Table::get_raw`: unchecked" in out
 
 
 class TestLockOrderViaSummaries:
