@@ -54,9 +54,6 @@ class CallGraph:
     def callees(self, key: str) -> Set[str]:
         return self.edges.get(key, set())
 
-    def sites_in(self, key: str) -> List[CallSite]:
-        return [s for s in self.call_sites if s.caller == key]
-
     def sites_calling(self, key: str) -> List[CallSite]:
         if self._by_callee is None:
             by_callee: Dict[str, List[CallSite]] = {}

@@ -17,10 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-#: Default maximum number of on-disk summary-cache entries before the
-#: executor evicts the oldest ones.
-DEFAULT_CACHE_LIMIT = 65536
-
 
 @dataclass(frozen=True)
 class AnalysisConfig:
@@ -36,19 +32,12 @@ class AnalysisConfig:
       whole files fan out, one file per task.  Analyzing one program
       never starts a pool, and the summary solve is always serial.
       Findings are byte-identical at any ``jobs``.
-    * ``cache_dir`` / ``use_cache`` — the content-addressed on-disk
-      summary cache.  ``cache_dir=None`` disables caching regardless of
-      ``use_cache`` (there is nowhere to put it); ``use_cache=False`` is
-      the ``--no-cache`` escape hatch that keeps the directory argument
-      but skips both lookups and stores.
+    * ``cache_dir`` — the directory of the content-addressed on-disk
+      caches; caching is on exactly when it is set (``--no-cache`` sets
+      it to ``None``).
     * ``report_cache`` — the whole-file report tier above the summary
       cache (batch entry points only): an unchanged source skips
       compile + detectors entirely.  Needs ``cache_dir``.
-    * ``cache_limit`` — shard-file cap before oldest-first eviction.
-    * ``seed`` — deterministic seed forwarded to corpus generation and
-      interpreter schedules.
-    * ``emit_bounds_checks`` — compile-time switch for the §4.1
-      perf-comparison build.
     * ``deadlock_cycle_bound`` — maximum lock-graph cycle length both
       lock-graph detectors (``lock-order`` and ``deadlock``) search for:
       the bound of their one Johnson-style elementary-circuit
@@ -68,11 +57,7 @@ class AnalysisConfig:
     detectors: Optional[Tuple[str, ...]] = None
     jobs: int = 1
     cache_dir: Optional[str] = None
-    use_cache: bool = True
     report_cache: bool = True
-    cache_limit: int = DEFAULT_CACHE_LIMIT
-    seed: int = 0
-    emit_bounds_checks: bool = True
     deadlock_cycle_bound: int = 4
     unwind_edges: bool = True
 
@@ -81,10 +66,6 @@ class AnalysisConfig:
                 or self.jobs < 1:
             raise ValueError(
                 f"jobs must be a positive integer, got {self.jobs!r}")
-        if not isinstance(self.cache_limit, int) or self.cache_limit < 1:
-            raise ValueError(
-                f"cache_limit must be a positive integer, "
-                f"got {self.cache_limit!r}")
         if not isinstance(self.deadlock_cycle_bound, int) \
                 or isinstance(self.deadlock_cycle_bound, bool) \
                 or self.deadlock_cycle_bound < 2:
@@ -106,10 +87,6 @@ class AnalysisConfig:
                     raise ValueError(
                         f"detector names must be non-empty strings, "
                         f"got {name!r}")
-
-    @property
-    def caching_enabled(self) -> bool:
-        return self.use_cache and self.cache_dir is not None
 
     def with_(self, **changes) -> "AnalysisConfig":
         """A copy with ``changes`` applied (re-validated)."""

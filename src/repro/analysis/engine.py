@@ -32,9 +32,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro import obs
-from repro.analysis.callgraph import (
-    CallGraph, build_call_graph, direct_locks, scc_order,
-)
+from repro.analysis.callgraph import CallGraph, build_call_graph, direct_locks
 from repro.analysis.config import AnalysisConfig, coerce_config
 from repro.analysis.escape import ThreadEscape, compute_thread_escape
 from repro.analysis.intern import Interner
@@ -403,9 +401,6 @@ class SummaryEngine:
     def adopt_summaries(self, summaries: Dict[str, FunctionSummary]) -> None:
         """Install summaries served by the summary cache."""
         self._summaries.update(summaries)
-
-    def _scc_order(self, graph: CallGraph) -> List[List[str]]:
-        return scc_order(self.program, graph)
 
     # -- per-body summarisation ---------------------------------------------
 

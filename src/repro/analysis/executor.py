@@ -429,14 +429,16 @@ REPORT_CACHE_FORMAT = 3
 
 #: :class:`AnalysisConfig` fields that only say how or where to run.
 #: Every other field can change findings, so the report key covers it.
-EXECUTION_FIELDS = frozenset(
-    {"jobs", "cache_dir", "use_cache", "report_cache", "cache_limit"})
+EXECUTION_FIELDS = frozenset({"jobs", "cache_dir", "report_cache"})
 
 _REPORT_KEY_FIELDS = tuple(f.name for f in fields(AnalysisConfig)
                            if f.name not in EXECUTION_FIELDS)
 
-#: Shard/report caps share one knob (``config.cache_limit``); reports
-#: are small, so the report tier keeps a generous fixed multiple.
+#: Shard-file cap of the summary cache before oldest-first eviction.
+DEFAULT_CACHE_LIMIT = 65536
+
+#: Reports are small, so the report tier keeps a generous fixed
+#: multiple of the shard cap.
 _REPORT_LIMIT_FACTOR = 4
 
 
@@ -476,7 +478,8 @@ class ReportCache:
     """
 
     def __init__(self, root: str,
-                 limit: int = 65536 * _REPORT_LIMIT_FACTOR) -> None:
+                 limit: int = DEFAULT_CACHE_LIMIT * _REPORT_LIMIT_FACTOR
+                 ) -> None:
         self.root = root
         self.limit = limit
         os.makedirs(root, exist_ok=True)
@@ -564,7 +567,7 @@ class AnalysisExecutor:
         graph = engine.call_graph
         components = scc_order(engine.program, graph)
         obs.gauge("analysis.summaries.sccs", len(components))
-        if self.config.caching_enabled:
+        if self.config.cache_dir is not None:
             iterations, solved, cached = self._solve_cached(components, graph)
         else:
             # Uncached: the classic bottom-up solve.
@@ -582,7 +585,7 @@ class AnalysisExecutor:
         one shard write.  The shard index is written once, at the end.
         Returns ``(iterations, solved functions, cached functions)``."""
         engine = self.engine
-        cache = SummaryCache(self.config.cache_dir, self.config.cache_limit)
+        cache = SummaryCache(self.config.cache_dir, DEFAULT_CACHE_LIMIT)
         waves = wave_partition(components, graph, engine.program)
         obs.gauge("analysis.executor.waves", len(waves))
         body_fps: Dict[str, str] = {}

@@ -25,7 +25,7 @@ micro-benchmark.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, FrozenSet
 
 
 class Interner:
@@ -57,7 +57,3 @@ class Interner:
         """A canonical frozenset whose members are interned atoms.
         The set itself is interned too (locksets repeat heavily)."""
         return self.intern(frozenset(self.intern(a) for a in atoms))
-
-    def intern_tuple(self, atoms) -> Tuple:
-        """A canonical tuple of interned atoms."""
-        return self.intern(tuple(self.intern(a) for a in atoms))

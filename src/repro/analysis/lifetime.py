@@ -173,21 +173,6 @@ class GuardRegion:
     def covers(self, point: Point) -> bool:
         return point in self.points
 
-    @property
-    def is_write_like(self) -> bool:
-        return self.kind in ("mutex", "write", "borrow_mut")
-
-    def conflicts_with(self, other_kind: str) -> bool:
-        """Would acquiring ``other_kind`` on the same lock block / panic
-        while this guard is held?"""
-        if self.kind == "mutex" or other_kind == "mutex":
-            return True
-        if self.kind in ("read",) and other_kind in ("read",):
-            return False           # RwLock allows concurrent reads
-        if self.kind in ("borrow",) and other_kind in ("borrow",):
-            return False
-        return True
-
 
 def _guardish_ty(ty) -> bool:
     """Can a value of this type hold (or contain) a lock guard?"""

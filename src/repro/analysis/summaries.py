@@ -134,9 +134,6 @@ class FunctionSummary:
     def drops_arg(self, position: int) -> bool:
         return position in self.may_drop_args
 
-    def lock_kinds(self) -> Set[str]:
-        return {lock[3] for lock in self.locks}
-
 
 _EXTRACT_OPS = frozenset({BuiltinOp.UNWRAP, BuiltinOp.EXPECT,
                           BuiltinOp.TAKE, BuiltinOp.OK_METHOD})

@@ -45,7 +45,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro import obs
 from repro.analysis.config import AnalysisConfig, coerce_config
 from repro.detectors.base import Detector
-from repro.detectors.report import Finding, Report, SCHEMA_VERSION
+from repro.detectors.report import Finding, Report, SCHEMA_VERSION, Severity
 from repro.driver import CompiledProgram, compile_source
 
 __all__ = [
@@ -82,8 +82,10 @@ class AnalysisReport:
 
     @property
     def exit_code(self) -> int:
-        """Uniform CLI contract: 1 when there are findings, else 0."""
-        return 1 if self.report.findings else 0
+        """Uniform CLI contract: 1 when some finding is an error or a
+        warning, else 0 (the audit's NOTE rows do not fail a run)."""
+        return 1 if any(f.severity is not Severity.NOTE
+                        for f in self.report.findings) else 0
 
     def render(self) -> str:
         return self.report.render()
@@ -188,8 +190,7 @@ def _compile_and_detect(name: str, text: str,
     returns, the compiled program is already freed, so nothing of it is
     left for the collector to walk once a pause ends."""
     from repro.detectors.registry import run_detectors
-    compiled = compile_source(
-        text, name=name, emit_bounds_checks=config.emit_bounds_checks)
+    compiled = compile_source(text, name=name)
     return run_detectors(compiled.program, source=compiled.source,
                          config=config)
 
@@ -272,8 +273,6 @@ class AnalysisSession:
         self._pool = None
         self._pool_attempted = False
         self._closed = False
-        #: ``(config, its solve config)``; see :meth:`_solve_config`.
-        self._solve_memo: Tuple[Optional[AnalysisConfig], ...] = (None, None)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -298,29 +297,19 @@ class AnalysisSession:
             self._pool = create_pool(self.config.jobs)
         return self._pool
 
-    def _report_cache(self):
-        if self.config.caching_enabled and self.config.report_cache:
-            from repro.analysis.executor import ReportCache
-            return ReportCache(os.path.join(self.config.cache_dir,
-                                            "reports"))
-        return None
-
-    def _solve_config(self) -> AnalysisConfig:
+    @staticmethod
+    def _solve_config(config: AnalysisConfig) -> AnalysisConfig:
         """The config a report-tier batch compiles and solves its misses
-        under: the session's, with the summary tier off.
+        under: the batch's ``config`` with no cache directory, so the
+        summary tier is off.
 
         One cache tier per request (DESIGN.md §6): an edited file misses
         the report tier because its text changed, and keying its
         summaries (body fingerprints, shard reads and writes, an index
         flush) costs more than the summarise it saves.  Report keys
-        still come from the session config.  Derived once per session
-        config (``audit_unsafe`` swaps the config for one call).
+        still come from the batch's ``config``.
         """
-        config, solve = self._solve_memo
-        if config is not self.config:
-            config, solve = self.config, self.config.with_(use_cache=False)
-            self._solve_memo = (config, solve)
-        return solve
+        return config.with_(cache_dir=None)
 
     # -- analysis entry points ----------------------------------------------
 
@@ -342,26 +331,24 @@ class AnalysisSession:
                 self.compile(text, name=resolved_name), detectors=detectors)
 
     def compile(self, text: str, name: str = "<input>") -> CompiledProgram:
-        return compile_source(
-            text, name=name,
-            emit_bounds_checks=self.config.emit_bounds_checks)
+        return compile_source(text, name=name)
 
     def analyze_compiled(self, compiled: CompiledProgram, *,
                          detectors=None) -> AnalysisReport:
-        return self._detect(compiled, _resolve_detector_arg(detectors),
-                            self.config)
+        report = self._detect(compiled, _resolve_detector_arg(detectors),
+                              self.config)
+        return AnalysisReport(name=compiled.source.name, report=report,
+                              config=self.config)
 
     def _detect(self, compiled: CompiledProgram,
                 detectors: Optional[List[Detector]],
-                solve_config: AnalysisConfig) -> AnalysisReport:
+                solve_config: AnalysisConfig) -> Report:
         from repro.detectors.registry import run_detectors
         if self._closed:
             raise RuntimeError("AnalysisSession is closed")
-        report = run_detectors(
+        return run_detectors(
             compiled.program, detectors=detectors,
             source=compiled.source, config=solve_config)
-        return AnalysisReport(name=compiled.source.name, report=report,
-                              config=self.config)
 
     def analyze_sources(self, named_sources: Sequence[Tuple[str, str]], *,
                         detectors=None) -> List[AnalysisReport]:
@@ -382,28 +369,31 @@ class AnalysisSession:
         :class:`_CollectorPause`).
         """
         with _collector_paused:
-            return self._analyze_sources(named_sources, detectors)
+            return self._analyze_sources(named_sources, detectors,
+                                         self.config)
 
     def _analyze_sources(self, named_sources: Sequence[Tuple[str, str]],
-                         detectors) -> List[AnalysisReport]:
+                         detectors, config: AnalysisConfig
+                         ) -> List[AnalysisReport]:
+        """:meth:`analyze_sources` under ``config``, which differs from
+        the session's only in its detector selection."""
         explicit = _resolve_detector_arg(detectors)
         named_sources = list(named_sources)
-        results: List[Optional[AnalysisReport]] = \
-            [None] * len(named_sources)
-        # Detector *instances* can't be keyed (or pickled): the report
-        # tier and the pool both require name-addressable selections.
-        rcache = self._report_cache() if explicit is None else None
+        reports: List[Optional[Report]] = [None] * len(named_sources)
+        rcache = None
         keys: List[Optional[str]] = [None] * len(named_sources)
         misses: List[int] = []
-        if rcache is not None:
+        # Detector *instances* can't be keyed (or pickled): the report
+        # tier and the pool both require name-addressable selections.
+        if explicit is None and config.cache_dir is not None \
+                and config.report_cache:
             from repro.analysis.executor import ReportCache
+            rcache = ReportCache(os.path.join(config.cache_dir, "reports"))
             for i, (name, text) in enumerate(named_sources):
-                keys[i] = ReportCache.key(name, text, self.config)
-                hit = rcache.get(keys[i])
-                if hit is not None:
+                keys[i] = ReportCache.key(name, text, config)
+                reports[i] = rcache.get(keys[i])
+                if reports[i] is not None:
                     obs.count("analysis.report_cache.hit")
-                    results[i] = AnalysisReport(
-                        name=name, report=hit, config=self.config)
                 else:
                     obs.count("analysis.report_cache.miss")
                     misses.append(i)
@@ -412,23 +402,23 @@ class AnalysisSession:
 
         # One cache tier per request: the report tier's misses solve
         # without the summary tier below it.
-        solve_config = self.config if rcache is None \
-            else self._solve_config()
+        solve_config = config if rcache is None \
+            else self._solve_config(config)
         pool = None
-        if explicit is None and self.config.jobs > 1 and len(misses) > 1:
+        if explicit is None and config.jobs > 1 and len(misses) > 1:
             pool = self._ensure_pool()
 
         if pool is None:
             for i in misses:
                 name, text = named_sources[i]
-                results[i] = self._detect(
+                reports[i] = self._detect(
                     self.compile(text, name=name),
                     _resolve_detector_arg(detectors), solve_config)
         else:
             # Worker spans fold back under this one, so a trace shows
             # the files' timelines side by side inside the batch.
             with obs.span("analysis.fanout", files=len(misses),
-                          jobs=self.config.jobs):
+                          jobs=config.jobs):
                 futures = [
                     pool.submit(_analyze_task, pickle.dumps(
                         (named_sources[i][0], named_sources[i][1],
@@ -436,30 +426,23 @@ class AnalysisSession:
                         protocol=pickle.HIGHEST_PROTOCOL))
                     for i in misses]
                 for i, future in zip(misses, futures):
-                    report, counters, histograms, spans = \
+                    reports[i], counters, histograms, spans = \
                         pickle.loads(future.result())
                     _merge_worker_obs(counters, histograms, spans)
-                    results[i] = AnalysisReport(
-                        name=named_sources[i][0], report=report,
-                        config=self.config)
         if rcache is not None:
             for i in misses:
-                rcache.put(keys[i], results[i].report)
-        return results
+                rcache.put(keys[i], reports[i])
+        return [AnalysisReport(name=name, report=report, config=config)
+                for (name, _), report in zip(named_sources, reports)]
 
     def audit_unsafe(self, named_sources: Sequence[Tuple[str, str]]
                      ) -> "UnsafeAuditReport":
-        """Interior-unsafe encapsulation audit (§5) over ``(name, text)``
-        pairs, reusing this session's pool and cache.  The session's
-        detector selection is overridden with the audit detector for the
-        duration of the call."""
+        """Interior-unsafe encapsulation audit (§4.3) over ``(name,
+        text)`` pairs, reusing this session's pool and cache, with the
+        audit detector in place of the session's detector selection."""
         audit_cfg = _audit_config(self.config)
-        original = self.config
-        self.config = audit_cfg
-        try:
-            reports = self.analyze_sources(list(named_sources))
-        finally:
-            self.config = original
+        with _collector_paused:
+            reports = self._analyze_sources(named_sources, None, audit_cfg)
         return UnsafeAuditReport.of(((r.name, r.findings) for r in reports),
                                     audit_cfg)
 
@@ -504,20 +487,18 @@ def lock_graph(source_or_path: SourceOrPath, *,
     """
     config = coerce_config(config)
     resolved_name, text = _load(source_or_path, name)
-    compiled = compile_source(
-        text, name=resolved_name,
-        emit_bounds_checks=config.emit_bounds_checks)
+    compiled = compile_source(text, name=resolved_name)
     from repro.analysis.engine import SummaryEngine
     return SummaryEngine(compiled.program, config).lock_graph()
 
 
 # ---------------------------------------------------------------------------
-# Interior-unsafe encapsulation audit (the §5 study as an entry point)
+# Interior-unsafe encapsulation audit (the §4.3 study as an entry point)
 # ---------------------------------------------------------------------------
 
 @dataclass
 class UnsafeAuditReport:
-    """The §5 interior-unsafe encapsulation audit over many programs.
+    """The §4.3 interior-unsafe encapsulation audit over many programs.
 
     ``rows`` holds one entry per interior-unsafe function — its file,
     key, checked / unchecked / caller-delegated classification, and the
@@ -602,7 +583,7 @@ def audit_unsafe(named_sources: Sequence[Tuple[str, str]], *,
                  config: Optional[AnalysisConfig] = None
                  ) -> UnsafeAuditReport:
     """Run the interior-unsafe encapsulation audit over ``(name, text)``
-    pairs, regenerating the paper's §5 checked/unchecked breakdown.
+    pairs, regenerating the paper's §4.3 checked/unchecked breakdown.
 
     ``config`` carries the execution knobs (``jobs``, ``cache_dir``, …);
     its detector selection is overridden with the audit detector.

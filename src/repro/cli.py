@@ -12,7 +12,7 @@ Subcommands::
     minirust run FILE [--seed N] [--races]     interpret (Miri-like)
     minirust mir FILE [--fn NAME]              dump MIR
     minirust scan FILE...                      §4 unsafe-usage scan
-    minirust audit-unsafe FILE...|--corpus     §5 interior-unsafe audit
+    minirust audit-unsafe FILE...|--corpus     §4.3 interior-unsafe audit
     minirust tables [--table N|all]            regenerate study tables
     minirust corpus [--scale N] [--seed N]     corpus + detector evaluation
     minirust stats FILE [--json] [--top N]     full-pipeline obs dump
@@ -30,8 +30,8 @@ worker processes' per-file spans, re-parented into the main process's
 tree; ``--flame-out`` writes folded flamegraph stacks from the same span
 tree.
 
-Exit codes are uniform: 0 clean, 1 findings / failed run, 2 usage or
-compile error.
+Exit codes are uniform: 0 clean or notes only, 1 an error or warning
+finding / failed run, 2 usage or compile error.
 """
 
 from __future__ import annotations
@@ -50,11 +50,12 @@ def _analysis_config(args):
     """Build the one validated AnalysisConfig from CLI flags."""
     from repro.api import AnalysisConfig
     detector_names = tuple(getattr(args, "detector", ()) or ()) or None
+    cache_dir = None if getattr(args, "no_cache", False) \
+        else getattr(args, "cache_dir", None)
     return AnalysisConfig(
         detectors=detector_names,
         jobs=getattr(args, "jobs", 1),
-        cache_dir=getattr(args, "cache_dir", None),
-        use_cache=not getattr(args, "no_cache", False),
+        cache_dir=cache_dir,
         unwind_edges=not getattr(args, "no_unwind_edges", False),
         deadlock_cycle_bound=getattr(args, "deadlock_cycle_bound", 4))
 
@@ -120,7 +121,7 @@ def _cmd_check(args) -> int:
                 print("\nsuggested fixes:")
                 for line in suggest_fixes(report.findings):
                     print("  " + line)
-    return 1 if any(r.findings for r in reports) else 0
+    return max(r.exit_code for r in reports)
 
 
 def _cmd_explain(args) -> int:
@@ -131,7 +132,7 @@ def _cmd_explain(args) -> int:
         if len(reports) > 1:
             print(f"== {report.name}")
         print(report.explain())
-    return 1 if any(r.findings for r in reports) else 0
+    return max(r.exit_code for r in reports)
 
 
 def _cmd_stats(args) -> int:
@@ -270,7 +271,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_audit_unsafe(args) -> int:
-    """§5 interior-unsafe encapsulation audit: classify every
+    """§4.3 interior-unsafe encapsulation audit: classify every
     interior-unsafe function as checked / unchecked / caller-delegated."""
     from repro.api import audit_unsafe
     if bool(args.files) == bool(args.corpus):
@@ -358,7 +359,7 @@ def _cmd_tables(args) -> int:
 def _cmd_corpus(args) -> int:
     from repro.corpus import evaluate_detectors, generate_corpus
     try:
-        config = _analysis_config(args).with_(seed=args.seed)
+        config = _analysis_config(args)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -422,10 +423,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help=JOBS_HELP)
     p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="content-addressed summary cache directory; warm "
-                        "runs re-solve only changed functions")
+                   help="on-disk cache directory: whole-file reports, "
+                        "so a warm run skips every unchanged file")
     p.add_argument("--no-cache", action="store_true",
-                   help="skip summary-cache lookups and stores")
+                   help="ignore --cache-dir: no cache reads or writes")
     p.add_argument("--deadlock-cycle-bound", type=int, default=4,
                    metavar="N", dest="deadlock_cycle_bound",
                    help="longest lock-graph cycle the lock-order and "
@@ -479,7 +480,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p = sub.add_parser("audit-unsafe",
                        help="classify interior-unsafe functions as "
-                            "checked/unchecked/caller-delegated (§5)")
+                            "checked/unchecked/caller-delegated (§4.3)")
     p.add_argument("files", nargs="*", default=[], metavar="FILE")
     p.add_argument("--corpus", action="store_true",
                    help="audit the generated corpus instead of files")

@@ -14,7 +14,7 @@ Three detectors consume the engine's unsafe-provenance summary component
   fn`` bodies are skipped — there the obligation is the caller's by
   contract — and the interprocedural summary makes sure a public wrapper
   forwarding into an unchecked private helper is reported too.
-* ``interior-unsafe-audit`` — the §5 study regenerated as findings: one
+* ``interior-unsafe-audit`` — the §4.3 study regenerated as findings: one
   NOTE per interior-unsafe function with its checked / unchecked /
   caller-delegated classification.  The default registry run leaves it
   out, so plain ``check`` runs never mix audit rows into bug findings;
@@ -203,7 +203,7 @@ class InteriorUnsafeAuditDetector(Detector):
     description = ("Study-style classification of every interior-unsafe "
                    "function as checked / unchecked / caller-delegated "
                    "(runs only when selected by name)")
-    paper_section = "5"
+    paper_section = "4.3"
 
     def check_body(self, ctx: AnalysisContext, body: Body) -> List[Finding]:
         if not body.has_interior_unsafe:

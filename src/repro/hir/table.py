@@ -40,10 +40,6 @@ class FnInfo:
     span: Span = Span.DUMMY
     generics: List[str] = field(default_factory=list)
 
-    @property
-    def is_constructor_like(self) -> bool:
-        return self.name in ("new", "default", "with_capacity", "from")
-
 
 @dataclass
 class StaticInfo:
@@ -76,15 +72,6 @@ class ItemTable:
 
     def lookup_fn(self, name: str) -> Optional[FnInfo]:
         return self.functions.get(name)
-
-    def methods_of(self, type_name: str) -> List[FnInfo]:
-        prefix = type_name + "::"
-        return [fn for key, fn in self.functions.items()
-                if key.startswith(prefix)]
-
-    def struct_implements(self, struct_name: str, trait: str) -> bool:
-        info = self.structs.get(struct_name)
-        return bool(info and info.traits.get(trait))
 
     # -- type lowering ---------------------------------------------------------
 

@@ -34,18 +34,6 @@ class Mutability(enum.Enum):
         return self is Mutability.MUT
 
 
-class UnsafeSource(enum.Enum):
-    """Why a region of code is unsafe — used by the §4 unsafe scanner."""
-
-    SAFE = "safe"
-    UNSAFE_BLOCK = "unsafe_block"
-    UNSAFE_FN = "unsafe_fn"
-    UNSAFE_TRAIT = "unsafe_trait"
-    UNSAFE_IMPL = "unsafe_impl"
-
-    __hash__ = object.__hash__  # identity; Enum's own hashes the name
-
-
 @dataclass(slots=True)
 class Node:
     span: Span
@@ -499,11 +487,6 @@ class ExprStmt(Stmt):
 @dataclass(slots=True)
 class ItemStmt(Stmt):
     item: "Item" = None
-
-
-@dataclass(slots=True)
-class EmptyStmt(Stmt):
-    pass
 
 
 # ---------------------------------------------------------------------------

@@ -85,16 +85,9 @@ class DiagnosticSink:
         return diag
 
     @property
-    def has_errors(self) -> bool:
-        return any(d.level is DiagnosticLevel.ERROR for d in self.diagnostics)
-
-    @property
     def errors(self) -> List[Diagnostic]:
         return [d for d in self.diagnostics if d.level is DiagnosticLevel.ERROR]
 
     @property
     def warnings(self) -> List[Diagnostic]:
         return [d for d in self.diagnostics if d.level is DiagnosticLevel.WARNING]
-
-    def render_all(self) -> str:
-        return "\n".join(d.render(self.source) for d in self.diagnostics)

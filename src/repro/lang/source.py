@@ -83,8 +83,3 @@ class SourceFile:
     def snippet(self, span: Span) -> str:
         """The raw text covered by ``span``."""
         return self.text[span.lo : span.hi]
-
-    def describe(self, span: Span) -> str:
-        """Human-readable ``file:line:col`` for the start of ``span``."""
-        line, col = self.line_col(span.lo)
-        return f"{self.name}:{line}:{col}"

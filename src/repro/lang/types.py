@@ -244,11 +244,6 @@ class Ty:
     def is_atomic(self) -> bool:
         return self.kind is TyKind.BUILTIN and self.name.startswith("Atomic")
 
-    @property
-    def is_send_sync_container(self) -> bool:
-        """Arc-like: shares ownership across threads."""
-        return self.kind is TyKind.BUILTIN and self.name == "Arc"
-
     def peel_refs(self) -> "Ty":
         """Strip all layers of & / &mut / raw pointers."""
         ty = self
@@ -327,10 +322,6 @@ class StructInfo:
             if f_name == name:
                 return i
         return None
-
-    @property
-    def implements_sync(self) -> bool:
-        return self.traits.get("Sync", False)
 
 
 @dataclass

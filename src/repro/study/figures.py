@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.study.dataset import ALL_BUGS, BugRecord
 from repro.study.taxonomy import Project
@@ -69,14 +69,6 @@ STABLE_SINCE = _d(2016, 1)
 def fig1_rust_history() -> List[RustRelease]:
     """Figure 1's two series, one row per release."""
     return list(RUST_RELEASES)
-
-
-def fig1_series() -> Tuple[List[datetime.date], List[int], List[int]]:
-    """Convenience: (dates, feature-change series, KLOC series)."""
-    dates = [r.date for r in RUST_RELEASES]
-    changes = [r.feature_changes for r in RUST_RELEASES]
-    kloc = [r.kloc for r in RUST_RELEASES]
-    return dates, changes, kloc
 
 
 def quarter_of(date: datetime.date) -> str:

@@ -17,10 +17,6 @@ class Project(enum.Enum):
     LIBRARIES = "libraries"
     CVE = "CVE/RustSec"
 
-    @property
-    def is_table1_row(self) -> bool:
-        return self is not Project.CVE
-
 
 #: Five studied applications in table order.
 TABLE1_PROJECTS = [Project.SERVO, Project.TOCK, Project.ETHEREUM,

@@ -101,6 +101,8 @@ class TestAnalysisSession:
         names = {entry["name"] for entry in catalog}
         assert {"use-after-free", "double-lock"} <= names
         assert all({"name", "description"} <= set(e) for e in catalog)
+        audit, = [e for e in catalog if e["name"] == "interior-unsafe-audit"]
+        assert audit["paper_section"] == "4.3"
 
 
 class TestReportCache:
@@ -206,7 +208,6 @@ class TestReportCache:
         from repro.analysis.executor import ReportCache
         for unwind in (True, False):
             knobs = (("interprocedural", True), ("detectors", None),
-                     ("seed", 0), ("emit_bounds_checks", True),
                      ("deadlock_cycle_bound", 4),
                      ("unwind_edges", unwind))
             h = hashlib.sha256()
@@ -227,8 +228,7 @@ class TestReportCache:
         # placed on one side or the other.
         from repro.analysis.executor import ReportCache
         execution = {"jobs": 2, "cache_dir": "elsewhere",
-                     "use_cache": False, "report_cache": False,
-                     "cache_limit": 7}
+                     "report_cache": False}
         base = AnalysisConfig()
         key = ReportCache.key("a.rs", UAF_SRC, base)
         for f in fields(AnalysisConfig):
@@ -266,8 +266,6 @@ class TestAnalysisConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             AnalysisConfig(jobs=0)
-        with pytest.raises(ValueError):
-            AnalysisConfig(cache_limit=-1)
         with pytest.raises(ValueError, match="not a string"):
             AnalysisConfig(detectors="use-after-free")
         with pytest.raises(ValueError, match="cache_dir"):
@@ -277,11 +275,28 @@ class TestAnalysisConfig:
         config = AnalysisConfig(detectors=["use-after-free"])
         assert config.detectors == ("use-after-free",)
 
-    def test_caching_enabled_needs_dir_and_flag(self, tmp_path):
-        assert not AnalysisConfig().caching_enabled
-        assert AnalysisConfig(cache_dir=str(tmp_path)).caching_enabled
-        assert not AnalysisConfig(cache_dir=str(tmp_path),
-                                  use_cache=False).caching_enabled
+    def test_every_field_is_read(self):
+        # A knob no pass reads changes nothing but the report key: every
+        # field must be read as ``<...>config.<field>`` somewhere in the
+        # package outside config.py.
+        import ast
+        import pathlib
+        import repro
+        root = pathlib.Path(repro.__file__).parent
+        read = set()
+        for path in root.rglob("*.py"):
+            if path == root / "analysis" / "config.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Load):
+                    owner = node.value
+                    if getattr(owner, "id", None) == "config" \
+                            or getattr(owner, "attr", None) == "config":
+                        read.add(node.attr)
+        unread = [f.name for f in fields(AnalysisConfig)
+                  if f.name not in read]
+        assert not unread
 
 
 class TestDeprecationShims:

@@ -1,12 +1,17 @@
 """Driver and CLI tests."""
 
+import os
+
 import pytest
 
-from repro import compile_source
+from repro import compile_source, obs
 from repro.api import AnalysisSession
 from repro.cli import main as cli_main
 from repro.detectors.use_after_free import UseAfterFreeDetector
 from repro.driver import CompiledProgram, compile_file
+
+EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "examples")
 
 
 UAF_SRC = """
@@ -124,6 +129,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "double-lock" in out and "use-after-free" in out
+
+    def test_no_cache_flag_disables_cache(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        with obs.collecting() as col:
+            code = cli_main(["check", "--cache-dir", str(cache),
+                             "--no-cache", self._write(tmp_path, UAF_SRC)])
+        assert code == 1
+        assert not cache.exists()
+        assert not [name for name in col.counters if name.startswith(
+            ("analysis.cache.", "analysis.report_cache."))]
+
+    def test_note_rows_alone_exit_zero(self, capsys):
+        # The audit's rows are NOTEs: they are printed, but only an
+        # error or warning finding fails the run.
+        path = os.path.join(EXAMPLES, "figure7_uaf.rs")
+        code = cli_main(["check", "--detector", "interior-unsafe-audit",
+                         path])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "note: interior-unsafe fn" in out
+        assert cli_main(["check", path]) == 1
+        assert cli_main(["explain", "--detector", "interior-unsafe-audit",
+                         path]) == 0
 
 
 class TestCliExtensions:

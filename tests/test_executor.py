@@ -360,13 +360,6 @@ fn wraps(p: *const i32) -> *const i32 { gives(p) }
         assert col.counters["analysis.cache.stale"] == 1
         assert not os.path.exists(path)
 
-    def test_no_cache_flag_disables_cache(self, tmp_path):
-        config = AnalysisConfig(cache_dir=str(tmp_path), use_cache=False)
-        with obs.collecting() as col:
-            analyze(EDIT_BASE, name="edit.rs", config=config)
-        assert "analysis.cache.miss" not in col.counters
-        assert not list(tmp_path.iterdir())
-
     def test_v2_entry_files_are_never_read(self, tmp_path):
         # The one-file-per-component layout that preceded the shards:
         # a directory holding only such files solves cold, leaves them

@@ -204,7 +204,7 @@ class TestUnsafeDetectors:
         code = cli_main(["check", "--detector", "interior-unsafe-audit",
                          str(path)])
         out = capsys.readouterr().out
-        assert code == 1
+        assert code == 0            # audit rows are notes, not bugs
         assert "[interior-unsafe-audit] note: interior-unsafe fn " \
             "`Table::get_raw`: unchecked" in out
 
