@@ -28,8 +28,7 @@ def corpus():
 
 @pytest.mark.benchmark(group="double-lock-ablation")
 def test_double_lock_interprocedural(benchmark, corpus):
-    result = benchmark(evaluate_detectors, corpus,
-                       [DoubleLockDetector(interprocedural=True)])
+    result = benchmark(evaluate_detectors, corpus, [DoubleLockDetector()])
     score = result.scores["double-lock"]
     emit("double-lock, inter-procedural",
          f"found {score.found}/{score.injected}")
@@ -38,8 +37,8 @@ def test_double_lock_interprocedural(benchmark, corpus):
 
 @pytest.mark.benchmark(group="double-lock-ablation")
 def test_double_lock_intraprocedural_only(benchmark, corpus):
-    result = benchmark(evaluate_detectors, corpus,
-                       [DoubleLockDetector(interprocedural=False)])
+    result = benchmark(evaluate_detectors, corpus, [DoubleLockDetector()],
+                       config=AnalysisConfig(interprocedural=False))
     score = result.scores["double-lock"]
     emit("double-lock, intra-procedural only",
          f"found {score.found}/{score.injected} "

@@ -4,7 +4,8 @@ These are the building blocks the paper's detectors are assembled from:
 
 * :mod:`repro.analysis.dataflow` — the one forward gen/kill solver over
   int bitsets: masks built once per body, block-entry states from a
-  union worklist, per-point states replayed on demand;
+  union worklist, per-point states replayed on demand (init, storage
+  liveness, and the use-after-free detector's freed state run on it);
 * :mod:`repro.analysis.init` — forward maybe-initialised / moved-out state
   per local (the "state of each variable (alive or dead)" tracking of §7.1),
   solved once per body with unwind lowering's landing pads patched in;

@@ -20,7 +20,7 @@ Both rules read the shared per-body facts: the init solution
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.init import init_of

@@ -1,9 +1,10 @@
 """Forward gen/kill dataflow over int bitsets.
 
 The per-body analyses (maybe-init/moved in :mod:`repro.analysis.init`,
-storage liveness in :mod:`repro.analysis.lifetime`) are may-analyses
-whose transfer functions have the gen/kill shape ``out = (in & ~kill) |
-gen``.  This module is their one solver, after rustc's
+storage liveness in :mod:`repro.analysis.lifetime`, the use-after-free
+detector's freed state in :mod:`repro.detectors.use_after_free`) are
+may-analyses whose transfer functions have the gen/kill shape ``out =
+(in & ~kill) | gen``.  This module is their one solver, after rustc's
 ``rustc_mir_dataflow`` (``BitSet`` + ``GenKill``):
 
 * a state is a Python ``int`` used as a bitset, one bit per fact;
@@ -76,7 +77,8 @@ class Solution:
 
     def before(self, bb: int, index: int) -> int:
         """The state before statement ``index`` of ``bb`` (``index ==
-        len(statements)``: before the terminator); empty if unreached."""
+        len(statements)``: before the terminator), replayed from an empty
+        entry if ``bb`` is unreached."""
         masks = self.masks
         start = masks.offsets[bb]
         stop = start + 2 * index
@@ -89,7 +91,8 @@ class Solution:
         return state
 
     def before_terminator(self, bb: int) -> int:
-        """The state before ``bb``'s terminator (empty if unreached)."""
+        """The state before ``bb``'s terminator (from an empty entry if
+        unreached)."""
         head = self.masks.head
         return ((self.entry[bb] or 0) & ~head[2 * bb + 1]) | head[2 * bb]
 
@@ -106,7 +109,8 @@ class Solution:
         return states
 
     def exit(self, bb: int) -> int:
-        """The state after ``bb``'s terminator (empty if unreached)."""
+        """The state after ``bb``'s terminator (from an empty entry if
+        unreached)."""
         block = self.masks.block
         return ((self.entry[bb] or 0) & ~block[2 * bb + 1]) | block[2 * bb]
 

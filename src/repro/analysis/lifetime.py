@@ -29,9 +29,7 @@ from repro.analysis.scan import LOCK_ACQUIRE_OPS, cfg_of, scan_of
 from repro.hir.builtins import BuiltinOp, FuncKind
 from repro.lang.source import Span
 from repro.mir.cfg import Cfg
-from repro.mir.nodes import (
-    Body, Operand, Place, RvalueKind, StatementKind, TerminatorKind,
-)
+from repro.mir.nodes import Body, RvalueKind, StatementKind, TerminatorKind
 
 Point = Tuple[int, int]
 

@@ -36,7 +36,7 @@ CFG and patches its pads in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.analysis.init import InitStates, init_of
 from repro.analysis.scan import (

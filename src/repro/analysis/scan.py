@@ -21,7 +21,9 @@ CFG edges):
   by callee kind (:meth:`calls_of_kind`);
 * ``deref_places`` — every dereferenced place of an assignment, with
   ``Place.has_deref`` evaluated once, and the summariser's
-  ``deref_sites`` built from them;
+  ``deref_sites`` built from them; ``rvalue_place_derefs`` — every
+  dereferenced ``Rvalue.place`` (a borrow, address-of, length or
+  discriminant taken through a pointer);
 * ``pt_skeleton`` — the return-summary-independent points-to
   constraints (:class:`PtSkeleton`);
 * ``facts`` — the summary engine's per-body inventory
@@ -234,6 +236,7 @@ class BodyScan:
         "ref_map",           # local -> base of its last `= &base` assignment
         "drop_locals",       # locals with an explicit DROP statement
         "deref_places",      # (block, index, stmt, place, is_write)
+        "rvalue_place_derefs",  # (block, index, stmt, place)
         "deref_sites",       # (point, base, projection, is_write, span)
         "pt_skeleton",       # PtSkeleton
         "facts",             # BodyFacts
@@ -266,6 +269,7 @@ class BodyScan:
         ref_map: Dict[int, int] = {}
         drop_locals: List[int] = []
         deref_places: List[Tuple] = []
+        rvalue_place_derefs: List[Tuple] = []
         unsafe_sites = 0
         # Points-to constraints: statement halves then terminator halves,
         # so each list keeps the order of the two passes it replaces.
@@ -327,6 +331,11 @@ class BodyScan:
                                     (bb, i, stmt, op_place, False))
                                 if j == 0:
                                     first_deref = True
+                        rv_place = rv.place
+                        if rv_place is not None and rv_place.projection \
+                                and rv_place.has_deref:
+                            rvalue_place_derefs.append(
+                                (bb, i, stmt, rv_place))
                     if is_local:
                         local = place.local
                         if local not in first_assigns:
@@ -484,6 +493,7 @@ class BodyScan:
         self.ref_map = ref_map
         self.drop_locals = tuple(drop_locals)
         self.deref_places = tuple(deref_places)
+        self.rvalue_place_derefs = tuple(rvalue_place_derefs)
         self.raw_ptr_locals = _freeze(
             [local.index for local in locals_ if local.ty.is_raw_ptr])
         self.null_seeded = _freeze(null_seeded)

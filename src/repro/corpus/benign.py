@@ -10,7 +10,7 @@ the detector evaluation.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 
 def _safe_counter(u: str) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.corpus.benign import BENIGN_TEMPLATES, CHANNEL_BENIGN
-from repro.corpus.inject import BUG_TEMPLATES, BugTemplate, InjectedBug
+from repro.corpus.inject import BUG_TEMPLATES, InjectedBug
 
 
 @dataclass

@@ -40,8 +40,8 @@ uninit_pub_exposure          §5.3 uninit bytes escape pub API  uninit-exposure
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from dataclasses import dataclass
+from typing import Callable, Dict
 
 from repro.study.taxonomy import BugKind
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Set
 
-from repro.analysis.lifetime import lock_identity, resolve_ref_chain
+from repro.analysis.lifetime import lock_identity
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.report import Finding, Severity
 from repro.hir.builtins import BuiltinOp

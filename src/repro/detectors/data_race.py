@@ -47,9 +47,7 @@ from repro import obs
 from repro.analysis.escape import SpawnSite, translate_capture
 from repro.analysis.lifetime import caller_lock_ids, lock_identity
 from repro.analysis.scan import scan_of
-from repro.analysis.summaries import (
-    deref_access_sites, opaque_lock, translate_access_loc,
-)
+from repro.analysis.summaries import deref_access_sites, opaque_lock
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.report import Finding, Severity
 from repro.hir.builtins import BuiltinOp, FuncKind

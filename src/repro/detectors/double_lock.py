@@ -26,9 +26,9 @@ from repro.analysis.lifetime import (
 )
 from repro.analysis.scan import scan_of
 from repro.detectors.base import AnalysisContext, Detector
-from repro.detectors.report import Finding, Severity
+from repro.detectors.report import Finding
 from repro.obs.provenance import fact
-from repro.hir.builtins import BuiltinOp, FuncKind
+from repro.hir.builtins import FuncKind
 from repro.mir.nodes import Body
 
 
@@ -45,9 +45,6 @@ class DoubleLockDetector(Detector):
     description = ("Re-acquisition of a lock while its guard is still "
                    "alive (Rust's implicit unlock has not run yet)")
     paper_section = "7.2"
-
-    def __init__(self, interprocedural: bool = True) -> None:
-        self.interprocedural = interprocedural
 
     def check_body(self, ctx: AnalysisContext, body: Body) -> List[Finding]:
         regions = ctx.guard_regions(body)
@@ -114,9 +111,9 @@ class DoubleLockDetector(Detector):
                               "interprocedural": False},
                     provenance=provenance))
             # Inter-procedural: a call inside the region to a function that
-            # (transitively) locks the same lock.
-            if not self.interprocedural:
-                continue
+            # (transitively) locks the same lock (none under the
+            # ``interprocedural=False`` ablation, whose summaries hold no
+            # lock).
             findings.extend(self._check_calls_in_region(
                 ctx, body, pt, region, user_calls))
         return findings

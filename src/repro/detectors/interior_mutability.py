@@ -16,7 +16,7 @@ Two patterns from the paper:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.analysis.lifetime import resolve_ref_chain
 from repro.analysis.scan import cfg_of, scan_of

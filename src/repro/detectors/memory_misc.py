@@ -16,7 +16,7 @@ by analyzing object lifetime and ownership relationships":
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
 from repro.analysis.lifetime import resolve_ref_chain
 from repro.analysis.scan import cfg_of, scan_of
@@ -137,8 +137,9 @@ class InvalidFreeDetector(Detector):
             return []
         findings: List[Finding] = []
         pt = ctx.points_to(body)
-        written = self._sites_written_before(body, scan, pt, uninit_sites)
-        for bb, i, stmt, _place, is_write in scan.deref_places:
+        cfg = cfg_of(body)
+        write_blocks = self._write_blocks(scan, pt, uninit_sites)
+        for bb, _i, stmt, _place, is_write in scan.deref_places:
             if not is_write:
                 continue
             base_ty = body.local_ty(stmt.place.local)
@@ -149,7 +150,8 @@ class InvalidFreeDetector(Detector):
                 continue
             for target in pt.targets(stmt.place.local):
                 if target[0] == "heap" and target[1] in uninit_sites \
-                        and (bb, i) not in written.get(target[1], set()):
+                        and not any(wb != bb and cfg.dominates(wb, bb)
+                                    for wb in write_blocks[target[1]]):
                     ptr_name = body.locals[stmt.place.local].name or \
                         f"_{stmt.place.local}"
                     findings.append(Finding(
@@ -164,14 +166,11 @@ class InvalidFreeDetector(Detector):
                     break
         return findings
 
-    def _sites_written_before(self, body: Body, scan, pt,
-                              sites: Set[str]) -> Dict:
-        """For each site: the set of points at which it has definitely been
-        written (a ptr::write dominates).  Approximation: once a
-        ``ptr::write``/copy targets the site, every point in blocks
-        dominated by the write block counts as written."""
-        cfg = cfg_of(body)
-        written: Dict[str, Set[Tuple[int, int]]] = {s: set() for s in sites}
+    @staticmethod
+    def _write_blocks(scan, pt, sites: Set[str]) -> Dict[str, List[int]]:
+        """For each site: the blocks of the ``ptr::write``/copy calls that
+        target it.  A site counts as written at a point when one of those
+        blocks strictly dominates the point's block."""
         write_blocks: Dict[str, List[int]] = {s: [] for s in sites}
         for bb, term in scan.calls_of(*_WRITE_OPS):
             for arg in term.args[:1]:
@@ -180,13 +179,7 @@ class InvalidFreeDetector(Detector):
                 for target in pt.targets(arg.place.local):
                     if target[0] == "heap" and target[1] in sites:
                         write_blocks[target[1]].append(bb)
-        for site, blocks in write_blocks.items():
-            for wb in blocks:
-                for block in body.blocks:
-                    if cfg.dominates(wb, block.index) and block.index != wb:
-                        for i in range(len(block.statements) + 1):
-                            written[site].add((block.index, i))
-        return written
+        return write_blocks
 
 
 class UninitReadDetector(Detector):

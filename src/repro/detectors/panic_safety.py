@@ -35,7 +35,7 @@ from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.memory_misc import (
     _RAW_ALLOC_OPS, _WRITE_OPS, _written_sites,
 )
-from repro.detectors.report import Finding, Severity
+from repro.detectors.report import Finding
 from repro.hir.builtins import BuiltinOp, FuncKind
 from repro.mir.nodes import (
     Body, StatementKind, Terminator, TerminatorKind,

@@ -21,17 +21,16 @@ are reported too — that is exactly the Figure 7 ``CMS_sign(p)`` shape.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Dict, List, NamedTuple, Tuple
 
-from repro.analysis.scan import scan_of
+from repro.analysis.dataflow import GenKill, Mask, Solution, solve
+from repro.analysis.scan import cfg_of, scan_of
 from repro.analysis.summaries import value_chain
 from repro.detectors.base import AnalysisContext, Detector
-from repro.detectors.report import Finding, Severity
+from repro.detectors.report import Finding
 from repro.hir.builtins import BuiltinOp, FuncKind
-from repro.mir.nodes import (
-    Body, Operand, Place, RvalueKind, StatementKind, TerminatorKind,
-)
+from repro.mir.nodes import Body, StatementKind
 
 __all__ = ["UseAfterFreeDetector", "DanglingReturnDetector", "value_chain"]
 
@@ -45,6 +44,33 @@ _PTR_USE_OPS = {BuiltinOp.PTR_READ, BuiltinOp.PTR_WRITE, BuiltinOp.PTR_COPY,
                 BuiltinOp.PTR_COPY_NONOVERLAPPING}
 
 
+class FreedStates(NamedTuple):
+    """The may-freed solution of one body.
+
+    Bit ``l`` is ``("dropped", l)``, local ``l`` was dropped; bit
+    ``heap_bits[site]`` is ``("heap", site)``, the allocation made at
+    ``site`` was freed.  ``drop_reasons`` maps a fact to the ``(callee,
+    arg position)`` whose summary frees it, for frees that happen inside
+    a callee."""
+
+    solution: Solution
+    heap_bits: Dict[str, int]
+    drop_reasons: Dict[Tuple, Tuple[str, int]]
+
+    def before(self, bb: int, index: int) -> int:
+        """The state before statement ``index`` of ``bb`` (empty if the
+        block is unreachable)."""
+        if not self.solution.reached(bb):
+            return 0
+        return self.solution.before(bb, index)
+
+    def holds(self, state: int, fact: Tuple) -> bool:
+        """Does ``state`` hold ``("dropped", l)`` or ``("heap", site)``?"""
+        bit = fact[1] if fact[0] == "dropped" \
+            else self.heap_bits.get(fact[1])
+        return bit is not None and bool(state >> bit & 1)
+
+
 class UseAfterFreeDetector(Detector):
     name = "use-after-free"
     description = ("Deref or escape of a raw pointer whose pointee's "
@@ -56,197 +82,160 @@ class UseAfterFreeDetector(Detector):
         # body without one holds nothing to check (DESIGN.md §9,
         # "One walk per body").
         scan = scan_of(body)
-        if not scan.raw_ptr_locals:
+        raw = scan.raw_ptr_locals
+        if not raw:
             return []
-        findings: List[Finding] = []
         pt = ctx.points_to(body)
         ranges = ctx.storage_ranges(body)
-        init = ctx.init_states(body)
+        freed = self.freed_states(ctx, body, pt)
 
-        # Heap allocation sites and their owner chains.
-        site_chains: Dict[str, Set[int]] = {}
-        for bb, term in scan.calls_of(*_ALLOC_OPS):
-            if term.destination is not None \
-                    and term.destination.is_local:
-                site = f"{body.key}:{bb}"
-                site_chains[site] = value_chain(body, term.destination.local)
-
-        freed, drop_reasons = self._compute_freed(
-            ctx, body, pt, site_chains, init)
-
-        # Scan every deref / pointer-escaping use.
-        for block in body.blocks:
-            bb = block.index
-            for i, stmt in enumerate(block.statements):
-                point = (bb, i)
-                state = freed.get(point, frozenset())
-                if stmt.kind is StatementKind.ASSIGN and stmt.rvalue is not None:
-                    for place in self._rvalue_deref_places(body, stmt.rvalue):
-                        findings.extend(self._check_deref(
-                            ctx, body, pt, ranges, state, place, point,
-                            stmt.span, drop_reasons))
-                    if stmt.place.has_deref:
-                        findings.extend(self._check_deref(
-                            ctx, body, pt, ranges, state, stmt.place, point,
-                            stmt.span, drop_reasons))
-            term = block.terminator
-            if term is None or term.kind is not TerminatorKind.CALL:
-                continue
-            point = (bb, len(block.statements))
-            state = freed.get(point, frozenset())
+        # Every deref / pointer-escaping use of a raw pointer, as
+        # ``(point, rank, pointer, span, reason)``.  Within a statement
+        # the operands come first, then the rvalue's own place, then the
+        # destination; a block's terminator follows its statements.
+        uses = []
+        for bb, i, stmt, place, is_write in scan.deref_places:
+            if place.local in raw:
+                uses.append(((bb, i), 2 if is_write else 0, place.local,
+                             stmt.span, "dereferenced"))
+        for bb, i, stmt, place in scan.rvalue_place_derefs:
+            if place.local in raw:
+                uses.append(((bb, i), 1, place.local, stmt.span,
+                             "dereferenced"))
+        for bb, term in scan.calls:
+            point = (bb, len(body.blocks[bb].statements))
             func = term.func
+            is_ptr_use = func.builtin_op in _PTR_USE_OPS
+            escapes = func.kind in (FuncKind.USER, FuncKind.UNKNOWN) \
+                or func.builtin_op is BuiltinOp.FFI
             for arg in term.args:
-                if arg.place is None:
+                place = arg.place
+                if place is None or place.local not in raw:
                     continue
-                base_ty = body.local_ty(arg.place.local)
-                if arg.place.has_deref:
-                    findings.extend(self._check_deref(
-                        ctx, body, pt, ranges, state, arg.place, point,
-                        term.span, drop_reasons))
-                    continue
-                if not base_ty.is_raw_ptr:
-                    continue
-                is_ptr_use = func is not None and \
-                    func.builtin_op in _PTR_USE_OPS
-                escapes = func is not None and (
-                    func.kind in (FuncKind.USER, FuncKind.UNKNOWN)
-                    or func.builtin_op is BuiltinOp.FFI)
-                if is_ptr_use or escapes:
-                    findings.extend(self._check_pointer(
-                        ctx, body, pt, ranges, state, arg.place.local, point,
-                        term.span,
-                        reason="dereferenced" if is_ptr_use else
-                        f"passed to `{func.name}`",
-                        drop_reasons=drop_reasons))
+                if place.has_deref:
+                    uses.append((point, 0, place.local, term.span,
+                                 "dereferenced"))
+                elif is_ptr_use or escapes:
+                    uses.append((point, 0, place.local, term.span,
+                                 "dereferenced" if is_ptr_use else
+                                 f"passed to `{func.name}`"))
+        uses.sort(key=itemgetter(0, 1))
+
+        findings: List[Finding] = []
+        for point, _rank, pointer, span, reason in uses:
+            findings.extend(self._check_pointer(
+                ctx, body, pt, ranges, freed, freed.before(*point), pointer,
+                point, span, reason))
         return findings
 
     # -- freed-state dataflow ------------------------------------------------
 
-    def _compute_freed(self, ctx, body: Body, pt, site_chains, init):
-        """Forward may-freed facts per program point.
+    def freed_states(self, ctx: AnalysisContext, body: Body,
+                     pt) -> FreedStates:
+        """Forward may-freed facts, solved on :mod:`repro.analysis.dataflow`.
 
-        Facts: ``("heap", site)`` and ``("dropped", local)``.  Returns
-        ``(point_states, drop_reasons)`` where ``drop_reasons`` maps a
-        fact to the ``(callee, arg position)`` whose summary freed it —
-        present only for frees that happen inside a callee.
-        """
-        drop_reasons: Dict[Tuple, Tuple[str, int]] = {}
-        chain_of: Dict[int, List[str]] = {}
-        for site, chain in site_chains.items():
-            for local in chain:
-                chain_of.setdefault(local, []).append(site)
+        Transfers: a ``DROP`` of a local that is not definitely moved out
+        frees it and every allocation it owns (its value chain); an
+        assignment to a local un-drops it; ``mem::drop`` frees its
+        arguments likewise, ``dealloc`` the allocations its arguments
+        point to, and a user or closure call each moved argument its
+        callee's summary drops; a call's destination is un-dropped after
+        the call.  Landing pads hold only ``DROP`` statements and end in
+        ``RESUME``, so no state flows out of one and none is queried in
+        one: they get no-op masks.
 
-        entry: Dict[int, Set] = {0: set()}
-        point_states: Dict[Tuple[int, int], FrozenSet] = {}
-        worklist = deque([0])
-        visited: Dict[int, Set] = {}
+        ``drop_reasons`` records, per fact, the first call site in block
+        order (argument order within a call) that frees it inside a
+        callee, among the blocks reachable from the entry."""
+        scan = scan_of(body)
+        init = ctx.init_states(body)
+        n = len(body.locals)
 
-        while worklist:
-            bb = worklist.popleft()
-            state = set(entry.get(bb, set()))
-            prev = visited.get(bb)
-            if prev is not None and state <= prev:
-                continue
-            visited[bb] = set(state) | (prev or set())
-            block = body.blocks[bb]
-            init_states = None
-            if init.reached(bb):
-                init_states = init.states_in_block(bb)
-            for i, stmt in enumerate(block.statements):
-                point_states[(bb, i)] = frozenset(
-                    point_states.get((bb, i), frozenset()) | state)
-                if stmt.kind is StatementKind.DROP and stmt.place.is_local:
-                    local = stmt.place.local
-                    definitely_moved = False
-                    if init_states is not None:
-                        definitely_moved = init.moved_out(init_states[i],
-                                                          local)
-                    if not definitely_moved:
-                        state.add(("dropped", local))
-                        for site in chain_of.get(local, []):
-                            state.add(("heap", site))
-                elif stmt.kind is StatementKind.ASSIGN and stmt.place.is_local:
-                    state.discard(("dropped", stmt.place.local))
-            term = block.terminator
-            term_point = (bb, len(block.statements))
-            point_states[term_point] = frozenset(
-                point_states.get(term_point, frozenset()) | state)
-            if term is not None and term.kind is TerminatorKind.CALL \
-                    and term.func is not None:
-                op = term.func.builtin_op
-                if op is BuiltinOp.MEM_DROP:
-                    for arg in term.args:
-                        if arg.place is not None and arg.place.is_local:
-                            local = arg.place.local
-                            state.add(("dropped", local))
-                            for site in chain_of.get(local, []):
-                                state.add(("heap", site))
-                elif op is BuiltinOp.DEALLOC:
-                    for arg in term.args:
-                        if arg.place is None:
-                            continue
-                        for target in pt.targets(arg.place.local):
-                            if target[0] == "heap":
-                                state.add(("heap", target[1]))
-                elif op is BuiltinOp.MEM_FORGET:
-                    # forget suppresses the drop: un-free nothing, but the
-                    # owner no longer frees at scope end — nothing to do in
-                    # a may-analysis.
-                    pass
-                elif term.func.kind in (FuncKind.USER, FuncKind.CLOSURE) \
-                        and op is not BuiltinOp.THREAD_SPAWN:
-                    # The callee's summary says it drops an argument we
-                    # moved into it: the value is freed when it returns.
-                    callee = term.func.user_fn
-                    summary = ctx.summary(callee)
-                    for j, arg in enumerate(term.args):
-                        if arg.place is None or not arg.place.is_local \
-                                or not arg.is_move \
-                                or not summary.drops_arg(j):
-                            continue
+        # One bit per heap id: allocation sites, then dealloc-ed pointees.
+        heap_bits: Dict[str, int] = {}
+        owned: Dict[int, int] = {}      # local -> bits of the sites it owns
+        for bb, term in scan.calls_of(*_ALLOC_OPS):
+            if term.destination is not None and term.destination.is_local:
+                site = f"{body.key}:{bb}"
+                bit = 1 << heap_bits.setdefault(site, n + len(heap_bits))
+                for local in value_chain(body, term.destination.local):
+                    owned[local] = owned.get(local, 0) | bit
+
+        pairs: Dict[int, List[int]] = {}
+        row_bb, row = -1, None
+        for bb, i, stmt in scan.statements:
+            gen = kill = 0
+            if stmt.kind is StatementKind.DROP and stmt.place.is_local:
+                local = stmt.place.local
+                if bb != row_bb:
+                    row_bb = bb
+                    row = init.states_in_block(bb) if init.reached(bb) \
+                        else None
+                if row is None or not init.moved_out(row[i], local):
+                    gen = 1 << local | owned.get(local, 0)
+            elif stmt.kind is StatementKind.ASSIGN and stmt.place.is_local:
+                kill = 1 << stmt.place.local
+            block_pairs = pairs.get(bb)
+            if block_pairs is None:
+                block_pairs = pairs[bb] = []
+            block_pairs += (gen, kill)
+
+        terminators: Dict[int, Mask] = {}
+        reasons: List[Tuple] = []
+        for bb, term in scan.calls:
+            func = term.func
+            op = func.builtin_op
+            gen = kill = 0
+            if op is BuiltinOp.MEM_DROP:
+                for arg in term.args:
+                    if arg.place is not None and arg.place.is_local:
                         local = arg.place.local
-                        state.add(("dropped", local))
-                        drop_reasons[("dropped", local)] = (callee, j)
-                        for site in chain_of.get(local, []):
-                            state.add(("heap", site))
-                            drop_reasons[("heap", site)] = (callee, j)
-                if term.destination is not None and term.destination.is_local:
-                    state.discard(("dropped", term.destination.local))
-            if term is not None:
-                for succ in term.successors():
-                    prev_in = entry.get(succ)
-                    if prev_in is None:
-                        entry[succ] = set(state)
-                        worklist.append(succ)
-                    elif not state <= prev_in:
-                        prev_in |= state
-                        worklist.append(succ)
-        return point_states, drop_reasons
+                        gen |= 1 << local | owned.get(local, 0)
+            elif op is BuiltinOp.DEALLOC:
+                for arg in term.args:
+                    if arg.place is None:
+                        continue
+                    for target in pt.targets(arg.place.local):
+                        if target[0] == "heap":
+                            gen |= 1 << heap_bits.setdefault(
+                                target[1], n + len(heap_bits))
+            elif func.kind in (FuncKind.USER, FuncKind.CLOSURE) \
+                    and op is not BuiltinOp.THREAD_SPAWN:
+                # The callee's summary says it drops an argument we moved
+                # into it: the value is freed when it returns.
+                callee = func.user_fn
+                summary = ctx.summary(callee)
+                for j, arg in enumerate(term.args):
+                    if arg.place is None or not arg.place.is_local \
+                            or not arg.is_move or not summary.drops_arg(j):
+                        continue
+                    local = arg.place.local
+                    gen |= 1 << local | owned.get(local, 0)
+                    reasons.append((bb, ("dropped", local), (callee, j)))
+                    for site, bit in heap_bits.items():
+                        if owned.get(local, 0) >> bit & 1:
+                            reasons.append((bb, ("heap", site), (callee, j)))
+            if term.destination is not None and term.destination.is_local:
+                kill = 1 << term.destination.local
+            if gen or kill:
+                terminators[bb] = (gen & ~kill, kill)
+
+        cfg = cfg_of(body)
+        masks = GenKill()
+        for bb in range(cfg.num_blocks):
+            masks.add_block(pairs.get(bb, ()), terminators.get(bb, (0, 0)))
+        solution = solve(cfg, masks, 0)
+        drop_reasons: Dict[Tuple, Tuple[str, int]] = {}
+        for bb, fact, reason in reasons:
+            if solution.reached(bb):
+                drop_reasons.setdefault(fact, reason)
+        return FreedStates(solution, heap_bits, drop_reasons)
 
     # -- deref checks -----------------------------------------------------------
 
-    def _rvalue_deref_places(self, body: Body, rvalue) -> List[Place]:
-        places = []
-        for op in rvalue.operands:
-            if op.place is not None and op.place.has_deref:
-                places.append(op.place)
-        if rvalue.place is not None and rvalue.place.has_deref:
-            places.append(rvalue.place)
-        return places
-
-    def _check_deref(self, ctx, body, pt, ranges, freed_state, place: Place,
-                     point, span, drop_reasons=None) -> List[Finding]:
-        base_ty = body.local_ty(place.local)
-        if not base_ty.is_raw_ptr:
-            return []
-        return self._check_pointer(ctx, body, pt, ranges, freed_state,
-                                   place.local, point, span,
-                                   reason="dereferenced",
-                                   drop_reasons=drop_reasons)
-
-    def _check_pointer(self, ctx, body, pt, ranges, freed_state,
-                       pointer: int, point, span, reason: str,
-                       drop_reasons=None) -> List[Finding]:
+    def _check_pointer(self, ctx, body, pt, ranges, freed: FreedStates,
+                       state: int, pointer: int, point, span,
+                       reason: str) -> List[Finding]:
         from repro.obs.provenance import fact
         findings: List[Finding] = []
         pointer_name = body.locals[pointer].name or f"_{pointer}"
@@ -254,7 +243,7 @@ class UseAfterFreeDetector(Detector):
         def chain_fact(freed_fact):
             """A summary-chain provenance fact when the free happened
             inside a callee (appended after the core facts)."""
-            hop = (drop_reasons or {}).get(freed_fact)
+            hop = freed.drop_reasons.get(freed_fact)
             if hop is None:
                 return None
             callee, position = hop
@@ -298,7 +287,7 @@ class UseAfterFreeDetector(Detector):
                                  f"StorageDead precedes this point",
                                  local=target_name, point=point),
                             use_fact()]))
-                elif ("dropped", local) in freed_state:
+                elif freed.holds(state, ("dropped", local)):
                     target_name = body.locals[local].name or f"_{local}"
                     provenance = [
                         edge,
@@ -319,7 +308,7 @@ class UseAfterFreeDetector(Detector):
                                   "mode": "dropped"},
                         provenance=provenance))
             elif target[0] == "heap":
-                if ("heap", target[1]) in freed_state:
+                if freed.holds(state, ("heap", target[1])):
                     provenance = [
                         edge,
                         fact("freed-state",

@@ -11,9 +11,8 @@ or, for an already compiled program, ``AnalysisSession.analyze_compiled``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from repro import obs
-from repro.lang.diagnostics import DiagnosticSink
 from repro.lang.lexer import Lexer
 from repro.lang.parser import Parser
 from repro.lang.source import SourceFile
@@ -29,7 +28,6 @@ class CompiledProgram:
     source: SourceFile
     crate: object
     program: Program
-    diagnostics: DiagnosticSink = field(default_factory=DiagnosticSink)
 
     @property
     def functions(self):
@@ -54,15 +52,13 @@ def compile_source(text: str, name: str = "<input>",
         obs.count("compile.tokens", len(tokens))
         with obs.span("parse"):
             crate = Parser(source, tokens=tokens).parse_crate(name=name)
-        sink = DiagnosticSink(source)
         with obs.span("hir-table"):
-            table = build_item_table(crate, sink)
+            table = build_item_table(crate)
         with obs.span("mir-lower"):
             program = ProgramBuilder(
                 table, source, emit_bounds_checks=emit_bounds_checks).build()
         obs.count("compile.functions", len(program.functions))
-    return CompiledProgram(source=source, crate=crate, program=program,
-                           diagnostics=sink)
+    return CompiledProgram(source=source, crate=crate, program=program)
 
 
 def compile_file(path: str) -> CompiledProgram:

@@ -16,10 +16,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.lang.types import (
-    BOOL, BUILTIN_GENERICS, BUILTIN_UNITS, INT_TYPES, UNIT, UNKNOWN, USIZE,
-    Ty, TyKind,
-)
+from repro.lang.types import BOOL, UNIT, UNKNOWN, USIZE, Ty, TyKind
 
 
 class BuiltinOp(enum.Enum):

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.lang import ast_nodes as ast
-from repro.lang.diagnostics import DiagnosticSink
 from repro.lang.source import Span
 from repro.lang.types import (
     BUILTIN_GENERICS, BUILTIN_UNITS, INT_TYPES, UNKNOWN, EnumInfo,
@@ -63,7 +62,6 @@ class ItemTable:
     traits: Dict[str, ast.TraitDef] = field(default_factory=dict)
     unsafe_traits: List[str] = field(default_factory=list)
     unsafe_impls: List[Tuple[str, str]] = field(default_factory=list)  # (trait, type)
-    diagnostics: DiagnosticSink = field(default_factory=DiagnosticSink)
 
     # -- queries ------------------------------------------------------------
 
@@ -146,11 +144,9 @@ class ItemTable:
         return Ty.adt(name, args)
 
 
-def build_item_table(crate: ast.Crate,
-                     sink: Optional[DiagnosticSink] = None) -> ItemTable:
+def build_item_table(crate: ast.Crate) -> ItemTable:
     """Resolve ``crate`` into an :class:`ItemTable` (two passes)."""
-    table = ItemTable(crate_name=crate.name,
-                      diagnostics=sink or DiagnosticSink())
+    table = ItemTable(crate_name=crate.name)
 
     # Pass 1: collect type names so that type lowering can classify ADTs.
     for item in crate.walk_items():

@@ -1,7 +1,7 @@
-"""Diagnostics: errors and warnings emitted by every compiler stage.
+"""Diagnostics: the rustc-style messages of the compiler stages.
 
-The front-end collects :class:`Diagnostic` values into a
-:class:`DiagnosticSink`; hard failures raise :class:`CompileError`.
+A stage that cannot proceed raises :class:`CompileError`, which carries
+one rendered :class:`Diagnostic`.
 """
 
 from __future__ import annotations
@@ -60,34 +60,3 @@ class CompileError(Exception):
     @property
     def message(self) -> str:
         return self.diagnostic.message
-
-
-class DiagnosticSink:
-    """Accumulates diagnostics across compilation stages."""
-
-    def __init__(self, source: Optional[SourceFile] = None) -> None:
-        self.source = source
-        self.diagnostics: List[Diagnostic] = []
-
-    def error(self, message: str, span: Span = Span.DUMMY, **kw) -> Diagnostic:
-        return self._emit(DiagnosticLevel.ERROR, message, span, **kw)
-
-    def warning(self, message: str, span: Span = Span.DUMMY, **kw) -> Diagnostic:
-        return self._emit(DiagnosticLevel.WARNING, message, span, **kw)
-
-    def note(self, message: str, span: Span = Span.DUMMY, **kw) -> Diagnostic:
-        return self._emit(DiagnosticLevel.NOTE, message, span, **kw)
-
-    def _emit(self, level: DiagnosticLevel, message: str, span: Span,
-              notes: Optional[List[str]] = None) -> Diagnostic:
-        diag = Diagnostic(level, message, span, list(notes or []))
-        self.diagnostics.append(diag)
-        return diag
-
-    @property
-    def errors(self) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.level is DiagnosticLevel.ERROR]
-
-    @property
-    def warnings(self) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.level is DiagnosticLevel.WARNING]

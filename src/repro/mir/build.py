@@ -29,20 +29,17 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.hir.builtins import (
-    MACRO_OPS, BuiltinOp, FuncKind, FuncRef, resolve_builtin_call,
-    resolve_method,
+    MACRO_OPS, BuiltinOp, FuncRef, resolve_builtin_call, resolve_method,
 )
 from repro.hir.table import FnInfo, ItemTable, build_item_table
 from repro.lang import ast_nodes as ast
 from repro.lang.diagnostics import CompileError
 from repro.lang.source import SourceFile, Span
-from repro.lang.types import (
-    BOOL, I32, UNIT, UNKNOWN, USIZE, EnumInfo, StructInfo, Ty, TyKind,
-)
+from repro.lang.types import BOOL, I32, UNIT, UNKNOWN, USIZE, Ty, TyKind
 from repro.mir.nodes import (
     AggregateKind, BasicBlock, BinOpKind, Body, CastKind, Local, Operand,
-    Place, Program, ProjectionElem, Rvalue, RvalueKind, Statement,
-    StatementKind, Terminator, TerminatorKind, UnOpKind,
+    Place, Program, Rvalue, RvalueKind, Statement, StatementKind, Terminator,
+    TerminatorKind, UnOpKind,
 )
 
 _BINOP_MAP = {

@@ -13,10 +13,10 @@ from typing import Any, List, Optional, Tuple
 from repro.hir.builtins import BuiltinOp
 from repro.mir.values import (
     MOVED, UNINIT, AtomicValue, BoxValue, ChannelEnd, ClosureValue,
-    CondvarValue, DeadlockError, EnumValue, GuardValue, InterpError,
-    MapValue, MutexValue, OnceValue, Pointer, RangeValue, RcValue,
-    RuntimePanic, StringValue, StructValue, ThreadHandle, TupleValue,
-    UBError, UBKind, VecValue, deep_copy, err, none, ok, some,
+    CondvarValue, DeadlockError, EnumValue, GuardValue, InterpError, MapValue,
+    MutexValue, OnceValue, Pointer, RcValue, RuntimePanic, StringValue,
+    StructValue, ThreadHandle, TupleValue, UBError, UBKind, VecValue,
+    deep_copy, err, none, ok, some,
 )
 
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.hir.builtins import BuiltinOp, FuncKind, FuncRef
+from repro.hir.builtins import BuiltinOp, FuncKind
 from repro.lang.types import TyKind
 from repro.mir.nodes import (
     AggregateKind, BinOpKind, Body, CastKind, Operand, Place, Program,
@@ -28,11 +28,10 @@ from repro.mir.nodes import (
     UnOpKind,
 )
 from repro.mir.values import (
-    MOVED, UNINIT, AllocState, AtomicValue, BoxValue, ChannelEnd,
-    ClosureValue, CondvarValue, DeadlockError, EnumValue, GuardValue,
-    InterpError, MapValue, Memory, MutexValue, OnceValue, Pointer, RangeValue,
-    RcValue, RuntimePanic, StringValue, StructValue, ThreadHandle,
-    TupleValue, UBError, UBKind, VecValue, deep_copy, err, none, ok, some,
+    MOVED, UNINIT, AllocState, BoxValue, ChannelEnd, ClosureValue,
+    DeadlockError, EnumValue, GuardValue, InterpError, MapValue, Memory,
+    MutexValue, Pointer, RangeValue, RcValue, RuntimePanic, StringValue,
+    StructValue, TupleValue, UBError, UBKind, VecValue, deep_copy,
 )
 
 

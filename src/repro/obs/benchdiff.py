@@ -23,7 +23,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: A 10% directed change is the default significance bar — small enough
 #: to flag a real 20% regression loudly, large enough to ride over

@@ -22,7 +22,7 @@ and documented rather than silently "fixed":
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.study.taxonomy import (

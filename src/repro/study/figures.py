@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.study.dataset import ALL_BUGS, BugRecord
-from repro.study.taxonomy import Project
 
 
 @dataclass(frozen=True)

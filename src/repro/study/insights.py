@@ -12,10 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from repro.study import dataset, tables
-from repro.study.taxonomy import (
-    BlockingCause, BugKind, DataSharing, FixStrategy, Propagation,
-    UnsafePurpose,
-)
+from repro.study.taxonomy import DataSharing, Propagation
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,11 @@ prints them the way the paper lays them out.  The benchmark harness under
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.study.dataset import (
-    ALL_BUGS, BLOCKING_BUGS, CVE_MEMORY_BUGS, INTERIOR_CHECK_COUNTS,
-    INTERIOR_CONDITION_COUNTS, MEMORY_BUGS, NONBLOCKING_BUGS,
-    REMOVAL_COMMITS, REMOVALS_TO_INTERIOR, REMOVALS_TO_SAFE,
+    ALL_BUGS, BLOCKING_BUGS, INTERIOR_CHECK_COUNTS, INTERIOR_CONDITION_COUNTS,
+    MEMORY_BUGS, NONBLOCKING_BUGS, REMOVAL_COMMITS, REMOVALS_TO_INTERIOR,
     TABLE1_METADATA, UNSAFE_REMOVALS, UNSAFE_USAGE_STATS, USAGE_SAMPLE,
     BugRecord,
 )

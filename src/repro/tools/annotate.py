@@ -13,11 +13,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from repro.detectors.base import AnalysisContext
 from repro.lang.source import SourceFile
-from repro.mir.nodes import Body, StatementKind
+from repro.mir.nodes import StatementKind
 from repro.driver import CompiledProgram
 
 

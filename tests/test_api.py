@@ -299,6 +299,37 @@ class TestAnalysisConfig:
         assert not unread
 
 
+class TestPackageImports:
+    def test_every_top_level_import_is_used(self):
+        # No linter runs on the package: a module-level import must be
+        # used by name in its module or listed in its ``__all__``.
+        import ast
+        import pathlib
+        import repro
+        root = pathlib.Path(repro.__file__).parent
+        unused = []
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            used = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and any(
+                        getattr(target, "id", None) == "__all__"
+                        for target in node.targets):
+                    used.update(elt.value for elt in node.value.elts)
+            for node in tree.body:
+                if isinstance(node, ast.ImportFrom) \
+                        and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        name = alias.asname or alias.name.split(".")[0]
+                        if name not in used:
+                            unused.append(
+                                f"{path.relative_to(root)}: {name}")
+        assert not unused
+
+
 class TestDeprecationShims:
     """The ``interprocedural=`` keyword and the bare-bool config
     position are gone; the ablation switch lives on the config."""

@@ -15,6 +15,17 @@ class TestUseAfterFree:
             }""")
         assert detectors_named(report, "use-after-free")
 
+    def test_borrow_through_dangling_pointer(self):
+        # ``&*p`` dereferences in the rvalue's own place, not an operand.
+        report = check("""
+            fn main() {
+                let v = vec![1, 2, 3];
+                let p = v.as_ptr();
+                drop(v);
+                unsafe { let r = &*p; }
+            }""")
+        assert detectors_named(report, "use-after-free")
+
     def test_deref_before_drop_clean(self):
         report = check("""
             fn main() {
@@ -81,6 +92,187 @@ class TestUseAfterFree:
             }""")
         assert not detectors_named(report, "use-after-free")
 
+
+# ---------------------------------------------------------------------------
+# The freed state on the bitset solver vs. the set-based reference
+# ---------------------------------------------------------------------------
+
+def _reference_freed(ctx, body, pt, site_chains, init):
+    """The set-based worklist ``UseAfterFreeDetector`` solved the freed
+    state with before it moved onto ``repro.analysis.dataflow``, kept
+    verbatim as a reference: ``(point_states, drop_reasons)`` with one
+    frozenset of ``("dropped", local)`` / ``("heap", site)`` facts per
+    program point, landing pads included."""
+    from collections import deque
+
+    from repro.hir.builtins import BuiltinOp, FuncKind
+    from repro.mir.nodes import StatementKind, TerminatorKind
+
+    drop_reasons = {}
+    chain_of = {}
+    for site, chain in site_chains.items():
+        for local in chain:
+            chain_of.setdefault(local, []).append(site)
+
+    entry = {0: set()}
+    point_states = {}
+    worklist = deque([0])
+    visited = {}
+
+    while worklist:
+        bb = worklist.popleft()
+        state = set(entry.get(bb, set()))
+        prev = visited.get(bb)
+        if prev is not None and state <= prev:
+            continue
+        visited[bb] = set(state) | (prev or set())
+        block = body.blocks[bb]
+        init_states = None
+        if init.reached(bb):
+            init_states = init.states_in_block(bb)
+        for i, stmt in enumerate(block.statements):
+            point_states[(bb, i)] = frozenset(
+                point_states.get((bb, i), frozenset()) | state)
+            if stmt.kind is StatementKind.DROP and stmt.place.is_local:
+                local = stmt.place.local
+                definitely_moved = False
+                if init_states is not None:
+                    definitely_moved = init.moved_out(init_states[i], local)
+                if not definitely_moved:
+                    state.add(("dropped", local))
+                    for site in chain_of.get(local, []):
+                        state.add(("heap", site))
+            elif stmt.kind is StatementKind.ASSIGN and stmt.place.is_local:
+                state.discard(("dropped", stmt.place.local))
+        term = block.terminator
+        term_point = (bb, len(block.statements))
+        point_states[term_point] = frozenset(
+            point_states.get(term_point, frozenset()) | state)
+        if term is not None and term.kind is TerminatorKind.CALL \
+                and term.func is not None:
+            op = term.func.builtin_op
+            if op is BuiltinOp.MEM_DROP:
+                for arg in term.args:
+                    if arg.place is not None and arg.place.is_local:
+                        local = arg.place.local
+                        state.add(("dropped", local))
+                        for site in chain_of.get(local, []):
+                            state.add(("heap", site))
+            elif op is BuiltinOp.DEALLOC:
+                for arg in term.args:
+                    if arg.place is None:
+                        continue
+                    for target in pt.targets(arg.place.local):
+                        if target[0] == "heap":
+                            state.add(("heap", target[1]))
+            elif op is BuiltinOp.MEM_FORGET:
+                pass
+            elif term.func.kind in (FuncKind.USER, FuncKind.CLOSURE) \
+                    and op is not BuiltinOp.THREAD_SPAWN:
+                callee = term.func.user_fn
+                summary = ctx.summary(callee)
+                for j, arg in enumerate(term.args):
+                    if arg.place is None or not arg.place.is_local \
+                            or not arg.is_move \
+                            or not summary.drops_arg(j):
+                        continue
+                    local = arg.place.local
+                    state.add(("dropped", local))
+                    drop_reasons[("dropped", local)] = (callee, j)
+                    for site in chain_of.get(local, []):
+                        state.add(("heap", site))
+                        drop_reasons[("heap", site)] = (callee, j)
+            if term.destination is not None and term.destination.is_local:
+                state.discard(("dropped", term.destination.local))
+        if term is not None:
+            for succ in term.successors():
+                prev_in = entry.get(succ)
+                if prev_in is None:
+                    entry[succ] = set(state)
+                    worklist.append(succ)
+                elif not state <= prev_in:
+                    prev_in |= state
+                    worklist.append(succ)
+    return point_states, drop_reasons
+
+
+#: Shapes the ledger inputs lack: a call destination that was dropped on
+#: an earlier loop iteration, and frees in blocks the entry never reaches.
+_FREED_STATE_SHAPES = """
+fn make() -> Vec<i32> { vec![1] }
+fn consume(v: Vec<i32>) { drop(v); }
+fn churn(n: i32) {
+    let v = vec![1];
+    let p = v.as_ptr();
+    let mut i = 0;
+    while i < n {
+        drop(make());
+        i = i + 1;
+    }
+    unsafe { let x = *p; }
+}
+fn spin() {
+    let v = vec![1, 2, 3];
+    let p = v.as_ptr();
+    loop { }
+    consume(v);
+    unsafe { let x = *p; }
+}
+"""
+
+
+class TestFreedStatePort:
+    """``UseAfterFreeDetector.freed_states`` (gen/kill on the bitset
+    solver) agrees with the set-based reference at every program point
+    outside the landing pads, and records the same ``drop_reasons``, on
+    every golden-ledger input and on :data:`_FREED_STATE_SHAPES`."""
+
+    def test_matches_the_reference_on_the_ledger_inputs(self):
+        import golden_ledger
+        from repro.analysis.scan import scan_of
+        from repro.detectors.base import AnalysisContext
+        from repro.detectors.use_after_free import (
+            _ALLOC_OPS, UseAfterFreeDetector, value_chain,
+        )
+        from repro.driver import compile_source
+
+        detector = UseAfterFreeDetector()
+        bodies = points = reasons = 0
+        inputs = golden_ledger.ledger_inputs()
+        inputs.append(("shapes", "shapes.rs", _FREED_STATE_SHAPES))
+        for _ident, name, text in inputs:
+            program = compile_source(text, name=name).program
+            ctx = AnalysisContext(program)
+            for body in program.bodies():
+                scan = scan_of(body)
+                if not scan.raw_ptr_locals:
+                    continue
+                pt = ctx.points_to(body)
+                site_chains = {}
+                for bb, term in scan.calls_of(*_ALLOC_OPS):
+                    if term.destination is not None \
+                            and term.destination.is_local:
+                        site_chains[f"{body.key}:{bb}"] = value_chain(
+                            body, term.destination.local)
+                expected, expected_reasons = _reference_freed(
+                    ctx, body, pt, site_chains, ctx.init_states(body))
+                freed = detector.freed_states(ctx, body, pt)
+                facts = [("dropped", local.index) for local in body.locals]
+                facts += [("heap", site) for site in freed.heap_bits]
+                for block in body.blocks:
+                    if block.cleanup:
+                        continue
+                    for i in range(len(block.statements) + 1):
+                        state = freed.before(block.index, i)
+                        got = {f for f in facts if freed.holds(state, f)}
+                        assert got == expected.get(
+                            (block.index, i), frozenset()), \
+                            (body.key, block.index, i)
+                        points += 1
+                assert freed.drop_reasons == expected_reasons, body.key
+                bodies += 1
+                reasons += len(expected_reasons)
+        assert bodies and points and reasons
 
 class TestDoubleLock:
     def test_figure8(self):

@@ -398,9 +398,10 @@ def test_gated_detector_makes_no_request_without_its_subject(name):
         for what in ("points_to", "storage_ranges", "init_states",
                      "guard_regions"):
             patch.setattr(ctx, what, refuse(what))
-        for module in (buffer_overflow, interior_mutability, memory_misc):
+        for module in (buffer_overflow, interior_mutability, memory_misc,
+                       use_after_free):
             patch.setattr(module, "cfg_of", refuse("cfg"))
-        for module in (init_module, lifetime_module):
+        for module in (init_module, lifetime_module, use_after_free):
             patch.setattr(module, "solve", refuse("dataflow"))
         patch.setattr(use_after_free, "value_chain", refuse("value chain"))
         for body in plain:
