@@ -28,7 +28,8 @@ def corpus():
 
 @pytest.mark.benchmark(group="double-lock-ablation")
 def test_double_lock_interprocedural(benchmark, corpus):
-    result = benchmark(evaluate_detectors, corpus, [DoubleLockDetector()])
+    result = benchmark(evaluate_detectors, corpus,
+                       AnalysisConfig(detectors=("double-lock",)))
     score = result.scores["double-lock"]
     emit("double-lock, inter-procedural",
          f"found {score.found}/{score.injected}")
@@ -37,8 +38,9 @@ def test_double_lock_interprocedural(benchmark, corpus):
 
 @pytest.mark.benchmark(group="double-lock-ablation")
 def test_double_lock_intraprocedural_only(benchmark, corpus):
-    result = benchmark(evaluate_detectors, corpus, [DoubleLockDetector()],
-                       config=AnalysisConfig(interprocedural=False))
+    result = benchmark(evaluate_detectors, corpus,
+                       AnalysisConfig(detectors=("double-lock",),
+                                      interprocedural=False))
     score = result.scores["double-lock"]
     emit("double-lock, intra-procedural only",
          f"found {score.found}/{score.injected} "

@@ -13,9 +13,8 @@ import pytest
 
 from conftest import emit
 
+from repro.analysis.config import AnalysisConfig
 from repro.corpus import evaluate_detectors, generate_corpus
-from repro.detectors.double_lock import DoubleLockDetector
-from repro.detectors.use_after_free import UseAfterFreeDetector
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +37,7 @@ def test_full_detector_suite(benchmark, corpus):
 
 def test_uaf_detector_alone(benchmark, corpus):
     result = benchmark(evaluate_detectors, corpus,
-                       [UseAfterFreeDetector()])
+                       AnalysisConfig(detectors=("use-after-free",)))
     score = result.scores["use-after-free"]
     emit("§7.1 use-after-free detector (paper: 4 new bugs, 3 FPs)",
          f"injected {score.injected}, found {score.found}, "
@@ -47,7 +46,8 @@ def test_uaf_detector_alone(benchmark, corpus):
 
 
 def test_double_lock_detector_alone(benchmark, corpus):
-    result = benchmark(evaluate_detectors, corpus, [DoubleLockDetector()])
+    result = benchmark(evaluate_detectors, corpus,
+                       AnalysisConfig(detectors=("double-lock",)))
     score = result.scores["double-lock"]
     emit("§7.2 double-lock detector (paper: 6 new bugs, 0 FPs)",
          f"injected {score.injected}, found {score.found}, "

@@ -165,13 +165,14 @@ def _full_pipeline():
 
 def test_obs_trajectory_artifact():
     """Run the whole pipeline (compile → detectors → interpret) under the
-    obs collector and write ``BENCH_obs.json`` — the per-phase timing
-    trajectory compared between PRs (see EXPERIMENTS.md).
+    obs collector and write ``BENCH_obs.json``: what observation itself
+    costs and the pipeline's counters, compared between PRs (see
+    EXPERIMENTS.md).
 
-    The artifact also records what observation itself costs: the same
-    pipeline timed with *no* collector installed (the tier-1 fast path)
-    next to the collected run, so a PR that bloats the instrumentation
-    fast path shows up in bench-diff as a rising overhead fraction.
+    The cost is the same pipeline timed with *no* collector installed
+    (the tier-1 fast path) next to the collected run, so a PR that
+    bloats the instrumentation fast path shows up in bench-diff as a
+    rising overhead fraction.  Per-layer timings are perfbench's job.
     """
     from time import perf_counter
 
@@ -186,22 +187,25 @@ def test_obs_trajectory_artifact():
     with_collector_wall = perf_counter() - started
     assert result.ok, result.error
 
-    payload = obs.write_json(collector, str(BENCH_OBS_PATH))
-    payload["overhead"] = {
-        "no_collector_wall_s": no_collector_wall,
-        "with_collector_wall_s": with_collector_wall,
-        # (with - without) / without; noisy on shared hosts, so the
-        # assertion is existence/shape only — bench-diff watches trends.
-        "collector_overhead_fraction":
-            (with_collector_wall - no_collector_wall) / no_collector_wall
-            if no_collector_wall > 0 else 0.0,
+    payload = {
+        "overhead": {
+            "no_collector_wall_s": no_collector_wall,
+            "with_collector_wall_s": with_collector_wall,
+            # (with - without) / without; noisy on shared hosts, so the
+            # assertion is existence/shape only — bench-diff watches
+            # trends.
+            "collector_overhead_fraction":
+                (with_collector_wall - no_collector_wall) / no_collector_wall
+                if no_collector_wall > 0 else 0.0,
+        },
+        "counters": dict(collector.counters),
     }
     BENCH_OBS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     assert payload["overhead"]["no_collector_wall_s"] > 0.0
     assert payload["overhead"]["with_collector_wall_s"] > 0.0
-    phases = payload["phases"]
-    # The artifact must carry every front-end phase, the detector pass,
-    # and the interpreter — the floors future perf PRs optimise against.
+    phases = obs.phase_timings(collector)
+    # The collected run must span every front-end phase, the detector
+    # pass, and the interpreter.
     for phase in ("compile", "compile.lex", "compile.parse",
                   "compile.hir-table", "compile.mir-lower", "detectors",
                   "interp.run"):
@@ -210,10 +214,11 @@ def test_obs_trajectory_artifact():
     assert payload["counters"]["interp.steps"] == result.steps
     assert not report.findings, "benchmark program must be clean"
 
-    round_trip = json.loads(BENCH_OBS_PATH.read_text())
-    assert round_trip["phases"]["compile"] == phases["compile"]
+    assert json.loads(BENCH_OBS_PATH.read_text()) == payload
     emit("obs trajectory",
-         f"BENCH_obs.json: {len(phases)} phases, "
+         f"BENCH_obs.json: collector overhead "
+         f"{payload['overhead']['collector_overhead_fraction']:.1%}, "
+         f"{len(payload['counters'])} counters; "
          f"compile {phases['compile'] * 1e3:.2f}ms, "
          f"detectors {phases['detectors'] * 1e3:.2f}ms, "
          f"interp {phases['interp.run'] * 1e3:.2f}ms")

@@ -38,12 +38,6 @@ class AnalysisConfig:
     * ``report_cache`` — the whole-file report tier above the summary
       cache (batch entry points only): an unchanged source skips
       compile + detectors entirely.  Needs ``cache_dir``.
-    * ``deadlock_cycle_bound`` — maximum lock-graph cycle length both
-      lock-graph detectors (``lock-order`` and ``deadlock``) search for:
-      the bound of their one Johnson-style elementary-circuit
-      enumeration.  Real-world deadlocks in the studied bug set involve
-      two or three locks; the default of 4 keeps the search linear in
-      practice while leaving headroom.
     * ``unwind_edges`` — materialise unwind successor edges and
       landing-pad cleanup blocks on may-panic terminators (bounds
       checks, ``unwrap``, ``RefCell`` borrows, explicit ``panic!``,
@@ -58,7 +52,6 @@ class AnalysisConfig:
     jobs: int = 1
     cache_dir: Optional[str] = None
     report_cache: bool = True
-    deadlock_cycle_bound: int = 4
     unwind_edges: bool = True
 
     def __post_init__(self) -> None:
@@ -66,12 +59,6 @@ class AnalysisConfig:
                 or self.jobs < 1:
             raise ValueError(
                 f"jobs must be a positive integer, got {self.jobs!r}")
-        if not isinstance(self.deadlock_cycle_bound, int) \
-                or isinstance(self.deadlock_cycle_bound, bool) \
-                or self.deadlock_cycle_bound < 2:
-            raise ValueError(
-                f"deadlock_cycle_bound must be an integer >= 2 (a cycle "
-                f"needs two locks), got {self.deadlock_cycle_bound!r}")
         if self.cache_dir is not None and not isinstance(self.cache_dir, str):
             raise ValueError(
                 f"cache_dir must be a string path or None, "

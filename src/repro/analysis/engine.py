@@ -79,6 +79,27 @@ class _ReturnView:
         return True
 
 
+# The per-kind steps of ``SummaryEngine._hop_chain``: each maps a
+# summary and the item followed through it to the callee hop, or None.
+
+def _lock_hop(summary: FunctionSummary, lock):
+    return summary.locks.get(lock)
+
+
+def _drop_hop(summary: FunctionSummary, position):
+    return summary.may_drop_args.get(position)
+
+
+def _panic_hop(summary: FunctionSummary, _item):
+    hop = summary.panic.hop
+    return None if hop is None else (hop, None)
+
+
+def _access_hop(summary: FunctionSummary, access):
+    entry = summary.shared_accesses.get(access)
+    return None if entry is None else entry[0]
+
+
 class SummaryEngine:
     """Computes and caches :class:`FunctionSummary` facts for a program."""
 
@@ -183,86 +204,47 @@ class SummaryEngine:
         return {key: set(s.returns)
                 for key, s in self._summaries.items() if s.returns}
 
+    def _hop_chain(self, key: str, item, step) -> List[str]:
+        """The call chain from ``key`` along summary hops.
+
+        ``step(summary, item)`` is the ``(callee key, callee item)`` hop
+        of ``item`` in ``key``'s summary, or ``None`` where the fact is
+        direct.  The walk also stops at a key with no summary and at a
+        hop it has already taken (recursion), so every chain is finite.
+        """
+        self._ensure_solved()
+        chain = [key]
+        seen = {(key, item)}
+        while True:
+            summary = self._summaries.get(key)
+            hop = None if summary is None else step(summary, item)
+            if hop is None or hop in seen:
+                return chain
+            seen.add(hop)
+            key, item = hop
+            chain.append(key)
+
     def lock_chain(self, key: str, lock: LockId) -> List[str]:
         """The call chain along which ``key`` reaches the acquisition of
         ``lock`` — ``[key]`` when the acquisition is direct."""
-        self._ensure_solved()
-        chain = [key]
-        seen = {(key, lock)}
-        current_key, current_lock = key, lock
-        while True:
-            summary = self._summaries.get(current_key)
-            if summary is None:
-                break
-            hop = summary.locks.get(current_lock)
-            if hop is None:
-                break
-            current_key, current_lock = hop
-            if (current_key, current_lock) in seen:
-                break
-            seen.add((current_key, current_lock))
-            chain.append(current_key)
-        return chain
+        return self._hop_chain(key, lock, _lock_hop)
 
     def drop_chain(self, key: str, position: int) -> List[str]:
         """The call chain along which the value passed to ``key`` at
-        argument ``position`` reaches its drop."""
-        self._ensure_solved()
-        chain = [key]
-        seen = {(key, position)}
-        current_key, current_pos = key, position
-        while True:
-            summary = self._summaries.get(current_key)
-            if summary is None:
-                break
-            hop = summary.may_drop_args.get(current_pos)
-            if hop is None or hop == (current_key, current_pos):
-                break
-            current_key, current_pos = hop
-            if (current_key, current_pos) in seen:
-                break
-            seen.add((current_key, current_pos))
-            chain.append(current_key)
-        return chain
+        argument ``position`` reaches its drop.  A summary that names
+        itself as the dropper (a self-hop) ends the chain there, as any
+        revisited hop does."""
+        return self._hop_chain(key, position, _drop_hop)
 
     def panic_chain(self, key: str) -> List[str]:
         """The call chain along which ``key`` reaches a panic source —
         ``[key]`` when a panic operation is in its own body."""
-        self._ensure_solved()
-        chain = [key]
-        seen = {key}
-        current = key
-        while True:
-            summary = self._summaries.get(current)
-            if summary is None or summary.panic.hop is None:
-                break
-            current = summary.panic.hop
-            if current in seen:
-                break
-            seen.add(current)
-            chain.append(current)
-        return chain
+        return self._hop_chain(key, None, _panic_hop)
 
     def access_chain(self, key: str, access: Tuple) -> List[str]:
         """The call chain along which ``key`` reaches the shared access
         ``access`` (an :data:`AccessKey`) — ``[key]`` when direct."""
-        self._ensure_solved()
-        chain = [key]
-        seen = {(key, access)}
-        current_key, current_access = key, access
-        while True:
-            summary = self._summaries.get(current_key)
-            if summary is None:
-                break
-            entry = summary.shared_accesses.get(current_access)
-            if entry is None or entry[0] is None:
-                break
-            current_key, current_access = entry[0]
-            if (current_key, current_access) in seen:
-                break
-            seen.add((current_key, current_access))
-            chain.append(current_key)
-        return chain
+        return self._hop_chain(key, access, _access_hop)
 
     def thread_escape(self) -> ThreadEscape:
         """Program-wide thread-escape facts (computed once, lazily)."""

@@ -312,7 +312,6 @@ class SummaryCache:
         elapsed = perf_counter() - started
         obs.count("cache.read_bytes", len(blob))
         obs.count("cache.deserialize_seconds", elapsed)
-        obs.observe("cache.deserialize_seconds", elapsed)
         return payload
 
     def _read_shard(self, name: str):

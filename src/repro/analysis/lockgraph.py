@@ -53,9 +53,11 @@ from repro.mir.nodes import Body
 #: ``"static"`` or ``"heap"`` — the program-global part of a lock id.
 LockNode = Tuple
 
-#: Default bound on elementary-circuit length (locks per cycle).  Real
+#: Bound on elementary-circuit length (locks per cycle), the one bound
+#: of both lock-graph detectors (``lock-order`` and ``deadlock``).  Real
 #: deadlock reports overwhelmingly involve two or three locks; the bound
-#: keeps the circuit search linear in practice on dense graphs.
+#: keeps the circuit search linear in practice on dense graphs while
+#: leaving headroom.
 DEFAULT_CYCLE_BOUND = 4
 
 
@@ -153,7 +155,7 @@ def elementary_circuits(edges: Iterable[Tuple[LockNode, LockNode]],
     successors are visited in sorted order, so the result does not
     depend on the order of ``edges``.  The one circuit enumerator of
     both lock-graph detectors (``lock-order`` and ``deadlock``), bounded
-    by ``AnalysisConfig.deadlock_cycle_bound``."""
+    by :data:`DEFAULT_CYCLE_BOUND`."""
     adjacency: Dict[LockNode, Set[LockNode]] = {}
     for src, dst in edges:
         adjacency.setdefault(src, set()).add(dst)

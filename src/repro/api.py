@@ -44,7 +44,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.analysis.config import AnalysisConfig, coerce_config
-from repro.detectors.base import Detector
 from repro.detectors.report import Finding, Report, SCHEMA_VERSION, Severity
 from repro.driver import CompiledProgram, compile_source
 
@@ -68,13 +67,12 @@ class AnalysisReport:
     """The result of analyzing one program through the facade.
 
     Wraps the raw detector :class:`~repro.detectors.report.Report` with
-    the input's name, the config that produced it, and the versioned
-    JSON payload downstream consumers pin against.
+    the input's name and the versioned JSON payload downstream consumers
+    pin against.
     """
 
     name: str
     report: Report
-    config: AnalysisConfig = field(default_factory=AnalysisConfig)
 
     @property
     def findings(self):
@@ -115,26 +113,6 @@ def _load(source_or_path: SourceOrPath,
         with open(path, "r", encoding="utf-8") as f:
             return name or path, f.read()
     return name or "<input>", str(source_or_path)
-
-
-def _resolve_detector_arg(detectors) -> Optional[List[Detector]]:
-    """``detectors=`` accepts names or ready instances; names are
-    validated by the registry (the single place unknown names fail)."""
-    if detectors is None:
-        return None
-    from repro.detectors.registry import resolve_detectors
-    instances: List[Detector] = []
-    names: List[str] = []
-    for d in detectors:
-        if isinstance(d, str):
-            names.append(d)
-        elif isinstance(d, Detector):
-            instances.append(d)
-        else:
-            raise TypeError(
-                f"detectors entries must be names or Detector instances, "
-                f"got {type(d).__name__}")
-    return instances + resolve_detectors(names)
 
 
 class _CollectorPause:
@@ -198,7 +176,7 @@ def _compile_and_detect(name: str, text: str,
 def _analyze_task(payload: bytes) -> bytes:
     """Worker-side whole-file analysis (compile + detect).
 
-    The worker's obs payload — counters, histograms, and its span forest
+    The worker's obs payload — counters, gauges, and its span forest
     (compile/detector/solve timelines, pid/tid-tagged) — rides back with
     the report so the session can fold it into the installed collector.
     """
@@ -206,29 +184,30 @@ def _analyze_task(payload: bytes) -> bytes:
     with obs.collecting("api-worker") as collector, _collector_paused:
         report = _compile_and_detect(name, text, config)
     return pickle.dumps(
-        (report, dict(collector.counters), dict(collector.histograms),
+        (report, dict(collector.counters), dict(collector.gauges),
          list(collector.roots)),
         protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _merge_worker_obs(counters: Dict[str, float], histograms,
+def _merge_worker_obs(counters: Dict[str, float], gauges: Dict[str, float],
                       spans) -> None:
-    """Fold one worker task's full obs payload — counters, histograms,
-    and the pid/tid-tagged span forest — into the installed collector,
-    so ``--profile`` and ``--trace-out`` stay truthful under fan-out.
+    """Fold one worker task's full obs payload — counters, gauges, and
+    the pid/tid-tagged span forest — into the installed collector, so
+    ``--profile`` and ``--trace-out`` stay truthful under fan-out.
 
+    The session calls this once per task in input order, so a gauge
+    ends on the value of the last file that set it, as at ``jobs=1``.
     Spans are re-parented under the currently open span (the batch's
     ``analysis.fanout``), so a trace shows every worker's timeline side
     by side inside the batch that scheduled it.
     """
     for name, value in sorted(counters.items()):
         obs.count(name, value)
+    for name, value in gauges.items():
+        obs.gauge(name, value)
     collector = obs.get_collector()
-    if collector is None:
-        return
-    for name, histogram in sorted(histograms.items()):
-        collector.merge_histogram(name, histogram)
-    collector.adopt_spans(spans)
+    if collector is not None:
+        collector.adopt_spans(spans)
 
 
 def create_pool(jobs: int):
@@ -269,7 +248,8 @@ class AnalysisSession:
         self.config = coerce_config(config)
         if self.config.detectors is not None:
             # Fail on unknown names at session construction, not mid-run.
-            _resolve_detector_arg(self.config.detectors)
+            from repro.detectors.registry import resolve_detectors
+            resolve_detectors(self.config.detectors)
         self._pool = None
         self._pool_attempted = False
         self._closed = False
@@ -314,8 +294,7 @@ class AnalysisSession:
     # -- analysis entry points ----------------------------------------------
 
     def analyze(self, source_or_path: SourceOrPath, *,
-                name: Optional[str] = None,
-                detectors=None) -> AnalysisReport:
+                name: Optional[str] = None) -> AnalysisReport:
         """Compile and analyze one program (path or source text).
 
         Runs in-process at any ``config.jobs``: one program is one
@@ -328,30 +307,25 @@ class AnalysisSession:
             # frame: it is freed as soon as the analysis returns, before
             # the pause ends.
             return self.analyze_compiled(
-                self.compile(text, name=resolved_name), detectors=detectors)
+                self.compile(text, name=resolved_name))
 
     def compile(self, text: str, name: str = "<input>") -> CompiledProgram:
         return compile_source(text, name=name)
 
-    def analyze_compiled(self, compiled: CompiledProgram, *,
-                         detectors=None) -> AnalysisReport:
-        report = self._detect(compiled, _resolve_detector_arg(detectors),
-                              self.config)
-        return AnalysisReport(name=compiled.source.name, report=report,
-                              config=self.config)
+    def analyze_compiled(self, compiled: CompiledProgram) -> AnalysisReport:
+        return AnalysisReport(name=compiled.source.name,
+                              report=self._detect(compiled, self.config))
 
     def _detect(self, compiled: CompiledProgram,
-                detectors: Optional[List[Detector]],
-                solve_config: AnalysisConfig) -> Report:
+                config: AnalysisConfig) -> Report:
         from repro.detectors.registry import run_detectors
         if self._closed:
             raise RuntimeError("AnalysisSession is closed")
-        return run_detectors(
-            compiled.program, detectors=detectors,
-            source=compiled.source, config=solve_config)
+        return run_detectors(compiled.program, source=compiled.source,
+                             config=config)
 
-    def analyze_sources(self, named_sources: Sequence[Tuple[str, str]], *,
-                        detectors=None) -> List[AnalysisReport]:
+    def analyze_sources(self, named_sources: Sequence[Tuple[str, str]]
+                        ) -> List[AnalysisReport]:
         """Analyze many independent programs, fanning whole programs out
         across the worker pool (the corpus/service shape).
 
@@ -360,33 +334,26 @@ class AnalysisSession:
         same config serves its finished report without compiling at
         all.  Only the misses fan out, and they solve without the
         summary cache (one cache tier per request, DESIGN.md §6); with
-        ``report_cache=False`` or explicit detector instances the
-        summary cache serves instead, shared by every worker.  Each
-        worker compiles and analyzes one program with a serial
-        in-process solve.  Results arrive in input order;
-        worker obs counters fold into the installed collector.  The
-        cyclic collector is paused for the call (see
+        ``report_cache=False`` the summary cache serves instead, shared
+        by every worker.  Each worker compiles and analyzes one program
+        with a serial in-process solve.  Results arrive in input order;
+        worker obs counters, gauges and spans fold into the installed
+        collector.  The cyclic collector is paused for the call (see
         :class:`_CollectorPause`).
         """
         with _collector_paused:
-            return self._analyze_sources(named_sources, detectors,
-                                         self.config)
+            return self._analyze_sources(named_sources, self.config)
 
     def _analyze_sources(self, named_sources: Sequence[Tuple[str, str]],
-                         detectors, config: AnalysisConfig
-                         ) -> List[AnalysisReport]:
+                         config: AnalysisConfig) -> List[AnalysisReport]:
         """:meth:`analyze_sources` under ``config``, which differs from
         the session's only in its detector selection."""
-        explicit = _resolve_detector_arg(detectors)
         named_sources = list(named_sources)
         reports: List[Optional[Report]] = [None] * len(named_sources)
         rcache = None
         keys: List[Optional[str]] = [None] * len(named_sources)
         misses: List[int] = []
-        # Detector *instances* can't be keyed (or pickled): the report
-        # tier and the pool both require name-addressable selections.
-        if explicit is None and config.cache_dir is not None \
-                and config.report_cache:
+        if config.cache_dir is not None and config.report_cache:
             from repro.analysis.executor import ReportCache
             rcache = ReportCache(os.path.join(config.cache_dir, "reports"))
             for i, (name, text) in enumerate(named_sources):
@@ -405,15 +372,14 @@ class AnalysisSession:
         solve_config = config if rcache is None \
             else self._solve_config(config)
         pool = None
-        if explicit is None and config.jobs > 1 and len(misses) > 1:
+        if config.jobs > 1 and len(misses) > 1:
             pool = self._ensure_pool()
 
         if pool is None:
             for i in misses:
                 name, text = named_sources[i]
-                reports[i] = self._detect(
-                    self.compile(text, name=name),
-                    _resolve_detector_arg(detectors), solve_config)
+                reports[i] = self._detect(self.compile(text, name=name),
+                                          solve_config)
         else:
             # Worker spans fold back under this one, so a trace shows
             # the files' timelines side by side inside the batch.
@@ -426,13 +392,13 @@ class AnalysisSession:
                         protocol=pickle.HIGHEST_PROTOCOL))
                     for i in misses]
                 for i, future in zip(misses, futures):
-                    reports[i], counters, histograms, spans = \
+                    reports[i], counters, gauges, spans = \
                         pickle.loads(future.result())
-                    _merge_worker_obs(counters, histograms, spans)
+                    _merge_worker_obs(counters, gauges, spans)
         if rcache is not None:
             for i in misses:
                 rcache.put(keys[i], reports[i])
-        return [AnalysisReport(name=name, report=report, config=config)
+        return [AnalysisReport(name=name, report=report)
                 for (name, _), report in zip(named_sources, reports)]
 
     def audit_unsafe(self, named_sources: Sequence[Tuple[str, str]]
@@ -442,22 +408,21 @@ class AnalysisSession:
         audit detector in place of the session's detector selection."""
         audit_cfg = _audit_config(self.config)
         with _collector_paused:
-            reports = self._analyze_sources(named_sources, None, audit_cfg)
-        return UnsafeAuditReport.of(((r.name, r.findings) for r in reports),
-                                    audit_cfg)
+            reports = self._analyze_sources(named_sources, audit_cfg)
+        return UnsafeAuditReport.of((r.name, r.findings) for r in reports)
 
-    def analyze_files(self, paths: Iterable[SourceOrPath], *,
-                      detectors=None) -> List[AnalysisReport]:
+    def analyze_files(self, paths: Iterable[SourceOrPath]
+                      ) -> List[AnalysisReport]:
         """Read and analyze many files (order-preserving, parallel)."""
         named = []
         for path in paths:
             resolved = os.fspath(path)
             with open(resolved, "r", encoding="utf-8") as f:
                 named.append((resolved, f.read()))
-        return self.analyze_sources(named, detectors=detectors)
+        return self.analyze_sources(named)
 
 
-def analyze(source_or_path: SourceOrPath, *, detectors=None,
+def analyze(source_or_path: SourceOrPath, *,
             config: Optional[AnalysisConfig] = None,
             name: Optional[str] = None) -> AnalysisReport:
     """One-shot facade: compile + analyze, returning the report.
@@ -466,8 +431,7 @@ def analyze(source_or_path: SourceOrPath, *, detectors=None,
     when analyzing more than one program.
     """
     with AnalysisSession(config) as session:
-        return session.analyze(source_or_path, detectors=detectors,
-                               name=name)
+        return session.analyze(source_or_path, name=name)
 
 
 def lock_graph(source_or_path: SourceOrPath, *,
@@ -509,15 +473,14 @@ class UnsafeAuditReport:
     """
 
     rows: List[Dict[str, object]] = field(default_factory=list)
-    config: AnalysisConfig = field(default_factory=AnalysisConfig)
 
     def __post_init__(self) -> None:
         self.rows = sorted(self.rows,
                            key=lambda r: (str(r["file"]), str(r["fn"])))
 
     @classmethod
-    def of(cls, named_findings: Iterable[Tuple[str, Iterable[Finding]]],
-           config: Optional[AnalysisConfig] = None) -> "UnsafeAuditReport":
+    def of(cls, named_findings: Iterable[Tuple[str, Iterable[Finding]]]
+           ) -> "UnsafeAuditReport":
         """The census over ``(file, findings)`` pairs: one row per
         ``interior-unsafe-audit`` finding, carrying its metadata."""
         rows: List[Dict[str, object]] = []
@@ -528,7 +491,7 @@ class UnsafeAuditReport:
                 row: Dict[str, object] = {"file": name, "fn": finding.fn_key}
                 row.update(finding.metadata)
                 rows.append(row)
-        return cls(rows=rows, config=config or AnalysisConfig())
+        return cls(rows=rows)
 
     @property
     def breakdown(self) -> Dict[str, int]:
@@ -589,8 +552,6 @@ def audit_unsafe(named_sources: Sequence[Tuple[str, str]], *,
     its detector selection is overridden with the audit detector.
     Output is deterministic at any worker count.
     """
-    audit_cfg = _audit_config(config)
-    with AnalysisSession(audit_cfg) as session:
+    with AnalysisSession(_audit_config(config)) as session:
         reports = session.analyze_sources(list(named_sources))
-    return UnsafeAuditReport.of(((r.name, r.findings) for r in reports),
-                                audit_cfg)
+    return UnsafeAuditReport.of((r.name, r.findings) for r in reports)

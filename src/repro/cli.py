@@ -4,7 +4,6 @@ Subcommands::
 
     minirust check FILE... [--detector NAME]... [--json] [--profile]
                            [--jobs N] [--cache-dir DIR] [--no-cache]
-                           [--deadlock-cycle-bound N]
                            [--trace-out T.json] [--flame-out F.folded]
                                                run static detectors
     minirust detectors                         list every detector name
@@ -56,8 +55,7 @@ def _analysis_config(args):
         detectors=detector_names,
         jobs=getattr(args, "jobs", 1),
         cache_dir=cache_dir,
-        unwind_edges=not getattr(args, "no_unwind_edges", False),
-        deadlock_cycle_bound=getattr(args, "deadlock_cycle_bound", 4))
+        unwind_edges=not getattr(args, "no_unwind_edges", False))
 
 
 def _session_reports(args):
@@ -427,11 +425,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "so a warm run skips every unchanged file")
     p.add_argument("--no-cache", action="store_true",
                    help="ignore --cache-dir: no cache reads or writes")
-    p.add_argument("--deadlock-cycle-bound", type=int, default=4,
-                   metavar="N", dest="deadlock_cycle_bound",
-                   help="longest lock-graph cycle the lock-order and "
-                        "deadlock detectors search for (default 4; "
-                        "real-world deadlocks involve 2-3 locks)")
     _add_unwind_flag(p)
     _add_trace_flags(p)
     p.set_defaults(func=_cmd_check)

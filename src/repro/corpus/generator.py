@@ -230,8 +230,7 @@ class EvaluationResult:
         return rows
 
 
-def evaluate_detectors(corpus: Corpus, detectors: Optional[List] = None,
-                       config=None) -> EvaluationResult:
+def evaluate_detectors(corpus: Corpus, config=None) -> EvaluationResult:
     """Compile every corpus file, run the detectors, score the outcome.
 
     A finding *matches* an injection when it comes from the expected
@@ -240,7 +239,8 @@ def evaluate_detectors(corpus: Corpus, detectors: Optional[List] = None,
     clean functions) count as false positives.
 
     ``config`` (an :class:`~repro.analysis.config.AnalysisConfig`) drives
-    the analysis session: with ``jobs > 1`` whole corpus programs fan out
+    the analysis session: its ``detectors`` picks the detectors that
+    run, with ``jobs > 1`` whole corpus programs fan out
     across worker processes, and ``cache_dir`` makes warm re-evaluations
     incremental.  Scores are deterministic at any worker count.
     """
@@ -261,8 +261,7 @@ def evaluate_detectors(corpus: Corpus, detectors: Optional[List] = None,
     with obs.span("corpus.evaluate", files=len(corpus.files)):
         with AnalysisSession(config) as session:
             analyses = session.analyze_sources(
-                [(f.name, f.text) for f in corpus.files],
-                detectors=detectors)
+                [(f.name, f.text) for f in corpus.files])
         for file, analysis in zip(corpus.files, analyses):
             report = analysis.report
             obs.count("corpus.programs_evaluated")

@@ -64,10 +64,9 @@ class DeadlockDetector(Detector):
 
     def _cycle_findings(self, ctx: AnalysisContext) -> List[Finding]:
         graph: LockGraph = ctx.lock_graph()
-        bound = ctx.config.deadlock_cycle_bound
         findings: List[Finding] = []
         seen: Set[FrozenSet] = set()
-        for cycle, witness in graph.deadlock_cycles(bound):
+        for cycle, witness in graph.deadlock_cycles():
             key = frozenset(cycle)
             if key in seen:
                 continue

@@ -9,14 +9,17 @@ ids translated into each caller's frame — whose two ids are both
 program-wide (statics, heap allocation sites).  A cycle is a potential
 ABBA deadlock.  Cycles come from the lock graph's bounded enumerator
 (:func:`repro.analysis.lockgraph.elementary_circuits`), under the same
-``AnalysisConfig.deadlock_cycle_bound`` as the deadlock detector.
+bound as the deadlock detector
+(:data:`repro.analysis.lockgraph.DEFAULT_CYCLE_BOUND`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.analysis.lockgraph import elementary_circuits, pretty_lock
+from repro.analysis.lockgraph import (
+    DEFAULT_CYCLE_BOUND, elementary_circuits, pretty_lock,
+)
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.report import Finding, Severity
 from repro.lang.source import Span
@@ -50,8 +53,7 @@ class LockOrderDetector(Detector):
 
         findings: List[Finding] = []
         seen_cycles = set()
-        for cycle in elementary_circuits(edge_spans,
-                                         ctx.config.deadlock_cycle_bound):
+        for cycle in elementary_circuits(edge_spans, DEFAULT_CYCLE_BOUND):
             key = frozenset(cycle)
             if key in seen_cycles:
                 continue

@@ -10,13 +10,13 @@ module-level helpers here::
         ...
     obs.count("analysis.points_to.miss")
     obs.gauge("interp.schedule_seed", 3)
-    obs.observe("detector.latency_s", 0.004)
 
 By default **no collector is installed** and every helper is a no-op
 fast path (one global read, no allocation), so instrumented code runs at
 seed speed.  ``--profile`` / ``minirust stats`` / the benchmarks install
 a :class:`Collector` via :func:`install` or the :func:`collecting`
-context manager and then export the trace as a pretty tree or JSON.
+context manager and then export the trace as a pretty tree, a
+Chrome trace, folded flamegraph stacks or ``Collector.to_dict()``.
 """
 
 from __future__ import annotations
@@ -24,23 +24,18 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional, Union
 
-from repro.obs.core import (
-    Collector, Histogram, NOOP_SPAN, NoopSpan, SpanRecord,
-)
-from repro.obs.export import (
-    hot_sccs, phase_timings, render_text, to_json, write_json,
-)
+from repro.obs.core import Collector, NOOP_SPAN, NoopSpan, SpanRecord
+from repro.obs.export import hot_sccs, phase_timings, render_text
 from repro.obs.flame import folded_stacks, write_folded
 from repro.obs.provenance import fact, jsonable, render_facts
 from repro.obs.trace import to_chrome_trace, write_chrome_trace
 
 __all__ = [
-    "Collector", "Histogram", "NoopSpan", "NOOP_SPAN", "SpanRecord",
+    "Collector", "NoopSpan", "NOOP_SPAN", "SpanRecord",
     "collecting", "count", "enabled", "fact", "folded_stacks", "gauge",
-    "get_collector", "hot_sccs", "install", "jsonable", "observe",
-    "phase_timings", "render_facts", "render_text", "span",
-    "to_chrome_trace", "to_json", "uninstall", "write_chrome_trace",
-    "write_folded", "write_json",
+    "get_collector", "hot_sccs", "install", "jsonable", "phase_timings",
+    "render_facts", "render_text", "span", "to_chrome_trace", "uninstall",
+    "write_chrome_trace", "write_folded",
 ]
 
 #: The process-wide active collector; ``None`` means disabled.
@@ -119,9 +114,3 @@ def gauge(name: str, value: float) -> None:
     collector = _active
     if collector is not None:
         collector.gauge(name, value)
-
-
-def observe(name: str, value: float) -> None:
-    collector = _active
-    if collector is not None:
-        collector.observe(name, value)

@@ -1,4 +1,4 @@
-"""Tracing and metrics core: spans, counters, gauges, histograms.
+"""Tracing and metrics core: spans, counters, gauges.
 
 The design point is the ROADMAP's: this substrate must cost (almost)
 nothing when nobody is looking.  All instrumentation goes through the
@@ -131,48 +131,20 @@ class NoopSpan:
 NOOP_SPAN = NoopSpan()
 
 
-@dataclass
-class Histogram:
-    """Streaming summary of observed values (count/sum/min/max + samples)."""
-
-    count: int = 0
-    total: float = 0.0
-    min: Optional[float] = None
-    max: Optional[float] = None
-    #: First N raw samples, enough for test assertions and percentile-ish
-    #: eyeballing without unbounded memory.
-    samples: List[float] = field(default_factory=list)
-    sample_cap: int = 256
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        if len(self.samples) < self.sample_cap:
-            self.samples.append(value)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"count": self.count, "sum": self.total, "min": self.min,
-                "max": self.max, "mean": self.mean}
-
-
 class Collector:
     """Process-wide sink for spans and metrics.
 
     A collector owns a stack of open spans (so ``span()`` calls nest), a
-    forest of completed root spans, and three metric families keyed by
-    dotted names (``analysis.points_to.hit``).
+    forest of completed root spans, and two metric families keyed by
+    dotted names (``analysis.points_to.hit``): counters that add up and
+    gauges whose last write wins.
 
     One thread records: the pipeline is single-threaded in every
     process (parallelism is worker *processes*, each with its own
-    collector, whose spans and metrics fold back through
-    :meth:`adopt_spans` and :meth:`merge_histogram`), so the open-span
-    stack and the metric dicts are plain attributes with no lock.
+    collector, whose spans fold back through :meth:`adopt_spans` and
+    whose metrics replay through :func:`repro.obs.count` and
+    :func:`repro.obs.gauge`), so the open-span stack and the metric
+    dicts are plain attributes with no lock.
     Every span still records the ``pid``/``tid`` it ran on, which is
     how a trace lays worker timelines side by side.
     """
@@ -184,7 +156,6 @@ class Collector:
         self._last_id = 0
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
-        self.histograms: Dict[str, Histogram] = {}
 
     # -- spans ----------------------------------------------------------
 
@@ -270,29 +241,6 @@ class Collector:
     def gauge(self, name: str, value: float) -> None:
         self.gauges[name] = value
 
-    def observe(self, name: str, value: float) -> None:
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = Histogram()
-        hist.observe(value)
-
-    def merge_histogram(self, name: str, other: Histogram) -> None:
-        """Fold a worker histogram into this collector's, preserving
-        count/sum/min/max exactly and samples up to the cap."""
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = Histogram()
-        hist.count += other.count
-        hist.total += other.total
-        for bound in (other.min, other.max):
-            if bound is None:
-                continue
-            hist.min = bound if hist.min is None else min(hist.min, bound)
-            hist.max = bound if hist.max is None else max(hist.max, bound)
-        room = hist.sample_cap - len(hist.samples)
-        if room > 0:
-            hist.samples.extend(other.samples[:room])
-
     # -- export ---------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
@@ -301,8 +249,6 @@ class Collector:
             "spans": [root.to_dict() for root in self.roots],
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
-            "histograms": {k: h.to_dict()
-                           for k, h in sorted(self.histograms.items())},
         }
 
     def render(self) -> str:

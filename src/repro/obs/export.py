@@ -1,10 +1,10 @@
-"""Exporters: pretty-text phase tree and JSON, shared by ``--profile``,
-``minirust stats`` and the benchmark harness."""
+"""Exporters: the pretty-text phase tree, flattened phase timings and
+hot-SCC attribution, shared by ``--profile``, ``minirust stats`` and the
+benchmark harness."""
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.obs.core import Collector, SpanRecord
 
@@ -78,7 +78,7 @@ def render_hot_sccs(entries: List[Dict[str, Any]]) -> List[str]:
 
 def render_text(collector: Collector, top_sccs: int = 5) -> str:
     """Human-readable dump: span tree, hottest SCCs (when the summary
-    solve ran), then counters/gauges/histograms."""
+    solve ran), then counters and gauges."""
     lines: List[str] = [f"== trace ({collector.name}) =="]
     if not collector.roots:
         lines.append("(no spans recorded)")
@@ -99,19 +99,7 @@ def render_text(collector: Collector, top_sccs: int = 5) -> str:
         lines.append("== gauges ==")
         for key in sorted(collector.gauges):
             lines.append(f"{key}  {collector.gauges[key]}")
-    if collector.histograms:
-        lines.append("== histograms ==")
-        for key in sorted(collector.histograms):
-            hist = collector.histograms[key]
-            lines.append(
-                f"{key}  n={hist.count} mean={_fmt_secs(hist.mean)} "
-                f"min={_fmt_secs(hist.min or 0.0)} "
-                f"max={_fmt_secs(hist.max or 0.0)}")
     return "\n".join(lines)
-
-
-def to_json(collector: Collector, indent: Optional[int] = 2) -> str:
-    return json.dumps(collector.to_dict(), indent=indent, sort_keys=False)
 
 
 def phase_timings(collector: Collector) -> Dict[str, float]:
@@ -131,13 +119,3 @@ def phase_timings(collector: Collector) -> Dict[str, float]:
     for root in collector.roots:
         visit(root, "")
     return out
-
-
-def write_json(collector: Collector, path: str) -> Dict[str, Any]:
-    """Write the collector dump (plus flattened phases) to ``path``."""
-    payload = collector.to_dict()
-    payload["phases"] = phase_timings(collector)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
-    return payload

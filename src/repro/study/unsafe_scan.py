@@ -170,7 +170,7 @@ def scan_program(program: Program,
             result.operations[kind] = result.operations.get(kind, 0) + count
     report = run_detectors(program, source=program.source, config=_CENSUS)
     result.audit = UnsafeAuditReport.of(
-        [(program.source.name, report.findings)], _CENSUS)
+        [(program.source.name, report.findings)])
     return result
 
 
@@ -186,5 +186,5 @@ def scan_sources(sources: Iterable[Tuple[str, str]]) -> ScanResult:
         for kind, count in partial.operations.items():
             merged.operations[kind] = merged.operations.get(kind, 0) + count
         rows.extend(partial.audit.rows)
-    merged.audit = UnsafeAuditReport(rows=rows, config=_CENSUS)
+    merged.audit = UnsafeAuditReport(rows=rows)
     return merged

@@ -3,6 +3,7 @@ the removal of the ``interprocedural=`` shims, and report schema
 versioning."""
 
 import hashlib
+import inspect
 import json
 from dataclasses import fields
 
@@ -54,21 +55,26 @@ class TestAnalyze:
         assert report.to_dict()["source"] == "mine.rs"
 
     def test_detector_names_filter(self):
-        report = api.analyze(UAF_SRC, detectors=["double-lock"])
+        report = api.analyze(
+            UAF_SRC, config=AnalysisConfig(detectors=["double-lock"]))
         assert report.exit_code == 0
 
     def test_unknown_detector_raises(self):
         with pytest.raises(ValueError, match="unknown detector"):
-            api.analyze(UAF_SRC, detectors=["not-a-detector"])
-
-    def test_detector_instances_accepted(self):
-        from repro.detectors.use_after_free import UseAfterFreeDetector
-        report = api.analyze(UAF_SRC, detectors=[UseAfterFreeDetector()])
-        assert report.exit_code == 1
+            api.analyze(UAF_SRC,
+                        config=AnalysisConfig(detectors=["not-a-detector"]))
 
     def test_bad_detector_type_raises(self):
-        with pytest.raises(TypeError, match="names or Detector"):
-            api.analyze(UAF_SRC, detectors=[42])
+        with pytest.raises(ValueError, match="non-empty strings"):
+            api.analyze(UAF_SRC, config=AnalysisConfig(detectors=[42]))
+
+    def test_config_is_the_only_detector_selector(self):
+        # No entry point takes a per-call ``detectors=`` override.
+        for entry in (api.analyze, api.AnalysisSession.analyze,
+                      api.AnalysisSession.analyze_compiled,
+                      api.AnalysisSession.analyze_sources,
+                      api.AnalysisSession.analyze_files):
+            assert "detectors" not in inspect.signature(entry).parameters
 
 
 class TestAnalysisSession:
@@ -159,17 +165,20 @@ class TestReportCache:
         assert [json.dumps(r.to_dict()) for r in first] == \
             [json.dumps(r.to_dict()) for r in second]
 
-    def test_detector_instances_bypass_report_cache(self, tmp_path):
+    def test_detector_selection_uses_report_cache(self, tmp_path):
+        # A selection is part of the config, so it is keyed like any
+        # other finding-relevant field and served warm.
         from repro import obs
-        from repro.detectors.use_after_free import UseAfterFreeDetector
-        config = AnalysisConfig(cache_dir=str(tmp_path))
+        config = AnalysisConfig(cache_dir=str(tmp_path),
+                                detectors=("use-after-free",))
+        cold = self._run(config)
         with obs.collecting() as col:
-            with api.AnalysisSession(config) as session:
-                session.analyze_sources(
-                    list(self.SOURCES),
-                    detectors=[UseAfterFreeDetector()])
-        assert "analysis.report_cache.miss" not in col.counters
-        assert not (tmp_path / "reports").exists()
+            warm = self._run(config)
+        assert col.counters["analysis.report_cache.hit"] == 2
+        assert [json.dumps(r.to_dict()) for r in warm] == \
+            [json.dumps(r.to_dict()) for r in cold]
+        assert {f.detector for r in warm for f in r.findings} == \
+            {"use-after-free"}
 
     def test_report_cache_knob_disables_tier(self, tmp_path):
         from repro import obs
@@ -208,7 +217,6 @@ class TestReportCache:
         from repro.analysis.executor import ReportCache
         for unwind in (True, False):
             knobs = (("interprocedural", True), ("detectors", None),
-                     ("deadlock_cycle_bound", 4),
                      ("unwind_edges", unwind))
             h = hashlib.sha256()
             h.update(b"repro-report-cache-v3:schema1.0\x00")

@@ -5,9 +5,8 @@ import os
 import pytest
 
 from repro import compile_source, obs
-from repro.api import AnalysisSession
+from repro.api import AnalysisConfig, AnalysisSession
 from repro.cli import main as cli_main
-from repro.detectors.use_after_free import UseAfterFreeDetector
 from repro.driver import CompiledProgram, compile_file
 
 EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(
@@ -49,9 +48,10 @@ class TestDriver:
         assert not report.errors
 
     def test_run_selected_detectors(self):
-        report = AnalysisSession().analyze_compiled(
-            compile_source(UAF_SRC), detectors=[UseAfterFreeDetector()])
-        assert {f.detector for f in report.findings} <= {"use-after-free"}
+        report = AnalysisSession(
+            AnalysisConfig(detectors=("use-after-free",))).analyze_compiled(
+            compile_source(UAF_SRC)).report
+        assert {f.detector for f in report.findings} == {"use-after-free"}
 
     def test_compile_file(self, tmp_path):
         path = tmp_path / "prog.rs"
@@ -220,6 +220,22 @@ class TestCliObservability:
         assert code == 0
         span_names = [s["name"] for s in data["profile"]["spans"]]
         assert "compile" in span_names and "detectors" in span_names
+
+    def test_profile_metrics_identical_across_jobs(self, capsys):
+        # Worker counters and gauges fold back in input order, so a
+        # fanned-out run reports what the serial run reports.
+        import json
+        files = [os.path.join(EXAMPLES, name)
+                 for name in ("figure7_uaf.rs", "figure8_double_lock.rs")]
+        profiles = []
+        for jobs in ("1", "2"):
+            cli_main(["check", *files, "--jobs", jobs, "--json",
+                      "--profile"])
+            profiles.append(json.loads(capsys.readouterr().out)["profile"])
+        serial, fanned = profiles
+        assert serial["gauges"], "the serial run records gauges"
+        assert fanned["gauges"] == serial["gauges"]
+        assert fanned["counters"] == serial["counters"]
 
     def test_check_profile_prints_tree(self, tmp_path, capsys):
         code = cli_main(["check", self._write(tmp_path, UAF_SRC),

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.engine import SummaryEngine
-from repro.analysis.lockgraph import elementary_circuits
+from repro.analysis.lockgraph import DEFAULT_CYCLE_BOUND, elementary_circuits
 from repro.corpus.inject import BUG_TEMPLATES
 from repro.detectors.registry import run_detectors
 from repro.driver import compile_source
@@ -177,12 +177,10 @@ class TestDeadlockCycleDetector:
         assert len(cycle_findings[0].metadata["threads"]) == 3
 
     def test_cycle_bound_caps_the_search(self):
-        findings = _findings(THREE_LOCK_CYCLE, deadlock_cycle_bound=2)
-        assert not [f for f in findings if f.kind == "deadlock-cycle"]
-
-    def test_cycle_bound_validation(self):
-        with pytest.raises(ValueError, match="deadlock_cycle_bound"):
-            AnalysisConfig(deadlock_cycle_bound=1)
+        compiled = compile_source(THREE_LOCK_CYCLE)
+        graph = SummaryEngine(compiled.program, AnalysisConfig()).lock_graph()
+        assert [len(cycle) for cycle, _ in graph.deadlock_cycles()] == [3]
+        assert not graph.deadlock_cycles(2)
 
     def test_same_thread_abba_left_to_lock_order(self):
         findings = _findings(SAME_THREAD_ABBA)
@@ -229,11 +227,16 @@ class TestOneLockGraph:
             assert elementary_circuits(reversed(edges), bound) == circuits
 
     def test_five_lock_ring_needs_bound_five(self):
+        assert DEFAULT_CYCLE_BOUND == 4
         assert not [f for f in _findings(FIVE_LOCK_RING)
                     if f.detector in ("lock-order", "deadlock")]
-        findings = _findings(FIVE_LOCK_RING, deadlock_cycle_bound=5)
-        assert [(f.detector, len(f.metadata["cycle"]))
-                for f in findings] == [("lock-order", 5)]
+        # The lock-order detector's edges: the solved global pairs.
+        program = compile_source(FIVE_LOCK_RING).program
+        engine = SummaryEngine(program, AnalysisConfig())
+        edges = {(a[:3], b[:3]) for body in program.bodies()
+                 for a, b in engine.summary(body.key).lock_orders}
+        assert not elementary_circuits(edges, DEFAULT_CYCLE_BOUND)
+        assert [len(cycle) for cycle in elementary_circuits(edges, 5)] == [5]
 
     @pytest.mark.parametrize("src", [
         BUG_TEMPLATES["lock_order_pair"].render("ablation"),

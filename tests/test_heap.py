@@ -133,27 +133,42 @@ class TestAcyclicHeap:
 
 class _RecordCollector(Detector):
     """Records ``gc.isenabled()`` while detectors run, and optionally
-    runs a nested session call from inside the outer one."""
+    runs a nested session call (default detectors, so not this one)
+    from inside the outer one.  The registry builds a fresh instance
+    per run, so the record lives on the class."""
 
     name = "record-collector"
-
-    def __init__(self, nested: bool = False) -> None:
-        self.nested = nested
-        self.seen = []
+    nested = False
+    seen: list = []
 
     def check_program(self, ctx):
-        self.seen.append(gc.isenabled())
-        if self.nested:
+        cls = type(self)
+        cls.seen.append(gc.isenabled())
+        if cls.nested:
             api.AnalysisSession().analyze_sources([("inner.rs", SMALL_SRC)])
-            self.seen.append(gc.isenabled())
+            cls.seen.append(gc.isenabled())
         return []
+
+
+#: Runs only the probe, once it is registered.
+_PROBE_ONLY = AnalysisConfig(detectors=(_RecordCollector.name,))
+
+
+@pytest.fixture
+def probe(monkeypatch):
+    """``_RecordCollector`` registered by name, with a fresh record."""
+    from repro.detectors import registry
+    monkeypatch.setattr(registry, "ALL_DETECTORS",
+                        registry.ALL_DETECTORS + [_RecordCollector])
+    monkeypatch.setattr(_RecordCollector, "seen", [])
+    monkeypatch.setattr(_RecordCollector, "nested", False)
+    return _RecordCollector
 
 
 @pytest.mark.usefixtures("collector_on")
 class TestCollectorPause:
-    def test_off_during_the_call_and_restored_after(self):
-        probe = _RecordCollector()
-        api.analyze(SMALL_SRC, detectors=[probe])
+    def test_off_during_the_call_and_restored_after(self, probe):
+        api.analyze(SMALL_SRC, config=_PROBE_ONLY)
         assert probe.seen == [False]
         assert gc.isenabled()
 
@@ -165,16 +180,16 @@ class TestCollectorPause:
             api.AnalysisSession().analyze_sources([("bad.rs", "fn (")])
         assert gc.isenabled()
 
-    def test_nested_calls_restore_only_at_the_outermost_exit(self):
-        probe = _RecordCollector(nested=True)
-        api.analyze(SMALL_SRC, detectors=[probe])
+    def test_nested_calls_restore_only_at_the_outermost_exit(self, probe):
+        probe.nested = True
+        api.analyze(SMALL_SRC, config=_PROBE_ONLY)
         assert probe.seen == [False, False]
         assert gc.isenabled()
 
-    def test_caller_that_disabled_the_collector_keeps_it_off(self):
+    def test_caller_that_disabled_the_collector_keeps_it_off(self, probe):
         gc.disable()
-        probe = _RecordCollector(nested=True)
-        api.analyze(SMALL_SRC, detectors=[probe])
+        probe.nested = True
+        api.analyze(SMALL_SRC, config=_PROBE_ONLY)
         api.audit_unsafe([("a.rs", BENIGN_TEMPLATES["checked_ffi"]("a"))])
         assert probe.seen == [False, False]
         assert not gc.isenabled()
