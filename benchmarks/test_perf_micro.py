@@ -154,6 +154,10 @@ def test_bounds_check_work_is_deterministic(benchmark, programs):
 
 BENCH_OBS_PATH = bench_path("BENCH_obs.json")
 
+#: Timed (no collector, collector) pairs behind the overhead fraction.
+#: Even, so each side runs first in half of them.
+OBS_OVERHEAD_PAIRS = 10
+
 
 def _full_pipeline():
     compiled = compile_source(CHECKED_SUM, name="bench://checked_sum")
@@ -172,31 +176,51 @@ def test_obs_trajectory_artifact():
     The cost is the same pipeline timed with *no* collector installed
     (the tier-1 fast path) next to the collected run, so a PR that
     bloats the instrumentation fast path shows up in bench-diff as a
-    rising overhead fraction.  Per-layer timings are perfbench's job.
+    rising overhead fraction.  One untimed run warms up first; then
+    ``OBS_OVERHEAD_PAIRS`` pairs alternate which side runs first, and
+    the artifact holds each side's median wall and the median per-pair
+    fraction.  Per-layer timings are perfbench's job.
     """
+    from statistics import median
     from time import perf_counter
 
     assert obs.get_collector() is None
-    started = perf_counter()
-    _full_pipeline()
-    no_collector_wall = perf_counter() - started
+    _full_pipeline()                                # untimed warm-up
 
-    started = perf_counter()
-    with obs.collecting("bench-obs") as collector:
-        report, result = _full_pipeline()
-    with_collector_wall = perf_counter() - started
-    assert result.ok, result.error
+    def bare():
+        started = perf_counter()
+        _full_pipeline()
+        return perf_counter() - started
+
+    def collected():
+        started = perf_counter()
+        with obs.collecting("bench-obs") as collector:
+            report, result = _full_pipeline()
+        return perf_counter() - started, collector, report, result
+
+    without, within, fractions = [], [], []
+    for pair in range(OBS_OVERHEAD_PAIRS):
+        if pair % 2:
+            wall, collector, report, result = collected()
+            no_collector_wall = bare()
+        else:
+            no_collector_wall = bare()
+            wall, collector, report, result = collected()
+        assert result.ok, result.error
+        without.append(no_collector_wall)
+        within.append(wall)
+        # (with - without) / without, within one pair.
+        fractions.append((wall - no_collector_wall) / no_collector_wall
+                         if no_collector_wall > 0 else 0.0)
 
     payload = {
         "overhead": {
-            "no_collector_wall_s": no_collector_wall,
-            "with_collector_wall_s": with_collector_wall,
-            # (with - without) / without; noisy on shared hosts, so the
-            # assertion is existence/shape only — bench-diff watches
-            # trends.
-            "collector_overhead_fraction":
-                (with_collector_wall - no_collector_wall) / no_collector_wall
-                if no_collector_wall > 0 else 0.0,
+            "no_collector_wall_s": median(without),
+            "with_collector_wall_s": median(within),
+            # Noisy on shared hosts, so the assertion is existence/shape
+            # only — bench-diff watches trends.
+            "collector_overhead_fraction": median(fractions),
+            "pairs": OBS_OVERHEAD_PAIRS,
         },
         "counters": dict(collector.counters),
     }
@@ -217,7 +241,8 @@ def test_obs_trajectory_artifact():
     assert json.loads(BENCH_OBS_PATH.read_text()) == payload
     emit("obs trajectory",
          f"BENCH_obs.json: collector overhead "
-         f"{payload['overhead']['collector_overhead_fraction']:.1%}, "
+         f"{payload['overhead']['collector_overhead_fraction']:.1%} "
+         f"(median of {OBS_OVERHEAD_PAIRS} pairs), "
          f"{len(payload['counters'])} counters; "
          f"compile {phases['compile'] * 1e3:.2f}ms, "
          f"detectors {phases['detectors'] * 1e3:.2f}ms, "

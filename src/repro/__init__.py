@@ -12,7 +12,8 @@ This package implements, from scratch in Python:
   initialisation, points-to, lifetime regions, an approximate borrow
   checker, a call graph);
 * the paper's two **static bug detectors** (use-after-free, double-lock)
-  and eight further detectors realising the paper's §7 suggestions;
+  and twenty further detectors realising the paper's §7 suggestions (21
+  run by default; ``interior-unsafe-audit`` runs only when named);
 * a Miri-like **MIR interpreter** with an allocation-based memory model and
   a deterministic thread scheduler (dynamic UB and deadlock detection);
 * the **empirical-study pipeline**: the paper's labelled bug / unsafe-usage

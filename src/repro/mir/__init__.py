@@ -10,28 +10,8 @@ monitoring when MIR calls StorageLive or StorageDead", §7.1).
 One deliberate simplification versus rustc: ``Drop`` is a *statement*, not
 a terminator, which keeps block counts small without changing the event
 order any analysis observes.  This deviation is documented in DESIGN.md.
+
+The package re-exports nothing: import from its submodules
+(``repro.mir.interp.run_program``, ``repro.mir.build.build_program``, ...),
+so that a check never loads the interpreter it does not run.
 """
-
-from repro.mir.nodes import (
-    AggregateKind, BasicBlock, BinOpKind, Body, CastKind, Constant, Local,
-    Operand, Place, Program, ProjectionElem, Rvalue, RvalueKind, Statement,
-    StatementKind, Terminator, TerminatorKind, UnOpKind,
-)
-from repro.mir.build import build_program
-from repro.mir.interp import (
-    Interpreter, RunResult, ScheduleConfig, explore_schedules, run_program,
-)
-from repro.mir.pretty import pretty_body, pretty_program
-from repro.mir.values import (
-    DeadlockError, InterpError, RuntimePanic, UBError, UBKind,
-)
-
-__all__ = [
-    "AggregateKind", "BasicBlock", "BinOpKind", "Body", "CastKind",
-    "Constant", "Local", "Operand", "Place", "Program", "ProjectionElem",
-    "Rvalue", "RvalueKind", "Statement", "StatementKind", "Terminator",
-    "TerminatorKind", "UnOpKind", "build_program", "pretty_body",
-    "pretty_program", "Interpreter", "RunResult", "ScheduleConfig",
-    "explore_schedules", "run_program", "DeadlockError", "InterpError",
-    "RuntimePanic", "UBError", "UBKind",
-]

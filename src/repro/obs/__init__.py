@@ -17,18 +17,19 @@ seed speed.  ``--profile`` / ``minirust stats`` / the benchmarks install
 a :class:`Collector` via :func:`install` or the :func:`collecting`
 context manager and then export the trace as a pretty tree, a
 Chrome trace, folded flamegraph stacks or ``Collector.to_dict()``.
+
+The exporters (``export``, ``flame``, ``trace``) load on first use of
+one of their names here, so a plain check never imports them.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from importlib import import_module
 from typing import Any, Iterator, Optional, Union
 
 from repro.obs.core import Collector, NOOP_SPAN, NoopSpan, SpanRecord
-from repro.obs.export import hot_sccs, phase_timings, render_text
-from repro.obs.flame import folded_stacks, write_folded
 from repro.obs.provenance import fact, jsonable, render_facts
-from repro.obs.trace import to_chrome_trace, write_chrome_trace
 
 __all__ = [
     "Collector", "NoopSpan", "NOOP_SPAN", "SpanRecord",
@@ -37,6 +38,24 @@ __all__ = [
     "render_facts", "render_text", "span", "to_chrome_trace", "uninstall",
     "write_chrome_trace", "write_folded",
 ]
+
+#: Exporter names and the submodule each loads from on first use.
+_EXPORTERS = {
+    "hot_sccs": "export", "phase_timings": "export", "render_text": "export",
+    "folded_stacks": "flame", "write_folded": "flame",
+    "to_chrome_trace": "trace", "write_chrome_trace": "trace",
+}
+
+
+def __getattr__(name):
+    if name in ("export", "flame", "trace"):
+        return import_module(f"{__name__}.{name}")
+    if name not in _EXPORTERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_EXPORTERS[name]}"), name)
+    globals()[name] = value
+    return value
+
 
 #: The process-wide active collector; ``None`` means disabled.
 _active: Optional[Collector] = None

@@ -18,38 +18,8 @@ marginals: every aggregate the paper reports is reproduced exactly; joint
 distributions the paper does not report (e.g. which memory-bug effect
 occurred in which project) are filled in deterministically and documented
 as such in EXPERIMENTS.md.
+
+The package re-exports nothing: import from its submodules
+(``repro.study.tables``, ``repro.study.taxonomy``, ...), so that the
+corpus, which needs only the taxonomy, does not load the datasets.
 """
-
-from repro.study.taxonomy import (
-    BlockingCause, BlockingPrimitive, BugKind, DataSharing, FixStrategy,
-    MemoryEffect, NonblockingFix, NonblockingIssue, Project, Propagation,
-    UnsafePurpose, UnsafeRemovalReason,
-)
-from repro.study.dataset import (
-    ALL_BUGS, BLOCKING_BUGS, BugRecord, MEMORY_BUGS, NONBLOCKING_BUGS,
-    UNSAFE_REMOVALS, UNSAFE_USAGE_STATS, USAGE_SAMPLE,
-)
-from repro.study.tables import (
-    section4_interior_unsafe, section4_unsafe_usage, section5_fix_strategies,
-    section6_blocking_causes, section6_blocking_fixes,
-    section6_nonblocking_stats, table1_studied_software,
-    table2_memory_categories, table3_blocking_sync, table4_data_sharing,
-    render_table,
-)
-from repro.study.figures import fig1_rust_history, fig2_bug_fix_timeline
-from repro.study.insights import INSIGHTS, SUGGESTIONS, verify_all_insights
-
-__all__ = [
-    "BlockingCause", "BlockingPrimitive", "BugKind", "DataSharing",
-    "FixStrategy", "MemoryEffect", "NonblockingFix", "NonblockingIssue",
-    "Project", "Propagation", "UnsafePurpose", "UnsafeRemovalReason",
-    "ALL_BUGS", "BLOCKING_BUGS", "BugRecord", "MEMORY_BUGS",
-    "NONBLOCKING_BUGS", "UNSAFE_REMOVALS", "UNSAFE_USAGE_STATS",
-    "USAGE_SAMPLE", "section4_interior_unsafe", "section4_unsafe_usage",
-    "section5_fix_strategies", "section6_blocking_causes",
-    "section6_blocking_fixes", "section6_nonblocking_stats",
-    "table1_studied_software", "table2_memory_categories",
-    "table3_blocking_sync", "table4_data_sharing", "render_table",
-    "fig1_rust_history", "fig2_bug_fix_timeline",
-    "INSIGHTS", "SUGGESTIONS", "verify_all_insights",
-]
