@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.analysis.dataflow import reach
 from repro.analysis.scan import scan_of
 from repro.hir.builtins import BuiltinOp, FuncKind
 from repro.lang.source import Span
@@ -62,30 +63,14 @@ class CallGraph:
             self._by_callee = by_callee
         return self._by_callee.get(key, [])
 
-    def transitive_callees(self, key: str,
-                           include_spawned: bool = False) -> Set[str]:
-        seen: Set[str] = set()
-        stack = [key]
-        while stack:
-            node = stack.pop()
-            nexts = set(self.edges.get(node, set()))
-            if include_spawned:
-                nexts |= self.spawn_edges.get(node, set())
-            for nxt in nexts:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
+    def calls_or_spawns(self, key: str) -> Set[str]:
+        """The functions ``key`` calls on its own thread or spawns."""
+        return self.edges.get(key, set()) | self.spawn_edges.get(key, set())
 
     def reachable_from_spawn(self) -> Set[str]:
         """Functions that may run on a spawned thread."""
-        roots: Set[str] = set()
-        for spawned in self.spawn_edges.values():
-            roots |= spawned
-        result = set(roots)
-        for root in roots:
-            result |= self.transitive_callees(root, include_spawned=True)
-        return result
+        return reach(set().union(*self.spawn_edges.values()),
+                     self.calls_or_spawns)
 
 
 def _closure_keys_in_args(body: Body, term) -> List[str]:

@@ -20,15 +20,39 @@ Only blocks reachable from the entry get a state.  Since a landing pad
 ends in ``RESUME`` and has no successors, adding one after solving
 changes no other block's entry: :meth:`Solution.add_blocks` patches each
 new block in as the union of its predecessors' exit states.
+
+The module also holds the one may-reachability closure,
+:func:`reach`: where a value can flow inside a body (value, guard and
+taint chains, unsafe births), which functions a call graph reaches,
+which blocks follow a spawn.  Each caller supplies its own successor
+function; none writes its own worklist.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar,
+)
 
 from repro.mir.cfg import Cfg
 
 Mask = Tuple[int, int]          # (gen, kill)
+Node = TypeVar("Node")
+
+
+def reach(seeds: Iterable[Node],
+          successors: Callable[[Node], Iterable[Node]]) -> Set[Node]:
+    """The seeds plus every node reachable from them along
+    ``successors`` (depth-first; each node's successors are asked for
+    once)."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for node in successors(stack.pop()):
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return seen
 
 
 class GenKill:

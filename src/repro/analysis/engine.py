@@ -100,6 +100,11 @@ def _access_hop(summary: FunctionSummary, access):
     return None if entry is None else entry[0]
 
 
+def _sink_hop(summary: FunctionSummary, position):
+    entry = summary.unsafe_provenance.arg_sinks.get(position)
+    return None if entry is None else entry[1]
+
+
 class SummaryEngine:
     """Computes and caches :class:`FunctionSummary` facts for a program."""
 
@@ -245,6 +250,12 @@ class SummaryEngine:
         """The call chain along which ``key`` reaches the shared access
         ``access`` (an :data:`AccessKey`) — ``[key]`` when direct."""
         return self._hop_chain(key, access, _access_hop)
+
+    def sink_chain(self, key: str, position: int) -> List[str]:
+        """The call chain along which argument ``position`` of ``key``
+        reaches an unguarded unsafe sink — ``[key]`` when the sink is in
+        its own body."""
+        return self._hop_chain(key, position, _sink_hop)
 
     def thread_escape(self) -> ThreadEscape:
         """Program-wide thread-escape facts (computed once, lazily)."""

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import CallGraph
+from repro.analysis.dataflow import reach
 from repro.analysis.points_to import PointsTo
 from repro.analysis.scan import scan_of
 from repro.hir.builtins import BuiltinOp
@@ -122,20 +123,9 @@ def _global_targets(pt: PointsTo, local: int) -> Set[SharedTarget]:
     l)`` alias hops — a handle returned by a helper (``fn dup(a) ->
     Arc<T>``) aliases the *local* that held the original, one hop away
     from the allocation id itself."""
-    out: Set[SharedTarget] = set()
-    seen: Set[int] = set()
-    work = [local]
-    while work:
-        current = work.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        for t in pt.targets(current):
-            if t[0] in ("heap", "static"):
-                out.add((t[0], t[1]))
-            elif t[0] == "local":
-                work.append(t[1])
-    return out
+    return {(t[0], t[1])
+            for alias in reach((local,), pt.local_targets)
+            for t in pt.targets(alias) if t[0] in ("heap", "static")}
 
 
 def compute_thread_escape(program: Program,

@@ -23,13 +23,15 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.analysis.dataflow import GenKill, Solution, solve
+from repro.analysis.dataflow import GenKill, Solution, reach, solve
 from repro.analysis.points_to import PointsTo
-from repro.analysis.scan import LOCK_ACQUIRE_OPS, cfg_of, scan_of
+from repro.analysis.scan import (
+    GUARD_EXTRACT_OPS, LOCK_ACQUIRE_OPS, cfg_of, scan_of,
+)
 from repro.hir.builtins import BuiltinOp, FuncKind
 from repro.lang.source import Span
 from repro.mir.cfg import Cfg
-from repro.mir.nodes import Body, RvalueKind, StatementKind, TerminatorKind
+from repro.mir.nodes import Body, StatementKind, TerminatorKind
 
 Point = Tuple[int, int]
 
@@ -42,10 +44,6 @@ TRY_ACQUIRE_OPS = {
 #: lock kind → the canonical acquisition op (for synthetic regions that
 #: model a callee returning with the lock held).
 KIND_TO_ACQUIRE_OP = {kind: op for op, kind in LOCK_ACQUIRE_OPS.items()}
-
-# Ops that move a value out of their (by-ref) receiver.
-_EXTRACT_OPS = {BuiltinOp.UNWRAP, BuiltinOp.EXPECT, BuiltinOp.OK_METHOD,
-                BuiltinOp.TAKE, BuiltinOp.UNWRAP_OR}
 
 
 class StorageRanges:
@@ -186,52 +184,22 @@ def _guardish_ty(ty) -> bool:
 
 
 def _guard_chain(body: Body, seed: int) -> Set[int]:
-    """Locals through which the guard value may flow (unwrap / moves).
-    Memoised per ``(body, seed)`` on the body's scan — the same guard
-    chains are re-requested on every summarise iteration."""
+    """Locals through which the guard value may flow (moves and the
+    :data:`~repro.analysis.scan.GUARD_EXTRACT_OPS` extractions).
+    Whole-value moves and payload extraction by pattern destructuring
+    (`Ok(g) =>` binds `g = tmp.0`) both carry the guard along — but only
+    into guard-compatible destinations (copying `*g` out as an i32 does
+    not).  Memoised per ``(body, seed)`` on the body's scan — the same
+    guard chains are re-requested on every summarise iteration."""
     scan = scan_of(body)
-    key = ("guard_chain", seed)
-    cached = scan.cache.get(key)
-    if cached is None:
-        cached = scan.cache[key] = frozenset(
-            _compute_guard_chain(body, scan, seed))
-    return set(cached)
 
+    def compute() -> FrozenSet[int]:
+        edges = scan.flow_edges(
+            GUARD_EXTRACT_OPS, projected=True,
+            keep=lambda local: _guardish_ty(body.local_ty(local)))
+        return frozenset(reach((seed,), lambda local: edges.get(local, ())))
 
-def _compute_guard_chain(body: Body, scan, seed: int) -> Set[int]:
-    ref_map = scan.ref_map
-    extracts = scan.calls_of(*_EXTRACT_OPS)
-    chain = {seed}
-    changed = True
-    while changed:
-        changed = False
-        for _bb, _i, stmt in scan.statements:
-            if stmt.kind is StatementKind.ASSIGN and stmt.place.is_local \
-                    and stmt.rvalue is not None \
-                    and stmt.rvalue.kind is RvalueKind.USE:
-                op = stmt.rvalue.operands[0]
-                # Whole-value moves and payload extraction by pattern
-                # destructuring (`Ok(g) =>` binds `g = tmp.0`) both carry
-                # the guard along — but only into guard-compatible
-                # destinations (copying `*g` out as an i32 does not).
-                if op.place is not None \
-                        and op.place.local in chain \
-                        and stmt.place.local not in chain \
-                        and _guardish_ty(body.local_ty(stmt.place.local)):
-                    chain.add(stmt.place.local)
-                    changed = True
-        for _bb, term in extracts:
-            if term.args:
-                arg = term.args[0]
-                if arg.place is not None and arg.place.is_local:
-                    src = arg.place.local
-                    src = ref_map.get(src, src)
-                    if src in chain and term.destination is not None \
-                            and term.destination.is_local \
-                            and term.destination.local not in chain:
-                        chain.add(term.destination.local)
-                        changed = True
-    return chain
+    return set(scan.memo(("guard_chain", seed), compute))
 
 
 def may_have_guard_regions(body: Body, include_try: bool = False,
@@ -389,7 +357,7 @@ def _propagate_region(body: Body, cfg: Cfg, region: GuardRegion,
                         held.add(term.destination.local)
                     elif func_op is BuiltinOp.MEM_DROP and not held:
                         region.release_points.add(term_point)
-                elif func_op in _EXTRACT_OPS and deref_src in held:
+                elif func_op in GUARD_EXTRACT_OPS and deref_src in held:
                     held.discard(deref_src)
                     if term.destination is not None and \
                             term.destination.is_local and \

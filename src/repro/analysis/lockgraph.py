@@ -44,6 +44,7 @@ from typing import (
     Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
+from repro.analysis.dataflow import reach
 from repro.analysis.escape import capture_lock_ids, translate_capture
 from repro.analysis.lifetime import lock_identity
 from repro.lang.source import Span
@@ -347,16 +348,6 @@ def live_functions(engine) -> Set[str]:
     potential entry point; closures only run when something spawns or
     calls them.  A notify / send inside a never-invoked closure must not
     count as reachable."""
-    graph = engine.call_graph
-    live: Set[str] = set()
-    stack = [key for key, body in engine.program.functions.items()
-             if not body.is_closure]
-    live.update(stack)
-    while stack:
-        key = stack.pop()
-        for nxt in graph.edges.get(key, set()) \
-                | graph.spawn_edges.get(key, set()):
-            if nxt not in live:
-                live.add(nxt)
-                stack.append(nxt)
-    return live
+    return reach((key for key, body in engine.program.functions.items()
+                  if not body.is_closure),
+                 engine.call_graph.calls_or_spawns)

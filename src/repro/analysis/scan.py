@@ -103,6 +103,21 @@ PANIC_BUILTIN_OPS = frozenset({
 #: inside an unsafe region).
 RAW_MINT_CASTS = {CastKind.REF_TO_RAW, CastKind.INT_TO_RAW}
 
+#: Calls that move the value out of their (by-ref) receiver, as an
+#: owner's value chain follows them (:meth:`BodyScan.flow_edges` for
+#: :func:`repro.analysis.summaries.value_chain`: use-after-free,
+#: double-free, may-drop).  ``unwrap_or`` is left out: its result may be
+#: the default, a value the owner never held, and a drop of it is not a
+#: drop of the owner.
+OWNER_EXTRACT_OPS = frozenset({BuiltinOp.UNWRAP, BuiltinOp.EXPECT,
+                               BuiltinOp.TAKE, BuiltinOp.OK_METHOD})
+
+#: The same for a lock guard's chain (the guard regions of
+#: :mod:`repro.analysis.lifetime`), which also follows ``unwrap_or``: a
+#: guard region is a may-hold region, and on success the result is the
+#: guard, so the lock may still be held through it.
+GUARD_EXTRACT_OPS = OWNER_EXTRACT_OPS | {BuiltinOp.UNWRAP_OR}
+
 NULL_TARGET = ("null",)
 UNKNOWN_TARGET = ("unknown",)
 
@@ -663,7 +678,45 @@ class BodyScan:
             cached = self.cache[key] = tuple(sources)
         return cached
 
-    def memo(self, key: str, compute):
+    def flow_edges(self, extract_ops, projected: bool = False,
+                   keep=None) -> Dict[int, List[int]]:
+        """Local → the locals its value moves into in one step, the edges
+        of a value chain (:func:`repro.analysis.summaries.value_chain`)
+        or a guard chain (:mod:`repro.analysis.lifetime`):
+
+        * a move or copy ``dst = src`` into a local ``dst``; with
+          ``projected``, also a read through a projection (``dst =
+          src.0``, the payload a pattern destructures); ``keep(dst)``,
+          when given, filters these destinations;
+        * a call of one of ``extract_ops`` (``dst = src.unwrap()``) into
+          a local ``dst``, its receiver resolved through ``ref_map``.
+
+        Built per request from the flat lists, not stored: only the
+        chains are memoised."""
+        edges: Dict[int, List[int]] = {}
+        for _bb, _i, stmt in self.statements:
+            rv = stmt.rvalue
+            if stmt.kind is not StatementKind.ASSIGN \
+                    or not stmt.place.is_local or rv is None \
+                    or rv.kind is not RvalueKind.USE:
+                continue
+            src = rv.operands[0].place
+            dst = stmt.place.local
+            if src is not None and (projected or src.is_local) \
+                    and (keep is None or keep(dst)):
+                edges.setdefault(src.local, []).append(dst)
+        ref_map = self.ref_map
+        for _bb, term in self.calls_of(*extract_ops):
+            dest = term.destination
+            if not term.args or dest is None or not dest.is_local:
+                continue
+            arg = term.args[0].place
+            if arg is not None and arg.is_local:
+                src = ref_map.get(arg.local, arg.local)
+                edges.setdefault(src, []).append(dest.local)
+        return edges
+
+    def memo(self, key, compute):
         """Fetch-or-compute a derived fact owned by another module."""
         hit = self.cache.get(key)
         if hit is None:

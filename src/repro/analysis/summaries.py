@@ -79,12 +79,12 @@ import hashlib
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.analysis.dataflow import reach
 from repro.analysis.panic import PanicEffects
-from repro.analysis.scan import scan_of
+from repro.analysis.scan import OWNER_EXTRACT_OPS, scan_of
 from repro.analysis.unsafe_prop import UnsafeProvenance
-from repro.hir.builtins import BuiltinOp
 from repro.lang.source import Span
-from repro.mir.nodes import Body, RvalueKind, StatementKind
+from repro.mir.nodes import Body
 
 #: ``(kind_of_id, payload, projection, lock_kind)``.
 LockId = Tuple
@@ -135,51 +135,18 @@ class FunctionSummary:
         return position in self.may_drop_args
 
 
-_EXTRACT_OPS = frozenset({BuiltinOp.UNWRAP, BuiltinOp.EXPECT,
-                          BuiltinOp.TAKE, BuiltinOp.OK_METHOD})
-
-
 def value_chain(body: Body, seed: int) -> Set[int]:
-    """Locals the value initially in ``seed`` may flow through (moves and
-    unwrap-style extractions).  Memoised per seed on the body's scan —
-    the may-drop loop re-requests the same chains every iteration."""
+    """Locals the value initially in ``seed`` may flow through (whole-value
+    moves and the :data:`~repro.analysis.scan.OWNER_EXTRACT_OPS`
+    extractions).  Memoised per seed on the body's scan — the may-drop
+    loop re-requests the same chains every iteration."""
     scan = scan_of(body)
-    key = ("value_chain", seed)
-    cached = scan.cache.get(key)
-    if cached is None:
-        cached = scan.cache[key] = frozenset(_compute_value_chain(scan, seed))
-    return set(cached)
 
+    def compute() -> FrozenSet[int]:
+        edges = scan.flow_edges(OWNER_EXTRACT_OPS)
+        return frozenset(reach((seed,), lambda local: edges.get(local, ())))
 
-def _compute_value_chain(scan, seed: int) -> Set[int]:
-    ref_map = scan.ref_map
-    extracts = scan.calls_of(*_EXTRACT_OPS)
-    chain = {seed}
-    changed = True
-    while changed:
-        changed = False
-        for _bb, _i, stmt in scan.statements:
-            if stmt.kind is StatementKind.ASSIGN and stmt.place.is_local \
-                    and stmt.rvalue is not None \
-                    and stmt.rvalue.kind is RvalueKind.USE:
-                op = stmt.rvalue.operands[0]
-                if op.place is not None and op.place.is_local \
-                        and op.place.local in chain \
-                        and stmt.place.local not in chain \
-                        and not op.place.projection:
-                    chain.add(stmt.place.local)
-                    changed = True
-        for _bb, term in extracts:
-            if term.args:
-                arg = term.args[0]
-                if arg.place is not None and arg.place.is_local:
-                    src = ref_map.get(arg.place.local, arg.place.local)
-                    if src in chain and term.destination is not None \
-                            and term.destination.is_local \
-                            and term.destination.local not in chain:
-                        chain.add(term.destination.local)
-                        changed = True
-    return chain
+    return set(scan.memo(("value_chain", seed), compute))
 
 
 def owned_value_args(body: Body) -> List[int]:

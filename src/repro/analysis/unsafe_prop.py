@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.analysis.dataflow import reach
 from repro.analysis.scan import scan_of
 from repro.hir.builtins import BuiltinOp, FuncKind
 from repro.lang.source import Span
@@ -150,48 +151,36 @@ def arg_taint(body: Body) -> Dict[int, FrozenSet[int]]:
 
 
 def _compute_arg_taint(body: Body) -> Dict[int, FrozenSet[int]]:
-    scan = scan_of(body)
-    taint: Dict[int, Set[int]] = {l: set(s)
-                                  for l, s in taint_seeds(body).items()}
-    if not taint:
+    seeds = taint_seeds(body)
+    if not seeds:
         return {}
-
-    def flow_into(dest: int, sources: Set[int]) -> bool:
-        have = taint.setdefault(dest, set())
-        if sources <= have:
-            return False
-        have |= sources
-        return True
-
-    changed = True
-    while changed:
-        changed = False
-        for _bb, _i, stmt in scan.statements:
-            if stmt.kind is not StatementKind.ASSIGN \
-                    or not stmt.place.is_local or stmt.rvalue is None \
-                    or stmt.rvalue.kind not in _TAINT_FLOW:
-                continue
-            incoming: Set[int] = set()
-            for op in stmt.rvalue.operands:
-                if op.place is not None:
-                    incoming |= taint.get(op.place.local, set())
-            if stmt.rvalue.place is not None:
-                incoming |= taint.get(stmt.rvalue.place.local, set())
-            if incoming and flow_into(stmt.place.local, incoming):
-                changed = True
-        for _bb, term in scan.calls:
-            if term.func.builtin_op not in _TAINT_FLOW_CALLS \
-                    or term.destination is None \
-                    or not term.destination.is_local:
-                continue
-            incoming = set()
-            for arg in term.args:
-                if arg.place is not None:
-                    incoming |= taint.get(arg.place.local, set())
-            if incoming and flow_into(term.destination.local, incoming):
-                changed = True
+    scan = scan_of(body)
+    edges: Dict[int, List[int]] = {}
+    for _bb, _i, stmt in scan.statements:
+        rv = stmt.rvalue
+        if stmt.kind is not StatementKind.ASSIGN \
+                or not stmt.place.is_local or rv is None \
+                or rv.kind not in _TAINT_FLOW:
+            continue
+        sources = [op.place for op in rv.operands] + [rv.place]
+        for src in sources:
+            if src is not None:
+                edges.setdefault(src.local, []).append(stmt.place.local)
+    for _bb, term in scan.calls:
+        if term.func.builtin_op not in _TAINT_FLOW_CALLS \
+                or term.destination is None \
+                or not term.destination.is_local:
+            continue
+        for arg in term.args:
+            if arg.place is not None:
+                edges.setdefault(arg.place.local, []).append(
+                    term.destination.local)
+    taint: Dict[int, Set[int]] = {}
+    for seed, positions in seeds.items():
+        for local in reach((seed,), lambda node: edges.get(node, ())):
+            taint.setdefault(local, set()).update(positions)
     return {local: frozenset(positions)
-            for local, positions in taint.items() if positions}
+            for local, positions in taint.items()}
 
 
 def guard_blocks(body: Body,
@@ -298,14 +287,11 @@ def unsafe_born_locals(body: Body, summaries=None) -> Set[int]:
                 born.add(dest)
     if not born:
         return born
-    changed = True
-    while changed:
-        changed = False
-        for dest, sources in copy_edges:
-            if dest not in born and any(s in born for s in sources):
-                born.add(dest)
-                changed = True
-    return born
+    edges: Dict[int, List[int]] = {}
+    for dest, sources in copy_edges:
+        for src in sources:
+            edges.setdefault(src, []).append(dest)
+    return reach(born, lambda local: edges.get(local, ()))
 
 
 def count_unsafe_sites(body: Body) -> int:

@@ -75,10 +75,6 @@ class AnalysisContext:
         cache[key] = value
         return value
 
-    @property
-    def return_summaries(self) -> Dict[str, set]:
-        return self.engine.return_summaries()
-
     def points_to(self, body: Body) -> PointsTo:
         return self.engine.points_to(body)
 

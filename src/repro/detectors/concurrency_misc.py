@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Set
 
+from repro.analysis.dataflow import reach
 from repro.analysis.lifetime import lock_identity
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.report import Finding, Severity
@@ -185,11 +186,8 @@ class OnceRecursionDetector(Detector):
                     if ty.kind is TyKind.CLOSURE:
                         closure_keys.append(ty.name)
             for closure_key in closure_keys:
-                reachable = {closure_key} | graph.transitive_callees(
-                    closure_key)
-                for fn in reachable:
+                for fn in sorted(reach((closure_key,), graph.callees)):
                     inner = direct.get(fn, set())
-                    inner_cmp = inner if once_global else inner
                     compare = once_global or once_ids
                     if inner & compare:
                         findings.append(Finding(

@@ -44,9 +44,10 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro import obs
+from repro.analysis.dataflow import reach
 from repro.analysis.escape import SpawnSite, translate_capture
 from repro.analysis.lifetime import caller_lock_ids, lock_identity
-from repro.analysis.scan import scan_of
+from repro.analysis.scan import cfg_of, scan_of
 from repro.analysis.summaries import deref_access_sites, opaque_lock
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.report import Finding, Severity
@@ -297,21 +298,9 @@ class DataRaceDetector(Detector):
     def _blocks_after(body: Body, spawn_blocks: Set[int]) -> Set[int]:
         """Blocks forward-reachable from any spawn terminator — the
         points at which a spawned thread may already be running."""
-        work = []
-        for bb in spawn_blocks:
-            term = body.blocks[bb].terminator
-            if term is not None:
-                work.extend(term.successors())
-        seen: Set[int] = set()
-        while work:
-            bb = work.pop()
-            if bb in seen:
-                continue
-            seen.add(bb)
-            term = body.blocks[bb].terminator
-            if term is not None:
-                work.extend(term.successors())
-        return seen
+        successors = cfg_of(body).successors
+        return reach((s for bb in spawn_blocks for s in successors[bb]),
+                     successors.__getitem__)
 
     # -- pairing ------------------------------------------------------------
 

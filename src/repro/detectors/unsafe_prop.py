@@ -24,7 +24,7 @@ Three detectors consume the engine's unsafe-provenance summary component
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional
 
 from repro import obs
 from repro.analysis.scan import scan_of
@@ -160,7 +160,7 @@ class UncheckedUnsafeInputDetector(Detector):
                     f"reaches an unsafe {kind} in this body with no "
                     f"dominating null/bounds check"))
             else:
-                chain = self._chain(ctx, body.key, position)
+                chain = ctx.engine.sink_chain(body.key, position)
                 facts.append(fact(
                     "summary-chain",
                     f"flows unguarded into the unsafe {kind} via "
@@ -177,25 +177,6 @@ class UncheckedUnsafeInputDetector(Detector):
                 fn_key=body.key, span=span, severity=Severity.WARNING,
                 provenance=facts))
         return findings
-
-    @staticmethod
-    def _chain(ctx: AnalysisContext, key: str, position: int) -> List[str]:
-        """Follow the arg-sink hops down to the function containing the
-        actual unsafe operation."""
-        chain = [key]
-        seen: Set[Tuple[str, int]] = {(key, position)}
-        current_key, current_pos = key, position
-        while True:
-            prov = ctx.summary(current_key).unsafe_provenance
-            entry = prov.arg_sinks.get(current_pos)
-            if entry is None or entry[1] is None:
-                break
-            current_key, current_pos = entry[1]
-            if (current_key, current_pos) in seen:
-                break
-            seen.add((current_key, current_pos))
-            chain.append(current_key)
-        return chain
 
 
 class InteriorUnsafeAuditDetector(Detector):

@@ -10,7 +10,9 @@ directories of them — metric by metric:
   (wall seconds, bytes, recompute counts), *higher-is-better* (speedups,
   ratios, recall), or neutral (informational counters — never flagged);
 * a directed relative change beyond the threshold is a **regression**;
-  the opposite direction beyond the threshold is an improvement.
+  the opposite direction beyond the threshold is an improvement;
+* a ``*_fraction`` key is judged by its absolute change against
+  :data:`FRACTION_BAR` instead.
 
 ``minirust bench-diff OLD NEW`` prints the table and exits 1 on any
 regression (0 with ``--warn`` — the CI mode, where host noise makes hard
@@ -57,6 +59,12 @@ DEFAULT_RULES: Tuple[Tuple[str, str, Optional[float]], ...] = (
      r"|pickle|deserialize|evict|corrupt|stale|rss)", "lower", None),
 )
 
+#: A fraction (a ``*_fraction`` key) is judged by its absolute change
+#: against this bar, not by a relative one: near 0 a relative change is
+#: noise (0.0002 -> 0.003 reads as +1,400%) and a sign flip reads as
+#: more than 100%.
+FRACTION_BAR = 0.05
+
 #: Identity fields, not metrics: span ids, parent links, and pid/tid
 #: lane tags inside an exported span tree differ between any two runs by
 #: construction.  They are dropped before comparison — neither compared
@@ -86,6 +94,10 @@ def flatten(payload: object, prefix: str = "") -> Dict[str, float]:
             out.update(flatten(item, sub))
         return out
     return out
+
+
+def _is_fraction(key: str) -> bool:
+    return key.endswith("_fraction")
 
 
 def classify(key: str, rules=DEFAULT_RULES) -> Tuple[str, Optional[float]]:
@@ -158,6 +170,8 @@ class BenchDiffReport:
             width = max(len(f"{d.file}:{d.key}") for d in deltas)
             for d in sorted(deltas, key=lambda d: -abs(d.rel)):
                 rel = "new" if d.rel == float("inf") else f"{d.rel:+.1%}"
+                if _is_fraction(d.key):
+                    rel = f"{d.new - d.old:+.4f} absolute"
                 lines.append(
                     f"  {d.file + ':' + d.key:<{width}}  "
                     f"{d.old:.6g} -> {d.new:.6g}  ({rel}, "
@@ -194,18 +208,21 @@ def diff_payloads(old: object, new: object, *,
             rel = 0.0 if b == 0.0 else float("inf")
         else:
             rel = (b - a) / abs(a)
+        moved = rel
+        if _is_fraction(key):
+            moved, bar = b - a, FRACTION_BAR
         status = "ok"
         if direction == "neutral":
             status = "neutral"
         elif direction == "lower":
-            if rel > bar:
+            if moved > bar:
                 status = "regression"
-            elif rel < -bar:
+            elif moved < -bar:
                 status = "improvement"
         elif direction == "higher":
-            if rel < -bar:
+            if moved < -bar:
                 status = "regression"
-            elif rel > bar and rel != float("inf"):
+            elif moved > bar and moved != float("inf"):
                 status = "improvement"
         report.deltas.append(MetricDelta(
             file=file, key=key, old=a, new=b, rel=rel,

@@ -7,6 +7,7 @@ from conftest import compile_, mir_of
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.callgraph import build_call_graph, direct_locks
+from repro.analysis.dataflow import reach
 from repro.analysis.engine import SummaryEngine
 from repro.analysis.init import compute_init, init_of
 from repro.analysis.lifetime import (
@@ -578,7 +579,8 @@ class TestCallGraph:
             fn main() { a(); }""")
         graph = build_call_graph(compiled.program)
         assert "a" in graph.callees("main")
-        assert graph.transitive_callees("main") == {"a", "b", "c"}
+        assert reach(graph.callees("main"), graph.callees) \
+            == {"a", "b", "c"}
 
     def test_spawn_edges_separate(self):
         compiled = compile_("""

@@ -123,6 +123,28 @@ class TestDiffPayloads:
         assert "new" in report.render()
         assert report.to_dict()["regressions"][0]["key"] == "a_s"
 
+    def test_fraction_near_zero_is_judged_by_absolute_change(self):
+        key = "overhead.collector_overhead_fraction"
+
+        def status(old, new):
+            (delta,) = diff_payloads({"overhead": {
+                "collector_overhead_fraction": old}}, {"overhead": {
+                    "collector_overhead_fraction": new}}).deltas
+            assert delta.key == key
+            return delta.status
+
+        # +1,400% relative, but 0.003 of the run: not a regression.
+        assert status(0.0002, 0.003) == "ok"
+        assert status(0.0002, 0.060) == "regression"
+        # A sign flip inside the bar is noise, not an improvement.
+        assert status(0.02, -0.01) == "ok"
+        assert status(0.08, 0.01) == "improvement"
+
+    def test_fraction_regression_renders_its_absolute_change(self):
+        report = diff_payloads({"x_fraction": 0.0002},
+                               {"x_fraction": 0.06})
+        assert "+0.0598 absolute" in report.render()
+
 
 class TestBenchDiffFiles:
     def _write(self, path, payload):

@@ -592,6 +592,43 @@ class TestConcurrencyMisc:
             }""")
         assert not detectors_named(report, "once-recursion")
 
+    def test_once_recursion_message_is_hash_seed_independent(self):
+        # Three helpers re-enter the same Once: the message names the
+        # first in sorted order, whatever order string hashing gives.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        source = """
+            static INIT: Once = Once::new();
+            fn helper_alpha() { INIT.call_once(|| { print(1); }); }
+            fn helper_beta() { INIT.call_once(|| { print(2); }); }
+            fn helper_gamma() { INIT.call_once(|| { print(3); }); }
+            fn main() {
+                INIT.call_once(|| {
+                    helper_alpha(); helper_beta(); helper_gamma();
+                });
+            }"""
+        script = (f"from repro import api\n"
+                  f"for finding in api.analyze({source!r}).findings:\n"
+                  f"    if finding.detector == 'once-recursion':\n"
+                  f"        print(finding.message)\n")
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = set()
+        for seed in ("1", "2"):
+            run = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True,
+                text=True, timeout=300,
+                env=dict(os.environ, PYTHONPATH=src_dir,
+                         PYTHONHASHSEED=seed))
+            assert run.returncode == 0, run.stderr
+            outputs.add(run.stdout)
+        assert len(outputs) == 1, outputs
+        output = outputs.pop()
+        assert output.count("\n") == 1
+        assert "via `helper_alpha`" in output
+
 
 class TestInteriorMutability:
     def test_figure9_check_then_act(self):
