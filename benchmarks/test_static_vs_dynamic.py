@@ -37,6 +37,7 @@ fn main() {
     bug_X(&m);
 }""", {"deadlock"}),
     ("condvar_no_notify", "fn main() { bug_X(); }", {"deadlock"}),
+    ("channel_no_sender", "fn main() { bug_X(); }", {"deadlock"}),
     ("once_recursion", "fn main() { bug_X(); }", {"deadlock"}),
     # The panic-path double free: statically a `panic-safety` finding,
     # dynamically UB *during unwinding* (the landing pad drops the value

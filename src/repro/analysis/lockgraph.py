@@ -286,8 +286,15 @@ def build_lock_graph(engine) -> LockGraph:
 
 
 # ---------------------------------------------------------------------------
-# Shared identity / liveness helpers (condvar + channel blocking patterns)
+# Shared identity / liveness helpers (the wait/wake query)
 # ---------------------------------------------------------------------------
+
+#: The identity of a value handed in from outside the program: a
+#: parameter of a function nothing in the program calls or spawns.  It
+#: is none of the program's own allocations, so it only meets another
+#: ``OUTSIDE`` id.
+OUTSIDE: LockNode = ("outside", "", ())
+
 
 def global_site_ids(engine, body: Body, local: int,
                     depth: int = 3,
@@ -298,8 +305,10 @@ def global_site_ids(engine, body: Body, local: int,
     arg-relative ids outward: through every spawn site's capture
     environment when ``body`` is a spawned closure, and through every
     call site's operand when it is called (bounded at ``depth`` caller
-    hops).  Two condvars / channel endpoints are "the same" exactly when
-    their resolved id sets intersect."""
+    hops).  A parameter of a function that nothing in the program calls
+    or spawns resolves to :data:`OUTSIDE`.  Two condvars / channel
+    endpoints are "the same" exactly when their resolved id sets
+    intersect."""
     seen = _seen or frozenset()
     pt = engine.points_to(body)
     ids = lock_identity(body, pt, local)
@@ -311,9 +320,15 @@ def global_site_ids(engine, body: Body, local: int,
     seen = seen | {body.key}
     te = engine.thread_escape()
     program = engine.program
+    spawns = te.sites_spawning(body.key)
+    calls = [cs for cs in engine.call_graph.sites_calling(body.key)
+             if not cs.is_spawn]
+    if not spawns and not calls:
+        out.add(OUTSIDE)
+        return out
 
     # Capture route: a closure argument resolves through each spawn site.
-    for site in te.sites_spawning(body.key):
+    for site in spawns:
         spawner = program.functions.get(site.spawner)
         if spawner is None:
             continue
@@ -323,9 +338,7 @@ def global_site_ids(engine, body: Body, local: int,
                     translate_capture(site, pt_spawner, position, proj)}
 
     # Caller route: a declared parameter resolves through each call site.
-    for cs in engine.call_graph.sites_calling(body.key):
-        if cs.is_spawn:
-            continue
+    for cs in calls:
         caller = program.functions.get(cs.caller)
         if caller is None:
             continue

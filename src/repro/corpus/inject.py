@@ -143,10 +143,12 @@ fn bug_{u}() {{
 
 
 def _channel_no_sender(u: str) -> str:
+    # The receiver's own `tx` stays alive and nothing sends on it, so
+    # `recv` blocks forever; had every `Sender` been dropped, `recv`
+    # would return `Err` instead.
     return f"""
 fn bug_{u}() {{
     let (tx, rx) = channel();
-    drop(tx);
     let value = rx.recv();
     match value {{
         Ok(v) => print(v),

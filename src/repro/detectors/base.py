@@ -18,6 +18,7 @@ from repro.analysis.points_to import PointsTo
 from repro.analysis.scan import scan_of
 from repro.analysis.summaries import FunctionSummary
 from repro.detectors.report import Finding
+from repro.detectors.waits import Wait, build_waits
 from repro.hir.builtins import BuiltinOp
 from repro.lang.types import TyKind
 from repro.mir.nodes import Body, Program, Terminator
@@ -32,8 +33,8 @@ class AnalysisContext:
     instance; the context keeps the purely intraprocedural caches (guard
     regions the solve did not cover, storage ranges, init states)
     itself, plus the program-level facts detectors
-    look up from ``check_body`` (:meth:`arc_shared_structs`,
-    :meth:`builtin_sites`).  Each of those is built by one walk of the
+    look up (:meth:`arc_shared_structs`, :meth:`builtin_sites`,
+    :meth:`waits`).  Each of those is built by one walk of the
     program on first use, so a per-body hook never walks the program.
 
     Every pass records an obs cache hit/miss counter and runs its compute
@@ -63,6 +64,7 @@ class AnalysisContext:
         #: op → ``(walk position, body, block, terminator)``, in walk order.
         self._builtin_sites: Optional[
             Dict[BuiltinOp, List[Tuple[int, Body, int, Terminator]]]] = None
+        self._waits: Optional[Dict[BuiltinOp, List[Wait]]] = None
 
     def _lookup(self, cache: Dict, key, pass_name: str, compute):
         hit = cache.get(key)
@@ -177,6 +179,14 @@ class AnalysisContext:
             self._builtin_sites = index
         return [(body, bb, term) for _pos, body, bb, term
                 in heapq.merge(*(index.get(op, ()) for op in ops))]
+
+    def waits(self, op: BuiltinOp) -> List[Wait]:
+        """Every ``op`` site (``CONDVAR_WAIT`` or ``CHANNEL_RECV``) with
+        its one wait/wake verdict (:mod:`repro.detectors.waits`), in
+        :meth:`builtin_sites` order; both ops are answered by one build."""
+        if self._waits is None:
+            self._waits = build_waits(self)
+        return self._waits[op]
 
 
 class Detector:

@@ -2,14 +2,18 @@
 
 These cover the remaining §6.1 blocking-bug categories:
 
-* :class:`CondvarDetector` — a ``Condvar::wait`` with no matching
-  ``notify_one``/``notify_all`` anywhere in the program (8 of the paper's
-  10 condvar bugs have this shape);
-* :class:`ChannelDetector` — a blocking ``recv`` in a program with no
-  ``send`` that can feed it, and ``recv`` while holding a lock the sender
-  side needs;
+* :class:`CondvarDetector` — a ``Condvar::wait`` that no live
+  ``notify_one``/``notify_all`` on the same condvar can wake (8 of the
+  paper's 10 condvar bugs have this shape);
+* :class:`ChannelDetector` — a blocking ``recv`` that no live ``send``
+  on the same channel feeds while a ``Sender`` stays alive, and a
+  ``recv`` holding a lock some (not provably every) sender needs;
 * :class:`OnceRecursionDetector` — ``call_once`` whose closure
   (transitively) calls ``call_once`` on the same ``Once`` (self-deadlock).
+
+The condvar and channel detectors only emit the verdicts of the one
+wait/wake query (:mod:`repro.detectors.waits`); the ``deadlock``
+detector emits its ``wake_blocked`` verdicts.
 """
 
 from __future__ import annotations
@@ -20,11 +24,10 @@ from repro.analysis.dataflow import reach
 from repro.analysis.lifetime import lock_identity
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.report import Finding, Severity
+from repro.detectors.waits import NO_WAKE, WAKE_MAYBE_BLOCKED
 from repro.hir.builtins import BuiltinOp
 from repro.lang.types import TyKind
 from repro.mir.nodes import Body
-
-_NOTIFY_OPS = {BuiltinOp.CONDVAR_NOTIFY_ONE, BuiltinOp.CONDVAR_NOTIFY_ALL}
 
 
 def _receiver_identity(ctx: AnalysisContext, body: Body, term) -> FrozenSet:
@@ -41,55 +44,15 @@ class CondvarDetector(Detector):
     paper_section = "6.1"
 
     def check_program(self, ctx: AnalysisContext) -> List[Finding]:
-        from repro.analysis.lockgraph import global_site_ids, live_functions
-        waits = ctx.builtin_sites(BuiltinOp.CONDVAR_WAIT)
-        findings: List[Finding] = []
-        if not waits:
-            return findings
-        # Only a notify that can actually run counts: its function must be
-        # an entry point or reachable (called / spawned) from one.  A
-        # notify inside a closure nothing ever invokes wakes nobody.
-        live = live_functions(ctx.engine)
-        notifies = [(body, bb, term) for body, bb, term
-                    in ctx.builtin_sites(*_NOTIFY_OPS)
-                    if body.key in live]
-        # Identity comparison is only meaningful for global ids — but
-        # ``global_site_ids`` resolves receiver locals interprocedurally
-        # (through spawn captures and call sites), so a condvar handed to
-        # a spawned closure still meets its waiter on the allocation site.
-        notify_global: Set = set()
-        unresolved_notify = False
-        for nbody, _bb, nterm in notifies:
-            if not nterm.args or nterm.args[0].place is None:
-                unresolved_notify = True
-                continue
-            ids = global_site_ids(ctx.engine, nbody,
-                                  nterm.args[0].place.local)
-            if ids:
-                notify_global |= ids
-            else:
-                unresolved_notify = True
-        for body, bb, term in waits:
-            if term.args and term.args[0].place is not None:
-                wait_global = global_site_ids(ctx.engine, body,
-                                              term.args[0].place.local)
-            else:
-                wait_global = set()
-            if not notifies:
-                matched = False
-            elif not wait_global or unresolved_notify:
-                matched = True     # cannot distinguish: assume matched
-            else:
-                matched = bool(wait_global & notify_global)
-            if not matched:
-                findings.append(Finding(
-                    detector=self.name, kind="condvar-no-notify",
-                    message=("`Condvar::wait` but no thread ever calls "
-                             "`notify_one`/`notify_all` on this condvar; "
-                             "the waiter blocks forever"),
-                    fn_key=body.key, span=term.span,
-                    metadata={"block": bb}))
-        return findings
+        return [Finding(
+            detector=self.name, kind="condvar-no-notify",
+            message=("`Condvar::wait` but no thread ever calls "
+                     "`notify_one`/`notify_all` on this condvar; "
+                     "the waiter blocks forever"),
+            fn_key=wait.body.key, span=wait.term.span,
+            metadata={"block": wait.block})
+            for wait in ctx.waits(BuiltinOp.CONDVAR_WAIT)
+            if wait.verdict == NO_WAKE]
 
 
 class ChannelDetector(Detector):
@@ -99,62 +62,25 @@ class ChannelDetector(Detector):
     paper_section = "6.1"
 
     def check_program(self, ctx: AnalysisContext) -> List[Finding]:
-        program = ctx.program
-        recvs = ctx.builtin_sites(BuiltinOp.CHANNEL_RECV)
-        sends = ctx.builtin_sites(BuiltinOp.CHANNEL_SEND)
         findings: List[Finding] = []
-        if recvs and not sends:
-            for body, bb, term in recvs:
+        for wait in ctx.waits(BuiltinOp.CHANNEL_RECV):
+            if wait.verdict == NO_WAKE:
                 findings.append(Finding(
                     detector=self.name, kind="recv-no-sender",
-                    message=("`recv()` but the program contains no `send` "
-                             "on any channel; the receiver blocks forever"),
-                    fn_key=body.key, span=term.span))
-            return findings
-
-        # recv while holding a lock that some sender-side function locks:
-        # the classic "receiver holds the lock the producer needs" shape.
-        graph = ctx.call_graph
-        sender_fns = {body.key for body, _bb, _t in sends}
-        for body, bb, term in recvs:
-            regions = ctx.guard_regions(body)
-            point = (bb, len(body.blocks[bb].statements))
-            for region in regions:
-                if not region.covers(point):
-                    continue
-                held_global = {i for i in region.lock_ids
-                               if i[0] in ("static", "heap")}
-                if not held_global:
-                    continue
-                for sender_fn in sender_fns:
-                    if sender_fn == body.key:
-                        continue
-                    sender_body = program.functions.get(sender_fn)
-                    if sender_body is None:
-                        continue
-                    # Statics the sender's summary says it (transitively)
-                    # locks: these count even when the acquisition sits in
-                    # a helper the sender calls.
-                    summary_static = {
-                        ("static", lock[1], lock[2])
-                        for lock in ctx.summary(sender_fn).locks
-                        if lock[0] == "static"}
-                    for sregion in ctx.guard_regions(sender_body):
-                        sender_global = {i for i in sregion.lock_ids
-                                         if i[0] in ("static", "heap")}
-                        sender_global |= summary_static
-                        if held_global & sender_global:
-                            findings.append(Finding(
-                                detector=self.name,
-                                kind="recv-holding-lock",
-                                message=(f"`recv()` while holding a lock "
-                                         f"that the sending side "
-                                         f"(`{sender_fn}`) also acquires; "
-                                         f"if the sender blocks on the "
-                                         f"lock, neither side progresses"),
-                                fn_key=body.key, span=term.span,
-                                severity=Severity.WARNING))
-                            break
+                    message=("`recv()` while a `Sender` of this channel "
+                             "is still alive, but no thread ever calls "
+                             "`send` on it; the receiver blocks forever"),
+                    fn_key=wait.body.key, span=wait.term.span))
+            elif wait.verdict == WAKE_MAYBE_BLOCKED:
+                sender_fn = wait.blocked[0].body.key
+                findings.append(Finding(
+                    detector=self.name, kind="recv-holding-lock",
+                    message=(f"`recv()` while holding a lock that the "
+                             f"sending side (`{sender_fn}`) also "
+                             f"acquires; if the sender blocks on the "
+                             f"lock, neither side progresses"),
+                    fn_key=wait.body.key, span=wait.term.span,
+                    severity=Severity.WARNING))
         return findings
 
 

@@ -119,9 +119,10 @@ def apply_subsumption(report: Report) -> Report:
     lock set only observes the conflicting orders exist somewhere.  When
     both fire on the same cycle (compared as an unordered lock set), the
     weaker one is dropped and the survivor records a ``subsumed_by``
-    provenance fact naming it.  Likewise a ``recv-deadlock`` finding
-    (every live sender provably blocked) subsumes the channel detector's
-    heuristic ``recv-holding-lock`` warning at the same recv site.
+    provenance fact naming it.  The blocking-wait kinds need no rule:
+    one wait/wake query gives each wait one verdict
+    (:mod:`repro.detectors.waits`), so ``recv-deadlock`` and
+    ``recv-holding-lock`` never meet at one site.
 
     ``double-lock`` never overlaps: a lock-graph cycle has at least two
     *distinct* locks per its node-identity rule, while double-lock is
@@ -140,7 +141,6 @@ def apply_subsumption(report: Report) -> Report:
     from repro.obs.provenance import fact
 
     by_cycle = {}
-    recv_sites = {}
     panic_safety_by_fn = {}
     exposure_by_fn = {}
     for f in report.findings:
@@ -148,22 +148,15 @@ def apply_subsumption(report: Report) -> Report:
             panic_safety_by_fn.setdefault(f.fn_key, f)
         elif f.detector == "uninit-exposure":
             exposure_by_fn.setdefault(f.fn_key, f)
-        if f.detector != "deadlock":
-            continue
-        if f.kind == "deadlock-cycle":
+        elif f.kind == "deadlock-cycle":
             by_cycle[frozenset(f.metadata.get("cycle", []))] = f
-        elif f.kind == "recv-deadlock":
-            recv_sites[(f.fn_key, f.span.lo)] = f
-    if not by_cycle and not recv_sites and not panic_safety_by_fn \
-            and not exposure_by_fn:
+    if not by_cycle and not panic_safety_by_fn and not exposure_by_fn:
         return report
     kept = []
     for f in report.findings:
         winner = None
         if f.detector == "lock-order" and f.metadata.get("cycle"):
             winner = by_cycle.get(frozenset(f.metadata["cycle"]))
-        elif f.detector == "channel" and f.kind == "recv-holding-lock":
-            winner = recv_sites.get((f.fn_key, f.span.lo))
         elif f.detector in ("double-free", "use-after-free"):
             candidate = panic_safety_by_fn.get(f.fn_key)
             if candidate is not None and (

@@ -53,6 +53,11 @@ class CompileError(Exception):
         rendered = self.diagnostic.render(source)
         super().__init__(rendered)
 
+    def __reduce__(self):
+        # Rebuild from the parts, not from ``args`` (the rendered text),
+        # so a worker's error renders once in the parent.
+        return (type(self), (self.message, self.span, self.source))
+
     @property
     def span(self) -> Span:
         return self.diagnostic.span

@@ -53,6 +53,16 @@ class TestDriver:
             compile_source(UAF_SRC)).report
         assert {f.detector for f in report.findings} == {"use-after-free"}
 
+    def test_compile_error_survives_pickling(self):
+        # A worker's error crosses the process boundary by pickle; it
+        # must render once, not as ``error: error: ...``.
+        import pickle
+        from repro.lang.diagnostics import CompileError
+        with pytest.raises(CompileError) as info:
+            compile_source("fn main( {", "bad.rs")
+        error = info.value
+        assert str(pickle.loads(pickle.dumps(error))) == str(error)
+
     def test_compile_file(self, tmp_path):
         path = tmp_path / "prog.rs"
         path.write_text(CLEAN_SRC)
@@ -236,6 +246,30 @@ class TestCliObservability:
         assert serial["gauges"], "the serial run records gauges"
         assert fanned["gauges"] == serial["gauges"]
         assert fanned["counters"] == serial["counters"]
+
+    def test_wait_verdict_counters_identical_across_jobs(self, tmp_path,
+                                                          capsys):
+        # Each blocking wait's verdict is counted once, in whichever
+        # process analyzes its file.
+        import json
+        from repro.corpus.inject import BUG_TEMPLATES
+        files = []
+        for name in ("channel_no_sender", "deadlock_condvar_hold",
+                     "recv_holding_lock"):
+            path = tmp_path / f"{name}.rs"
+            path.write_text(BUG_TEMPLATES[name].render("w"))
+            files.append(str(path))
+        counters = []
+        for jobs in ("1", "2"):
+            cli_main(["check", *files, "--jobs", jobs, "--json",
+                      "--profile", "--no-cache"])
+            profile = json.loads(capsys.readouterr().out)["profile"]
+            counters.append({name: value for name, value
+                             in profile["counters"].items()
+                             if name.startswith("waits.")})
+        assert counters[0] == counters[1] == {
+            "waits.no_wake": 1, "waits.wake_blocked": 1,
+            "waits.wake_maybe_blocked": 1}
 
     def test_check_profile_prints_tree(self, tmp_path, capsys):
         code = cli_main(["check", self._write(tmp_path, UAF_SRC),

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.engine import SummaryEngine
 from repro.analysis.lockgraph import DEFAULT_CYCLE_BOUND, elementary_circuits
+from repro.corpus.benign import BENIGN_TEMPLATES
 from repro.corpus.inject import BUG_TEMPLATES
 from repro.detectors.registry import run_detectors
 from repro.driver import compile_source
@@ -290,19 +291,18 @@ class TestSubsumption:
         assert facts[0]["detector"] == "lock-order"
         assert facts[0]["finding_kind"] == "conflicting-lock-order"
 
-    def test_recv_deadlock_subsumes_channel_warning(self):
-        from repro.corpus.inject import BUG_TEMPLATES
+
+
+class TestBlockingPatterns:
+    def test_recv_deadlock_leaves_no_channel_warning(self):
+        # One verdict per wait: the site is the deadlock detector's, and
+        # the channel detector run alone does not warn about it either.
         src = BUG_TEMPLATES["deadlock_channel_recv"].render("X")
         findings = _findings(src)
         assert [(f.detector, f.kind) for f in findings] == \
             [("deadlock", "recv-deadlock")]
-        facts = [p for p in findings[0].provenance
-                 if p["kind"] == "subsumed_by"]
-        assert len(facts) == 1
-        assert facts[0]["detector"] == "channel"
+        assert not _findings(src, detectors=("channel",))
 
-
-class TestBlockingPatterns:
     def test_condvar_hold_lock(self):
         from repro.corpus.inject import BUG_TEMPLATES
         src = BUG_TEMPLATES["deadlock_condvar_hold"].render("X")
@@ -433,6 +433,102 @@ fn ok_notified() {
 }
 """
         assert not [f for f in _findings(src) if f.detector == "condvar"]
+
+
+class TestWaitWake:
+    """The one wait/wake query behind ``condvar``, ``channel`` and the
+    deadlock detector's wait kinds."""
+
+    def test_recv_after_every_sender_dropped_is_clean(self):
+        # `recv` returns `Err` once every `Sender` is gone: no bug.
+        src = """
+fn ok_dropped() {
+    let (tx, rx) = channel();
+    drop(tx);
+    let v = rx.recv();
+}
+"""
+        assert not _findings(src)
+
+    def test_send_on_another_channel_does_not_feed_the_recv(self):
+        src = """
+fn bug_wrong_channel() {
+    let (tx_a, rx_a) = channel();
+    let (tx_b, rx_b) = channel();
+    tx_b.send(1);
+    let v = rx_a.recv();
+}
+"""
+        assert [(f.detector, f.kind) for f in _findings(src)] == \
+            [("channel", "recv-no-sender")]
+
+    def test_send_in_dead_closure_does_not_feed_the_recv(self):
+        src = """
+fn bug_dead_send() {
+    let (tx, rx) = channel();
+    let never = || {
+        tx.send(1);
+    };
+    let v = rx.recv();
+}
+"""
+        assert [(f.detector, f.kind) for f in _findings(src)] == \
+            [("channel", "recv-no-sender")]
+
+    def test_template_shape_blocks_and_the_dropped_shape_does_not(self):
+        from repro.mir.interp import ScheduleConfig, run_program
+        blocking = BUG_TEMPLATES["channel_no_sender"].render("X")
+        dropped = blocking.replace("let value = rx.recv();",
+                                   "drop(tx);\n    let value = rx.recv();")
+        assert dropped != blocking
+        outcomes = []
+        for src in (blocking, dropped):
+            compiled = compile_source(src + "fn main() { bug_X(); }")
+            outcomes.append(run_program(
+                compiled.program,
+                schedule=ScheduleConfig(max_steps=300_000)).outcome)
+        assert outcomes == ["deadlock", "ok"]
+        assert not _findings(dropped)
+
+    def test_one_liveness_closure_per_analysis(self, monkeypatch):
+        from repro import api
+        from repro.analysis import lockgraph
+        calls = []
+        real = lockgraph.live_functions
+
+        def counting(engine):
+            calls.append(engine)
+            return real(engine)
+
+        # Patch every module that bound the function by name, too.
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") \
+                    and getattr(module, "live_functions", None) is real:
+                monkeypatch.setattr(module, "live_functions", counting)
+        src = (BUG_TEMPLATES["deadlock_condvar_hold"].render("c")
+               + BUG_TEMPLATES["deadlock_channel_recv"].render("r"))
+        report = api.analyze(src)
+        assert {f.kind for f in report.findings} == \
+            {"condvar-hold-lock", "recv-deadlock"}
+        assert len(calls) == 1
+
+    def test_each_wait_gets_one_counted_verdict(self):
+        from repro import obs
+        src = (BUG_TEMPLATES["deadlock_condvar_hold"].render("c")
+               + BUG_TEMPLATES["channel_no_sender"].render("s")
+               + BUG_TEMPLATES["recv_holding_lock"].render("h")
+               + BENIGN_TEMPLATES["handoff_lock_then_send"]("b")
+               + "fn ok_d() { let (tx, rx) = channel(); drop(tx);"
+                 " let v = rx.recv(); }")
+        with obs.collecting() as collector:
+            _findings(src)
+        counters = {name: value for name, value
+                    in collector.counters.items()
+                    if name.startswith("waits.")}
+        assert counters == {
+            "waits.wake_blocked": 1, "waits.no_wake": 1,
+            "waits.wake_maybe_blocked": 1, "waits.woken": 1,
+            "waits.sender_dropped": 1}
 
 
 class TestDeterminism:

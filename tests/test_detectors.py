@@ -560,7 +560,6 @@ class TestConcurrencyMisc:
         report = check("""
             fn main() {
                 let (tx, rx) = channel();
-                drop(tx);
                 let v = rx.recv();
             }""")
         assert detectors_named(report, "channel")

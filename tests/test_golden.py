@@ -60,3 +60,24 @@ def test_cold_then_warm_cache(inputs, golden, jobs, tmp_path):
                         golden_ledger.compute_ledger(summaries, inputs))
     assert warm.counters["analysis.cache.hit"] > 0
     assert warm.counters.get("analysis.executor.solved_functions", 0) == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_split_and_merged_corpus_agree(seed):
+    """Metamorphic: the corpus analyzed file by file and as one crate
+    reports the same ``(detector, kind, fn)`` triples."""
+    from repro.api import AnalysisSession
+    from repro.corpus import generate_corpus
+
+    corpus = generate_corpus(seed, 1)
+    with AnalysisSession() as session:
+        split = session.analyze_sources(
+            [(f.name, f.text) for f in corpus.files])
+        merged = session.analyze_sources(
+            [("crate.rs", corpus.combined_source())])
+
+    def triples(reports):
+        return {(f.detector, f.kind, f.fn_key)
+                for report in reports for f in report.findings}
+
+    assert triples(split) == triples(merged)

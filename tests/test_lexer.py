@@ -222,6 +222,7 @@ class TestCorpusConformance:
     def test_token_streams_match_the_reference_lexer(self):
         # Recorded from the character-at-a-time lexer the compiled master
         # pattern replaced: every token's kind, text, span and value on
-        # the generated corpus, seeds 0-2, must stay identical.
+        # the generated corpus, seeds 0-2, must stay identical.  Re-pinned
+        # only when a corpus template's text changes.
         assert _stream_digest((0, 1, 2)) == (
-            "48e117e44c2c67728e37b494b5feb42ce8b47ccc8b3a8580d1a32743ccfba62d")
+            "1532113b7fa0f41772bd9ae962e65d9481eeaa1f1855d35a9f656e90a3b7421a")

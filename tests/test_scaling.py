@@ -18,7 +18,7 @@ from repro import api
 from repro.analysis.engine import SummaryEngine
 from repro.corpus import generate_corpus
 from repro.detectors.base import AnalysisContext, Detector
-from repro.detectors.concurrency_misc import _NOTIFY_OPS
+from repro.detectors.waits import NOTIFY_OPS
 from repro.detectors.memory_misc import _RAW_ALLOC_OPS
 from repro.driver import compile_source
 from repro.hir.builtins import BuiltinOp
@@ -109,12 +109,12 @@ def test_builtin_sites_of_several_ops_interleave_in_walk_order():
         fn c(cv: &Condvar) { cv.notify_all(); }
         fn d(cv: &Condvar) { cv.notify_one(); cv.notify_all(); }
         """).program
-    expected = _reference_sites(program, _NOTIFY_OPS)
+    expected = _reference_sites(program, NOTIFY_OPS)
     assert [term.func.builtin_op.name for _b, _bb, term in expected] == [
         "CONDVAR_NOTIFY_ALL", "CONDVAR_NOTIFY_ONE", "CONDVAR_NOTIFY_ONE",
         "CONDVAR_NOTIFY_ALL", "CONDVAR_NOTIFY_ONE", "CONDVAR_NOTIFY_ALL"]
     ctx = AnalysisContext(program)
-    assert _ids(ctx.builtin_sites(*_NOTIFY_OPS)) == _ids(expected)
+    assert _ids(ctx.builtin_sites(*NOTIFY_OPS)) == _ids(expected)
 
 
 def test_spawn_and_call_site_indexes_keep_list_order(corpus_ctx):
@@ -144,18 +144,34 @@ def _calls_get_unchecked(body):
                for _bb, term in body.iter_terminators())
 
 
+def _unfed_recv_bodies(program, calls):
+    """The bodies whose recv the wait/wake query asked about: each once,
+    and each holds a ``recv``."""
+    waited = calls["sender"]
+    assert len(waited) == len(set(waited))
+    for key in waited:
+        assert any(term.func is not None
+                   and term.func.builtin_op is BuiltinOp.CHANNEL_RECV
+                   for _bb, term in program.functions[key]
+                   .iter_terminators())
+    return set(waited)
+
+
 @pytest.fixture(scope="module")
 def demand_run():
     """One analysis of ``generate_corpus(0, 1)`` recording the obs
     counters, every init solve, and the bodies each demand-gated
-    per-body pass ran on (keys in call order)."""
+    per-body pass ran on (keys in call order).  ``sender`` holds the
+    recvs whose ``Sender`` liveness the wait/wake query asked the init
+    solution about (the recvs no live ``send`` feeds)."""
     from repro import obs
     from repro.analysis import init as init_module
-    from repro.detectors import base
+    from repro.detectors import base, waits
     from repro.detectors.buffer_overflow import BufferOverflowDetector
 
     compiled = compile_source(generate_corpus(0, 1).combined_source())
-    calls = {"solve": [], "storage": [], "init": [], "overflow": []}
+    calls = {"solve": [], "storage": [], "init": [], "overflow": [],
+             "sender": []}
 
     def recording(name, original, method=False):
         if method:
@@ -176,6 +192,13 @@ def demand_run():
         patch.setattr(base, "init_of", recording("init", base.init_of))
         patch.setattr(BufferOverflowDetector, "_known_lengths", recording(
             "overflow", BufferOverflowDetector._known_lengths, True))
+        sender_alive = waits._sender_alive
+
+        def recording_sender(ctx, wait):
+            calls["sender"].append(wait.body.key)
+            return sender_alive(ctx, wait)
+
+        patch.setattr(waits, "_sender_alive", recording_sender)
         with obs.collecting("demand") as collector:
             api.AnalysisSession().analyze_compiled(compiled)
     return compiled.program, collector.counters, calls
@@ -185,9 +208,11 @@ def test_use_after_free_facts_only_for_raw_pointer_bodies(demand_run):
     program, counters, calls = demand_run
     raw = {body.key for body in program.bodies() if _has_raw_ptr(body)}
     assert 0 < len(raw) < len(program.bodies())
+    waited = _unfed_recv_bodies(program, calls)
     assert counters["analysis.storage_ranges.miss"] == len(raw)
-    assert counters["analysis.init_states.miss"] == len(raw)
-    assert sorted(calls["storage"]) == sorted(calls["init"]) == sorted(raw)
+    assert counters["analysis.init_states.miss"] == len(raw | waited)
+    assert sorted(calls["storage"]) == sorted(raw)
+    assert sorted(calls["init"]) == sorted(raw | waited)
 
 
 def test_init_is_solved_at_most_once_per_body(demand_run):
@@ -204,8 +229,10 @@ def test_a_body_without_the_subject_triggers_neither_pass(demand_run):
                  if _calls_get_unchecked(body)}
     assert unchecked
     assert sorted(calls["overflow"]) == sorted(unchecked)
+    waited = _unfed_recv_bodies(program, calls)
     plain = [body.key for body in program.bodies()
-             if not _has_raw_ptr(body) and not _calls_get_unchecked(body)]
+             if not _has_raw_ptr(body) and not _calls_get_unchecked(body)
+             and body.key not in waited]
     assert plain
     touched = set(calls["storage"]) | set(calls["init"]) \
         | set(calls["overflow"])
