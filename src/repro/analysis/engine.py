@@ -46,12 +46,11 @@ from repro.analysis.points_to import (
 )
 from repro.analysis.scan import callee_of, scan_of
 from repro.analysis.summaries import (
-    AccessKey, EffectHop, FunctionSummary, LockId, deref_access_sites,
-    opaque_lock, owned_value_args, translate_access_loc,
+    AccessKey, EffectHop, FunctionSummary, LockId, chain_fate,
+    deref_access_sites, opaque_lock, owned_value_args, translate_access_loc,
     translate_lock, value_chain,
 )
 from repro.analysis.unsafe_prop import compute_unsafe_provenance
-from repro.hir.builtins import BuiltinOp, FuncKind
 from repro.mir.nodes import Body, Program
 
 
@@ -411,7 +410,8 @@ class SummaryEngine:
                    in_progress: FrozenSet[str]) -> FunctionSummary:
         key = body.key
         intern = self._intern.intern
-        facts = scan_of(body).facts
+        scan = scan_of(body)
+        facts = scan.facts
         user_sites = self._user_sites(body)
         self._guard_regions.pop(key, None)
 
@@ -466,44 +466,19 @@ class SummaryEngine:
 
         # May-drop / escape facts for owned by-value arguments.
         int_returns = {item for item in returns if isinstance(item, int)}
-        drop_locals = scan_of(body).drop_locals
         for position in owned_value_args(body):
             chain = value_chain(body, position + 1)
-            forgotten = escaped = False
-            explicit = any(local in chain for local in drop_locals)
-            moved_hop: Optional[EffectHop] = None
-            for func, arg_entries in facts.drop_call_facts:
-                op = func.builtin_op
-                if not any(local in chain for _j, local, _m in arg_entries):
-                    continue
-                if op is BuiltinOp.MEM_FORGET:
-                    forgotten = True
-                elif op is BuiltinOp.MEM_DROP:
-                    explicit = True
-                elif func.kind is FuncKind.UNKNOWN or op is BuiltinOp.FFI:
-                    escaped = True
-                elif func.kind in (FuncKind.USER, FuncKind.CLOSURE) \
-                        and moved_hop is None:
-                    callee_summary = self._summaries.get(func.user_fn)
-                    if callee_summary is None:
-                        continue
-                    for j, local, is_move in arg_entries:
-                        if is_move and local in chain \
-                                and callee_summary.drops_arg(j):
-                            moved_hop = (func.user_fn, j)
-                            break
-            if escaped:
+            fate = chain_fate(scan, chain, self._summaries.get)
+            if fate.escaped:
                 escapes.setdefault(position, (key, position))
-            if forgotten or position in int_returns or 0 in chain:
+            if fate.forgotten or position in int_returns or 0 in chain:
                 continue      # the value leaves this frame alive
-            if explicit:
-                may_drop[position] = (key, position)
-            elif moved_hop is not None:
-                may_drop[position] = moved_hop
-            else:
-                # Neither returned, forgotten, nor handed to a known
-                # non-dropping callee: ownership dies with this frame.
-                may_drop[position] = (key, position)
+            # Dropped here, or moved into a callee that drops it; any
+            # other owned argument dies with this frame, even one moved
+            # into a callee that keeps it.
+            may_drop[position] = fate.hop \
+                if fate.hop is not None and not fate.dropped \
+                else (key, position)
 
         # Guard-region computation is the expensive part of summarising;
         # both consumers below (held-on-return, shared-access locksets)

@@ -44,6 +44,7 @@ from typing import (
     Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
+from repro import obs
 from repro.analysis.dataflow import reach
 from repro.analysis.escape import capture_lock_ids, translate_capture
 from repro.analysis.lifetime import lock_identity
@@ -361,6 +362,7 @@ def live_functions(engine) -> Set[str]:
     potential entry point; closures only run when something spawns or
     calls them.  A notify / send inside a never-invoked closure must not
     count as reachable."""
-    return reach((key for key, body in engine.program.functions.items()
-                  if not body.is_closure),
-                 engine.call_graph.calls_or_spawns)
+    with obs.span("analysis.live_functions"):
+        return reach((key for key, body in engine.program.functions.items()
+                      if not body.is_closure),
+                     engine.call_graph.calls_or_spawns)

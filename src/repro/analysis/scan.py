@@ -64,6 +64,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from repro import obs
 from repro.hir.builtins import BuiltinOp, FuncKind
 from repro.lang.types import TyKind
 from repro.mir.cfg import Cfg
@@ -231,8 +232,7 @@ class BodyFacts:
     ones whose callee is in its program."""
 
     __slots__ = ("user_sites", "direct_acquires", "direct_calls_unknown",
-                 "drop_call_facts", "const_skeleton", "return_points",
-                 "guard_return")
+                 "const_skeleton", "return_points", "guard_return")
 
 
 class BodyScan:
@@ -298,7 +298,6 @@ class BodyScan:
         user_calls: List[Tuple] = []
         # Engine facts.
         acquires = calls_unknown = False
-        drop_call_facts: List[Tuple] = []
         same_thread: List[Tuple] = []
         const_values: List[int] = []
         const_unknown = False
@@ -446,10 +445,6 @@ class BodyScan:
                 acquires = True
             if func.kind is FuncKind.UNKNOWN or op is BuiltinOp.FFI:
                 calls_unknown = True
-            drop_call_facts.append(
-                (func, tuple((j, arg.place.local, arg.is_move)
-                             for j, arg in enumerate(term.args)
-                             if arg.place is not None)))
             # A spawned closure runs on another thread: not a callee.
             if op is not BuiltinOp.THREAD_SPAWN:
                 callee = callee_of(body, term)
@@ -533,7 +528,6 @@ class BodyScan:
             for bb, term, callee in same_thread)
         facts.direct_acquires = acquires
         facts.direct_calls_unknown = calls_unknown
-        facts.drop_call_facts = tuple(drop_call_facts)
         facts.const_skeleton = (tuple(const_values), const_unknown,
                                 tuple(zero_dest_calls))
         ret_ty = body.local_ty(0)
@@ -756,7 +750,8 @@ def scan_of(body: Body) -> BodyScan:
     if scan is None:
         scan = body.__dict__[_ATTR] = BodyScan()
     if not scan.indexed:
-        scan.index(body)
+        with obs.span("analysis.scan_index"):
+            scan.index(body)
     return scan
 
 

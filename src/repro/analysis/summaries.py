@@ -16,11 +16,12 @@ Fields and their join direction:
 * ``const_return`` — the constant integer the function always returns, if
   any (feeds the buffer-overflow detector's constant propagation).
 * ``may_drop_args`` — argument positions whose (by-value, droppable) value
-  may be dropped by the time the function returns; the value is the next
-  ``(function, arg position)`` hop of the drop chain, with a self-hop
-  ``(own key, position)`` meaning "dropped in this very body".
-* ``arg_escapes`` — argument positions whose value is passed on to
-  unknown/FFI code; same hop encoding.
+  may be dropped by the time the function returns, by the ownership-fate
+  query (:func:`chain_fate` of the argument's value chain); the value is
+  the next ``(function, arg position)`` hop of the drop chain, with a
+  self-hop ``(own key, position)`` meaning "dropped in this very body".
+* ``arg_escapes`` — argument positions whose value :func:`chain_fate`
+  finds handed to unknown/FFI code; same hop encoding.
 * ``locks`` — caller-translatable locks the function may acquire
   (transitively, same thread); the value is ``None`` for a direct
   acquisition or the ``(callee, callee lock)`` hop it came through.
@@ -77,14 +78,15 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro.analysis.dataflow import reach
 from repro.analysis.panic import PanicEffects
-from repro.analysis.scan import OWNER_EXTRACT_OPS, scan_of
+from repro.analysis.scan import OWNER_EXTRACT_OPS, BodyScan, scan_of
 from repro.analysis.unsafe_prop import UnsafeProvenance
+from repro.hir.builtins import BuiltinOp, FuncKind
 from repro.lang.source import Span
-from repro.mir.nodes import Body
+from repro.mir.nodes import Body, Place, Terminator
 
 #: ``(kind_of_id, payload, projection, lock_kind)``.
 LockId = Tuple
@@ -160,6 +162,96 @@ def owned_value_args(body: Body) -> List[int]:
             and not body.local_ty(position + 1).is_pointer_like)
 
     return list(scan_of(body).memo("owned_value_args", compute))
+
+
+# ---------------------------------------------------------------------------
+# Ownership fate: does this value die here?  (DESIGN.md §11)
+# ---------------------------------------------------------------------------
+
+class CallEffect(NamedTuple):
+    """What one call does with the values passed to it."""
+
+    #: ``(position, place, hop)`` per argument the call drops: hop
+    #: ``None`` for ``mem::drop``, ``(callee, position)`` for a move into
+    #: a user or closure callee whose summary drops that argument.
+    drops: Tuple[Tuple[int, Place, Optional[EffectHop]], ...] = ()
+    #: The places ``mem::forget`` takes.
+    forgets: Tuple[Place, ...] = ()
+    #: The places handed to unknown/FFI code.
+    escapes: Tuple[Place, ...] = ()
+
+
+_NO_EFFECT = CallEffect()
+
+
+def _places(term: Terminator) -> Tuple[Place, ...]:
+    return tuple(arg.place for arg in term.args if arg.place is not None)
+
+
+def call_effect(term: Terminator, summary_of=None) -> CallEffect:
+    """The drop / forget / escape effect of call ``term``.
+    ``summary_of(callee key)`` gives a user or closure callee's summary
+    (or None) and is called for no other callee; without it, callee
+    summaries are not consulted."""
+    func = term.func
+    op = func.builtin_op
+    if op is BuiltinOp.MEM_DROP:
+        return CallEffect(drops=tuple(
+            (j, arg.place, None) for j, arg in enumerate(term.args)
+            if arg.place is not None))
+    if op is BuiltinOp.MEM_FORGET:
+        return CallEffect(forgets=_places(term))
+    if func.kind is FuncKind.UNKNOWN or op is BuiltinOp.FFI:
+        return CallEffect(escapes=_places(term))
+    if summary_of is None \
+            or func.kind not in (FuncKind.USER, FuncKind.CLOSURE):
+        return _NO_EFFECT
+    callee = func.user_fn
+    summary = summary_of(callee)
+    if summary is None or not summary.may_drop_args:
+        return _NO_EFFECT
+    return CallEffect(drops=tuple(
+        (j, arg.place, (callee, j)) for j, arg in enumerate(term.args)
+        if arg.place is not None and arg.is_move and summary.drops_arg(j)))
+
+
+class ChainFate(NamedTuple):
+    """What one body's calls and ``DROP`` statements do to the locals of
+    a value chain."""
+
+    dropped: bool              # a DROP statement or `mem::drop` of one
+    hop: Optional[EffectHop]   # the first callee that drops a moved one
+    forgotten: bool            # `mem::forget` of one
+    escaped: bool              # one handed to unknown/FFI code
+
+    @property
+    def dies(self) -> bool:
+        return self.dropped or self.hop is not None
+
+
+def chain_fate(scan: BodyScan, chain: Set[int],
+               summary_of=None) -> ChainFate:
+    """Fold :func:`call_effect` over the calls of ``scan``'s body for the
+    value chain ``chain`` (:func:`value_chain`).  Callee summaries are
+    asked for in walk order until the chain is known to die, and not
+    after."""
+    dropped = any(local in chain for local in scan.drop_locals)
+    hop: Optional[EffectHop] = None
+    forgotten = escaped = False
+    for _bb, term in scan.calls:
+        effect = call_effect(
+            term, summary_of if not dropped and hop is None else None)
+        for _j, place, via in effect.drops:
+            if place.local in chain:
+                if via is None:
+                    dropped = True
+                elif hop is None:
+                    hop = via
+        forgotten = forgotten or any(
+            place.local in chain for place in effect.forgets)
+        escaped = escaped or any(
+            place.local in chain for place in effect.escapes)
+    return ChainFate(dropped, hop, forgotten, escaped)
 
 
 def translate_lock(lock: LockId,

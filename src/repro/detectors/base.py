@@ -185,7 +185,8 @@ class AnalysisContext:
         its one wait/wake verdict (:mod:`repro.detectors.waits`), in
         :meth:`builtin_sites` order; both ops are answered by one build."""
         if self._waits is None:
-            self._waits = build_waits(self)
+            with obs.span("analysis.waits"):
+                self._waits = build_waits(self)
         return self._waits[op]
 
 

@@ -20,10 +20,10 @@ from typing import Dict, List, Set
 
 from repro.analysis.lifetime import resolve_ref_chain
 from repro.analysis.scan import cfg_of, scan_of
-from repro.analysis.summaries import value_chain
+from repro.analysis.summaries import chain_fate, value_chain
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.report import Finding, Severity
-from repro.hir.builtins import BuiltinOp, FuncKind
+from repro.hir.builtins import BuiltinOp
 from repro.mir.nodes import Body
 
 # Allocation ops that yield *uninitialised* memory.
@@ -76,12 +76,10 @@ class DoubleFreeDetector(Detector):
             if not (src_ty.needs_drop or dup_ty.needs_drop):
                 continue
             # Both the original and the duplicate reach a drop?
-            orig_chain = value_chain(body, src_base)
-            dup_chain = value_chain(body, dup)
-            orig_dropped = self._chain_dropped(ctx, scan, orig_chain)
-            dup_dropped = self._chain_dropped(ctx, scan, dup_chain)
-            forgotten = self._chain_forgotten(scan, orig_chain | dup_chain)
-            if orig_dropped and dup_dropped and not forgotten:
+            orig = chain_fate(scan, value_chain(body, src_base), ctx.summary)
+            copy = chain_fate(scan, value_chain(body, dup), ctx.summary)
+            if orig.dies and copy.dies \
+                    and not (orig.forgotten or copy.forgotten):
                 src_name = body.locals[src_base].name or f"_{src_base}"
                 findings.append(Finding(
                     detector=self.name, kind="double-free",
@@ -92,36 +90,6 @@ class DoubleFreeDetector(Detector):
                     fn_key=body.key, span=term.span,
                     metadata={"source": src_base, "duplicate": dup}))
         return findings
-
-    @staticmethod
-    def _chain_dropped(ctx: AnalysisContext, scan,
-                       chain: Set[int]) -> bool:
-        if any(local in chain for local in scan.drop_locals):
-            return True
-        for _bb, term in scan.calls:
-            if term.func.builtin_op is BuiltinOp.MEM_DROP:
-                for arg in term.args:
-                    if arg.place is not None and arg.place.local in chain:
-                        return True
-            elif term.func.kind in (FuncKind.USER, FuncKind.CLOSURE) \
-                    and term.func.builtin_op is not BuiltinOp.THREAD_SPAWN:
-                # Moved into a callee whose summary drops that argument:
-                # the value dies inside the call tree.
-                summary = ctx.summary(term.func.user_fn)
-                for j, arg in enumerate(term.args):
-                    if arg.place is not None and arg.is_move \
-                            and arg.place.local in chain \
-                            and summary.drops_arg(j):
-                        return True
-        return False
-
-    @staticmethod
-    def _chain_forgotten(scan, chain: Set[int]) -> bool:
-        for _bb, term in scan.calls_of(BuiltinOp.MEM_FORGET):
-            for arg in term.args:
-                if arg.place is not None and arg.place.local in chain:
-                    return True
-        return False
 
 
 class InvalidFreeDetector(Detector):

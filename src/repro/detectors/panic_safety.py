@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.lifetime import resolve_ref_chain
 from repro.analysis.scan import scan_of, terminator_panic_source
-from repro.analysis.summaries import value_chain
+from repro.analysis.summaries import call_effect, chain_fate, value_chain
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.memory_misc import (
     _RAW_ALLOC_OPS, _WRITE_OPS, _written_sites,
@@ -188,24 +188,18 @@ class PanicSafetyDetector(Detector):
     @staticmethod
     def _closes_window(body: Body, term: Terminator, src_base: int,
                        dup: int) -> bool:
-        op = _call_op(term)
-        if op is BuiltinOp.PTR_WRITE:
+        if _call_op(term) is BuiltinOp.PTR_WRITE:
             return _arg_base(body, term) == src_base
-        if op is BuiltinOp.MEM_FORGET:
-            for arg in term.args:
-                if arg.place is not None and \
-                        resolve_ref_chain(body, arg.place.local)[0] \
-                        in (src_base, dup):
-                    return True
+        if term.kind is not TerminatorKind.CALL:
             return False
-        if term.kind is TerminatorKind.CALL:
-            # The original moved into a callee: the pad no longer owns it.
-            for arg in term.args:
-                if arg.is_move and arg.place is not None \
-                        and arg.place.is_local \
-                        and arg.place.local == src_base:
-                    return True
-        return False
+        forgets = call_effect(term).forgets
+        if forgets:
+            return any(resolve_ref_chain(body, place.local)[0]
+                       in (src_base, dup) for place in forgets)
+        # The original moved into a callee: the pad no longer owns it.
+        return any(arg.is_move and arg.place is not None
+                   and arg.place.is_local and arg.place.local == src_base
+                   for arg in term.args)
 
     @staticmethod
     def _pad_drops(body: Body, term: Terminator) -> List[int]:
@@ -223,9 +217,9 @@ class BadDropDetector(Detector):
     again — glue the impl cannot opt out of.  Two bad shapes:
 
     * **double-drop-field** — the impl ``ptr::read``\\ s a field and lets
-      the duplicate drop (explicitly or at scope exit) without
-      ``mem::forget`` or a write-back: the glue then frees the same
-      value a second time.
+      the duplicate drop (explicitly, at scope exit or in a callee)
+      without ``mem::forget`` or a write-back: the glue then frees the
+      same value a second time.
     * **drop-uninit** — the impl constructs a value via
       ``mem::uninitialized``/``MaybeUninit``, never writes it, and drops
       it: drop glue runs over garbage bytes.
@@ -243,11 +237,12 @@ class BadDropDetector(Detector):
             return []
         scan = scan_of(body)
         findings: List[Finding] = []
-        findings.extend(self._double_drop_fields(body, scan))
-        findings.extend(self._drop_uninit(body, scan))
+        findings.extend(self._double_drop_fields(ctx, body, scan))
+        findings.extend(self._drop_uninit(ctx, body, scan))
         return findings
 
-    def _double_drop_fields(self, body: Body, scan) -> List[Finding]:
+    def _double_drop_fields(self, ctx: AnalysisContext, body: Body,
+                            scan) -> List[Finding]:
         findings: List[Finding] = []
         for bb, term in scan.calls_of(BuiltinOp.PTR_READ):
             if term.destination is None or not term.destination.is_local:
@@ -260,10 +255,8 @@ class BadDropDetector(Detector):
             dup = term.destination.local
             if not body.local_ty(dup).needs_drop:
                 continue
-            chain = value_chain(body, dup)
-            if not self._chain_dropped(scan, chain):
-                continue
-            if self._chain_forgotten(scan, chain) \
+            fate = chain_fate(scan, value_chain(body, dup), ctx.summary)
+            if not fate.dies or fate.forgotten \
                     or self._field_restored(body, scan):
                 continue
             field_name = proj[-1].field_name or f"field {proj[-1].field_index}"
@@ -290,16 +283,16 @@ class BadDropDetector(Detector):
                 ]))
         return findings
 
-    def _drop_uninit(self, body: Body, scan) -> List[Finding]:
+    def _drop_uninit(self, ctx: AnalysisContext, body: Body,
+                     scan) -> List[Finding]:
         findings: List[Finding] = []
         for bb, term in scan.calls_of(*_UNINIT_VALUE_OPS):
             if term.destination is None or not term.destination.is_local:
                 continue
             origin = term.destination.local
             chain = value_chain(body, origin)
-            if self._chain_written(body, scan, chain):
-                continue
-            if not self._chain_dropped(scan, chain):
+            if self._chain_written(body, scan, chain) \
+                    or not chain_fate(scan, chain, ctx.summary).dies:
                 continue
             name = body.locals[origin].name or f"_{origin}"
             findings.append(Finding(
@@ -319,24 +312,6 @@ class BadDropDetector(Detector):
                          "over uninitialised memory", fn_key=body.key),
                 ]))
         return findings
-
-    @staticmethod
-    def _chain_dropped(scan, chain: Set[int]) -> bool:
-        if any(local in chain for local in scan.drop_locals):
-            return True
-        for _bb, term in scan.calls_of(BuiltinOp.MEM_DROP):
-            for arg in term.args:
-                if arg.place is not None and arg.place.local in chain:
-                    return True
-        return False
-
-    @staticmethod
-    def _chain_forgotten(scan, chain: Set[int]) -> bool:
-        for _bb, term in scan.calls_of(BuiltinOp.MEM_FORGET):
-            for arg in term.args:
-                if arg.place is not None and arg.place.local in chain:
-                    return True
-        return False
 
     def _field_restored(self, body: Body, scan) -> bool:
         """A `ptr::write` back into any `self` field counts as a restore:

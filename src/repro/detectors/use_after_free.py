@@ -26,7 +26,7 @@ from typing import Dict, List, NamedTuple, Tuple
 
 from repro.analysis.dataflow import GenKill, Mask, Solution, solve
 from repro.analysis.scan import cfg_of, scan_of
-from repro.analysis.summaries import value_chain
+from repro.analysis.summaries import call_effect, value_chain
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.report import Finding
 from repro.hir.builtins import BuiltinOp, FuncKind
@@ -136,13 +136,14 @@ class UseAfterFreeDetector(Detector):
 
         Transfers: a ``DROP`` of a local that is not definitely moved out
         frees it and every allocation it owns (its value chain); an
-        assignment to a local un-drops it; ``mem::drop`` frees its
-        arguments likewise, ``dealloc`` the allocations its arguments
-        point to, and a user or closure call each moved argument its
-        callee's summary drops; a call's destination is un-dropped after
-        the call.  Landing pads hold only ``DROP`` statements and end in
-        ``RESUME``, so no state flows out of one and none is queried in
-        one: they get no-op masks.
+        assignment to a local un-drops it; a call frees the local
+        arguments it drops (:func:`~repro.analysis.summaries.call_effect`:
+        ``mem::drop``, or a move into a callee whose summary drops it)
+        likewise, and ``dealloc`` the allocations its arguments point to;
+        a call's destination is un-dropped after the call.  Landing pads
+        hold only ``DROP`` statements and end in ``RESUME``, so no state
+        flows out of one and none is queried in one: they get no-op
+        masks.
 
         ``drop_reasons`` records, per fact, the first call site in block
         order (argument order within a call) that frees it inside a
@@ -183,15 +184,8 @@ class UseAfterFreeDetector(Detector):
         terminators: Dict[int, Mask] = {}
         reasons: List[Tuple] = []
         for bb, term in scan.calls:
-            func = term.func
-            op = func.builtin_op
             gen = kill = 0
-            if op is BuiltinOp.MEM_DROP:
-                for arg in term.args:
-                    if arg.place is not None and arg.place.is_local:
-                        local = arg.place.local
-                        gen |= 1 << local | owned.get(local, 0)
-            elif op is BuiltinOp.DEALLOC:
+            if term.func.builtin_op is BuiltinOp.DEALLOC:
                 for arg in term.args:
                     if arg.place is None:
                         continue
@@ -199,22 +193,19 @@ class UseAfterFreeDetector(Detector):
                         if target[0] == "heap":
                             gen |= 1 << heap_bits.setdefault(
                                 target[1], n + len(heap_bits))
-            elif func.kind in (FuncKind.USER, FuncKind.CLOSURE) \
-                    and op is not BuiltinOp.THREAD_SPAWN:
-                # The callee's summary says it drops an argument we moved
-                # into it: the value is freed when it returns.
-                callee = func.user_fn
-                summary = ctx.summary(callee)
-                for j, arg in enumerate(term.args):
-                    if arg.place is None or not arg.place.is_local \
-                            or not arg.is_move or not summary.drops_arg(j):
+            else:
+                for _j, place, hop in call_effect(term, ctx.summary).drops:
+                    if not place.is_local:
                         continue
-                    local = arg.place.local
+                    local = place.local
                     gen |= 1 << local | owned.get(local, 0)
-                    reasons.append((bb, ("dropped", local), (callee, j)))
+                    if hop is None:
+                        continue
+                    # Freed inside the callee when it returns.
+                    reasons.append((bb, ("dropped", local), hop))
                     for site, bit in heap_bits.items():
                         if owned.get(local, 0) >> bit & 1:
-                            reasons.append((bb, ("heap", site), (callee, j)))
+                            reasons.append((bb, ("heap", site), hop))
             if term.destination is not None and term.destination.is_local:
                 kill = 1 << term.destination.local
             if gen or kill:

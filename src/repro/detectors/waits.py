@@ -23,6 +23,7 @@ from repro.analysis import lockgraph
 from repro.analysis.escape import translate_capture
 from repro.analysis.lifetime import resolve_ref_chain
 from repro.analysis.lockgraph import LockNode, global_site_ids
+from repro.analysis.scan import scan_of
 from repro.hir.builtins import BuiltinOp
 from repro.mir.nodes import Body, Terminator
 
@@ -118,11 +119,29 @@ def _may_match(a: FrozenSet, b: FrozenSet) -> bool:
 
 
 def _sender_alive(ctx, wait: Wait) -> bool:
-    """Is a ``Sender`` local of the recv's channel still initialised at
-    the recv?  Only the recv's own body is asked."""
+    """Is a ``Sender`` local whose identity may match the recv's channel
+    initialised at the recv, or, for a recv in a spawned closure, before
+    a ``join`` in a function that spawns it?  A spawner that holds its
+    ``Sender`` across the join keeps the channel open while it waits."""
     body = wait.body
     init = ctx.init_states(body)
-    state = init.before_terminator(wait.block)
+    if _holds_sender(ctx, wait, body, init,
+                     init.before_terminator(wait.block)):
+        return True
+    for spawn in ctx.thread_escape().sites_spawning(body.key):
+        spawner = ctx.program.functions.get(spawn.spawner)
+        if spawner is None:
+            continue
+        init = ctx.init_states(spawner)
+        if any(_holds_sender(ctx, wait, spawner, init,
+                             init.before_terminator(bb))
+               for bb, _term in scan_of(spawner).calls_of(
+                   BuiltinOp.THREAD_JOIN)):
+            return True
+    return False
+
+
+def _holds_sender(ctx, wait: Wait, body: Body, init, state: int) -> bool:
     return any(
         local.ty.name in ("Sender", "SyncSender")
         and init.is_init(state, local.index)

@@ -490,6 +490,38 @@ fn bug_dead_send() {
         assert outcomes == ["deadlock", "ok"]
         assert not _findings(dropped)
 
+    SPAWNED_RECV = """
+fn bug_spawned_recv() {
+    let (tx, rx) = channel();
+    let h = thread::spawn(move || {
+        let v = rx.recv();
+    });
+    h.join();
+}
+"""
+
+    @staticmethod
+    def _outcome(src, entry):
+        from repro.mir.interp import ScheduleConfig, run_program
+        compiled = compile_source(src + f"fn main() {{ {entry}(); }}")
+        return run_program(compiled.program,
+                           schedule=ScheduleConfig(max_steps=300_000)).outcome
+
+    def test_spawner_holding_the_sender_across_the_join_blocks(self):
+        # The closure's recv waits on a channel whose `Sender` the
+        # spawner keeps until after it joins: a hang.
+        src = self.SPAWNED_RECV
+        assert self._outcome(src, "bug_spawned_recv") == "deadlock"
+        assert [(f.detector, f.kind) for f in _findings(src)] == \
+            [("channel", "recv-no-sender")]
+
+    def test_spawner_dropping_the_sender_before_the_join_is_clean(self):
+        src = self.SPAWNED_RECV.replace(
+            "    h.join();", "    drop(tx);\n    h.join();")
+        assert src != self.SPAWNED_RECV
+        assert self._outcome(src, "bug_spawned_recv") == "ok"
+        assert not _findings(src)
+
     def test_one_liveness_closure_per_analysis(self, monkeypatch):
         from repro import api
         from repro.analysis import lockgraph

@@ -282,6 +282,39 @@ class TestPipelineInstrumentation:
         assert repeat.counters["analysis.points_to.miss"] == 1
         assert repeat.counters["analysis.points_to.hit"] == 1
 
+    def test_shared_facts_get_their_own_spans(self, monkeypatch):
+        # The body index, the liveness closure and the wait/wake query
+        # are charged to spans of their own, not to whichever detector
+        # asks first.
+        from repro import api
+        from repro.analysis.scan import BodyScan
+        from repro.corpus.inject import BUG_TEMPLATES
+        indexed = []
+        real = BodyScan.index
+
+        def counting(scan, body):
+            indexed.append(body.key)
+            return real(scan, body)
+
+        monkeypatch.setattr(BodyScan, "index", counting)
+        src = (BUG_TEMPLATES["deadlock_condvar_hold"].render("c")
+               + BUG_TEMPLATES["channel_no_sender"].render("s") + UAF_SRC)
+        with obs.collecting() as col:
+            api.analyze(src)
+        names = []
+
+        def walk(record):
+            names.append(record.name)
+            for child in record.children:
+                walk(child)
+
+        for root in col.roots:
+            walk(root)
+        assert indexed
+        assert names.count("analysis.scan_index") == len(indexed)
+        assert names.count("analysis.live_functions") == 1
+        assert names.count("analysis.waits") == 1
+
     def test_interpreter_counters(self):
         from repro.driver import compile_source
         from repro.mir.interp import ScheduleConfig, run_program

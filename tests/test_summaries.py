@@ -1,6 +1,10 @@
 """Tests for the summary engine: SCC fixpoints, effect chains, and the
 cross-function provenance the detectors attach from them."""
 
+import ast
+import os
+
+import pytest
 from conftest import check, compile_, detectors_named
 
 from repro.analysis.engine import SummaryEngine
@@ -216,3 +220,108 @@ fn leaf(x: i32) -> i32 { x + 1 }
 fn top(x: i32) -> i32 { leaf(x) }
 """)
         assert not engine.summary("top").calls_unknown
+
+
+# ---------------------------------------------------------------------------
+# The ownership-fate query
+# ---------------------------------------------------------------------------
+
+#: The one owned argument ``v`` of ``shape`` in each shape →
+#: ``(may_drop_args, arg_escapes)``; ``"self"`` is the self-hop.
+_FATE_HELPERS = """
+fn sink(v: Vec<i32>) { drop(v); }
+fn keep(v: Vec<i32>) { mem::forget(v); }
+"""
+
+_FATE_TABLE = [
+    ("drop(v);", {0: "self"}, {}),
+    ("mem::forget(v);", {}, {}),
+    ("sink(v);", {0: ("sink", 0)}, {}),
+    # Self-hop from `w`'s scope-exit DROP, not the hop into `sink`.
+    ("let w = v; sink(w);", {0: "self"}, {}),
+    ("mystery_ffi(v);", {0: "self"}, {0: "self"}),
+    ("return v;", {}, {}),
+    pytest.param(
+        "keep(v);", {}, {},
+        marks=pytest.mark.xfail(strict=True, reason=(
+            "an owned argument moved into a callee that keeps it still "
+            "gets the self-hop: ownership is assumed to die with the "
+            "frame (ROADMAP 'One drop semantics')"))),
+]
+
+
+class TestOwnershipFate:
+    @pytest.mark.parametrize("body, may_drop, escapes", _FATE_TABLE)
+    def test_rule_table(self, body, may_drop, escapes):
+        ret = " -> Vec<i32>" if body.startswith("return") else ""
+        engine = engine_of(_FATE_HELPERS
+                           + f"fn shape(v: Vec<i32>){ret} {{ {body} }}")
+        summary = engine.summary("shape")
+
+        def hops(table):
+            return {position: ("shape", position) if hop == "self" else hop
+                    for position, hop in table.items()}
+
+        assert summary.may_drop_args == hops(may_drop)
+        assert summary.arg_escapes == hops(escapes)
+
+
+_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
+
+#: Functions outside the query's module that may name
+#: ``BuiltinOp.MEM_DROP``, with the reason each may.
+_MEM_DROP_ALLOWED = {
+    ("repro.analysis.lifetime", "_propagate_region"):
+        "the guard walk is flow-sensitive: `mem::drop` of the last "
+        "guard-chain local is a release point, not an ownership fact",
+}
+
+
+def _ownership_rule_uses():
+    """``(module, qualified function, what)`` of every use of the
+    ownership rule's vocabulary under ``src/repro/analysis`` and
+    ``src/repro/detectors``, outside ``repro.analysis.summaries``."""
+    found = []
+    for package in ("analysis", "detectors"):
+        root = os.path.join(_SRC, package)
+        for fname in sorted(os.listdir(root)):
+            module = f"repro.{package}.{fname[:-3]}"
+            if not fname.endswith(".py") \
+                    or module == "repro.analysis.summaries":
+                continue
+            with open(os.path.join(root, fname), encoding="utf-8") as f:
+                tree = ast.parse(f.read())
+
+            def visit(node, scope):
+                for child in ast.iter_child_nodes(node):
+                    if isinstance(child, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef,
+                                          ast.ClassDef)):
+                        visit(child, scope + [child.name])
+                        continue
+                    what = None
+                    if isinstance(child, ast.Attribute) \
+                            and child.attr in ("MEM_DROP", "MEM_FORGET") \
+                            and getattr(child.value, "id", None) \
+                            == "BuiltinOp":
+                        what = child.attr
+                    elif isinstance(child, ast.Call) \
+                            and isinstance(child.func, ast.Attribute) \
+                            and child.func.attr == "drops_arg":
+                        what = "drops_arg"
+                    if what is not None:
+                        found.append((module, ".".join(scope), what))
+                    visit(child, scope)
+
+            visit(tree, [])
+    return found
+
+
+def test_only_the_query_reads_the_ownership_rule():
+    uses = _ownership_rule_uses()
+    assert ("repro.analysis.lifetime", "_propagate_region", "MEM_DROP") \
+        in uses, "the scan no longer finds the guard walk's release rule"
+    unexpected = [use for use in uses
+                  if use[2] != "MEM_DROP"
+                  or use[:2] not in _MEM_DROP_ALLOWED]
+    assert not unexpected, unexpected
