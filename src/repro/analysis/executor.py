@@ -515,10 +515,16 @@ class ReportCache:
         return payload["report"]
 
     def put(self, key: str, report) -> None:
+        """Store ``report``.  Nothing is evicted here: a batch calls
+        :meth:`evict` once after its stores, so a directory scan is
+        paid per batch, not per file."""
         payload = {"format": REPORT_CACHE_FORMAT, "report": report}
         if _atomic_write(self.root, self._path(key), payload):
             obs.count("analysis.report_cache.store")
-            _evict_over_limit(self.root, ".report.pkl", self.limit)
+
+    def evict(self) -> None:
+        """Oldest-first eviction of the reports beyond ``limit``."""
+        _evict_over_limit(self.root, ".report.pkl", self.limit)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,10 @@ def compute_points_to(body: Body,
                     ensure(target[1]).update(ensure(src))
                     if len(pt[target[1]]) != before:
                         changed = True
+    # ``ensure`` made a set for every local it touched; the empty ones
+    # read the same as a missing local through ``targets``.
+    result.points_to = {local: targets for local, targets in pt.items()
+                        if targets}
     return result
 
 

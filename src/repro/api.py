@@ -46,6 +46,7 @@ from repro import obs
 from repro.analysis.config import AnalysisConfig, coerce_config
 from repro.detectors.report import Finding, Report, SCHEMA_VERSION, Severity
 from repro.driver import CompiledProgram, compile_source
+from repro.mir.nodes import Program
 
 __all__ = [
     "AnalysisConfig", "AnalysisReport", "AnalysisSession", "SCHEMA_VERSION",
@@ -165,12 +166,12 @@ if hasattr(os, "register_at_fork"):
 def _compile_and_detect(name: str, text: str,
                         config: AnalysisConfig) -> Report:
     """Compile and analyze one program in a frame of its own: when it
-    returns, the compiled program is already freed, so nothing of it is
-    left for the collector to walk once a pause ends."""
+    returns, the program is already freed, so nothing of it is left for
+    the collector to walk once a pause ends.  Only the program is kept,
+    so the crate is freed before detection starts."""
     from repro.detectors.registry import run_detectors
-    compiled = compile_source(text, name=name)
-    return run_detectors(compiled.program, source=compiled.source,
-                         config=config)
+    program = compile_source(text, name=name).program
+    return run_detectors(program, source=program.source, config=config)
 
 
 def _analyze_task(payload: bytes) -> bytes:
@@ -303,26 +304,26 @@ class AnalysisSession:
         """
         resolved_name, text = _load(source_or_path, name)
         with _collector_paused:
-            # The compiled program is a temporary, never a local of this
-            # frame: it is freed as soon as the analysis returns, before
-            # the pause ends.
-            return self.analyze_compiled(
-                self.compile(text, name=resolved_name))
+            # The program is a temporary, never a local of this frame:
+            # it is freed as soon as the analysis returns, before the
+            # pause ends.  Only the program is taken from the compiled
+            # unit, so the crate is freed before detection starts.
+            return AnalysisReport(name=resolved_name, report=self._detect(
+                self.compile(text, name=resolved_name).program,
+                self.config))
 
     def compile(self, text: str, name: str = "<input>") -> CompiledProgram:
         return compile_source(text, name=name)
 
     def analyze_compiled(self, compiled: CompiledProgram) -> AnalysisReport:
-        return AnalysisReport(name=compiled.source.name,
-                              report=self._detect(compiled, self.config))
+        return AnalysisReport(name=compiled.source.name, report=self._detect(
+            compiled.program, self.config))
 
-    def _detect(self, compiled: CompiledProgram,
-                config: AnalysisConfig) -> Report:
+    def _detect(self, program: Program, config: AnalysisConfig) -> Report:
         from repro.detectors.registry import run_detectors
         if self._closed:
             raise RuntimeError("AnalysisSession is closed")
-        return run_detectors(compiled.program, source=compiled.source,
-                             config=config)
+        return run_detectors(program, source=program.source, config=config)
 
     def analyze_sources(self, named_sources: Sequence[Tuple[str, str]]
                         ) -> List[AnalysisReport]:
@@ -378,8 +379,8 @@ class AnalysisSession:
         if pool is None:
             for i in misses:
                 name, text = named_sources[i]
-                reports[i] = self._detect(self.compile(text, name=name),
-                                          solve_config)
+                reports[i] = self._detect(
+                    self.compile(text, name=name).program, solve_config)
         else:
             # Worker spans fold back under this one, so a trace shows
             # the files' timelines side by side inside the batch.
@@ -398,6 +399,8 @@ class AnalysisSession:
         if rcache is not None:
             for i in misses:
                 rcache.put(keys[i], reports[i])
+            if misses:
+                rcache.evict()
         return [AnalysisReport(name=name, report=report)
                 for (name, _), report in zip(named_sources, reports)]
 

@@ -52,6 +52,9 @@ def compile_source(text: str, name: str = "<input>",
         obs.count("compile.tokens", len(tokens))
         with obs.span("parse"):
             crate = Parser(source, tokens=tokens).parse_crate(name=name)
+        # The parser was the tokens' last reader (the AST keeps only
+        # spans): free them before the table and MIR are built.
+        del tokens
         with obs.span("hir-table"):
             table = build_item_table(crate)
         with obs.span("mir-lower"):

@@ -22,11 +22,14 @@ from repro.lang.types import (
 
 @dataclass
 class FnInfo:
-    """A resolved function or method."""
+    """A resolved function or method: its signature, plus the syntax of
+    its body until :meth:`~repro.mir.build.ProgramBuilder.build` has
+    lowered it (which sets ``ast_fn`` to ``None``)."""
 
     key: str                       # "foo" or "Type::method"
     name: str
-    ast_fn: ast.FnDef = None
+    ast_fn: Optional[ast.FnDef] = None
+    is_extern: bool = False        # declared in an ``extern`` block
     params: List[Tuple[str, Ty, bool]] = field(default_factory=list)
     ret_ty: Ty = UNKNOWN
     is_unsafe: bool = False
@@ -59,7 +62,6 @@ class ItemTable:
     functions: Dict[str, FnInfo] = field(default_factory=dict)
     statics: Dict[str, StaticInfo] = field(default_factory=dict)
     consts: Dict[str, object] = field(default_factory=dict)
-    traits: Dict[str, ast.TraitDef] = field(default_factory=dict)
     unsafe_traits: List[str] = field(default_factory=list)
     unsafe_impls: List[Tuple[str, str]] = field(default_factory=list)  # (trait, type)
 
@@ -148,15 +150,19 @@ def build_item_table(crate: ast.Crate) -> ItemTable:
     """Resolve ``crate`` into an :class:`ItemTable` (two passes)."""
     table = ItemTable(crate_name=crate.name)
 
-    # Pass 1: collect type names so that type lowering can classify ADTs.
+    # Pass 1: collect type names so that type lowering can classify ADTs,
+    # and the functions declared in ``extern`` blocks (the parser keeps
+    # such a block as a module named ``extern``).
+    extern_fns = set()
     for item in crate.walk_items():
-        if isinstance(item, ast.StructDef):
+        if isinstance(item, ast.ModDecl) and item.name == "extern":
+            extern_fns.update(id(fn) for fn in item.items)
+        elif isinstance(item, ast.StructDef):
             table.structs[item.name] = StructInfo(name=item.name,
                                                   is_tuple=item.is_tuple)
         elif isinstance(item, ast.EnumDef):
             table.enums[item.name] = EnumInfo(name=item.name)
         elif isinstance(item, ast.TraitDef):
-            table.traits[item.name] = item
             if item.is_unsafe:
                 table.unsafe_traits.append(item.name)
 
@@ -174,7 +180,8 @@ def build_item_table(crate: ast.Crate) -> ItemTable:
                               [table.lower_ty(t, None, gen) for t in v.fields])
                              for v in item.variants]
         elif isinstance(item, ast.FnDef):
-            _register_fn(table, item, prefix=None, self_ty=None)
+            _register_fn(table, item, prefix=None, self_ty=None,
+                         is_extern=id(item) in extern_fns)
         elif isinstance(item, ast.ImplBlock):
             _register_impl(table, item)
         elif isinstance(item, ast.StaticDef):
@@ -215,7 +222,8 @@ def _register_impl(table: ItemTable, impl: ast.ImplBlock) -> None:
 
 def _register_fn(table: ItemTable, fn: ast.FnDef, prefix: Optional[str],
                  self_ty: Optional[Ty], trait_name: Optional[str] = None,
-                 generics: Tuple[str, ...] = ()) -> None:
+                 generics: Tuple[str, ...] = (),
+                 is_extern: bool = False) -> None:
     key = f"{prefix}::{fn.name}" if prefix else fn.name
     gen = generics + tuple(fn.generics)
     params: List[Tuple[str, Ty, bool]] = []
@@ -236,8 +244,9 @@ def _register_fn(table: ItemTable, fn: ast.FnDef, prefix: Optional[str],
             params.append((p.name, table.lower_ty(p.ty, self_ty, gen),
                            p.mutability.is_mut))
     ret_ty = table.lower_ty(fn.ret_ty, self_ty, gen) if fn.ret_ty else Ty.unit()
-    info = FnInfo(key=key, name=fn.name, ast_fn=fn, params=params,
-                  ret_ty=ret_ty, is_unsafe=fn.is_unsafe, is_pub=fn.is_pub,
+    info = FnInfo(key=key, name=fn.name, ast_fn=fn, is_extern=is_extern,
+                  params=params, ret_ty=ret_ty, is_unsafe=fn.is_unsafe,
+                  is_pub=fn.is_pub,
                   is_method=self_mode is not None, self_ty=self_ty,
                   self_mode=self_mode, impl_of=prefix if self_ty else None,
                   trait_name=trait_name, span=fn.span, generics=list(gen))

@@ -60,6 +60,10 @@ _COMPOUND_ASSIGN = {
 _PREFIX_OPS = {T.MINUS: UnOp.NEG, T.BANG: UnOp.NOT, T.STAR: UnOp.DEREF,
                T.AMP: None}
 
+#: Tokens that may start a path segment.
+_PATH_SEGMENT = frozenset({T.IDENT, T.KW_CRATE, T.KW_SUPER, T.KW_SELF,
+                           T.KW_SELF_TYPE})
+
 # Tokens that may legitimately start an expression.
 _EXPR_START = {
     T.IDENT, T.INT, T.FLOAT, T.STRING, T.CHAR, T.KW_TRUE, T.KW_FALSE,
@@ -594,6 +598,10 @@ class Parser:
 
     def parse_type(self) -> ast.Ty:
         lo = self.tok.span
+        # The common case first: a type path.
+        if self.tok.kind in (T.IDENT, T.KW_CRATE, T.KW_SUPER):
+            path = self.parse_path(in_type=True)
+            return ast.TyPath(span=lo.merge(self.tokens[self.pos - 1].span), path=path)
         if self.eat(T.AMP):
             lifetime = None
             if self.at(T.LIFETIME):
@@ -660,9 +668,6 @@ class Parser:
             self.pos += 1
             path = ast.Path(span=lo, segments=[ast.PathSegment("Self")])
             return ast.TyPath(span=lo, path=path)
-        if self.at(T.IDENT) or self.at(T.KW_CRATE) or self.at(T.KW_SUPER):
-            path = self.parse_path(in_type=True)
-            return ast.TyPath(span=lo.merge(self.tokens[self.pos - 1].span), path=path)
         raise self.error(f"expected type, found {self.tok.text!r}")
 
     def _maybe_skip_plus_bounds(self) -> None:
@@ -676,12 +681,11 @@ class Parser:
         lo = self.tok.span
         segments: List[ast.PathSegment] = []
         while True:
-            if self.at(T.IDENT) or self.at(T.KW_CRATE) or self.at(T.KW_SUPER) \
-                    or self.at(T.KW_SELF) or self.at(T.KW_SELF_TYPE):
-                name = self.tok.text
-                self.pos += 1
-            else:
+            tok = self.tokens[self.pos]
+            if tok.kind not in _PATH_SEGMENT:
                 raise self.error("expected path segment")
+            name = tok.text
+            self.pos += 1
             generic_args: List[ast.Ty] = []
             if in_type and self.at(T.LT):
                 generic_args = self._parse_generic_args()
@@ -718,6 +722,53 @@ class Parser:
 
     def parse_pattern(self) -> ast.Pat:
         lo = self.tok.span
+        # The common case first: a binding, a path, a struct or a
+        # tuple-struct pattern.
+        if self.tok.kind in (T.IDENT, T.KW_REF, T.KW_MUT, T.KW_SELF_TYPE):
+            by_ref = bool(self.eat(T.KW_REF))
+            mut = Mutability.MUT if self.eat(T.KW_MUT) else Mutability.NOT
+            if not (self.at(T.IDENT) or self.at(T.KW_SELF_TYPE)):
+                raise self.error(f"expected pattern, found {self.tok.text!r}")
+
+            # Single lowercase identifier with no path/struct/tuple suffix → binding.
+            is_plain = (self.peek().kind not in (T.COLONCOLON, T.LBRACE, T.LPAREN))
+            name = self.tok.text
+            if is_plain and (name[0].islower() or name[0] == "_"):
+                self.pos += 1
+                sub = None
+                if self.eat(T.AT):
+                    sub = self.parse_pattern()
+                return ast.PatIdent(span=lo, name=name, mutability=mut,
+                                    by_ref=by_ref, subpattern=sub)
+
+            path = self.parse_path()
+            if self.eat(T.LPAREN):
+                elements = []
+                while not self.at(T.RPAREN):
+                    elements.append(self.parse_pattern())
+                    if not self.eat(T.COMMA):
+                        break
+                self.expect(T.RPAREN)
+                return ast.PatTupleStruct(span=lo, path=path, elements=elements)
+            if not self.no_struct_depth and self.eat(T.LBRACE):
+                fields: List[Tuple[str, ast.Pat]] = []
+                has_rest = False
+                while not self.at(T.RBRACE):
+                    if self.eat(T.DOTDOT):
+                        has_rest = True
+                        break
+                    f_name = self.expect(T.IDENT, "field name").text
+                    if self.eat(T.COLON):
+                        f_pat = self.parse_pattern()
+                    else:
+                        f_pat = ast.PatIdent(span=lo, name=f_name)
+                    fields.append((f_name, f_pat))
+                    if not self.eat(T.COMMA):
+                        break
+                self.expect(T.RBRACE)
+                return ast.PatStruct(span=lo, path=path, fields=fields,
+                                     has_rest=has_rest)
+            return ast.PatPath(span=lo, path=path)
         if self.at(T.UNDERSCORE):
             self.pos += 1
             return ast.PatWild(span=lo)
@@ -757,53 +808,7 @@ class Parser:
             if len(elements) == 1:
                 return elements[0]
             return ast.PatTuple(span=lo, elements=elements)
-
-        by_ref = bool(self.eat(T.KW_REF))
-        mut = Mutability.MUT if self.eat(T.KW_MUT) else Mutability.NOT
-        if not (self.at(T.IDENT) or self.at(T.KW_SELF_TYPE)):
-            raise self.error(f"expected pattern, found {self.tok.text!r}")
-
-        # Single lowercase identifier with no path/struct/tuple suffix → binding.
-        is_plain = (self.peek().kind not in (T.COLONCOLON, T.LBRACE, T.LPAREN))
-        name = self.tok.text
-        if is_plain and (name[0].islower() or name[0] == "_"):
-            self.pos += 1
-            sub = None
-            if self.eat(T.AT):
-                sub = self.parse_pattern()
-            return ast.PatIdent(span=lo, name=name, mutability=mut,
-                                by_ref=by_ref, subpattern=sub)
-
-        path = self.parse_path()
-        if self.eat(T.LPAREN):
-            elements = []
-            while not self.at(T.RPAREN):
-                elements.append(self.parse_pattern())
-                if not self.eat(T.COMMA):
-                    break
-            self.expect(T.RPAREN)
-            return ast.PatTupleStruct(span=lo, path=path, elements=elements)
-        if not self.no_struct_depth and self.eat(T.LBRACE):
-            fields: List[Tuple[str, ast.Pat]] = []
-            has_rest = False
-            while not self.at(T.RBRACE):
-                if self.eat(T.DOTDOT):
-                    has_rest = True
-                    break
-                f_name = self.expect(T.IDENT, "field name").text
-                if self.eat(T.COLON):
-                    f_pat = self.parse_pattern()
-                else:
-                    f_pat = ast.PatIdent(span=lo, name=f_name)
-                fields.append((f_name, f_pat))
-                if not self.eat(T.COMMA):
-                    break
-            self.expect(T.RBRACE)
-            return ast.PatStruct(span=lo, path=path, fields=fields,
-                                 has_rest=has_rest)
-        if is_plain and name[0].isupper() and len(path.segments) == 1:
-            return ast.PatPath(span=lo, path=path)
-        return ast.PatPath(span=lo, path=path)
+        raise self.error(f"expected pattern, found {self.tok.text!r}")
 
     # -- statements & blocks -----------------------------------------------------
 
@@ -1023,16 +1028,25 @@ class Parser:
         return args
 
     def _parse_primary(self) -> ast.Expr:
-        lo = self.tok.span
-        kind = self.tok.kind
+        tok = self.tokens[self.pos]
+        lo = tok.span
+        kind = tok.kind
 
+        # The common case first: a path, a macro call or a struct literal.
+        if kind in _PATH_SEGMENT:
+            if kind is T.IDENT and self.peek().kind is T.BANG:
+                return self._parse_macro_call()
+            path = self.parse_path()
+            if self.at(T.LBRACE) and not self.no_struct_depth \
+                    and self._path_can_be_struct(path):
+                return self._parse_struct_literal(path)
+            return ast.PathExpr(span=lo.merge(self.tokens[self.pos - 1].span),
+                                path=path)
         if kind is T.INT or kind is T.FLOAT:
-            tok = self.tok
             self.pos += 1
             return ast.Literal(span=lo, value=tok.value,
                                suffix=tok.suffix or None)
         if kind is T.STRING or kind is T.CHAR:
-            tok = self.tok
             self.pos += 1
             return ast.Literal(span=lo, value=tok.value)
         if kind is T.KW_TRUE:
@@ -1122,16 +1136,6 @@ class Parser:
             finally:
                 self.no_struct_depth = saved
 
-        if kind in (T.IDENT, T.KW_SELF, T.KW_SELF_TYPE, T.KW_CRATE, T.KW_SUPER):
-            # Macro call?
-            if kind is T.IDENT and self.peek().kind is T.BANG:
-                return self._parse_macro_call()
-            path = self.parse_path()
-            if self.at(T.LBRACE) and not self.no_struct_depth \
-                    and self._path_can_be_struct(path):
-                return self._parse_struct_literal(path)
-            return ast.PathExpr(span=lo.merge(self.tokens[self.pos - 1].span),
-                                path=path)
         raise self.error(f"expected expression, found "
                          f"{self.tok.text or self.tok.kind.value!r}")
 

@@ -1128,7 +1128,11 @@ class BodyBuilder:
             if fn is not None:
                 args = [self.lower_expr(a) for a in expr.args]
                 dest = self._fresh_call_dest(fn.ret_ty, span)
-                self.call(FuncRef.user(fn.key, fn.is_unsafe), args, dest, span)
+                # A function of an ``extern`` block has no MIR body: a
+                # call to it is a call into foreign code.
+                func = FuncRef.builtin(BuiltinOp.FFI, fn.key, fn.is_unsafe) \
+                    if fn.is_extern else FuncRef.user(fn.key, fn.is_unsafe)
+                self.call(func, args, dest, span)
                 return self.operand_for_place(dest, fn.ret_ty)
 
             # Builtin path call.
@@ -1876,6 +1880,10 @@ class ProgramBuilder:
         self.unsafe_blocks.append((fn_key, span))
 
     def build(self) -> Program:
+        """Lower every body of the table.  Each function's syntax is
+        released once its body is lowered, and the static initialisers
+        and consts once every body is: after this the table holds
+        signatures and types, no syntax (DESIGN.md §9)."""
         for name, info in self.table.statics.items():
             self.program.statics[name] = info.ty
             if info.init is not None:
@@ -1889,13 +1897,17 @@ class ProgramBuilder:
                 self.program.functions[f"__static_init::{name}"] = \
                     builder.build()
         for key, fn in sorted(self.table.functions.items()):
-            if fn.ast_fn is None or fn.ast_fn.body is None:
+            ast_fn, fn.ast_fn = fn.ast_fn, None
+            if ast_fn is None or ast_fn.body is None:
                 continue
             builder = BodyBuilder(
-                self, key, fn, fn.ast_fn.body,
+                self, key, fn, ast_fn.body,
                 params=fn.params, ret_ty=fn.ret_ty,
                 is_unsafe_fn=fn.is_unsafe, span=fn.span)
             self.program.functions[key] = builder.build()
+        for info in self.table.statics.values():
+            info.init = None
+        self.table.consts.clear()
         return self.program
 
 

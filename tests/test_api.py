@@ -180,6 +180,36 @@ class TestReportCache:
         assert {f.detector for r in warm for f in r.findings} == \
             {"use-after-free"}
 
+    def test_batch_evicts_once_after_its_stores(self, tmp_path,
+                                                monkeypatch):
+        # Eviction scans the report directory once per batch, after the
+        # batch's stores, and keeps at most ``limit`` reports; a batch
+        # that stores nothing does not scan at all.
+        import os
+        from repro.analysis import executor
+
+        class SmallReportCache(executor.ReportCache):
+            def __init__(self, root):
+                super().__init__(root, limit=3)
+        monkeypatch.setattr(executor, "ReportCache", SmallReportCache)
+        scans = []
+        scandir = os.scandir
+
+        def counted_scandir(path):
+            scans.append(path)
+            return scandir(path)
+        monkeypatch.setattr(os, "scandir", counted_scandir)
+        config = AnalysisConfig(cache_dir=str(tmp_path))
+        sources = [(f"f{i}.rs", CLEAN_SRC) for i in range(5)]
+        with api.AnalysisSession(config) as session:
+            session.analyze_sources(sources)
+            assert len(scans) == 1
+            reports = [name for name in os.listdir(tmp_path / "reports")
+                       if name.endswith(".report.pkl")]
+            assert len(reports) == 3
+            session.analyze_sources(sources[-2:])     # all hits
+            assert len(scans) == 1
+
     def test_report_cache_knob_disables_tier(self, tmp_path):
         from repro import obs
         config = AnalysisConfig(cache_dir=str(tmp_path),

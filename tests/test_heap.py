@@ -19,7 +19,9 @@ from repro.corpus.benign import BENIGN_TEMPLATES
 from repro.corpus.generator import generate_corpus
 from repro.corpus.inject import BUG_TEMPLATES
 from repro.detectors.base import Detector
+from repro.lang import ast_nodes as ast
 from repro.lang.diagnostics import CompileError
+from repro.lang.tokens import Token
 
 SMALL_SRC = """
 fn main() {
@@ -129,6 +131,56 @@ class TestAcyclicHeap:
 
         with pytest.raises(pytest.fail.Exception, match="Node"):
             assert_no_cyclic_garbage(leak)
+
+
+def _syntax_census():
+    """Live tokens, function definitions and blocks, by type name."""
+    counts = {"Token": 0, "FnDef": 0, "Block": 0}
+    for obj in gc.get_objects():
+        if type(obj) is Token:
+            counts["Token"] += 1
+        elif type(obj) is ast.FnDef:
+            counts["FnDef"] += 1
+        elif type(obj) is ast.Block:
+            counts["Block"] += 1
+    return counts
+
+
+@pytest.fixture
+def syntax_at_detection(monkeypatch):
+    """Records the syntax census at the entry of every
+    ``registry.run_detectors`` call."""
+    from repro.detectors import registry
+    seen = []
+    run_detectors = registry.run_detectors
+
+    def counted(*args, **kwargs):
+        seen.append(_syntax_census())
+        return run_detectors(*args, **kwargs)
+    monkeypatch.setattr(registry, "run_detectors", counted)
+    return seen
+
+
+class TestSyntaxLifetime:
+    """Detection reads only MIR: no token, function definition or block
+    of the analyzed program is alive when the detectors start (DESIGN.md
+    §9, "each front-end result dies with its last reader").  Counts are
+    taken against the census before the call, so syntax other tests
+    hold does not matter."""
+
+    def test_session_analyze_of_the_combined_crate(self,
+                                                   syntax_at_detection):
+        source = generate_corpus(0, 1).combined_source()
+        before = _syntax_census()
+        api.AnalysisSession().analyze(source, name="crate")
+        assert syntax_at_detection == [before]
+
+    def test_serial_batch(self, syntax_at_detection):
+        sources = [(f"{name}.rs", BUG_TEMPLATES[name].render(name))
+                   for name in ("lock_order_pair", "uaf_drop_deref")]
+        before = _syntax_census()
+        api.AnalysisSession().analyze_sources(sources)
+        assert syntax_at_detection == [before, before]
 
 
 class _RecordCollector(Detector):

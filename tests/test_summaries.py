@@ -214,6 +214,25 @@ fn top(x: i32) -> i32 {
         assert engine.summary("mid").calls_unknown
         assert engine.summary("top").calls_unknown
 
+    def test_extern_block_function_is_foreign_code(self):
+        # A function declared in an ``extern`` block has no body: a call
+        # to it is an FFI call, so the argument handed over escapes.
+        from repro.hir.builtins import BuiltinOp, FuncKind
+        from repro.mir.interp import run_program
+        program = compile_("""
+extern "C" { fn c_sink(v: Vec<i32>); }
+fn shape(v: Vec<i32>) { unsafe { c_sink(v); } }
+fn main() { let v = vec![1, 2]; shape(v); }
+""").program
+        call, = [term for _bb, term in program.body("shape").iter_terminators()
+                 if term.func is not None]
+        assert call.func.kind is FuncKind.BUILTIN
+        assert call.func.builtin_op is BuiltinOp.FFI
+        summary = SummaryEngine(program).summary("shape")
+        assert 0 in summary.arg_escapes
+        assert summary.calls_unknown
+        assert run_program(program).outcome == "ok"
+
     def test_pure_chain_is_clean(self):
         engine = engine_of("""
 fn leaf(x: i32) -> i32 { x + 1 }
