@@ -44,7 +44,7 @@ from repro.analysis.panic import compute_panic_effects, ensure_unwind_edges
 from repro.analysis.points_to import (
     PointsTo, UNKNOWN_TARGET, compute_points_to, return_items,
 )
-from repro.analysis.scan import callee_of, scan_of
+from repro.analysis.scan import callee_of, freeze, scan_of
 from repro.analysis.summaries import (
     AccessKey, EffectHop, FunctionSummary, LockId, chain_fate,
     deref_access_sites, opaque_lock, owned_value_args, translate_access_loc,
@@ -504,7 +504,8 @@ class SummaryEngine:
         if might_hold:
             return_points = facts.return_points
             for region in guard_regions():
-                if region.is_try or not (region.points & return_points):
+                if region.is_try \
+                        or region.points.isdisjoint(return_points):
                     continue
                 for ident in region.lock_ids:
                     if ident[0] in ("arg", "static"):
@@ -519,10 +520,10 @@ class SummaryEngine:
                                                 user_sites)
 
         return FunctionSummary(
-            key=key, returns=frozenset(returns),
+            key=key, returns=freeze(returns),
             const_return=self._const_return(body, in_progress),
             may_drop_args=may_drop, arg_escapes=escapes, locks=locks,
-            locks_held_on_return=frozenset(held),
+            locks_held_on_return=freeze(held),
             acquires_any_lock=acquires, calls_unknown=calls_unknown,
             shared_accesses=shared, unsafe_provenance=unsafe_prov,
             lock_orders=lock_orders,

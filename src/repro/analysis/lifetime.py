@@ -216,12 +216,10 @@ def may_have_guard_regions(body: Body, include_try: bool = False,
         return True
     if summaries is None:
         return False
-    by_kind = scan.calls_by_kind
-    for kind in (FuncKind.USER, FuncKind.CLOSURE):
-        for _bb, term in by_kind.get(kind, ()):
-            summary = summaries.get(term.func.user_fn)
-            if summary is not None and summary.locks_held_on_return:
-                return True
+    for _bb, term in scan.calls_of_kind(FuncKind.USER, FuncKind.CLOSURE):
+        summary = summaries.get(term.func.user_fn)
+        if summary is not None and summary.locks_held_on_return:
+            return True
     return False
 
 

@@ -40,11 +40,11 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.analysis.init import InitStates, init_of
 from repro.analysis.scan import (
-    cfg_of, scan_of, store_of, terminator_panic_source,
+    _EMPTY, cfg_of, freeze, scan_of, store_of, terminator_panic_source,
 )
 from repro.hir.builtins import FuncKind
 from repro.mir.nodes import (
-    Body, Place, Statement, StatementKind, Terminator, TerminatorKind,
+    Body, Statement, StatementKind, Terminator, TerminatorKind,
 )
 
 #: ``body.__dict__`` flag marking unwind lowering as done.  Underscore
@@ -145,6 +145,10 @@ def ensure_unwind_edges(body: Body) -> None:
     if not order:
         return
     init = init_of(body)
+    # A pad's drops share the places of the body's own DROP statements.
+    places = {stmt.place.local: stmt.place for block in body.blocks
+              for stmt in block.statements
+              if stmt.kind is StatementKind.DROP and stmt.place.is_local}
     first_pad = len(body.blocks)
     pads: Dict[Tuple[int, ...], int] = {}
     sources: set = set()
@@ -169,7 +173,8 @@ def ensure_unwind_edges(body: Body) -> None:
             pad.cleanup = True
             for local in obligation:
                 pad.statements.append(Statement(
-                    StatementKind.DROP, span=term.span, place=Place(local)))
+                    StatementKind.DROP, span=term.span,
+                    place=places[local]))
             pad.terminator = Terminator(TerminatorKind.RESUME, span=term.span)
             pads[obligation] = pad_index = pad.index
         term.unwind = pad_index
@@ -189,7 +194,7 @@ def ensure_unwind_edges(body: Body) -> None:
     store.cache["init"] = init
     store.cache["unwind_drop_order"] = order
     store.cache["panic_facts"] = (
-        frozenset(sources), frozenset(moved), frozenset(drops))
+        freeze(sources), freeze(moved), freeze(drops))
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +222,10 @@ class PanicEffects:
     """
 
     may_panic: bool = False
-    sources: FrozenSet[str] = frozenset()
+    sources: FrozenSet[str] = _EMPTY
     hop: Optional[str] = None
-    moved_at_panic: FrozenSet[int] = frozenset()
-    unwind_drops: FrozenSet[int] = frozenset()
+    moved_at_panic: FrozenSet[int] = _EMPTY
+    unwind_drops: FrozenSet[int] = _EMPTY
 
     @property
     def is_bottom(self) -> bool:
@@ -241,7 +246,7 @@ def _direct_panic_facts(body: Body):
     and the live drop obligations across this body's own panic points."""
     sites = scan_of(body).panic_sites
     if not sites:
-        return frozenset(), frozenset(), frozenset()
+        return _EMPTY, _EMPTY, _EMPTY
     order = unwind_drop_order(body)
     init = init_of(body)
     sources = set()
@@ -252,7 +257,7 @@ def _direct_panic_facts(body: Body):
         state = _state_before_unwind(init, bb, term)
         moved.update(init.moved_out_locals(state))
         drops.update(l for l in order if state >> l & 1)
-    return frozenset(sources), frozenset(moved), frozenset(drops)
+    return freeze(sources), freeze(moved), freeze(drops)
 
 
 def compute_panic_effects(body: Body, summaries, user_sites) -> PanicEffects:

@@ -7,7 +7,8 @@ locks it takes directly, where it can panic.  Answering each question
 with its own walk made a whole-crate check re-walk every body about a
 dozen times.  :class:`BodyScan` answers all of them from **one walk**,
 done on the first :func:`scan_of` after unwind lowering; every consumer
-then reads a field (a tuple, a dict, a frozenset) instead of walking.
+then reads a field (a tuple, a dict, a frozenset) or a view instead of
+walking.
 The rule (DESIGN.md §9, "One walk per body"): a detector hook or a
 summarise step may look up a per-body fact here but never walks the
 body itself.
@@ -16,9 +17,9 @@ What the walk fills, all in block order (cleanup blocks skipped — the
 index models the fall-through program; landing pads are read from the
 CFG edges):
 
-* flattened views — ``statements``, ``terminators``, ``calls``;
+* ``calls``, every call with a callee, as ``(block, term)``;
 * calls by builtin op (``calls_by_op``, ``ops``, :meth:`calls_of`) and
-  by callee kind (:meth:`calls_of_kind`);
+  by callee kind (:meth:`calls_of_kind`, a filter of ``calls``);
 * ``deref_places`` — every dereferenced place of an assignment, with
   ``Place.has_deref`` evaluated once, and the summariser's
   ``deref_sites`` built from them; ``rvalue_place_derefs`` — every
@@ -37,6 +38,13 @@ CFG edges):
 Lists keep the order today's consumers met their items in (statement
 facts before terminator facts where a consumer used to make two
 passes), because finding order and provenance depend on it.
+
+``statements`` and ``terminators`` are views, not filled fields: they
+read ``(block, index, stmt)`` and ``(block, term)`` off the body's
+blocks on each use, in block order.  A copy of the blocks is not a
+derived fact, so the index keeps none.
+Empty set-valued facts, here and in the summaries built from them, are
+the one shared :data:`_EMPTY` (:func:`freeze`).
 
 The scan lives in ``body.__dict__`` under a non-field attribute, so
 
@@ -70,6 +78,7 @@ from repro.lang.types import TyKind
 from repro.mir.cfg import Cfg
 from repro.mir.nodes import (
     Body, CastKind, RvalueKind, StatementKind, TerminatorKind,
+    block_statements, block_terminators,
 )
 
 #: ``body.__dict__`` attribute holding the scan.  Leading underscore:
@@ -189,7 +198,9 @@ def terminator_panic_source(term) -> Optional[str]:
 _EMPTY: FrozenSet = frozenset()
 
 
-def _freeze(items) -> FrozenSet:
+def freeze(items) -> FrozenSet:
+    """``frozenset(items)``, or the shared :data:`_EMPTY` when there are
+    none."""
     return frozenset(items) if items else _EMPTY
 
 
@@ -214,7 +225,7 @@ class PtSkeleton:
     def __init__(self, seeds, copies, loads, stores, user_calls) -> None:
         #: (local, target) ensured before the fixpoint.
         self.seeds = seeds
-        #: frozenset of (dst, src): dst ⊇ src.
+        #: distinct (dst, src): dst ⊇ src.
         self.copies = copies
         #: (dst, src): dst ⊇ *src.
         self.loads = loads
@@ -240,11 +251,9 @@ class BodyScan:
 
     __slots__ = (
         "indexed",           # has the walk filled the index yet?
-        "statements",        # tuple of (block, index, stmt)
-        "terminators",       # tuple of (block, terminator)
+        "blocks",            # the body's block list, read by the views
         "calls",             # tuple of (block, term) for CALL with a func
         "calls_by_op",       # builtin op -> tuple of (block, term)
-        "calls_by_kind",     # FuncKind -> tuple of (block, term)
         "has_unsafe",        # any statement/terminator lowered from unsafe
         "unsafe_sites",      # how many of them
         "first_assigns",     # local -> first rvalue assigned (is_local dests)
@@ -275,11 +284,8 @@ class BodyScan:
 
     def index(self, body: Body) -> None:
         """Fill every index field in one walk of ``body``."""
-        statements: List[Tuple] = []
-        terminators: List[Tuple] = []
         calls: List[Tuple] = []
         by_op: Dict[BuiltinOp, List[Tuple]] = {}
-        by_kind: Dict[FuncKind, List[Tuple]] = {}
         first_assigns: Dict[int, object] = {}
         ref_map: Dict[int, int] = {}
         drop_locals: List[int] = []
@@ -322,7 +328,6 @@ class BodyScan:
                 continue
             bb = block.index
             for i, stmt in enumerate(block.statements):
-                statements.append((bb, i, stmt))
                 if stmt.in_unsafe:
                     unsafe_sites += 1
                 if stmt.kind is ASSIGN:
@@ -423,7 +428,6 @@ class BodyScan:
             term = block.terminator
             if term is None:
                 continue
-            terminators.append((bb, term))
             if term.in_unsafe:
                 unsafe_sites += 1
             source = terminator_panic_source(term)
@@ -440,7 +444,6 @@ class BodyScan:
             op = func.builtin_op
             if op is not None:
                 by_op.setdefault(op, []).append(site)
-            by_kind.setdefault(func.kind, []).append(site)
             if op in LOCK_ACQUIRE_OPS:
                 acquires = True
             if func.kind is FuncKind.UNKNOWN or op is BuiltinOp.FFI:
@@ -491,12 +494,9 @@ class BodyScan:
             elif func.kind is USER or func.kind is CLOSURE:
                 call_edges.append((dst, func.user_fn))
 
-        self.statements = tuple(statements)
-        self.terminators = tuple(terminators)
+        self.blocks = body.blocks
         self.calls = tuple(calls)
         self.calls_by_op = {op: tuple(sites) for op, sites in by_op.items()}
-        self.calls_by_kind = {kind: tuple(sites)
-                              for kind, sites in by_kind.items()}
         self.unsafe_sites = unsafe_sites
         self.has_unsafe = unsafe_sites > 0
         self.first_assigns = first_assigns
@@ -504,10 +504,10 @@ class BodyScan:
         self.drop_locals = tuple(drop_locals)
         self.deref_places = tuple(deref_places)
         self.rvalue_place_derefs = tuple(rvalue_place_derefs)
-        self.raw_ptr_locals = _freeze(
+        self.raw_ptr_locals = freeze(
             [local.index for local in locals_ if local.ty.is_raw_ptr])
-        self.null_seeded = _freeze(null_seeded)
-        self.born_skeleton = (_freeze(mints), tuple(copy_edges),
+        self.null_seeded = freeze(null_seeded)
+        self.born_skeleton = (freeze(mints), tuple(copy_edges),
                               tuple(call_edges))
         self.panic_sites = tuple(panic_sites)
 
@@ -516,7 +516,7 @@ class BodyScan:
         load_set = set(loads)
         load_set.update(call_loads)
         self.pt_skeleton = PtSkeleton(
-            tuple(seeds + call_seeds), _freeze(copy_set), tuple(load_set),
+            tuple(seeds + call_seeds), tuple(copy_set), tuple(load_set),
             tuple(stores), tuple(user_calls))
         # The remaining facts resolve reference chains, which need the
         # complete first-assignment map: they read the lists above.
@@ -533,7 +533,7 @@ class BodyScan:
         ret_ty = body.local_ty(0)
         facts.guard_return = ret_ty.is_guard or any(
             a.is_guard for a in ret_ty.args)
-        facts.return_points = _freeze(return_points)
+        facts.return_points = tuple(return_points)
         self.facts = facts
         self.calls_self = any(callee == key
                               for _bb, _term, callee in same_thread)
@@ -545,7 +545,7 @@ class BodyScan:
                 if arg.place is not None:
                     checked.add(arg.place.local)
                     checked.add(self.ref_chain(arg.place.local)[0])
-        self.null_checked = _freeze(checked)
+        self.null_checked = freeze(checked)
 
     def _deref_sites(self, body: Body) -> Tuple:
         """Every read/write through a pointer: ``(point, base_local,
@@ -589,9 +589,21 @@ class BodyScan:
                 locks.add(("static", name[7:], proj_key, lock_kind))
             elif 0 < base <= body.arg_count:
                 locks.add(("arg", base - 1, proj_key, lock_kind))
-        return _freeze(locks)
+        return freeze(locks)
 
     # -- queries -------------------------------------------------------------
+
+    @property
+    def statements(self):
+        """``(block, index, stmt)`` of every statement, in block order
+        (cleanup blocks skipped): a view over the blocks, not a copy."""
+        return block_statements(self.blocks)
+
+    @property
+    def terminators(self):
+        """``(block, terminator)`` of every block, in block order (cleanup
+        blocks skipped): a view over the blocks, not a copy."""
+        return block_terminators(self.blocks)
 
     @property
     def ops(self):
@@ -611,13 +623,9 @@ class BodyScan:
 
     def calls_of_kind(self, *kinds: FuncKind) -> Tuple:
         """The ``(block, term)`` calls of any callee kind in ``kinds``, in
-        walk order."""
-        by_kind = self.calls_by_kind
-        found = [by_kind[kind] for kind in kinds if kind in by_kind]
-        if len(found) <= 1:
-            return found[0] if found else ()
-        return tuple(sorted((site for sites in found for site in sites),
-                            key=itemgetter(0)))
+        walk order: a filter of ``calls``, not stored."""
+        return tuple(site for site in self.calls
+                     if site[1].func.kind in kinds)
 
     def ref_chain(self, local: int, max_hops: int = 8) -> Tuple[int, Tuple]:
         """Memoised :func:`repro.analysis.lifetime.resolve_ref_chain`:
@@ -656,21 +664,17 @@ class BodyScan:
 
     def arg_sources(self, body: Body, term) -> Tuple[Optional[int], ...]:
         """For each operand of call ``term``: the caller argument position
-        it carries (following reference/copy chains), or None.  Memoised
-        per call terminator."""
-        key = ("arg_sources", id(term))
-        cached = self.cache.get(key)
-        if cached is None:
-            sources: List[Optional[int]] = []
-            for arg in term.args:
-                if arg.place is None:
-                    sources.append(None)
-                    continue
-                base, _proj = self.ref_chain(arg.place.local)
-                sources.append(base - 1 if 0 < base <= body.arg_count
-                               else None)
-            cached = self.cache[key] = tuple(sources)
-        return cached
+        it carries (following reference/copy chains), or None.  Not
+        memoised: the chains are, and ``facts.user_sites`` keeps the
+        sources of every same-thread call."""
+        sources: List[Optional[int]] = []
+        for arg in term.args:
+            if arg.place is None:
+                sources.append(None)
+                continue
+            base, _proj = self.ref_chain(arg.place.local)
+            sources.append(base - 1 if 0 < base <= body.arg_count else None)
+        return tuple(sources)
 
     def flow_edges(self, extract_ops, projected: bool = False,
                    keep=None) -> Dict[int, List[int]]:

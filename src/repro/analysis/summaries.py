@@ -82,7 +82,7 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro.analysis.dataflow import reach
 from repro.analysis.panic import PanicEffects
-from repro.analysis.scan import OWNER_EXTRACT_OPS, BodyScan, scan_of
+from repro.analysis.scan import _EMPTY, OWNER_EXTRACT_OPS, BodyScan, scan_of
 from repro.analysis.unsafe_prop import UnsafeProvenance
 from repro.hir.builtins import BuiltinOp, FuncKind
 from repro.lang.source import Span
@@ -111,13 +111,13 @@ class FunctionSummary:
     """
 
     key: str
-    returns: FrozenSet = frozenset()
+    returns: FrozenSet = _EMPTY
     const_return: Optional[int] = None
     may_drop_args: Dict[int, EffectHop] = field(default_factory=dict)
     arg_escapes: Dict[int, EffectHop] = field(default_factory=dict)
     locks: Dict[LockId, Optional[Tuple[str, LockId]]] = \
         field(default_factory=dict)
-    locks_held_on_return: FrozenSet[LockId] = frozenset()
+    locks_held_on_return: FrozenSet[LockId] = _EMPTY
     acquires_any_lock: bool = False
     calls_unknown: bool = False
     #: AccessKey → (hop or None, span) — see the module docstring.

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.dataflow import reach
-from repro.analysis.scan import scan_of
+from repro.analysis.scan import _EMPTY, freeze, scan_of
 from repro.hir.builtins import BuiltinOp, FuncKind
 from repro.lang.source import Span
 from repro.lang.types import TyKind
@@ -108,8 +108,8 @@ class UnsafeProvenance:
 
     arg_sinks: Dict[int, Tuple[str, Optional[ProvenanceHop], Span]] = \
         field(default_factory=dict)
-    guarded_args: FrozenSet[int] = frozenset()
-    delegated_args: FrozenSet[int] = frozenset()
+    guarded_args: FrozenSet[int] = _EMPTY
+    delegated_args: FrozenSet[int] = _EMPTY
     returns_unsafe_ptr: bool = False
     unsafe_sites: int = 0
 
@@ -373,8 +373,8 @@ def compute_unsafe_provenance(body: Body, summaries,
 
     return UnsafeProvenance(
         arg_sinks=arg_sinks,
-        guarded_args=frozenset(guarded),
-        delegated_args=frozenset(delegated),
+        guarded_args=freeze(guarded),
+        delegated_args=freeze(delegated),
         returns_unsafe_ptr=0 in born,
         unsafe_sites=count_unsafe_sites(body))
 

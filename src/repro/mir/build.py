@@ -95,6 +95,9 @@ class BodyBuilder:
             self.body.self_mode = fn_info.self_mode
         # _0: return place.
         self.body.locals.append(Local(0, ret_ty, name=None, span=span))
+        #: The one plain place of each local, by index: places are never
+        #: mutated, so every statement naming a local shares it.
+        self.places: List[Place] = [Place(0)]
         self.var_stack: List[Dict[str, int]] = [{}]
         self.scopes: List[_Scope] = []
         self.loop_stack: List[_LoopCtx] = []
@@ -136,6 +139,7 @@ class BodyBuilder:
         index = len(self.body.locals)
         self.body.locals.append(Local(index, ty, name=name, is_temp=temp,
                                       mutable=mutable, span=span))
+        self.places.append(Place(index))
         return index
 
     def local_ty(self, index: int) -> Ty:
@@ -204,7 +208,7 @@ class BodyBuilder:
                           and self.body.locals[local].is_temp)
             if ty.needs_drop and not moved_temp:
                 self.emit(Statement(StatementKind.DROP, span=span,
-                                    place=Place(local)))
+                                    place=self.places[local]))
             self.emit(Statement(StatementKind.STORAGE_DEAD, span=span,
                                 local=local))
 
@@ -254,7 +258,7 @@ class BodyBuilder:
         temp = self.new_local(ty, span=span, temp=True)
         self.declare(temp)
         self.emit(Statement(StatementKind.STORAGE_LIVE, span=span, local=temp))
-        self.assign(Place(temp), rvalue, span)
+        self.assign(self.places[temp], rvalue, span)
         return temp
 
     # =====================================================================
@@ -267,7 +271,8 @@ class BodyBuilder:
         if self.current is not None:
             if result is not None \
                     and self.body.ret_ty.kind is not TyKind.UNIT:
-                self.assign(Place(0), Rvalue.use_(result), self.ast_body.span)
+                self.assign(self.places[0], Rvalue.use_(result),
+                            self.ast_body.span)
             elif result is not None:
                 pass   # unit result, discard
             self.pop_scope(self.ast_body.span)
@@ -337,7 +342,7 @@ class BodyBuilder:
         ty = self.operand_ty(operand)
         temp = self.spill(Rvalue.use_(operand), ty, span)
         self.extend_temp(temp)
-        return self.operand_for_place(Place(temp), ty)
+        return self.operand_for_place(self.places[temp], ty)
 
     def lower_stmt(self, stmt: ast.Stmt) -> None:
         if isinstance(stmt, ast.LetStmt):
@@ -390,7 +395,7 @@ class BodyBuilder:
                                    mutable=pattern.mutability.is_mut)
             self.emit(Statement(StatementKind.STORAGE_LIVE, span=let.span,
                                 local=local))
-            self.assign(Place(local), Rvalue.use_(init_op), let.span)
+            self.assign(self.places[local], Rvalue.use_(init_op), let.span)
             if self.current is not None:
                 self.pop_scope(let.span)
             else:
@@ -404,8 +409,8 @@ class BodyBuilder:
         self.extend_temp(source_local)
         self.pop_scope(let.span)
         self.declare(source_local)
-        self.bind_pattern(pattern, Place(source_local), init_ty, let.span,
-                          refutable=False)
+        self.bind_pattern(pattern, self.places[source_local], init_ty,
+                          let.span, refutable=False)
 
     def _operand_to_local(self, operand: Operand, ty: Ty, span: Span) -> int:
         if operand.place is not None and operand.place.is_local:
@@ -428,9 +433,13 @@ class BodyBuilder:
             self.emit(Statement(StatementKind.STORAGE_LIVE, span=span,
                                 local=local))
             if pattern.by_ref:
-                self.assign(Place(local), Rvalue.ref(place, pattern.mutability.is_mut), span)
+                self.assign(self.places[local],
+                            Rvalue.ref(place, pattern.mutability.is_mut),
+                            span)
             else:
-                self.assign(Place(local), Rvalue.use_(self.operand_for_place(place, ty)), span)
+                self.assign(self.places[local],
+                            Rvalue.use_(self.operand_for_place(place, ty)),
+                            span)
             if pattern.subpattern is not None:
                 self.bind_pattern(pattern.subpattern, place, ty, span, refutable)
             return
@@ -514,7 +523,7 @@ class BodyBuilder:
                                Operand.copy(place),
                                Operand.const(pattern.value))
             temp = self.spill(rv, BOOL, span)
-            return Operand.copy(Place(temp))
+            return Operand.copy(self.places[temp])
         if isinstance(pattern, ast.PatRange):
             lo_rv = Rvalue.binary(BinOpKind.GE, Operand.copy(place),
                                   Operand.const(pattern.lo))
@@ -523,19 +532,20 @@ class BodyBuilder:
             hi_rv = Rvalue.binary(hi_op, Operand.copy(place),
                                   Operand.const(pattern.hi))
             hi_t = self.spill(hi_rv, BOOL, span)
-            both = Rvalue.binary(BinOpKind.BIT_AND, Operand.copy(Place(lo_t)),
-                                 Operand.copy(Place(hi_t)))
+            both = Rvalue.binary(BinOpKind.BIT_AND,
+                                 Operand.copy(self.places[lo_t]),
+                                 Operand.copy(self.places[hi_t]))
             temp = self.spill(both, BOOL, span)
-            return Operand.copy(Place(temp))
+            return Operand.copy(self.places[temp])
         if isinstance(pattern, (ast.PatTupleStruct, ast.PatPath)):
             index = self._variant_index(pattern.path, ty)
             if index is None:
                 return None
             discr = self.spill(Rvalue.discriminant(place), USIZE, span)
-            eq = Rvalue.binary(BinOpKind.EQ, Operand.copy(Place(discr)),
+            eq = Rvalue.binary(BinOpKind.EQ, Operand.copy(self.places[discr]),
                                Operand.const(index))
             temp = self.spill(eq, BOOL, span)
-            cond: Optional[Operand] = Operand.copy(Place(temp))
+            cond: Optional[Operand] = Operand.copy(self.places[temp])
             if isinstance(pattern, ast.PatTupleStruct):
                 # Nested refutable subpatterns (e.g. Some(0)) may only be
                 # evaluated once the discriminant is known to match —
@@ -568,11 +578,11 @@ class BodyBuilder:
                         both = Rvalue.binary(BinOpKind.BIT_AND, inner,
                                              sub_cond)
                         t = self.spill(both, BOOL, span)
-                        inner = Operand.copy(Place(t))
-                    self.assign(Place(result), Rvalue.use_(inner), span)
+                        inner = Operand.copy(self.places[t])
+                    self.assign(self.places[result], Rvalue.use_(inner), span)
                     self.goto(join, span)
                     self.switch_to(join)
-                    cond = Operand.copy(Place(result))
+                    cond = Operand.copy(self.places[result])
             return cond
         if isinstance(pattern, ast.PatRef):
             inner_ty = ty.referent if ty.is_pointer_like else UNKNOWN
@@ -592,7 +602,7 @@ class BodyBuilder:
                 else:
                     both = Rvalue.binary(BinOpKind.BIT_AND, cond, sub_cond)
                     t = self.spill(both, BOOL, span)
-                    cond = Operand.copy(Place(t))
+                    cond = Operand.copy(self.places[t])
             return cond
         if isinstance(pattern, ast.PatStruct):
             return None
@@ -671,7 +681,7 @@ class BodyBuilder:
             op = UnOpKind.NEG if expr.op is ast.UnOp.NEG else UnOpKind.NOT
             ty = self.operand_ty(operand)
             temp = self.spill(Rvalue.unary(op, operand), ty, span)
-            return Operand.copy(Place(temp))
+            return Operand.copy(self.places[temp])
 
         if isinstance(expr, ast.Binary):
             return self.lower_binary(expr)
@@ -695,7 +705,7 @@ class BodyBuilder:
             ref_ty = Ty.ref(ty, expr.mutability.is_mut)
             temp = self.spill(Rvalue.ref(place, expr.mutability.is_mut),
                               ref_ty, span)
-            return Operand.copy(Place(temp))
+            return Operand.copy(self.places[temp])
 
         if isinstance(expr, ast.Cast):
             return self.lower_cast(expr)
@@ -717,7 +727,7 @@ class BodyBuilder:
                 return Operand.const(None, UNIT)
             temp = self.spill(Rvalue.aggregate(AggregateKind.TUPLE, operands),
                               ty, span)
-            return self.operand_for_place(Place(temp), ty)
+            return self.operand_for_place(self.places[temp], ty)
 
         if isinstance(expr, ast.ArrayLiteral):
             if expr.repeat is not None:
@@ -726,13 +736,13 @@ class BodyBuilder:
                 count_op = self.lower_expr(count)
                 ty = Ty.array(self.operand_ty(elem_op))
                 temp = self.spill(Rvalue.repeat(elem_op, count_op), ty, span)
-                return self.operand_for_place(Place(temp), ty)
+                return self.operand_for_place(self.places[temp], ty)
             operands = tuple(self.lower_expr(e) for e in expr.elements)
             elem_ty = self.operand_ty(operands[0]) if operands else UNKNOWN
             arr_ty = Ty.array(elem_ty)
             temp = self.spill(Rvalue.aggregate(AggregateKind.ARRAY, operands),
                               arr_ty, span)
-            return self.operand_for_place(Place(temp), arr_ty)
+            return self.operand_for_place(self.places[temp], arr_ty)
 
         if isinstance(expr, ast.Range):
             lo = self.lower_expr(expr.lo) if expr.lo else Operand.const(0, USIZE)
@@ -741,7 +751,7 @@ class BodyBuilder:
             temp = self.spill(Rvalue.aggregate(
                 AggregateKind.STRUCT, (lo, hi, Operand.const(expr.inclusive)),
                 name="Range"), ty, span)
-            return Operand.copy(Place(temp))
+            return Operand.copy(self.places[temp])
 
         if isinstance(expr, ast.Block):
             result = self.lower_block_into(None, expr)
@@ -786,9 +796,9 @@ class BodyBuilder:
             temp = self.new_local(ret, span=span, temp=True)
             self.declare(temp)
             self.emit(Statement(StatementKind.STORAGE_LIVE, span=span, local=temp))
-            self.call(FuncRef.builtin(BuiltinOp.UNWRAP), [inner], Place(temp),
-                      span)
-            return Operand.copy(Place(temp))
+            self.call(FuncRef.builtin(BuiltinOp.UNWRAP), [inner],
+                      self.places[temp], span)
+            return Operand.copy(self.places[temp])
 
         if isinstance(expr, ast.AwaitStub):
             return self.lower_expr(expr.operand)
@@ -835,9 +845,10 @@ class BodyBuilder:
         if isinstance(expr, ast.PathExpr):
             name = expr.path.as_str()
             if name in self.var_stack[-1]:
-                return Place(self.var_stack[-1][name])
+                return self.places[self.var_stack[-1][name]]
             if name in self.table.statics or name.split("::")[-1] in self.table.statics:
-                return Place(self.static_local(name.split("::")[-1], span))
+                return self.places[
+                    self.static_local(name.split("::")[-1], span)]
             # Fall through: evaluate as expression into temp.
             operand = self.lower_path_expr(expr)
             return self._operand_place(operand, span)
@@ -905,7 +916,7 @@ class BodyBuilder:
             return operand.place
         ty = self.operand_ty(operand)
         temp = self.spill(Rvalue.use_(operand), ty, span)
-        return Place(temp)
+        return self.places[temp]
 
     def _emit_bounds_check(self, base: Place, index_op: Operand,
                            span: Span) -> None:
@@ -915,11 +926,12 @@ class BodyBuilder:
             return
         len_temp = self.spill(Rvalue.len_(base), USIZE, span)
         cond = self.spill(Rvalue.binary(BinOpKind.LT, index_op,
-                                        Operand.copy(Place(len_temp))),
+                                        Operand.copy(self.places[len_temp])),
                           BOOL, span)
         ok_block = self.body.new_block()
         self.terminate(Terminator(
-            TerminatorKind.ASSERT, span=span, cond=Operand.copy(Place(cond)),
+            TerminatorKind.ASSERT, span=span,
+            cond=Operand.copy(self.places[cond]),
             expected=True, target=ok_block.index,
             msg="index out of bounds"))
         self.switch_to(ok_block)
@@ -941,11 +953,12 @@ class BodyBuilder:
         name = path.as_str()
         if name in self.var_stack[-1]:
             local = self.var_stack[-1][name]
-            return self.operand_for_place(Place(local), self.local_ty(local))
+            return self.operand_for_place(self.places[local],
+                                          self.local_ty(local))
         last = path.last.name
         if last in self.table.statics or name in self.table.statics:
             local = self.static_local(last if last in self.table.statics else name, span)
-            return Operand.copy(Place(local))
+            return Operand.copy(self.places[local])
         if name in self.table.consts or last in self.table.consts:
             const = self.table.consts.get(name) or self.table.consts.get(last)
             if isinstance(const, ast.ConstDef) and const.init is not None:
@@ -958,7 +971,7 @@ class BodyBuilder:
                                                name=path.as_str(),
                                                variant_index=variant_index),
                               ty, span)
-            return Operand.copy(Place(temp))
+            return Operand.copy(self.places[temp])
         # Function reference (fn pointer value).
         fn = self.table.lookup_fn(name) or self.table.lookup_fn(last)
         if fn is not None:
@@ -1005,7 +1018,7 @@ class BodyBuilder:
             self.emit(Statement(StatementKind.STORAGE_LIVE, span=span,
                                 local=result))
             left = self.lower_expr(expr.left)
-            self.assign(Place(result), Rvalue.use_(left), span)
+            self.assign(self.places[result], Rvalue.use_(left), span)
             rhs_block = self.body.new_block()
             join_block = self.body.new_block()
             if expr.op is ast.BinOp.AND:
@@ -1015,23 +1028,23 @@ class BodyBuilder:
                 targets = [(0, rhs_block.index)]       # false → evaluate rhs
                 otherwise = join_block.index
             self.terminate(Terminator(TerminatorKind.SWITCH_INT, span=span,
-                                      discr=Operand.copy(Place(result)),
+                                      discr=Operand.copy(self.places[result]),
                                       switch_targets=targets,
                                       otherwise=otherwise))
             self.switch_to(rhs_block)
             right = self.lower_expr(expr.right)
             if self.current is not None:
-                self.assign(Place(result), Rvalue.use_(right), span)
+                self.assign(self.places[result], Rvalue.use_(right), span)
                 self.goto(join_block, span)
             self.switch_to(join_block)
-            return Operand.copy(Place(result))
+            return Operand.copy(self.places[result])
 
         left = self.lower_expr(expr.left)
         right = self.lower_expr(expr.right)
         op = _BINOP_MAP[expr.op]
         ty = BOOL if op in _CMP_OPS else self.operand_ty(left)
         temp = self.spill(Rvalue.binary(op, left, right), ty, span)
-        return Operand.copy(Place(temp))
+        return Operand.copy(self.places[temp])
 
     def lower_cast(self, expr: ast.Cast) -> Operand:
         span = expr.span
@@ -1053,7 +1066,7 @@ class BodyBuilder:
         else:
             kind = CastKind.OTHER
         temp = self.spill(Rvalue.cast(operand, kind, dst_ty), dst_ty, span)
-        return Operand.copy(Place(temp))
+        return Operand.copy(self.places[temp])
 
     # -- calls ---------------------------------------------------------------------
 
@@ -1069,7 +1082,7 @@ class BodyBuilder:
         temp = self.new_local(ty, span=span, temp=True)
         self.declare(temp)
         self.emit(Statement(StatementKind.STORAGE_LIVE, span=span, local=temp))
-        return Place(temp)
+        return self.places[temp]
 
     def lower_call(self, expr: ast.Call) -> Operand:
         span = expr.span
@@ -1089,7 +1102,7 @@ class BodyBuilder:
                     func = FuncRef.closure(local_ty.name)
                 else:
                     func = FuncRef.unknown(name)
-                args.insert(0, Operand.copy(Place(local)))
+                args.insert(0, Operand.copy(self.places[local]))
                 dest = self._fresh_call_dest(UNKNOWN, span)
                 self.call(func, args, dest, span)
                 return Operand.copy(dest)
@@ -1111,7 +1124,7 @@ class BodyBuilder:
                                                    name=name,
                                                    variant_index=index),
                                   enum_ty, span)
-                return self.operand_for_place(Place(temp), enum_ty)
+                return self.operand_for_place(self.places[temp], enum_ty)
 
             # Tuple-struct constructor.
             info = self.table.structs.get(last)
@@ -1121,7 +1134,7 @@ class BodyBuilder:
                 temp = self.spill(Rvalue.aggregate(AggregateKind.STRUCT,
                                                    operands, name=last),
                                   struct_ty, span)
-                return self.operand_for_place(Place(temp), struct_ty)
+                return self.operand_for_place(self.places[temp], struct_ty)
 
             # User function (free or associated).
             fn = self._lookup_user_fn(path)
@@ -1223,11 +1236,11 @@ class BodyBuilder:
                 elif fn.self_mode == "ref_mut":
                     temp = self.spill(Rvalue.ref(recv_place, True),
                                       Ty.ref(base_ty, True), span)
-                    args.append(Operand.copy(Place(temp)))
+                    args.append(Operand.copy(self.places[temp]))
                 else:
                     temp = self.spill(Rvalue.ref(recv_place, False),
                                       Ty.ref(base_ty), span)
-                    args.append(Operand.copy(Place(temp)))
+                    args.append(Operand.copy(self.places[temp]))
                 args.extend(self.lower_expr(a) for a in expr.args)
                 dest = self._fresh_call_dest(fn.ret_ty, span)
                 self.call(FuncRef.user(fn.key, fn.is_unsafe), args, dest, span)
@@ -1242,7 +1255,7 @@ class BodyBuilder:
             func, ret_ty = resolved
             ref_temp = self.spill(Rvalue.ref(recv_place, False),
                                   Ty.ref(lock_base), span)
-            call_args = [Operand.copy(Place(ref_temp))] + args_ops
+            call_args = [Operand.copy(self.places[ref_temp])] + args_ops
             dest = self._fresh_call_dest(ret_ty, span)
             self.call(func, call_args, dest, span)
             return self.operand_for_place(dest, ret_ty)
@@ -1250,7 +1263,7 @@ class BodyBuilder:
         # Unknown method — still record the call for the call graph.
         ref_temp = self.spill(Rvalue.ref(recv_place, False),
                               Ty.ref(base_ty), span)
-        call_args = [Operand.copy(Place(ref_temp))] + args_ops
+        call_args = [Operand.copy(self.places[ref_temp])] + args_ops
         dest = self._fresh_call_dest(UNKNOWN, span)
         self.call(FuncRef.unknown(expr.method), call_args, dest, span)
         return Operand.copy(dest)
@@ -1283,7 +1296,7 @@ class BodyBuilder:
         temp = self.spill(Rvalue.aggregate(AggregateKind.STRUCT, operands,
                                            name=name),
                           struct_ty, span)
-        return self.operand_for_place(Place(temp), struct_ty)
+        return self.operand_for_place(self.places[temp], struct_ty)
 
     # -- control flow -----------------------------------------------------------------
 
@@ -1304,7 +1317,7 @@ class BodyBuilder:
             self.declare(result)
             self.emit(Statement(StatementKind.STORAGE_LIVE, span=span,
                                 local=result))
-            dest = Place(result)
+            dest = self.places[result]
         # Condition temps die before branching (Rust's rule for `if`) —
         # except the boolean itself, which the switch still consumes.
         self.push_scope(temp=True)
@@ -1351,13 +1364,13 @@ class BodyBuilder:
             self.declare(result)
             self.emit(Statement(StatementKind.STORAGE_LIVE, span=span,
                                 local=result))
-            dest = Place(result)
+            dest = self.places[result]
         # Scrutinee temps extend to the end of the whole if-let.
         self.push_scope(temp=True)
         scrut = self.lower_expr(expr.scrutinee)
         scrut_ty = self.operand_ty(scrut)
         scrut_local = self._operand_to_local(scrut, scrut_ty, span)
-        scrut_place = Place(scrut_local)
+        scrut_place = self.places[scrut_local]
 
         cond = self.pattern_test(expr.pattern, scrut_place, scrut_ty, span)
         join_block = self.body.new_block()
@@ -1410,13 +1423,13 @@ class BodyBuilder:
             self.declare(result)
             self.emit(Statement(StatementKind.STORAGE_LIVE, span=span,
                                 local=result))
-            dest = Place(result)
+            dest = self.places[result]
         # Scrutinee temporaries live for the whole match (the Figure 8 rule).
         self.push_scope(temp=True)
         scrut = self.lower_expr(expr.scrutinee)
         scrut_ty = self.operand_ty(scrut)
         scrut_local = self._operand_to_local(scrut, scrut_ty, span)
-        scrut_place = Place(scrut_local)
+        scrut_place = self.places[scrut_local]
 
         join_block = self.body.new_block()
         for arm in expr.arms:
@@ -1507,7 +1520,7 @@ class BodyBuilder:
                 scrut = self.lower_expr(expr.scrutinee)
                 scrut_ty = self.operand_ty(scrut)
                 scrut_local = self._operand_to_local(scrut, scrut_ty, span)
-                scrut_place = Place(scrut_local)
+                scrut_place = self.places[scrut_local]
                 cond = self.pattern_test(expr.pattern, scrut_place, scrut_ty,
                                          span)
                 if cond is not None:
@@ -1571,19 +1584,19 @@ class BodyBuilder:
                 self.loop_stack[-1].continue_block = incr.index
             self.goto(test, span)
             self.switch_to(incr)
-            self.assign(Place(counter),
+            self.assign(self.places[counter],
                         Rvalue.binary(BinOpKind.ADD,
-                                      Operand.copy(Place(counter)),
+                                      Operand.copy(self.places[counter]),
                                       Operand.const(1, USIZE)), span)
             self.goto(test, span)
             self.switch_to(test)
             cmp_op = BinOpKind.LE if expr.iterable.inclusive else BinOpKind.LT
-            cond = self.spill(Rvalue.binary(cmp_op,
-                                            Operand.copy(Place(counter)),
-                                            Operand.copy(Place(hi_local))),
-                              BOOL, span)
+            cond = self.spill(
+                Rvalue.binary(cmp_op, Operand.copy(self.places[counter]),
+                              Operand.copy(self.places[hi_local])),
+                BOOL, span)
             body_block, done = self._switch_on_bool(
-                Operand.copy(Place(cond)), span)
+                Operand.copy(self.places[cond]), span)
             self.switch_to(done)
             self.goto(exit_block, span)
             self.switch_to(body_block)
@@ -1594,8 +1607,9 @@ class BodyBuilder:
                 self.var_stack[-1][expr.pattern.name] = var
                 self.emit(Statement(StatementKind.STORAGE_LIVE, span=span,
                                     local=var))
-                self.assign(Place(var),
-                            Rvalue.use_(Operand.copy(Place(counter))), span)
+                self.assign(
+                    self.places[var],
+                    Rvalue.use_(Operand.copy(self.places[counter])), span)
             self.lower_block_into(None, expr.body)
             if self.current is not None:
                 self.pop_scope(span)
@@ -1616,33 +1630,33 @@ class BodyBuilder:
             self.loop_stack[-1].continue_block = incr.index
         self.goto(test, span)
         self.switch_to(incr)
-        self.assign(Place(counter),
+        self.assign(self.places[counter],
                     Rvalue.binary(BinOpKind.ADD,
-                                  Operand.copy(Place(counter)),
+                                  Operand.copy(self.places[counter]),
                                   Operand.const(1, USIZE)), span)
         self.goto(test, span)
         self.switch_to(test)
-        length = self.spill(Rvalue.len_(Place(seq_local)), USIZE, span)
+        length = self.spill(Rvalue.len_(self.places[seq_local]), USIZE, span)
         cond = self.spill(Rvalue.binary(BinOpKind.LT,
-                                        Operand.copy(Place(counter)),
-                                        Operand.copy(Place(length))),
+                                        Operand.copy(self.places[counter]),
+                                        Operand.copy(self.places[length])),
                           BOOL, span)
-        body_block, done = self._switch_on_bool(Operand.copy(Place(cond)),
-                                                span)
+        body_block, done = self._switch_on_bool(
+            Operand.copy(self.places[cond]), span)
         self.switch_to(done)
         self.goto(exit_block, span)
         self.switch_to(body_block)
         self.push_scope()
         elem_ty = iter_ty.peel_refs().arg(0)
-        elem_place = Place(seq_local).index_by(local=counter)
+        elem_place = self.places[seq_local].index_by(local=counter)
         if isinstance(expr.pattern, ast.PatIdent):
             var = self.new_local(elem_ty, name=expr.pattern.name, span=span)
             self.declare(var)
             self.var_stack[-1][expr.pattern.name] = var
             self.emit(Statement(StatementKind.STORAGE_LIVE, span=span,
                                 local=var))
-            self.assign(Place(var), Rvalue.use_(Operand.copy(elem_place)),
-                        span)
+            self.assign(self.places[var],
+                        Rvalue.use_(Operand.copy(elem_place)), span)
         else:
             self.bind_pattern(expr.pattern, elem_place, elem_ty, span,
                               refutable=False)
@@ -1675,7 +1689,7 @@ class BodyBuilder:
             operand = self.lower_expr(expr.value)
             if self.current is None:
                 return
-            self.assign(Place(0), Rvalue.use_(operand), expr.span)
+            self.assign(self.places[0], Rvalue.use_(operand), expr.span)
         self.unwind_scopes(0, expr.span)
         self.terminate(Terminator(TerminatorKind.RETURN, span=expr.span))
 
@@ -1696,12 +1710,12 @@ class BodyBuilder:
                 ty = self.local_ty(local)
                 captures.append((name, ty))
                 if expr.is_move and not ty.is_copy:
-                    capture_ops.append(Operand.move(Place(local)))
+                    capture_ops.append(Operand.move(self.places[local]))
                 elif ty.is_copy:
-                    capture_ops.append(Operand.copy(Place(local)))
+                    capture_ops.append(Operand.copy(self.places[local]))
                 else:
                     # Borrow capture approximated as copy (alias retained).
-                    capture_ops.append(Operand.copy(Place(local)))
+                    capture_ops.append(Operand.copy(self.places[local]))
 
         params = [(p_name,
                    self.table.lower_ty(p_ty) if p_ty else UNKNOWN,
@@ -1723,7 +1737,7 @@ class BodyBuilder:
         temp = self.spill(Rvalue.aggregate(AggregateKind.CLOSURE,
                                            tuple(capture_ops), name=key),
                           ty, span)
-        return Operand.copy(Place(temp))
+        return Operand.copy(self.places[temp])
 
     # -- macros -------------------------------------------------------------------------
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 from typing import Any, List, Optional, Tuple
 
 from repro.hir.builtins import BuiltinOp
+from repro.lang.types import TyKind
 from repro.mir.values import (
     MOVED, UNINIT, AtomicValue, BoxValue, ChannelEnd, ClosureValue,
-    CondvarValue, DeadlockError, EnumValue, GuardValue, InterpError, MapValue,
-    MutexValue, OnceValue, Pointer, RcValue, RuntimePanic, StringValue,
-    StructValue, ThreadHandle, TupleValue, UBError, UBKind, VecValue,
-    deep_copy, err, none, ok, some,
+    CondvarValue, DeadlockError, EnumValue, ForeignValue, GuardValue,
+    InterpError, MapValue, MutexValue, OnceValue, Pointer, RcValue,
+    RuntimePanic, StringValue, StructValue, ThreadHandle, TupleValue,
+    UBError, UBKind, VecValue, deep_copy, err, none, ok, some,
 )
 
 
@@ -444,7 +445,13 @@ def dispatch_builtin(interp, thread, term, op: BuiltinOp,
             "static", "mntent")
         return Pointer(alloc, (), mutable=True)
     if op is BuiltinOp.FFI:
-        return None
+        # Foreign code is not modelled: a unit call does nothing, and any
+        # other call returns a value the run may not compute with.
+        dest = term.destination
+        if dest is None or thread.frame.body.local_ty(dest.local).kind \
+                is TyKind.UNIT:
+            return None
+        return ForeignValue(term.func.name)
     if op is BuiltinOp.ITER_NEXT:
         return none()
     if op is BuiltinOp.GUARD_UNLOCK:

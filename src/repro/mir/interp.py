@@ -29,10 +29,19 @@ from repro.mir.nodes import (
 )
 from repro.mir.values import (
     MOVED, UNINIT, AllocState, BoxValue, ChannelEnd, ClosureValue,
-    DeadlockError, EnumValue, GuardValue, InterpError, MapValue, Memory,
-    MutexValue, Pointer, RangeValue, RcValue, RuntimePanic, StringValue,
-    StructValue, TupleValue, UBError, UBKind, VecValue, deep_copy,
+    DeadlockError, EnumValue, ForeignValue, GuardValue, InterpError,
+    MapValue, Memory, MutexValue, Pointer, RangeValue, RcValue,
+    RuntimePanic, StringValue, StructValue, TupleValue, UBError, UBKind,
+    VecValue, deep_copy,
 )
+
+
+def _modelled(value: Any) -> Any:
+    """``value``, unless it is the unmodelled result of foreign code,
+    which no computation or branch may use."""
+    if isinstance(value, ForeignValue):
+        raise value.refusal()
+    return value
 
 
 class ThreadState(enum.Enum):
@@ -639,17 +648,19 @@ class Interpreter:
         if kind is RvalueKind.BINARY:
             left = self.eval_operand(thread, rvalue.operands[0])
             right = self.eval_operand(thread, rvalue.operands[1])
+            _modelled(left)
+            _modelled(right)
             return self._binary(rvalue.bin_op, left, right, span,
                                 thread.frame.body.key)
         if kind is RvalueKind.UNARY:
-            value = self.eval_operand(thread, rvalue.operands[0])
+            value = _modelled(self.eval_operand(thread, rvalue.operands[0]))
             if rvalue.un_op is UnOpKind.NEG:
                 return -value
             if isinstance(value, bool):
                 return not value
             return ~value
         if kind is RvalueKind.CAST:
-            value = self.eval_operand(thread, rvalue.operands[0])
+            value = _modelled(self.eval_operand(thread, rvalue.operands[0]))
             if rvalue.cast_kind is CastKind.INT_TO_RAW:
                 if value == 0:
                     return Pointer.null_ptr()
@@ -1087,7 +1098,7 @@ class Interpreter:
             frame.stmt_index = 0
             return
         if term.kind is TerminatorKind.SWITCH_INT:
-            value = self.eval_operand(thread, term.discr)
+            value = _modelled(self.eval_operand(thread, term.discr))
             if isinstance(value, bool):
                 value = 1 if value else 0
             target = term.otherwise

@@ -458,6 +458,34 @@ class BasicBlock:
     cleanup: bool = False
 
 
+def block_statements(blocks: List[BasicBlock],
+                     include_cleanup: bool = False):
+    """Yield ``(block_index, statement_index, statement)`` of ``blocks``.
+
+    Landing pads (``cleanup`` blocks) are skipped unless requested:
+    their drops restate pending scope-exit obligations on the panic
+    path, so flattened walks that model the program text (drop chains,
+    written-sets, site inventories) must not double-count them.
+    Panic-path reasoning reads the CFG edges instead.
+    """
+    for block in blocks:
+        if block.cleanup and not include_cleanup:
+            continue
+        for i, stmt in enumerate(block.statements):
+            yield block.index, i, stmt
+
+
+def block_terminators(blocks: List[BasicBlock],
+                      include_cleanup: bool = False):
+    """Yield ``(block_index, terminator)`` of ``blocks``, skipping
+    landing pads unless requested (see :func:`block_statements`)."""
+    for block in blocks:
+        if block.cleanup and not include_cleanup:
+            continue
+        if block.terminator is not None:
+            yield block.index, block.terminator
+
+
 @dataclass
 class Body:
     """MIR of one function / method / closure."""
@@ -498,26 +526,12 @@ class Body:
         return block
 
     def iter_statements(self, include_cleanup: bool = False):
-        """Yield ``(block_index, statement_index, statement)``.
-
-        Landing pads (``cleanup`` blocks) are skipped unless requested:
-        their drops restate pending scope-exit obligations on the panic
-        path, so flattened walks that model the program text (drop
-        chains, written-sets, site inventories) must not double-count
-        them.  Panic-path reasoning reads the CFG edges instead.
-        """
-        for block in self.blocks:
-            if block.cleanup and not include_cleanup:
-                continue
-            for i, stmt in enumerate(block.statements):
-                yield block.index, i, stmt
+        """Yield ``(block_index, statement_index, statement)``
+        (:func:`block_statements` of the body's blocks)."""
+        return block_statements(self.blocks, include_cleanup)
 
     def iter_terminators(self, include_cleanup: bool = False):
-        for block in self.blocks:
-            if block.cleanup and not include_cleanup:
-                continue
-            if block.terminator is not None:
-                yield block.index, block.terminator
+        return block_terminators(self.blocks, include_cleanup)
 
     def __getstate__(self):
         """Strip derived state (underscore attributes: the analysis scan,

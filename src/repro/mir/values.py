@@ -271,6 +271,22 @@ class BoxValue:
 
 
 @dataclass
+class ForeignValue:
+    """The value a call into foreign code returns, which the interpreter
+    does not model.  It may be moved, stored and printed; computing or
+    branching on it ends the run with :meth:`refusal`."""
+
+    name: str           # the foreign function
+
+    def refusal(self) -> InterpError:
+        return InterpError(f"the result of foreign function `{self.name}` "
+                           "is used, and foreign code is not modelled")
+
+    def __str__(self) -> str:
+        return f"<result of {self.name}>"
+
+
+@dataclass
 class RcValue:
     """Rc/Arc handle: shared target allocation + shared refcount box."""
 

@@ -14,7 +14,9 @@ import json
 import pytest
 
 from repro import api
+from repro.analysis import scan
 from repro.analysis.config import AnalysisConfig
+from repro.analysis.scan import scan_of
 from repro.corpus.benign import BENIGN_TEMPLATES
 from repro.corpus.generator import generate_corpus
 from repro.corpus.inject import BUG_TEMPLATES
@@ -22,6 +24,7 @@ from repro.detectors.base import Detector
 from repro.lang import ast_nodes as ast
 from repro.lang.diagnostics import CompileError
 from repro.lang.tokens import Token
+from repro.mir.nodes import Place
 
 SMALL_SRC = """
 fn main() {
@@ -181,6 +184,75 @@ class TestSyntaxLifetime:
         before = _syntax_census()
         api.AnalysisSession().analyze_sources(sources)
         assert syntax_at_detection == [before, before]
+
+
+def _plain_places() -> int:
+    return sum(1 for obj in gc.get_objects()
+               if type(obj) is Place and not obj.projection)
+
+
+@pytest.fixture
+def facts_at_last_detector(monkeypatch):
+    """The heap at the entry of the last default detector, when the
+    lowered MIR and every fact of the solve are alive together: the
+    analysis context, and the live plain places counted against the
+    census before the analysis."""
+    from repro.detectors import registry
+    seen = {}
+    last = registry.DEFAULT_DETECTORS[-1]
+    run = last.run
+
+    def census(self, ctx):
+        gc.collect()
+        seen["ctx"] = ctx
+        seen["plain_places"] = _plain_places() - seen["before"]
+        statements = {id(stmt) for body in ctx.program.functions.values()
+                      for block in body.blocks for stmt in block.statements}
+        seen["statement_tuples"] = sum(
+            1 for obj in gc.get_objects()
+            if type(obj) is tuple and len(obj) == 3
+            and id(obj[2]) in statements)
+        return run(self, ctx)
+    monkeypatch.setattr(last, "run", census)
+    gc.collect()
+    seen["before"] = _plain_places()
+    return seen
+
+
+class TestFactShape:
+    """The fact index and the summaries keep no copy of the MIR and share
+    what they can (DESIGN.md §9, "Memory"): statement lists are views
+    over the blocks, an empty fact is the one shared empty set, and
+    lowering hands out one plain place per local."""
+
+    @pytest.fixture(autouse=True)
+    def analyzed(self, facts_at_last_detector):
+        source = generate_corpus(0, 1).combined_source()
+        api.AnalysisSession().analyze(source, name="crate")
+        self.seen = facts_at_last_detector
+        self.program = self.seen["ctx"].program
+
+    def test_no_flattened_statement_tuple(self):
+        assert self.seen["statement_tuples"] == 0
+
+    def test_empty_facts_are_the_shared_empty_set(self):
+        ctx = self.seen["ctx"]
+        checked = 0
+        for key, body in self.program.functions.items():
+            summary = ctx.summary(key)
+            prov = summary.unsafe_provenance
+            empty = [fact for fact in (
+                *scan_of(body).cache["panic_facts"], summary.returns,
+                summary.locks_held_on_return, prov.guarded_args,
+                prov.delegated_args) if not fact]
+            assert all(fact is scan._EMPTY for fact in empty), key
+            checked += len(empty)
+        assert checked
+
+    def test_one_plain_place_per_local(self):
+        locals_ = sum(len(body.locals)
+                      for body in self.program.functions.values())
+        assert 0 < self.seen["plain_places"] <= locals_
 
 
 class _RecordCollector(Detector):

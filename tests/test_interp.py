@@ -777,3 +777,37 @@ class TestMutableStatics:
                 println!("{}", *TOTAL.lock().unwrap());
             }""")
         assert r.ok and r.stdout == ["2"]
+
+
+class TestForeignCalls:
+    """Foreign code is not modelled: computing with the result of an
+    ``extern`` function ends the run with an outcome, never a raw
+    Python error."""
+
+    def test_arithmetic_on_a_foreign_result_ends_the_run(self):
+        r = interp("""
+            extern "C" { fn c_get(x: i32) -> i32; }
+            fn main() { let v = unsafe { c_get(1) }; let w = v + 1; print(w); }
+            """)
+        assert r.outcome == "limit"
+        assert "`c_get`" in str(r.error)
+        assert r.stdout == []
+
+    def test_branching_on_a_foreign_result_ends_the_run(self):
+        r = interp("""
+            extern "C" { fn c_get(x: i32) -> i32; }
+            fn main() {
+                let v = unsafe { c_get(1) };
+                if v > 0 { print(1); }
+            }""")
+        assert r.outcome == "limit" and "`c_get`" in str(r.error)
+
+    def test_unit_and_unused_foreign_calls_run_on(self):
+        r = interp("""
+            extern "C" { fn c_put(x: i32); fn c_get(x: i32) -> i32; }
+            fn main() {
+                unsafe { c_put(1) };
+                let _v = unsafe { c_get(2) };
+                print(3);
+            }""")
+        assert r.ok and r.stdout == ["3"]
