@@ -46,9 +46,8 @@ from repro.analysis.points_to import (
 )
 from repro.analysis.scan import callee_of, freeze, scan_of
 from repro.analysis.summaries import (
-    AccessKey, EffectHop, FunctionSummary, LockId, chain_fate,
-    deref_access_sites, opaque_lock, owned_value_args, translate_access_loc,
-    translate_lock, value_chain,
+    MAX_PROJ, AccessKey, EffectHop, FunctionSummary, LockId, chain_fate,
+    owned_value_args, shared_access_sites, translate_lock, value_chain,
 )
 from repro.analysis.unsafe_prop import compute_unsafe_provenance
 from repro.mir.nodes import Body, Program
@@ -452,7 +451,7 @@ class SummaryEngine:
                     for ident in sorted(caller_lock_ids(body, pt, term,
                                                         lock)):
                         if ident[0] != "heap" \
-                                or len(ident[2]) > self._MAX_PROJ:
+                                or len(ident[2]) > MAX_PROJ:
                             continue
                         heap_id = intern(("heap", ident[1],
                                           tuple(ident[2]), lock[3]))
@@ -512,8 +511,14 @@ class SummaryEngine:
                         held.add(intern((ident[0], ident[1], ident[2],
                                          region.kind)))
 
-        shared = self._shared_accesses(body, pt, user_sites, acquires,
-                                       guard_regions)
+        intern_set = self._intern.intern_set
+        shared: Dict[AccessKey, Tuple] = {}
+        for _bb, loc, is_write, lockset, hop, span in shared_access_sites(
+                body, pt, user_sites, self._summaries.get, acquires,
+                guard_regions):
+            shared.setdefault(
+                intern((intern(loc), is_write, intern_set(lockset))),
+                (hop, span))
         lock_orders = self._lock_orders(body, pt, user_sites, acquires,
                                         guard_regions)
         unsafe_prov = compute_unsafe_provenance(body, self._summaries,
@@ -529,111 +534,6 @@ class SummaryEngine:
             lock_orders=lock_orders,
             panic=compute_panic_effects(body, self._summaries, user_sites))
 
-    #: Translated access/lock projections longer than this are dropped —
-    #: the bound that keeps recursive frames (whose translation prepends
-    #: the caller's projection each hop) from growing summaries forever.
-    _MAX_PROJ = 4
-
-    def _shared_accesses(self, body: Body, pt: PointsTo, user_sites,
-                         acquires: bool, guard_regions) -> Dict:
-        """The "accesses-shared-under-locks" summary component: every
-        deref access the call tree performs, keyed ``(location, is_write,
-        lockset)``, with locations caller-translatable (``arg``) or global
-        (``heap`` / ``static``) and locksets taken from the guard regions
-        covering the access point.  Composed callee entries gain the locks
-        this frame holds at the call site — protection routed through a
-        helper function stays visible to the race detector."""
-        might_lock = acquires or any(
-            (cs := self._summaries.get(callee)) is not None
-            and cs.acquires_any_lock
-            for _bb, _term, callee, _sources in user_sites)
-
-        intern = self._intern.intern
-        intern_set = self._intern.intern_set
-
-        def locks_at(point) -> FrozenSet:
-            if not might_lock:
-                return frozenset()
-            out = set()
-            for region in guard_regions():
-                if region.covers(point):
-                    for ident in region.lock_ids:
-                        if ident[0] in ("arg", "static", "heap"):
-                            out.add(ident + (region.kind,))
-            return intern_set(out)
-
-        shared: Dict[AccessKey, Tuple] = {}
-        for point, base, proj, is_write, span in deref_access_sites(body):
-            locs = set()
-            if 0 < base <= body.arg_count:
-                locs.add(("arg", base - 1, proj))
-            base_name = body.locals[base].name or ""
-            if base_name.startswith("static:"):
-                locs.add(("static", base_name[7:], proj))
-            for target in pt.targets(base):
-                if target[0] == "heap":
-                    locs.add(("heap", target[1], proj))
-                elif target[0] == "static":
-                    locs.add(("static", target[1], proj))
-                elif target[0] == "argval":
-                    locs.add(("arg", target[1], proj))
-            if not locs:
-                continue
-            lockset = locks_at(point)
-            for loc in sorted(locs):
-                shared.setdefault(intern((intern(loc), is_write, lockset)),
-                                  (None, span))
-
-        for bb, term, callee, sources in user_sites:
-            callee_summary = self._summaries.get(callee)
-            if callee_summary is None or not callee_summary.shared_accesses:
-                continue
-            call_point = (bb, len(body.blocks[bb].statements))
-            here = locks_at(call_point)
-            for access in callee_summary.shared_accesses:
-                loc, is_write, lockset = access
-                locs = set()
-                translated = translate_access_loc(loc, sources)
-                if translated is not None:
-                    locs.add(translated)
-                if loc[0] == "arg" and loc[1] < len(term.args) \
-                        and term.args[loc[1]].place is not None:
-                    # Points-to route: the operand may name a heap site or
-                    # static the argument-position route cannot see.
-                    arg_local = term.args[loc[1]].place.local
-                    for ident in lock_identity(body, pt, arg_local):
-                        if ident[0] in ("arg", "static", "heap"):
-                            locs.add((ident[0], ident[1],
-                                      tuple(ident[2]) + tuple(loc[2])))
-                locs = {l for l in locs if len(l[2]) <= self._MAX_PROJ}
-                if not locs:
-                    continue
-                tlocks = set(here)
-                for lk in lockset:
-                    if lk[0] in ("heap", "static", "opaque"):
-                        tlocks.add(lk)
-                        continue
-                    kept = set()
-                    if lk[0] == "arg":
-                        kept = {
-                            ident + (lk[3],)
-                            for ident in caller_lock_ids(body, pt, term, lk)
-                            if ident[0] in ("arg", "static", "heap")
-                            and len(ident[2]) <= self._MAX_PROJ}
-                    if kept:
-                        tlocks |= kept
-                    else:
-                        # Keep the access marked lock-protected even when
-                        # the lock has no caller name (documented FP/FN
-                        # trade: an opaque lock never matches another).
-                        tlocks.add(opaque_lock(callee, lk))
-                key_locks = intern_set(tlocks)
-                for loc_t in sorted(locs):
-                    shared.setdefault(
-                        intern((intern(loc_t), is_write, key_locks)),
-                        ((callee, access), term.span))
-        return shared
-
     def _lock_orders(self, body: Body, pt: PointsTo, user_sites,
                      acquires: bool, guard_regions) -> Dict:
         """The caller-translatable lock-order component: ``(first,
@@ -643,11 +543,7 @@ class SummaryEngine:
         callee's pairs through the call site — including through
         points-to, so ``helper(&A, &B)`` with a helper that locks both
         *arguments* yields the global ``(A, B)`` pair here."""
-        might_lock = acquires or any(
-            (cs := self._summaries.get(callee)) is not None
-            and cs.acquires_any_lock
-            for _bb, _term, callee, _sources in user_sites)
-        if not might_lock:
+        if not acquires:
             return {}
 
         orders: Dict[Tuple[LockId, LockId], object] = {}
@@ -656,8 +552,8 @@ class SummaryEngine:
         def add_pairs(firsts, seconds, span) -> None:
             for a in sorted(firsts):
                 for b in sorted(seconds):
-                    if a[:3] != b[:3] and len(a[2]) <= self._MAX_PROJ \
-                            and len(b[2]) <= self._MAX_PROJ:
+                    if a[:3] != b[:3] and len(a[2]) <= MAX_PROJ \
+                            and len(b[2]) <= MAX_PROJ:
                         orders.setdefault(intern((intern(a), intern(b))),
                                           span)
 

@@ -56,7 +56,7 @@ from repro.analysis.callgraph import (
 )
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.summaries import (
-    FunctionSummary, canonical, summary_fingerprint,
+    MAX_PROJ, FunctionSummary, canonical, summary_fingerprint,
 )
 from repro.mir.nodes import Body
 
@@ -547,7 +547,7 @@ class AnalysisExecutor:
         program = self.engine.program
         h = hashlib.sha256()
         h.update(f"repro-summary-cache-v{SUMMARY_KEY_VERSION}"
-                 f":proj{self.engine._MAX_PROJ}\x00".encode())
+                 f":proj{MAX_PROJ}\x00".encode())
         for key in sorted(component):
             fp = body_fps.get(key)
             if fp is None:

@@ -58,7 +58,10 @@ Fields and their join direction:
   locks the caller holds at the call site, which is how protection through
   helper functions is seen.  The value is ``(hop, span)``: the
   ``(callee, callee access key)`` hop the entry came through (``None``
-  when direct) and the span of the access / call site.
+  when direct) and the span of the access / call site.  The entries are
+  the first of each key in :func:`shared_access_sites`, the one walk of a
+  body's accesses, which the data-race detector's spawner side reads
+  too.
 
 * ``panic`` — the panic-effects component (:mod:`repro.analysis.panic`):
   a may-panic bit with its source vocabulary and hop provenance, the
@@ -78,9 +81,12 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Set, Tuple,
+)
 
 from repro.analysis.dataflow import reach
+from repro.analysis.lifetime import caller_lock_ids, lock_identity
 from repro.analysis.panic import PanicEffects
 from repro.analysis.scan import _EMPTY, OWNER_EXTRACT_OPS, BodyScan, scan_of
 from repro.analysis.unsafe_prop import UnsafeProvenance
@@ -308,6 +314,111 @@ def opaque_lock(callee: str, lock: Tuple) -> Tuple:
     matches another lock id, but its presence keeps the access marked as
     lock-protected rather than silently dropping the protection."""
     return ("opaque", callee) + tuple(lock)
+
+
+#: Translated access/lock projections longer than this are dropped — the
+#: bound that keeps recursive frames (whose translation prepends the
+#: caller's projection each hop) from growing summaries forever.
+MAX_PROJ = 4
+
+#: The lock and location id kinds a frame can name: its own arguments,
+#: statics, and heap allocation sites.
+_NAMED = ("arg", "static", "heap")
+
+
+def shared_access_sites(body: Body, pt, user_sites, summary_of,
+                        might_lock: bool, guard_regions,
+                        max_proj: Optional[int] = MAX_PROJ
+                        ) -> Iterator[Tuple]:
+    """Every shared access of ``body``'s call tree, in ``body``'s frame:
+    ``(block, location, is_write, lockset, hop, span)``.
+
+    The body's own :func:`deref_access_sites` come first (hop ``None``),
+    then, per call site of ``user_sites`` (``(block, terminator, callee,
+    arg sources)``), each ``shared_accesses`` entry of the callee's
+    summary (``summary_of(callee)``, or None) translated through the
+    call: the location by argument position and by the points-to of the
+    operand, each callee lock by :func:`caller_lock_ids` or else as an
+    :func:`opaque_lock`, plus the locks this frame holds at the call
+    (hop ``(callee, callee access key)``).  Locations are ``arg`` /
+    ``heap`` / ``static`` ids.  A translated location or caller lock
+    name whose projection is longer than ``max_proj`` is dropped (a
+    callee lock left with no name is opaque); ``None`` sets no bound,
+    for a fold that is not a summary and so cannot recurse.  Locksets hold
+    ``arg`` / ``heap`` / ``static`` lock ids from the guard regions
+    covering the point, asked of ``guard_regions()`` once and only when
+    ``might_lock``."""
+
+    def bounded(proj) -> bool:
+        return max_proj is None or len(proj) <= max_proj
+
+    regions = None
+
+    def locks_at(point) -> FrozenSet:
+        nonlocal regions
+        if not might_lock:
+            return _EMPTY
+        if regions is None:
+            regions = guard_regions()
+        return frozenset(ident + (region.kind,) for region in regions
+                         if region.covers(point)
+                         for ident in region.lock_ids if ident[0] in _NAMED)
+
+    for point, base, proj, is_write, span in deref_access_sites(body):
+        locs = set()
+        if 0 < base <= body.arg_count:
+            locs.add(("arg", base - 1, proj))
+        base_name = body.locals[base].name or ""
+        if base_name.startswith("static:"):
+            locs.add(("static", base_name[7:], proj))
+        for target in pt.targets(base):
+            if target[0] in ("heap", "static"):
+                locs.add((target[0], target[1], proj))
+            elif target[0] == "argval":
+                locs.add(("arg", target[1], proj))
+        if locs:
+            lockset = locks_at(point)
+            for loc in sorted(locs):
+                yield point[0], loc, is_write, lockset, None, span
+
+    for bb, term, callee, sources in user_sites:
+        summary = summary_of(callee)
+        if summary is None or not summary.shared_accesses:
+            continue
+        here = locks_at((bb, len(body.blocks[bb].statements)))
+        for access in summary.shared_accesses:
+            loc, is_write, lockset = access
+            locs = set()
+            translated = translate_access_loc(loc, sources)
+            if translated is not None:
+                locs.add(translated)
+            if loc[0] == "arg" and loc[1] < len(term.args) \
+                    and term.args[loc[1]].place is not None:
+                # Points-to route: the operand may name a heap site or
+                # static the argument-position route cannot see.
+                for ident in lock_identity(body, pt,
+                                           term.args[loc[1]].place.local):
+                    if ident[0] in _NAMED:
+                        locs.add((ident[0], ident[1],
+                                  tuple(ident[2]) + tuple(loc[2])))
+            locs = [l for l in sorted(locs) if bounded(l[2])]
+            if not locs:
+                continue
+            locks = set(here)
+            for lk in lockset:
+                if lk[0] != "arg":
+                    locks.add(lk)
+                    continue
+                kept = {ident + (lk[3],)
+                        for ident in caller_lock_ids(body, pt, term, lk)
+                        if ident[0] in _NAMED and bounded(ident[2])}
+                # Keep the access marked lock-protected even when the lock
+                # has no caller name (documented FP/FN trade: an opaque
+                # lock never matches another).
+                locks |= kept or {opaque_lock(callee, lk)}
+            locks = frozenset(locks)
+            for loc_t in locs:
+                yield bb, loc_t, is_write, locks, (callee, access), term.span
 
 
 # ---------------------------------------------------------------------------

@@ -25,17 +25,22 @@ Two access pools are paired:
 * the **threaded pool** — per spawn site, the spawned closure's summary
   accesses, with ``("arg", capture, proj)`` locations and locks
   translated through the capture map into the spawner's global ids;
-* the **spawner pool** — accesses the spawning function performs (itself
-  or via callees) at points forward-reachable from a spawn, i.e. while
-  the spawned thread may be running.
+* the **spawner pool** — the spawning function's
+  :func:`~repro.analysis.summaries.shared_access_sites` (the same walk
+  the summary engine folds into ``shared_accesses``: its own derefs and
+  its callees' summary accesses translated through the call site) in
+  blocks forward-reachable from a spawn, i.e. while the spawned thread
+  may be running, kept at global locations with their global and
+  opaque locks.  An ``arg`` lock id names a lock by the spawner's own
+  parameter, which the spawned thread does not share, so it is dropped.
 
 Known imprecision (see DESIGN.md): guard-deref accesses (``*guard += 1``)
 are invisible (their protection is structural, so this loses no races it
 could have found); a single spawn site in a loop is one "thread" (missed
 T×T self-races); ``join()`` introduces no happens-before (post-join
 accesses still pair — matching the dynamic monitor's approximation);
-callee locks the caller cannot name become opaque lockset entries that
-never match (a deliberate FP source, never an FN source).
+callee locks the caller cannot name at all become opaque lockset
+entries that never match (a deliberate FP source, never an FN source).
 """
 
 from __future__ import annotations
@@ -45,13 +50,13 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.analysis.dataflow import reach
-from repro.analysis.escape import SpawnSite, translate_capture
-from repro.analysis.lifetime import caller_lock_ids, lock_identity
+from repro.analysis.escape import (
+    SpawnSite, capture_lock_ids, translate_capture,
+)
 from repro.analysis.scan import cfg_of, scan_of
-from repro.analysis.summaries import deref_access_sites, opaque_lock
+from repro.analysis.summaries import opaque_lock, shared_access_sites
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.report import Finding, Severity
-from repro.hir.builtins import BuiltinOp, FuncKind
 from repro.mir.nodes import Body
 from repro.obs.provenance import fact
 
@@ -166,25 +171,21 @@ class DataRaceDetector(Detector):
                        lockset: FrozenSet) -> FrozenSet:
         locks: Set[Tuple] = set()
         for lk in lockset:
-            if lk[0] in ("heap", "static", "opaque"):
+            if lk[0] == "opaque":
                 locks.add(lk)
                 continue
-            if lk[0] == "arg":
-                ids = translate_capture(site, pt_spawner, lk[1], lk[2])
-                if ids:
-                    locks |= {ident + (lk[3],) for ident in ids}
-                    continue
             # A lock the spawner frame cannot name still protects the
             # access — keep it, unmatchable, rather than dropping it.
-            locks.add(opaque_lock(site.closure, lk))
+            locks |= capture_lock_ids(site, pt_spawner, lk) \
+                or {opaque_lock(site.closure, lk)}
         return frozenset(locks)
 
     def _spawner_accesses(self, ctx: AnalysisContext,
                           te) -> List[_Access]:
         """Accesses the spawning function performs while a spawned thread
-        may be running: deref accesses and calls at points forward-
-        reachable from a spawn site, with locations resolved to global
-        ids and locksets from the covering guard regions."""
+        may be running: its :func:`shared_access_sites` in blocks
+        forward-reachable from a spawn site, kept at global locations
+        with their global and opaque locks."""
         out: List[_Access] = []
         by_body: Dict[str, List[SpawnSite]] = {}
         for site in te.spawn_sites:
@@ -201,98 +202,28 @@ class DataRaceDetector(Detector):
             after = self._blocks_after(body, {s.block for s in sites})
             if not after:
                 continue
-            pt = ctx.points_to(body)
-            regions = ctx.guard_regions(body, include_try=True)
-
-            def locks_at(point) -> FrozenSet:
-                held = set()
-                for region in regions:
-                    if region.covers(point):
-                        held |= {ident + (region.kind,)
-                                 for ident in region.lock_ids
-                                 if ident[0] in ("heap", "static")}
-                return frozenset(held)
-
-            for point, base, proj, write, span in deref_access_sites(body):
-                if point[0] not in after:
+            user_sites = [site for site in scan_of(body).facts.user_sites
+                          if site[0] in after]
+            # Always ask for the regions (the solve's cache serves them):
+            # `acquires_any_lock` does not count a try-lock, which still
+            # protects the accesses its region covers.  No projection
+            # bound: this fold is not a summary, so it cannot recurse.
+            for block, loc, write, lockset, hop, span in shared_access_sites(
+                    body, ctx.points_to(body), user_sites, ctx.summary, True,
+                    lambda: ctx.guard_regions(body, include_try=True),
+                    max_proj=None):
+                if block not in after or loc[0] == "arg":
                     continue
-                locs = self._global_locs(body, pt, base, proj)
-                lockset = locks_at(point)
-                for loc in sorted(locs):
-                    out.append(_Access(fn_key=key,
-                                       key=(loc, write, lockset), loc=loc,
-                                       write=write, locks=lockset,
+                locks = frozenset(lk for lk in lockset if lk[0] != "arg")
+                if hop is None:
+                    out.append(_Access(fn_key=key, key=(loc, write, locks),
+                                       loc=loc, write=write, locks=locks,
                                        span=span, site=None))
-            out.extend(self._composed_accesses(ctx, body, pt, after,
-                                               locks_at))
+                else:
+                    out.append(_Access(fn_key=hop[0], key=hop[1], loc=loc,
+                                       write=write, locks=locks, span=span,
+                                       site=None, caller=key))
         return out
-
-    def _composed_accesses(self, ctx: AnalysisContext, body: Body, pt,
-                           after: Set[int], locks_at) -> List[_Access]:
-        """Callee summary accesses at call sites that run after a spawn,
-        translated into global ids, with the caller's locks added."""
-        out: List[_Access] = []
-        for bb, term in scan_of(body).calls_of_kind(FuncKind.USER,
-                                                    FuncKind.CLOSURE):
-            if bb not in after:
-                continue
-            func = term.func
-            if func.kind not in (FuncKind.USER, FuncKind.CLOSURE) \
-                    or func.builtin_op is BuiltinOp.THREAD_SPAWN:
-                continue
-            callee = func.user_fn
-            summary = ctx.summary(callee)
-            if not summary.shared_accesses:
-                continue
-            here = locks_at((bb, len(body.blocks[bb].statements)))
-            for access in summary.shared_accesses:
-                loc, write, lockset = access
-                targets: Set[Tuple] = set()
-                if loc[0] in ("heap", "static"):
-                    targets.add(loc)
-                elif loc[0] == "arg" and loc[1] < len(term.args) \
-                        and term.args[loc[1]].place is not None:
-                    arg_local = term.args[loc[1]].place.local
-                    targets |= {
-                        (ident[0], ident[1],
-                         tuple(ident[2]) + tuple(loc[2]))
-                        for ident in lock_identity(body, pt, arg_local)
-                        if ident[0] in ("heap", "static")}
-                if not targets:
-                    continue
-                locks = set(here)
-                for lk in lockset:
-                    if lk[0] in ("heap", "static", "opaque"):
-                        locks.add(lk)
-                        continue
-                    kept = set()
-                    if lk[0] == "arg":
-                        kept = {
-                            ident + (lk[3],)
-                            for ident in caller_lock_ids(body, pt, term, lk)
-                            if ident[0] in ("heap", "static")}
-                    if kept:
-                        locks |= kept
-                    else:
-                        locks.add(opaque_lock(callee, lk))
-                for target in sorted(targets):
-                    out.append(_Access(fn_key=callee, key=access,
-                                       loc=target, write=write,
-                                       locks=frozenset(locks),
-                                       span=term.span, site=None,
-                                       caller=body.key))
-        return out
-
-    @staticmethod
-    def _global_locs(body: Body, pt, base: int, proj: Tuple) -> Set[Tuple]:
-        locs: Set[Tuple] = set()
-        name = body.locals[base].name or ""
-        if name.startswith("static:"):
-            locs.add(("static", name[7:], proj))
-        for target in pt.targets(base):
-            if target[0] in ("heap", "static"):
-                locs.add((target[0], target[1], proj))
-        return locs
 
     @staticmethod
     def _blocks_after(body: Body, spawn_blocks: Set[int]) -> Set[int]:

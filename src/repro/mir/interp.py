@@ -1197,15 +1197,10 @@ class Interpreter:
             thread.frames.append(new_frame)
             return
 
-        if func.kind is FuncKind.UNKNOWN:
-            for a in term.args:
-                self.eval_operand(thread, a)
-            self._write_call_result(thread, term, None)
-            return
-
-        # Builtin.
-        result = self._call_builtin(thread, term, func.builtin_op,
-                                    [a for a in term.args])
+        # Builtin.  An unresolved callee is foreign code, run as FFI is.
+        op = BuiltinOp.FFI if func.kind is FuncKind.UNKNOWN \
+            else func.builtin_op
+        result = self._call_builtin(thread, term, op, list(term.args))
         if result is not _SUSPENDED:
             self._write_call_result(thread, term, result)
 

@@ -925,6 +925,93 @@ class TestDataRace:
             }""")
         assert not detectors_named(report, "data-race")
 
+    def test_spawner_parameter_lock_keeps_no_arg_id(self):
+        # `locked_touch` locks its first argument, which `run` can name
+        # only as its own parameter: the spawner side keeps no `arg` lock
+        # id for it (an `arg` id means nothing across threads), and the
+        # race on the Arc-shared field is still reported.
+        report = check("""
+            struct C { value: i32 }
+            unsafe impl Sync for C {}
+            fn locked_touch(m: &Mutex<i32>, c: &C, i: i32) {
+                let g = m.lock().unwrap();
+                let p = &c.value as *const i32 as *mut i32;
+                unsafe { *p = i; }
+                drop(g);
+            }
+            fn run(m: &Mutex<i32>) {
+                let c = Arc::new(C { value: 0 });
+                let c2 = Arc::clone(&c);
+                let h = thread::spawn(move || {
+                    let p = &c2.value as *const i32 as *mut i32;
+                    unsafe { *p = 1; }
+                });
+                locked_touch(m, &c, 2);
+                h.join();
+            }
+            fn main() { let m = Mutex::new(0); run(&m); }""")
+        [finding] = detectors_named(report, "data-race")
+        lockset = next(f for f in finding.provenance
+                       if f["kind"] == "lockset")
+        assert all(lk[0] != "arg"
+                   for lk in lockset["first"] + lockset["second"])
+        chain = next(f for f in finding.provenance
+                     if f["kind"] == "summary-chain")
+        assert chain["other_chain"] == ["run", "locked_touch"]
+
+    def test_spawner_try_lock_protects(self):
+        # The spawner's only acquisition is a try-lock on the mutex the
+        # spawned closure locks: its region still covers the write.
+        report = check("""
+            struct G { m: Mutex<i32>, data: i32 }
+            unsafe impl Sync for G {}
+            fn main() {
+                let s = Arc::new(G { m: Mutex::new(0), data: 0 });
+                let s2 = Arc::clone(&s);
+                let h = thread::spawn(move || {
+                    let g = s2.m.lock().unwrap();
+                    let p = &s2.data as *const i32 as *mut i32;
+                    unsafe { *p = 1; }
+                    drop(g);
+                });
+                let t = s.m.try_lock();
+                let p = &s.data as *const i32 as *mut i32;
+                unsafe { *p = 2; }
+                drop(t);
+                h.join();
+            }""")
+        assert not detectors_named(report, "data-race")
+
+    def test_deep_field_race_through_callee(self):
+        # The spawner's write sits five fields deep, inside a callee: the
+        # summary projection bound does not hide it from the spawner side.
+        report = check("""
+            struct E { v: i32 }
+            struct D { e: E }
+            struct C { d: D }
+            struct B { c: C }
+            struct A { b: B }
+            unsafe impl Sync for A {}
+            fn touch(a: &A, i: i32) {
+                let p = &a.b.c.d.e.v as *const i32 as *mut i32;
+                unsafe { *p = i; }
+            }
+            fn main() {
+                let s = Arc::new(A { b: B { c: C { d: D {
+                    e: E { v: 0 } } } } });
+                let s2 = Arc::clone(&s);
+                let h = thread::spawn(move || {
+                    let p = &s2.b.c.d.e.v as *const i32 as *mut i32;
+                    unsafe { *p = 1; }
+                });
+                touch(&s, 2);
+                h.join();
+            }""")
+        [finding] = detectors_named(report, "data-race")
+        shared = next(f for f in finding.provenance
+                      if f["kind"] == "shared-location")
+        assert shared["location"][2] == ["b", "c", "d", "e", "v"]
+
     def test_one_side_unlocked_race(self):
         report = check("""
             struct G { m: Mutex<i32>, data: i32 }

@@ -802,6 +802,16 @@ class TestForeignCalls:
             }""")
         assert r.outcome == "limit" and "`c_get`" in str(r.error)
 
+    def test_an_unresolved_callee_is_foreign_code(self):
+        r = interp("""
+            fn main() { let v = ext_get(1); let w = v + 1; print(w); }
+            """)
+        assert r.outcome == "limit"
+        assert "`ext_get`" in str(r.error)
+        assert r.stdout == []
+        r = interp("fn main() { ext_put(1); let _v = ext_get(2); print(3); }")
+        assert r.ok and r.stdout == ["3"]
+
     def test_unit_and_unused_foreign_calls_run_on(self):
         r = interp("""
             extern "C" { fn c_put(x: i32); fn c_get(x: i32) -> i32; }

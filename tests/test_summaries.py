@@ -287,6 +287,20 @@ class TestOwnershipFate:
 
 _SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
 
+
+def _parsed_modules():
+    """``(module, syntax tree)`` of every module under ``src/repro``."""
+    for root, _dirs, files in sorted(os.walk(_SRC)):
+        package = os.path.relpath(root, _SRC).replace(os.sep, ".")
+        for fname in sorted(files):
+            if not fname.endswith(".py"):
+                continue
+            module = "repro" + ("" if package == "." else "." + package) \
+                + "." + fname[:-3]
+            with open(os.path.join(root, fname), encoding="utf-8") as f:
+                yield module, ast.parse(f.read())
+
+
 #: Functions outside the query's module that may name
 #: ``BuiltinOp.MEM_DROP``, with the reason each may.
 _MEM_DROP_ALLOWED = {
@@ -301,38 +315,33 @@ def _ownership_rule_uses():
     ownership rule's vocabulary under ``src/repro/analysis`` and
     ``src/repro/detectors``, outside ``repro.analysis.summaries``."""
     found = []
-    for package in ("analysis", "detectors"):
-        root = os.path.join(_SRC, package)
-        for fname in sorted(os.listdir(root)):
-            module = f"repro.{package}.{fname[:-3]}"
-            if not fname.endswith(".py") \
-                    or module == "repro.analysis.summaries":
-                continue
-            with open(os.path.join(root, fname), encoding="utf-8") as f:
-                tree = ast.parse(f.read())
+    for module, tree in _parsed_modules():
+        if not module.startswith(("repro.analysis.", "repro.detectors.")) \
+                or module == "repro.analysis.summaries":
+            continue
 
-            def visit(node, scope):
-                for child in ast.iter_child_nodes(node):
-                    if isinstance(child, (ast.FunctionDef,
-                                          ast.AsyncFunctionDef,
-                                          ast.ClassDef)):
-                        visit(child, scope + [child.name])
-                        continue
-                    what = None
-                    if isinstance(child, ast.Attribute) \
-                            and child.attr in ("MEM_DROP", "MEM_FORGET") \
-                            and getattr(child.value, "id", None) \
-                            == "BuiltinOp":
-                        what = child.attr
-                    elif isinstance(child, ast.Call) \
-                            and isinstance(child.func, ast.Attribute) \
-                            and child.func.attr == "drops_arg":
-                        what = "drops_arg"
-                    if what is not None:
-                        found.append((module, ".".join(scope), what))
-                    visit(child, scope)
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                    visit(child, scope + [child.name])
+                    continue
+                what = None
+                if isinstance(child, ast.Attribute) \
+                        and child.attr in ("MEM_DROP", "MEM_FORGET") \
+                        and getattr(child.value, "id", None) \
+                        == "BuiltinOp":
+                    what = child.attr
+                elif isinstance(child, ast.Call) \
+                        and isinstance(child.func, ast.Attribute) \
+                        and child.func.attr == "drops_arg":
+                    what = "drops_arg"
+                if what is not None:
+                    found.append((module, ".".join(scope), what))
+                visit(child, scope)
 
-            visit(tree, [])
+        visit(tree, [])
     return found
 
 
@@ -344,3 +353,46 @@ def test_only_the_query_reads_the_ownership_rule():
                   if use[2] != "MEM_DROP"
                   or use[:2] not in _MEM_DROP_ALLOWED]
     assert not unexpected, unexpected
+
+
+#: The shared-access walk's parts, which only
+#: :func:`~repro.analysis.summaries.shared_access_sites` may call.
+_WALK_PARTS = ("deref_access_sites", "translate_access_loc")
+
+#: Caller-frame lock naming, which the data-race detector takes from the
+#: walk instead of re-deriving it.
+_LOCK_NAMING = ("caller_lock_ids", "lock_identity")
+
+
+def _names(tree):
+    """Every name a syntax tree calls, imports or reads as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def _called(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield getattr(func, "id", None) or getattr(func, "attr", None)
+
+
+def test_one_walk_derives_shared_accesses():
+    modules = dict(_parsed_modules())
+    callers = sorted((module, name) for module, tree in modules.items()
+                     if module != "repro.analysis.summaries"
+                     for name in _called(tree) if name in _WALK_PARTS)
+    assert not callers, callers
+    named = set(_names(modules["repro.detectors.data_race"]))
+    assert not named & set(_LOCK_NAMING), named & set(_LOCK_NAMING)
+    assert "shared_access_sites" in named
+    walk = [node for node in ast.walk(modules["repro.analysis.summaries"])
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "shared_access_sites"]
+    assert walk and set(_WALK_PARTS) <= set(_called(walk[0])), \
+        "the scan no longer finds the walk's own calls"
