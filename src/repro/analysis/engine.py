@@ -37,17 +37,16 @@ from repro.analysis.config import AnalysisConfig, coerce_config
 from repro.analysis.escape import ThreadEscape, compute_thread_escape
 from repro.analysis.intern import Interner
 from repro.analysis.lifetime import (
-    LOCK_ACQUIRE_OPS, GuardRegion, caller_lock_ids, compute_guard_regions,
-    lock_identity,
+    GuardRegion, compute_guard_regions, lock_identity,
 )
 from repro.analysis.panic import compute_panic_effects, ensure_unwind_edges
 from repro.analysis.points_to import (
     PointsTo, UNKNOWN_TARGET, compute_points_to, return_items,
 )
-from repro.analysis.scan import callee_of, freeze, scan_of
+from repro.analysis.scan import LOCK_ACQUIRE_OPS, callee_of, freeze, scan_of
 from repro.analysis.summaries import (
     MAX_PROJ, AccessKey, EffectHop, FunctionSummary, LockId, chain_fate,
-    owned_value_args, shared_access_sites, translate_lock, value_chain,
+    named_lock_ids, owned_value_args, shared_access_sites, value_chain,
 )
 from repro.analysis.unsafe_prop import compute_unsafe_provenance
 from repro.mir.nodes import Body, Program
@@ -129,11 +128,10 @@ class SummaryEngine:
         #: locations/keys, locksets) — one canonical object per distinct
         #: atom, so summary equality checks hit identity fast paths.
         self._intern = Interner()
-        #: body key → the guard regions (``include_try=True``) its last
-        #: summarise computed, against its converged callees and its
-        #: fixpoint points-to; ``AnalysisContext.guard_regions`` serves
-        #: them.  Kept here, not on the body's scan: a region points
-        #: back at its body.
+        #: body key → the guard regions its last summarise computed,
+        #: against its converged callees and its fixpoint points-to;
+        #: ``AnalysisContext.guard_regions`` serves them.  Kept here, not
+        #: on the body's scan: a region points back at its body.
         self._guard_regions: Dict[str, List[GuardRegion]] = {}
         self._solved = False
         self._served: Set[str] = set()
@@ -190,9 +188,9 @@ class SummaryEngine:
         return summary
 
     def solved_guard_regions(self, key: str) -> Optional[List[GuardRegion]]:
-        """The ``include_try=True`` guard regions the solve computed for
-        ``key`` on its final summarise, or None when it computed none
-        (summary served from the cache, no lock in reach, ablation)."""
+        """The guard regions the solve computed for ``key`` on its final
+        summarise, or None when it computed none (summary served from
+        the cache, no lock in reach, ablation)."""
         self._ensure_solved()
         return self._guard_regions.get(key)
 
@@ -438,25 +436,8 @@ class SummaryEngine:
             if callee_summary.acquires_any_lock:
                 acquires = True
             for lock in callee_summary.locks:
-                translated = translate_lock(lock, sources)
-                if translated is not None:
-                    translated = intern(translated)
-                    if translated not in locks:
-                        locks[translated] = (callee, lock)
-                elif lock[0] == "arg":
-                    # Points-to route: an arg-relative lock whose operand
-                    # is a local Arc resolves to its allocation site — the
-                    # globally identifiable name the cross-thread lock
-                    # graph and `lock_chain` provenance need.
-                    for ident in sorted(caller_lock_ids(body, pt, term,
-                                                        lock)):
-                        if ident[0] != "heap" \
-                                or len(ident[2]) > MAX_PROJ:
-                            continue
-                        heap_id = intern(("heap", ident[1],
-                                          tuple(ident[2]), lock[3]))
-                        if heap_id not in locks:
-                            locks[heap_id] = (callee, lock)
+                for ident in sorted(named_lock_ids(body, pt, term, lock)):
+                    locks.setdefault(intern(ident), (callee, lock))
             for position in callee_summary.arg_escapes:
                 if position < len(sources) \
                         and sources[position] is not None:
@@ -480,16 +461,16 @@ class SummaryEngine:
                 else (key, position)
 
         # Guard-region computation is the expensive part of summarising;
-        # both consumers below (held-on-return, shared-access locksets)
-        # share one lazy compute.  ``include_try=True`` so locksets see
-        # try-acquisitions too; held-on-return filters ``is_try`` itself.
+        # the consumers below (held-on-return, shared-access locksets,
+        # lock orders) share one lazy compute.  Locksets see try-lock
+        # regions; held-on-return and lock orders skip ``is_try``.
         regions: Optional[List] = None
 
         def guard_regions() -> List:
             nonlocal regions
             if regions is None:
                 regions = self._guard_regions[key] = compute_guard_regions(
-                    body, pt, include_try=True, summaries=self._summaries)
+                    body, pt, summaries=self._summaries)
             return regions
 
         # Locks still held when the function returns (a returned guard).
@@ -587,23 +568,19 @@ class SummaryEngine:
                 if callee is not None and callee in self.program.functions:
                     callee_summary = self._summaries.get(callee)
                     if callee_summary is not None:
-                        sources = scan_of(body).arg_sources(body, term)
                         for lock in callee_summary.locks:
-                            seconds |= self._caller_order_ids(
-                                body, pt, term, lock, sources)
+                            seconds |= named_lock_ids(body, pt, term, lock)
                 if seconds:
                     add_pairs(firsts, seconds, term.span)
 
         # Composed pairs from callee summaries.
-        for _bb, term, callee, sources in user_sites:
+        for _bb, term, callee, _sources in user_sites:
             callee_summary = self._summaries.get(callee)
             if callee_summary is None or not callee_summary.lock_orders:
                 continue
             for first, second in callee_summary.lock_orders:
-                firsts = self._caller_order_ids(body, pt, term, first,
-                                                sources)
-                seconds = self._caller_order_ids(body, pt, term, second,
-                                                 sources)
+                firsts = named_lock_ids(body, pt, term, first)
+                seconds = named_lock_ids(body, pt, term, second)
                 if firsts and seconds:
                     add_pairs(firsts, seconds, term.span)
         return orders
@@ -617,24 +594,7 @@ class SummaryEngine:
             pt = self._points_to[body.key] = compute_points_to(body, None)
         return self._lock_orders(
             body, pt, self._user_sites(body), True,
-            lambda: compute_guard_regions(body, pt, include_try=True,
-                                          summaries=self._summaries))
-
-    def _caller_order_ids(self, body: Body, pt: PointsTo, term,
-                          lock: LockId, sources) -> Set[LockId]:
-        """All caller-frame names of one callee lock id: the argument
-        route (stays caller-translatable) plus the points-to route
-        (resolves a lock passed by reference to the static or heap
-        allocation site it names)."""
-        out: Set[LockId] = set()
-        translated = translate_lock(lock, sources)
-        if translated is not None:
-            out.add(translated)
-        if lock[0] == "arg":
-            for ident in caller_lock_ids(body, pt, term, lock):
-                if ident[0] in ("static", "heap"):
-                    out.add((ident[0], ident[1], tuple(ident[2]), lock[3]))
-        return out
+            lambda: compute_guard_regions(body, pt, self._summaries))
 
     def _const_return(self, body: Body,
                       in_progress: FrozenSet[str]) -> Optional[int]:

@@ -26,7 +26,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.analysis.dataflow import GenKill, Solution, reach, solve
 from repro.analysis.points_to import PointsTo
 from repro.analysis.scan import (
-    GUARD_EXTRACT_OPS, LOCK_ACQUIRE_OPS, cfg_of, scan_of,
+    GUARD_EXTRACT_OPS, LOCK_ACQUIRE_OPS, TRY_ACQUIRE_OPS, cfg_of, scan_of,
 )
 from repro.hir.builtins import BuiltinOp, FuncKind
 from repro.lang.source import Span
@@ -35,12 +35,6 @@ from repro.mir.nodes import Body, StatementKind, TerminatorKind
 
 Point = Tuple[int, int]
 
-# try_* variants acquire but cannot deadlock by blocking.
-TRY_ACQUIRE_OPS = {
-    BuiltinOp.MUTEX_TRY_LOCK: "mutex",
-    BuiltinOp.RWLOCK_TRY_READ: "read",
-    BuiltinOp.RWLOCK_TRY_WRITE: "write",
-}
 #: lock kind → the canonical acquisition op (for synthetic regions that
 #: model a callee returning with the lock held).
 KIND_TO_ACQUIRE_OP = {kind: op for op, kind in LOCK_ACQUIRE_OPS.items()}
@@ -123,25 +117,26 @@ def lock_identity(body: Body, pt: PointsTo, receiver_temp: int) -> FrozenSet:
 
 
 def caller_lock_ids(body: Body, pt: PointsTo, term, lock) -> FrozenSet:
-    """Translate a callee summary lock (4-tuple ``(kind_of_id, payload,
-    proj, lock_kind)``) into the caller's lock-identity space at call
-    terminator ``term``."""
+    """The one call-site translation of a callee lock id (the 4-tuple
+    ``(kind_of_id, payload, proj, lock_kind)`` of a summary) into the
+    caller's lock-identity space at call terminator ``term``: static and
+    heap ids are program-global and pass through; an ``arg`` id becomes
+    the :func:`lock_identity` of the call's operand, the operand's own
+    projection kept and the callee's appended (``helper(&s.m)`` locks
+    ``s.m``, not all of ``s``).  Returns every name, ``local`` ids
+    included; a caller that keeps the names in a summary filters them
+    (:func:`repro.analysis.summaries.named_lock_ids`)."""
     id_kind, payload, proj, _lock_kind = lock
-    if id_kind == "static":
-        return frozenset({("static", payload, proj)})
-    if id_kind == "arg":
-        index = payload
-        if index >= len(term.args) or term.args[index].place is None:
-            return frozenset()
-        arg_local = term.args[index].place.local
-        base_ids = lock_identity(body, pt, arg_local)
-        if not proj:
-            return base_ids
-        out = set()
-        for ident in base_ids:
-            out.add((ident[0], ident[1], tuple(ident[2]) + tuple(proj)))
-        return frozenset(out)
-    return frozenset()
+    if id_kind in ("static", "heap"):
+        return frozenset({(id_kind, payload, tuple(proj))})
+    if id_kind != "arg" or payload >= len(term.args) \
+            or term.args[payload].place is None:
+        return frozenset()
+    ids = lock_identity(body, pt, term.args[payload].place.local)
+    if not proj:
+        return ids
+    return frozenset((kind, base, ident_proj + tuple(proj))
+                     for kind, base, ident_proj in ids)
 
 
 # ---------------------------------------------------------------------------
@@ -202,17 +197,13 @@ def _guard_chain(body: Body, seed: int) -> Set[int]:
     return set(scan.memo(("guard_chain", seed), compute))
 
 
-def may_have_guard_regions(body: Body, include_try: bool = False,
-                           summaries=None) -> bool:
+def may_have_guard_regions(body: Body, summaries=None) -> bool:
     """Whether :func:`compute_guard_regions` can return a region for
-    ``body``: it acquires a lock (a try-lock too with ``include_try``),
-    or calls a user function or closure whose summary in ``summaries``
-    holds a lock on return.  Reads the body's index only."""
+    ``body``: it acquires a lock (a try-lock too), or calls a user
+    function or closure whose summary in ``summaries`` holds a lock on
+    return.  Reads the body's index only."""
     scan = scan_of(body)
     if scan.facts.direct_acquires:
-        return True
-    by_op = scan.calls_by_op
-    if include_try and any(op in by_op for op in TRY_ACQUIRE_OPS):
         return True
     if summaries is None:
         return False
@@ -224,9 +215,12 @@ def may_have_guard_regions(body: Body, include_try: bool = False,
 
 
 def compute_guard_regions(body: Body, pt: Optional[PointsTo] = None,
-                          include_try: bool = False,
                           summaries=None) -> List[GuardRegion]:
     """Find every lock acquisition in ``body`` and compute its held region.
+
+    Try-locks (:data:`~repro.analysis.scan.TRY_ACQUIRE_OPS`) get regions
+    too, marked ``is_try``; a consumer that must ignore them (a try-lock
+    never blocks) tests ``region.is_try``.
 
     ``summaries``, when given, is a mapping (``.get(fn_key)``) of function
     keys to :class:`~repro.analysis.summaries.FunctionSummary`; a call to
@@ -243,11 +237,10 @@ def compute_guard_regions(body: Body, pt: Optional[PointsTo] = None,
 
     for bb, term in scan.calls:
         op = term.func.builtin_op
-        is_try = op in TRY_ACQUIRE_OPS
-        if op in LOCK_ACQUIRE_OPS or (include_try and is_try):
+        kind = LOCK_ACQUIRE_OPS.get(op) or TRY_ACQUIRE_OPS.get(op)
+        if kind is not None:
             if term.destination is None or not term.destination.is_local:
                 continue
-            kind = LOCK_ACQUIRE_OPS.get(op) or TRY_ACQUIRE_OPS.get(op)
             recv = term.args[0].place.local if term.args and \
                 term.args[0].place is not None else None
             if recv is None:
@@ -255,7 +248,7 @@ def compute_guard_regions(body: Body, pt: Optional[PointsTo] = None,
             region = GuardRegion(
                 body=body, acquire_block=bb, op=op, kind=kind,
                 lock_ids=lock_identity(body, pt, recv), span=term.span,
-                is_try=is_try)
+                is_try=op in TRY_ACQUIRE_OPS)
             region.guard_chain = _guard_chain(body, term.destination.local)
             _propagate_region(body, cfg, region, term)
             regions.append(region)
@@ -288,8 +281,16 @@ def compute_guard_regions(body: Body, pt: Optional[PointsTo] = None,
 
 def _propagate_region(body: Body, cfg: Cfg, region: GuardRegion,
                       acquire_term) -> None:
-    """Forward dataflow of the held-guard set from the acquisition."""
+    """Forward dataflow of the held-guard set from the acquisition.
+
+    A try-lock's region covers a point only while a guard-typed local is
+    held: after ``Ok(t) =>`` or ``.unwrap()``, not while only the
+    ``Result`` is (the lock is not held when ``try_lock`` failed)."""
     chain = region.guard_chain
+    guards = None
+    if region.is_try:
+        guards = frozenset(local for local in chain
+                           if body.local_ty(local).is_guard)
     start_block = acquire_term.target
     if start_block is None:
         return
@@ -310,7 +311,8 @@ def _propagate_region(body: Body, cfg: Cfg, region: GuardRegion,
         for i, stmt in enumerate(block.statements):
             if not held:
                 break
-            region.points.add((bb, i))
+            if guards is None or not guards.isdisjoint(held):
+                region.points.add((bb, i))
             if stmt.kind is StatementKind.ASSIGN and stmt.rvalue is not None:
                 ops = stmt.rvalue.operands
                 moved = [o.place.local for o in ops
@@ -339,7 +341,8 @@ def _propagate_region(body: Body, cfg: Cfg, region: GuardRegion,
             continue
         term = block.terminator
         term_point = (bb, len(block.statements))
-        region.points.add(term_point)
+        if guards is None or not guards.isdisjoint(held):
+            region.points.add(term_point)
         if term is not None and term.kind is TerminatorKind.CALL:
             func_op = term.func.builtin_op if term.func else None
             for arg in term.args:

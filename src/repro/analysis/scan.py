@@ -99,6 +99,14 @@ LOCK_ACQUIRE_OPS = {
     BuiltinOp.REFCELL_BORROW_MUT: "borrow_mut",
 }
 
+#: The ``try_*`` acquisitions: they acquire, but never block, so their
+#: guard regions are marked ``is_try``.
+TRY_ACQUIRE_OPS = {
+    BuiltinOp.MUTEX_TRY_LOCK: "mutex",
+    BuiltinOp.RWLOCK_TRY_READ: "read",
+    BuiltinOp.RWLOCK_TRY_WRITE: "write",
+}
+
 #: Builtin operations that can panic by themselves: the paper's §5/§6
 #: panic vocabulary (failed ``unwrap``/``expect``, explicit ``panic!`` /
 #: ``unreachable!`` / ``todo!``, ``assert!`` macros, and ``RefCell``
@@ -444,7 +452,7 @@ class BodyScan:
             op = func.builtin_op
             if op is not None:
                 by_op.setdefault(op, []).append(site)
-            if op in LOCK_ACQUIRE_OPS:
+            if op in LOCK_ACQUIRE_OPS or op in TRY_ACQUIRE_OPS:
                 acquires = True
             if func.kind is FuncKind.UNKNOWN or op is BuiltinOp.FFI:
                 calls_unknown = True

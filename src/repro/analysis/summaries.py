@@ -27,8 +27,9 @@ Fields and their join direction:
   acquisition or the ``(callee, callee lock)`` hop it came through.
 * ``locks_held_on_return`` — locks still held when the function returns
   (a returned guard), in the same 4-tuple id format.
-* ``acquires_any_lock`` — does any lock acquisition happen in the call
-  tree (used by interior-mutability suppression)?
+* ``acquires_any_lock`` — does any lock acquisition, a try-lock
+  included, happen in the call tree (used by interior-mutability
+  suppression and to gate guard regions)?
 * ``calls_unknown`` — does the call tree reach FFI or an unresolved
   function?  The soundness fallback bit: facts about such functions are
   lower-bounds only.
@@ -260,20 +261,6 @@ def chain_fate(scan: BodyScan, chain: Set[int],
     return ChainFate(dropped, hop, forgotten, escaped)
 
 
-def translate_lock(lock: LockId,
-                   sources: List[Optional[int]]) -> Optional[LockId]:
-    """Translate a callee lock id into the caller's frame using the call
-    site's operand → caller-argument mapping (statics and heap sites are
-    program-global ids and pass through unchanged)."""
-    if lock[0] in ("static", "heap"):
-        return lock
-    if lock[0] == "arg":
-        index = lock[1]
-        if index < len(sources) and sources[index] is not None:
-            return ("arg", sources[index], lock[2], lock[3])
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Shared-access collection (feeds the data-race summary component)
 # ---------------------------------------------------------------------------
@@ -324,6 +311,18 @@ MAX_PROJ = 4
 #: The lock and location id kinds a frame can name: its own arguments,
 #: statics, and heap allocation sites.
 _NAMED = ("arg", "static", "heap")
+
+
+def named_lock_ids(body: Body, pt, term: Terminator, lock: LockId,
+                   max_proj: Optional[int] = MAX_PROJ) -> Set[LockId]:
+    """The names of callee lock ``lock`` at call ``term`` that a summary
+    of ``body`` can hold: its :func:`caller_lock_ids` of a :data:`_NAMED`
+    kind whose projection is within ``max_proj`` (``None``: no bound),
+    with the callee lock's kind appended."""
+    return {ident + (lock[3],)
+            for ident in caller_lock_ids(body, pt, term, lock)
+            if ident[0] in _NAMED
+            and (max_proj is None or len(ident[2]) <= max_proj)}
 
 
 def shared_access_sites(body: Body, pt, user_sites, summary_of,
@@ -409,9 +408,7 @@ def shared_access_sites(body: Body, pt, user_sites, summary_of,
                 if lk[0] != "arg":
                     locks.add(lk)
                     continue
-                kept = {ident + (lk[3],)
-                        for ident in caller_lock_ids(body, pt, term, lk)
-                        if ident[0] in _NAMED and bounded(ident[2])}
+                kept = named_lock_ids(body, pt, term, lk, max_proj)
                 # Keep the access marked lock-protected even when the lock
                 # has no caller name (documented FP/FN trade: an opaque
                 # lock never matches another).

@@ -41,10 +41,6 @@ class AnalysisContext:
     under an ``analysis.<pass>`` span, so ``--profile`` shows where the
     static-analysis time goes and how well the cache amortises it.
 
-    Cache keys are tuples (``(body.key, include_try)`` for guard
-    regions), never concatenated strings — a body literally named
-    ``foo#try`` must not collide with the cached try-variant of ``foo``.
-
     All knobs arrive in one :class:`~repro.analysis.config.AnalysisConfig`
     (``AnalysisConfig(interprocedural=False)`` is the ablation switch:
     every function summary collapses to the bottom element and points-to
@@ -57,7 +53,7 @@ class AnalysisContext:
         self.config = coerce_config(config)
         self.program = program
         self.engine = SummaryEngine(program, self.config)
-        self._guard_regions: Dict[Tuple[str, bool], List[GuardRegion]] = {}
+        self._guard_regions: Dict[str, List[GuardRegion]] = {}
         self._storage_ranges: Dict[str, StorageRanges] = {}
         self._init_states: Dict[str, InitStates] = {}
         self._arc_shared: Optional[FrozenSet[str]] = None
@@ -104,32 +100,26 @@ class AnalysisContext:
         """The cross-thread lock graph (engine-owned, lazy)."""
         return self.engine.lock_graph()
 
-    def guard_regions(self, body: Body,
-                      include_try: bool = False) -> List[GuardRegion]:
-        """The body's guard regions.  The solve already computed the
-        ``include_try=True`` list of most bodies that take a lock, with
-        the same points-to and summaries; those are served (filtered to
-        the blocking acquisitions for ``include_try=False``) and only
-        the bodies it did not cover are computed here."""
+    def guard_regions(self, body: Body) -> List[GuardRegion]:
+        """The body's guard regions, try-locks included (``is_try``).
+        The solve already computed them for most bodies that take a
+        lock, with the same points-to and summaries; those are served
+        and only the bodies it did not cover are computed here."""
         return self._lookup(
-            self._guard_regions, (body.key, include_try), "guard_regions",
-            lambda: self._compute_guard_regions(body, include_try))
+            self._guard_regions, body.key, "guard_regions",
+            lambda: self._compute_guard_regions(body))
 
-    def _compute_guard_regions(self, body: Body,
-                               include_try: bool) -> List[GuardRegion]:
+    def _compute_guard_regions(self, body: Body) -> List[GuardRegion]:
         solved = self.engine.solved_guard_regions(body.key)
         if solved is not None:
-            if include_try:
-                return solved
-            return [region for region in solved if not region.is_try]
+            return solved
         summaries = self.engine.summaries_map()
         # Most uncovered bodies have no lock in reach: answer them from
         # the index, before their points-to is asked for.
-        if not may_have_guard_regions(body, include_try, summaries):
+        if not may_have_guard_regions(body, summaries):
             return []
-        return compute_guard_regions(
-            body, self.points_to(body), include_try=include_try,
-            summaries=summaries)
+        return compute_guard_regions(body, self.points_to(body),
+                                     summaries=summaries)
 
     def storage_ranges(self, body: Body) -> StorageRanges:
         return self._lookup(

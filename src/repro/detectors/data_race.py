@@ -32,7 +32,14 @@ Two access pools are paired:
   blocks forward-reachable from a spawn, i.e. while the spawned thread
   may be running, kept at global locations with their global and
   opaque locks.  An ``arg`` lock id names a lock by the spawner's own
-  parameter, which the spawned thread does not share, so it is dropped.
+  parameter, which the spawned thread does not share, so it matches
+  nothing; the lockset note still names it by source.
+
+A try-lock protects an access only where its guard is out of the
+``Result`` (after ``Ok(t) =>`` or ``.unwrap()``): its guard region
+covers no point where only the ``Result`` is held, since the code there
+also runs when ``try_lock`` failed.  ``acquires_any_lock`` counts
+try-locks, so this holds in a callee as in the spawner's own body.
 
 Known imprecision (see DESIGN.md): guard-deref accesses (``*guard += 1``)
 are invisible (their protection is structural, so this loses no races it
@@ -84,9 +91,7 @@ def _render_loc(loc: Tuple) -> str:
     return base
 
 
-def _render_locks(locks: FrozenSet) -> str:
-    if not locks:
-        return "{}"
+def _render_locks(locks: FrozenSet, params: Tuple[str, ...] = ()) -> str:
     names = []
     for lk in sorted(locks, key=repr):
         if lk[0] == "opaque":
@@ -94,7 +99,17 @@ def _render_locks(locks: FrozenSet) -> str:
         else:
             proj = ".".join(lk[2]) if lk[2] else ""
             names.append(f"{lk[3]}:{lk[0]}({lk[1]}{'.' + proj if proj else ''})")
+    names += [f"`{name}` (spawner's parameter, not shared)"
+              for name in params]
     return "{" + ", ".join(names) + "}"
+
+
+def _param_lock_name(body: Body, lock: Tuple) -> str:
+    """Source name of a lock ``body`` holds through its own parameter:
+    the parameter's name with the lock's projection."""
+    _kind, position, proj, _lock_kind = lock
+    name = body.locals[position + 1].name or f"arg{position}"
+    return ".".join((name,) + tuple(proj))
 
 
 @dataclass
@@ -111,6 +126,10 @@ class _Access:
     #: For accesses composed from a callee summary at a call site: the
     #: calling function, so the reported summary chain starts there.
     caller: Optional[str] = None
+    #: Spawner side: the locks held through the spawner's own
+    #: parameters, by source name.  The lockset note names them; they
+    #: match nothing, since the spawned thread does not share them.
+    params: Tuple[str, ...] = ()
 
     def thread(self) -> str:
         if self.site is None:
@@ -205,24 +224,25 @@ class DataRaceDetector(Detector):
             user_sites = [site for site in scan_of(body).facts.user_sites
                           if site[0] in after]
             # Always ask for the regions (the solve's cache serves them):
-            # `acquires_any_lock` does not count a try-lock, which still
-            # protects the accesses its region covers.  No projection
-            # bound: this fold is not a summary, so it cannot recurse.
+            # under the `interprocedural=False` ablation every summary's
+            # `acquires_any_lock` is bottom.  No projection bound: this
+            # fold is not a summary, so it cannot recurse.
             for block, loc, write, lockset, hop, span in shared_access_sites(
                     body, ctx.points_to(body), user_sites, ctx.summary, True,
-                    lambda: ctx.guard_regions(body, include_try=True),
-                    max_proj=None):
+                    lambda: ctx.guard_regions(body), max_proj=None):
                 if block not in after or loc[0] == "arg":
                     continue
                 locks = frozenset(lk for lk in lockset if lk[0] != "arg")
+                params = tuple(sorted({_param_lock_name(body, lk)
+                                       for lk in lockset if lk[0] == "arg"}))
                 if hop is None:
                     out.append(_Access(fn_key=key, key=(loc, write, locks),
                                        loc=loc, write=write, locks=locks,
-                                       span=span, site=None))
+                                       span=span, site=None, params=params))
                 else:
                     out.append(_Access(fn_key=hop[0], key=hop[1], loc=loc,
                                        write=write, locks=locks, span=span,
-                                       site=None, caller=key))
+                                       site=None, caller=key, params=params))
         return out
 
     @staticmethod
@@ -300,8 +320,9 @@ class DataRaceDetector(Detector):
                  location=a.loc),
             fact("lockset",
                  f"lockset analysis: the {what_a} in `{a.fn_key}` holds "
-                 f"{_render_locks(a.locks)}; the {what_b} in `{b.fn_key}` "
-                 f"holds {_render_locks(b.locks)} — no common lock "
+                 f"{_render_locks(a.locks, a.params)}; the {what_b} in "
+                 f"`{b.fn_key}` holds {_render_locks(b.locks, b.params)} "
+                 f"— no common lock "
                  f"excludes them",
                  first=sorted(a.locks, key=repr),
                  second=sorted(b.locks, key=repr)),

@@ -13,8 +13,12 @@ The guard region (acquisition → implicit/explicit release) comes from
 checked both intra-procedurally (another acquisition terminator inside the
 region whose lock identity may-aliases) and inter-procedurally (a call
 inside the region to a function whose lock summary includes the same
-lock).  ``try_lock`` variants never block, so they are excluded, and two
-``read()`` acquisitions of an ``RwLock`` are allowed.
+lock, named in this frame by the one call-site translation,
+:func:`~repro.analysis.lifetime.caller_lock_ids`, which keeps the
+operand's projection: ``lock_it(&s.m)`` two calls down still locks
+``s.m``).  ``try_lock`` variants never block: their regions
+(``is_try``) are skipped, and a try-lock inside a region is no second
+acquisition.  Two ``read()`` acquisitions of an ``RwLock`` are allowed.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from __future__ import annotations
 from typing import List
 
 from repro.analysis.lifetime import (
-    LOCK_ACQUIRE_OPS, GuardRegion, caller_lock_ids, lock_identity,
+    GuardRegion, caller_lock_ids, lock_identity,
 )
-from repro.analysis.scan import scan_of
+from repro.analysis.scan import LOCK_ACQUIRE_OPS, scan_of
 from repro.detectors.base import AnalysisContext, Detector
 from repro.detectors.report import Finding
 from repro.obs.provenance import fact

@@ -125,7 +125,8 @@ def annotate_critical_sections(compiled: CompiledProgram,
     """Critical-section annotations: where each lock is taken, held, and
     implicitly released.  Guard regions come from the shared
     :class:`AnalysisContext`, so sections opened by a callee that returns
-    its guard are annotated too (with the callee named)."""
+    its guard are annotated too (with the callee named).  Try-lock
+    regions are left out: a try-lock never blocks."""
     body = compiled.program.functions[fn_key]
     source = compiled.source
     out = AnnotatedSource(fn_key=fn_key, source=source)
@@ -133,6 +134,8 @@ def annotate_critical_sections(compiled: CompiledProgram,
         ctx = AnalysisContext(compiled.program)
 
     for region in ctx.guard_regions(body):
+        if region.is_try:
+            continue
         held_lines: List[int] = []
         for bb, i in sorted(region.points):
             block = body.blocks[bb]

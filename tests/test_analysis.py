@@ -544,13 +544,24 @@ class TestGuardRegions:
         assert len(regions) == 2
         assert regions[0].lock_ids & regions[1].lock_ids
 
-    def test_try_lock_excluded_by_default(self):
+    def test_try_lock_region_covers_only_its_guard(self):
+        # A try-lock gets a region, marked `is_try`; it covers a point
+        # only once the guard is out of the `Result`.
         body = mir_of("""
             fn f(m: &Mutex<i32>) {
-                let a = m.try_lock();
+                let r = m.try_lock();
+                let x = 1;
+                if let Ok(g) = r {
+                    let y = 2;
+                }
             }""", "f")
-        assert compute_guard_regions(body) == []
-        assert compute_guard_regions(body, include_try=True)
+        [region] = compute_guard_regions(body)
+        assert region.is_try and region.kind == "mutex"
+        covered = {body.locals[s.place.local].name: (bb, i) in region.points
+                   for bb, i, s in body.iter_statements()
+                   if s.kind is StatementKind.ASSIGN
+                   and body.locals[s.place.local].name in ("x", "y")}
+        assert covered == {"x": False, "y": True}
 
 
 class TestRefChain:

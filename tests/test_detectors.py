@@ -1,7 +1,9 @@
 """Detector tests: every detector on positive and negative cases, plus
 the paper's figure patterns end-to-end."""
 
-from conftest import check, detectors_named
+import pytest
+
+from conftest import check, detectors_named, interp
 
 
 class TestUseAfterFree:
@@ -378,6 +380,32 @@ class TestDoubleLock:
             }""")
         assert not detectors_named(report, "double-lock")
 
+    @pytest.mark.parametrize("hops", [1, 2])
+    @pytest.mark.parametrize("field", ["m", "n"])
+    def test_helper_lock_keeps_the_field_it_was_passed(self, field, hops):
+        # `top` holds `s.m` and reaches `lock_it(&s.<field>)` directly or
+        # through `mid`: the summaries name the field passed, not all of
+        # `s`, so `s.m` re-locks and `s.n` does not.
+        call = f"lock_it(&s.{field});" if hops == 1 else "mid(s);"
+        report = check(f"""
+            struct S {{ m: Mutex<i32>, n: Mutex<i32> }}
+            fn lock_it(m: &Mutex<i32>) {{
+                let g = m.lock().unwrap();
+                print(*g);
+            }}
+            fn mid(s: &S) {{ lock_it(&s.{field}); }}
+            fn top(s: &S) {{
+                let g = s.m.lock().unwrap();
+                {call}
+                print(*g);
+            }}""")
+        findings = detectors_named(report, "double-lock")
+        assert bool(findings) == (field == "m")
+        if findings:
+            [finding] = findings
+            assert finding.fn_key == "top"
+            assert finding.metadata["interprocedural"]
+
     def test_explicit_drop_ends_region(self):
         report = check("""
             fn f(m: &Mutex<i32>) {
@@ -431,6 +459,35 @@ class TestLockOrder:
                 print(*a + *b);
             }""")
         assert not detectors_named(report, "lock-order")
+
+
+    def test_cycle_through_helpers_passed_static_fields(self):
+        # Each order's second lock is taken two calls down, by a helper
+        # passed one field of the static: `ab` holds `G.a` and reaches
+        # `G.b`, `ba` the reverse.
+        report = check("""
+            struct S { a: Mutex<i32>, b: Mutex<i32> }
+            static G: S = S { a: Mutex::new(0), b: Mutex::new(0) };
+            fn lock_it(m: &Mutex<i32>) {
+                let g = m.lock().unwrap();
+                print(*g);
+            }
+            fn via_a(s: &S) { lock_it(&s.a); }
+            fn via_b(s: &S) { lock_it(&s.b); }
+            fn ab() {
+                let x = G.a.lock().unwrap();
+                via_b(&G);
+                print(*x);
+            }
+            fn ba() {
+                let y = G.b.lock().unwrap();
+                via_a(&G);
+                print(*y);
+            }
+            fn main() { ab(); ba(); }""")
+        [finding] = detectors_named(report, "lock-order")
+        assert "static `G`.a -> static `G`.b -> static `G`.a" \
+            in finding.message
 
 
 class TestMemoryMisc:
@@ -864,6 +921,49 @@ class TestDanglingReturn:
         assert not detectors_named(report, "dangling-return")
 
 
+#: The spawner's write after a try-lock, by shape: held only inside
+#: `Ok(t) =>`, or unconditionally (the `Result` alone is held).
+_TRY_WRITES = {
+    "if_let": """
+        if let Ok(t) = s.m.try_lock() {
+            let p = &s.data as *const i32 as *mut i32;
+            unsafe { *p = VALUE; }
+        }""",
+    "unconditional": """
+        let t = s.m.try_lock();
+        let p = &s.data as *const i32 as *mut i32;
+        unsafe { *p = VALUE; }
+        drop(t);""",
+}
+
+
+def _try_lock_program(shape: str, where: str) -> str:
+    """A spawner racing a closure that writes under `s2.m.lock()`; the
+    spawner's try-lock write is inline in `main` or in `try_bump`."""
+    write = _TRY_WRITES[shape]
+    helper, spawner_write = "", write.replace("VALUE", "2")
+    if where == "callee":
+        helper = ("fn try_bump(s: &G, i: i32) {"
+                  + write.replace("VALUE", "i") + "\n}")
+        spawner_write = "try_bump(&s, 2);"
+    return f"""
+        struct G {{ m: Mutex<i32>, data: i32 }}
+        unsafe impl Sync for G {{}}
+        {helper}
+        fn main() {{
+            let s = Arc::new(G {{ m: Mutex::new(0), data: 0 }});
+            let s2 = Arc::clone(&s);
+            let h = thread::spawn(move || {{
+                let g = s2.m.lock().unwrap();
+                let p = &s2.data as *const i32 as *mut i32;
+                unsafe {{ *p = 1; }}
+                drop(g);
+            }});
+            {spawner_write}
+            h.join();
+        }}"""
+
+
 class TestDataRace:
     def _race_findings(self, template_name):
         from repro.corpus.inject import BUG_TEMPLATES
@@ -955,32 +1055,35 @@ class TestDataRace:
                        if f["kind"] == "lockset")
         assert all(lk[0] != "arg"
                    for lk in lockset["first"] + lockset["second"])
+        # The note still names the lock the reader sees in the source.
+        assert "the write in `locked_touch` holds " \
+            "{`m` (spawner's parameter, not shared)}" in lockset["note"]
         chain = next(f for f in finding.provenance
                      if f["kind"] == "summary-chain")
         assert chain["other_chain"] == ["run", "locked_touch"]
 
-    def test_spawner_try_lock_protects(self):
-        # The spawner's only acquisition is a try-lock on the mutex the
-        # spawned closure locks: its region still covers the write.
-        report = check("""
-            struct G { m: Mutex<i32>, data: i32 }
-            unsafe impl Sync for G {}
-            fn main() {
-                let s = Arc::new(G { m: Mutex::new(0), data: 0 });
-                let s2 = Arc::clone(&s);
-                let h = thread::spawn(move || {
-                    let g = s2.m.lock().unwrap();
-                    let p = &s2.data as *const i32 as *mut i32;
-                    unsafe { *p = 1; }
-                    drop(g);
-                });
-                let t = s.m.try_lock();
-                let p = &s.data as *const i32 as *mut i32;
-                unsafe { *p = 2; }
-                drop(t);
-                h.join();
-            }""")
-        assert not detectors_named(report, "data-race")
+    @pytest.mark.parametrize("where", ["inline", "callee"])
+    @pytest.mark.parametrize("shape", sorted(_TRY_WRITES))
+    def test_try_lock_protects_only_under_its_guard(self, shape, where):
+        # The spawned closure writes under `s2.m.lock()`; the spawner
+        # writes after `s.m.try_lock()`, in its own body or in a callee.
+        # The try-lock protects the write only where its guard is out of
+        # the `Result` (`if let Ok(t)`): the unconditional write also runs
+        # when `try_lock` failed, and races.
+        report = check(_try_lock_program(shape, where))
+        assert bool(detectors_named(report, "data-race")) \
+            == (shape == "unconditional")
+
+    @pytest.mark.parametrize("shape", sorted(_TRY_WRITES))
+    def test_interpreter_agrees_on_try_lock_shapes(self, shape):
+        raced = [bool(interp(_try_lock_program(shape, "inline"),
+                             seed=seed, quantum=quantum,
+                             detect_races=True).races)
+                 for seed in range(3) for quantum in (1, 2, 3)]
+        if shape == "unconditional":
+            assert any(raced), "no schedule witnessed the race"
+        else:
+            assert not any(raced)
 
     def test_deep_field_race_through_callee(self):
         # The spawner's write sits five fields deep, inside a callee: the

@@ -329,23 +329,6 @@ class TestPipelineInstrumentation:
         assert col.gauges["interp.schedule_seed"] == 3
         assert col.find_span("interp.run") is not None
 
-    def test_guard_region_cache_key_is_tuple(self):
-        """A body literally named ``foo#try`` must not collide with the
-        cached ``include_try`` variant of ``foo`` (old string-concat key)."""
-        from repro.detectors.base import AnalysisContext
-        from repro.driver import compile_source
-
-        compiled = compile_source(DOUBLE_LOCK_SRC)
-        ctx = AnalysisContext(compiled.program)
-        body = compiled.program.body("main")
-        plain = ctx.guard_regions(body, include_try=False)
-        with_try = ctx.guard_regions(body, include_try=True)
-        assert ("main", False) in ctx._guard_regions
-        assert ("main", True) in ctx._guard_regions
-        # Same body, same flag → cache hit returns the same object.
-        assert ctx.guard_regions(body, include_try=False) is plain
-        assert ctx.guard_regions(body, include_try=True) is with_try
-
 
 class TestProvenance:
     def test_uaf_finding_has_provenance(self):

@@ -341,7 +341,7 @@ def test_context_reuses_the_guard_regions_the_solve_computed(walk_run):
     assert covered
     assert not covered & set(record["ctx_regions"])
     # The detectors did ask for those bodies' regions: they were served.
-    served = {key for key, _include_try in ctx._guard_regions}
+    served = set(ctx._guard_regions)
     assert covered & served
 
 

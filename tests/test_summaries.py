@@ -396,3 +396,57 @@ def test_one_walk_derives_shared_accesses():
             and node.name == "shared_access_sites"]
     assert walk and set(_WALK_PARTS) <= set(_called(walk[0])), \
         "the scan no longer finds the walk's own calls"
+
+
+#: The deleted second call-site translation and try-lock knob.
+_GONE = ("translate_lock", "_caller_order_ids", "include_try")
+
+#: The try-acquisition ops, which on the static side only the op
+#: table in `repro.analysis.scan` names.
+_TRY_OPS = ("MUTEX_TRY_LOCK", "RWLOCK_TRY_READ", "RWLOCK_TRY_WRITE")
+
+#: The static side: the analyses, the detectors and the tools.
+_STATIC = ("repro.analysis.", "repro.detectors.", "repro.tools.")
+
+
+def _identifiers(tree):
+    """Every name a syntax tree uses, defines, takes as a parameter or
+    passes as a keyword."""
+    yield from _names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            yield node.arg
+
+
+def _module_assigned(tree):
+    """The names a module's top level assigns."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) \
+            else [node.target] if isinstance(node, ast.AnnAssign) else []
+        yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def test_one_lock_identity():
+    modules = dict(_parsed_modules())
+    gone = sorted((module, name) for module, tree in modules.items()
+                  for name in set(_identifiers(tree)) if name in _GONE)
+    assert not gone, gone
+    tables = sorted((module, name) for module, tree in modules.items()
+                    for name in _module_assigned(tree)
+                    if name.endswith("ACQUIRE_OPS"))
+    assert tables == [("repro.analysis.scan", "LOCK_ACQUIRE_OPS"),
+                      ("repro.analysis.scan", "TRY_ACQUIRE_OPS")], tables
+    try_ops = sorted(module for module, tree in modules.items()
+                     if module != "repro.analysis.scan"
+                     and module.startswith(_STATIC)
+                     and set(_names(tree)) & set(_TRY_OPS))
+    assert not try_ops, try_ops
+    defs = [module for module, tree in modules.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "caller_lock_ids"]
+    assert defs == ["repro.analysis.lifetime"], defs
