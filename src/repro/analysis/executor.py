@@ -77,7 +77,11 @@ CACHE_FORMAT = 3
 #: v3: the IR value classes (``Span``, ``Ty``, ``Place``, ...) are
 #: slotted, so summaries pickled with the old per-instance ``__dict__``
 #: layout are never opened.
-SUMMARY_KEY_VERSION = 3
+#: v4: one lock identity: an ``arg`` lock keeps the call operand's
+#: projection, try-locks count as acquisitions and protect only where
+#: the guard is out of the ``Result``, so v3 summaries solved another
+#: ``locks`` set and other locksets.
+SUMMARY_KEY_VERSION = 4
 
 
 def body_fingerprint(body: Body) -> str:
@@ -424,7 +428,10 @@ class SummaryCache:
 #: cached under one setting was served under another).
 #: v3: reports pickle slotted spans; v2 entries (spans with a
 #: ``__dict__``) are never opened.
-REPORT_CACHE_FORMAT = 3
+#: v4: one lock identity (see ``SUMMARY_KEY_VERSION`` v4) moves
+#: double-lock, lock-order and data-race verdicts; v3 reports are
+#: never served.
+REPORT_CACHE_FORMAT = 4
 
 #: :class:`AnalysisConfig` fields that only say how or where to run.
 #: Every other field can change findings, so the report key covers it.

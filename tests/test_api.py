@@ -249,7 +249,7 @@ class TestReportCache:
             knobs = (("interprocedural", True), ("detectors", None),
                      ("unwind_edges", unwind))
             h = hashlib.sha256()
-            h.update(b"repro-report-cache-v3:schema1.0\x00")
+            h.update(b"repro-report-cache-v4:schema1.0\x00")
             h.update(repr(knobs).encode())
             h.update(b"\x00a.rs\x00")
             h.update(UAF_SRC.encode())

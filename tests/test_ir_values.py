@@ -229,11 +229,12 @@ class TestHashSeedIndependence:
 class TestCacheVersions:
     def test_entries_of_the_previous_layout_are_never_opened(
             self, tmp_path, monkeypatch, corpus):
-        """Entries written under the previous cache versions pickled the
-        IR with per-instance ``__dict__`` state, which no longer loads.
-        The version bumps move every key: a cache filled with the old
-        version constants is neither read nor counted corrupt, and the
-        rerun solves cold and finds the same."""
+        """Entries written under the previous cache versions hold another
+        layout or another analysis's results (v3 solved callee locks
+        and try-locks by other rules).  The version bumps move every
+        key: a cache filled with the old version constants is neither
+        read nor counted corrupt, and the rerun solves cold and finds
+        the same."""
         files = [(f.name, f.text) for f in corpus.files[:12]]
         # A report-tier batch fills the reports; a batch without it
         # fills the summary shards.
@@ -245,14 +246,14 @@ class TestCacheVersions:
             with api.AnalysisSession(config) as session:
                 return [r.to_dict() for r in session.analyze_sources(files)]
         with monkeypatch.context() as old:
-            old.setattr(executor, "REPORT_CACHE_FORMAT", 2)
-            old.setattr(executor, "SUMMARY_KEY_VERSION", 2)
+            old.setattr(executor, "REPORT_CACHE_FORMAT", 3)
+            old.setattr(executor, "SUMMARY_KEY_VERSION", 3)
             before = [run(config) for config in configs]
         assert list((tmp_path / "reports").glob("*.report.pkl"))
         assert list(tmp_path.glob("*.shard.pkl"))
         assert before[0] == before[1]
-        assert executor.REPORT_CACHE_FORMAT == 3
-        assert executor.SUMMARY_KEY_VERSION == 3
+        assert executor.REPORT_CACHE_FORMAT == 4
+        assert executor.SUMMARY_KEY_VERSION == 4
         with obs.collecting() as col:
             after = [run(config) for config in configs]
         counters = col.counters
